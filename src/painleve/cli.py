@@ -40,7 +40,7 @@ from .diffpoly import (
     verify_riccati,
 )
 from .exactnum import ParamSyntaxError, ParamValue, TriBool, format_param, parse_param
-from .numint import MissingAtomError, NumericAssignment, SingularIntervalError
+from .numint import MissingAtomError, NumericAssignment, SingularIntervalError, StepBudgetError
 from .weyl import (
     AffineMap,
     HypothesisStatus,
@@ -306,7 +306,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
         return _response(query, verdicts, [cite("pii_riccati")], [riccati_sign_note()]), 0
     if target == "pv-change":
         report = verify_pv_change_of_variables()
-        points, all_zero = pv_random_point_check()
+        points, all_zero = pv_random_point_check(residuals=report.residuals)
         verdicts = [
             _verdict("chart-identity-q", report.identity_q, cite("pv_backlund")),
             _verdict("chart-identity-p", report.identity_p, cite("pv_backlund")),
@@ -489,11 +489,37 @@ _INPUT_ERRORS = (
     ParamSyntaxError,
     SingularIntervalError,
     MissingAtomError,
+    StepBudgetError,
 )
 
 
+# Options whose value may start with a minus sign ("--params -1/2,...").
+_SIGNED_VALUE_OPTIONS = frozenset({"--params", "--params1", "--params2", "--v", "--w", "--initial"})
+
+
+def _bind_negative_values(argv: Sequence[str]) -> list[str]:
+    """Rewrite ``--params -1/2`` as ``--params=-1/2``.
+
+    argparse reads a separate argument that starts with '-' and is not a
+    plain negative number as an option, so a fraction or a list with a
+    leading negative value would otherwise be rejected.
+    """
+    out: list[str] = []
+    i = 0
+    while i < len(argv):
+        arg = argv[i]
+        nxt = argv[i + 1] if i + 1 < len(argv) else ""
+        if arg in _SIGNED_VALUE_OPTIONS and nxt[:1] == "-" and (nxt[1:2].isdigit() or nxt[1:2] == "."):
+            out.append(f"{arg}={nxt}")
+            i += 2
+        else:
+            out.append(arg)
+            i += 1
+    return out
+
+
 def _run_single(argv: Sequence[str], parser: argparse.ArgumentParser) -> tuple[dict | None, int]:
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_bind_negative_values(argv))
     if args.subcommand is None:
         parser.print_usage(sys.stderr)
         return None, 2

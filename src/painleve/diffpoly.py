@@ -11,6 +11,7 @@ multivariate gcd machinery is needed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -227,14 +228,27 @@ class Poly:
         return out
 
     def evaluate(self, point: Mapping[Var, Rational]) -> Fraction:
-        total = Fraction(0)
+        """Exact value at a rational point, summed over one common denominator.
+
+        With vars[i] = n_i/d_i of top degree m_i, a monomial is
+        prod(n_i^e_i * d_i^(m_i - e_i)) / prod(d_i^m_i); a per-point table of
+        those integer factors leaves only integer products in the sum.
+        """
+        scaled = []  # scaled[i][e] = n_i^e * d_i^(m_i - e)
+        den = 1
+        for i, v in enumerate(self.vars):
+            x = Fraction(point[v])
+            top = max(e[i] for e in self.terms)
+            scaled.append([x.numerator**e * x.denominator ** (top - e) for e in range(top + 1)])
+            den *= x.denominator**top
+        coeff_den = math.lcm(*(c.denominator for c in self.terms.values()))
+        total = 0
         for exps, c in self.terms.items():
-            value = Fraction(c)
-            for i, e in enumerate(exps):
-                if e:
-                    value *= Fraction(point[self.vars[i]]) ** e
-            total += value
-        return total
+            term = c.numerator * (coeff_den // c.denominator)
+            for row, e in zip(scaled, exps):
+                term *= row[e]
+            total += term
+        return Fraction(total, den * coeff_den)
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -424,9 +438,6 @@ class RelationSet:
             self._min_order[v.name] = v.order if cur is None else min(cur, v.order)
         self._normal: dict[Var, DiffExpr] = {}
 
-    def base_rules(self) -> dict[Var, DiffExpr]:
-        return dict(self._base)
-
     def has_rule(self, v: Var) -> bool:
         if not v.is_jet:
             return False
@@ -505,8 +516,7 @@ def verify_riccati(sign: int) -> Fraction:
 class ChangeOfVariablesReport:
     identity_q: bool
     identity_p: bool
-    residual_q: str
-    residual_p: str
+    residuals: tuple[DiffExpr, DiffExpr]
     excluded_loci: tuple[str, ...]
     notes: tuple[str, ...]
 
@@ -544,6 +554,27 @@ def _pv_residuals() -> tuple[DiffExpr, DiffExpr]:
     return residuals[0], residuals[1]
 
 
+def _eliminate_v4(p: Poly) -> Poly:
+    """p with v4 replaced by -(v1 + v2 + v3): the terms are grouped by their
+    v4 exponent k, and each group is multiplied by the k-th power of that
+    linear form."""
+    v4 = sym("v4")
+    if v4 not in p.vars:
+        return p
+    k = p.vars.index(v4)
+    groups: dict[int, dict[tuple[int, ...], Fraction]] = {}
+    for exps, c in p.terms.items():
+        groups.setdefault(exps[k], {})[exps[:k] + (0,) + exps[k + 1 :]] = c
+    linear = -(Poly.var(sym("v1")) + Poly.var(sym("v2")) + Poly.var(sym("v3")))
+    out = Poly.const(0)
+    power = Poly.const(1)
+    for e in range(max(groups) + 1):
+        if e in groups:
+            out = out + Poly(p.vars, groups[e]) * power
+        power = power * linear
+    return out
+
+
 def verify_pv_change_of_variables() -> ChangeOfVariablesReport:
     """Check symbolically that the chart substitution carries the (Q, P)
     system onto the displayed (q, p) system, on the hyperplane sum(v) = 0.
@@ -551,16 +582,15 @@ def verify_pv_change_of_variables() -> ChangeOfVariablesReport:
     Both residuals are cross-multiplied to polynomial form; the zero test
     substitutes v4 = -(v1 + v2 + v3), since the parameter space is that
     hyperplane.  The loci t = 0 and Q = 1 are excluded (cleared denominators).
+    The report carries the residuals, so that ``pv_random_point_check`` can
+    evaluate them without deriving them again.
     """
-    res_q, res_p = _pv_residuals()
-    v_syms = [sym(f"v{i}") for i in range(1, 4)]
-    v4_sub = {sym("v4"): -(DiffExpr.var(v_syms[0]) + DiffExpr.var(v_syms[1]) + DiffExpr.var(v_syms[2]))}
-    on_plane = [r.substitute(v4_sub) for r in (res_q, res_p)]
+    residuals = _pv_residuals()
+    on_plane = [_eliminate_v4(r.num) for r in residuals]
     return ChangeOfVariablesReport(
         identity_q=on_plane[0].is_zero,
         identity_p=on_plane[1].is_zero,
-        residual_q=str(res_q.num),
-        residual_p=str(res_p.num),
+        residuals=residuals,
         excluded_loci=("t = 0", "Q = 1"),
         notes=(
             "zero test performed on the hyperplane v1 + v2 + v3 + v4 = 0"
@@ -569,14 +599,20 @@ def verify_pv_change_of_variables() -> ChangeOfVariablesReport:
     )
 
 
-def pv_random_point_check(points: int = 25, seed: int = 0) -> tuple[int, bool]:
+def pv_random_point_check(
+    points: int = 25,
+    seed: int = 0,
+    residuals: tuple[DiffExpr, DiffExpr] | None = None,
+) -> tuple[int, bool]:
     """Secondary oracle for the chart change: evaluate both residuals at
     random rational points on the parameter hyperplane (redrawing any point
-    on an excluded locus).  Returns (points evaluated, all residuals zero)."""
+    on an excluded locus).  Returns (points evaluated, all residuals zero).
+    ``residuals`` defaults to deriving them afresh, as
+    ``verify_pv_change_of_variables`` does."""
     import random
 
     rng = random.Random(seed)
-    res_q, res_p = _pv_residuals()
+    res_q, res_p = residuals if residuals is not None else _pv_residuals()
 
     def rand_frac() -> Fraction:
         return Fraction(rng.randint(-12, 12), rng.randint(1, 5))

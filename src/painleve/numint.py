@@ -24,9 +24,17 @@ from .exactnum import Atom, ParamValue
 
 BLOWUP_THRESHOLD = 1e8
 
+# Most RK4 steps one integration may take.  Every sample is kept in memory
+# (about 200 bytes for a two-component state), so this also caps memory.
+MAX_STEPS = 200_000
+
 
 class SingularIntervalError(ValueError):
     """The requested time interval touches a fixed singularity of the system."""
+
+
+class StepBudgetError(ValueError):
+    """The interval needs more than MAX_STEPS steps of the requested size."""
 
 
 class MissingAtomError(KeyError):
@@ -161,11 +169,14 @@ def integrate_rhs(
 ) -> Trajectory:
     """Classical RK4 with a fixed step (the step is snapped so that the span
     divides evenly).  Aborts with Blowup when any state component leaves
-    [-1e8, 1e8] or stops being finite."""
+    [-1e8, 1e8] or stops being finite.  Raises StepBudgetError, before any
+    step is taken, when the interval needs more than MAX_STEPS steps."""
     if step <= 0:
         raise ValueError("step must be positive")
     if t1 <= t0:
         raise ValueError("t1 must exceed t0")
+    if not (t1 - t0) / step <= MAX_STEPS:
+        raise StepBudgetError(f"interval [{t0}, {t1}] at step {step} needs more than {MAX_STEPS} steps")
     n_steps = max(1, round((t1 - t0) / step))
     h = (t1 - t0) / n_steps
     state = tuple(float(x) for x in initial)

@@ -60,11 +60,16 @@ class AffineMap:
         if len(vals) != self.dim:
             raise ValueError(f"expected {self.dim} values, got {len(vals)}")
         out = []
-        for i in range(self.dim):
-            acc = ParamValue(self.translation[i])
-            for j, c in enumerate(self.linear[i]):
+        for row, shift in zip(self.linear, self.translation):
+            acc = None
+            for x, c in zip(vals, row):
                 if c:
-                    acc = acc + vals[j] * c
+                    term = x if c == 1 else x * c
+                    acc = term if acc is None else acc + term
+            if acc is None:
+                acc = ParamValue(shift)
+            elif shift:
+                acc = acc + shift
             out.append(acc)
         return tuple(out)
 
@@ -195,6 +200,25 @@ _ORBIT_GENERATORS = {
 }
 
 
+@lru_cache(maxsize=None)
+def _token_table(family: Family) -> tuple[dict[str, AffineMap], dict[str, str]]:
+    """Every word token of a family, ``name`` and ``name^-1``, mapped to its
+    affine map; and every name mapped to the token that inverts it (the name
+    itself for an involution, else another generator equal to the inverse,
+    else ``name^-1``)."""
+    named = _named(family)
+    maps = dict(named)
+    inverse_token = {}
+    for name, m in named.items():
+        inv = m.inverse()
+        maps[name + "^-1"] = inv
+        if inv == m:
+            inverse_token[name] = name
+        else:
+            inverse_token[name] = next((n for n, g in named.items() if g == inv), name + "^-1")
+    return maps, inverse_token
+
+
 def named_generators(family: Family) -> dict[str, AffineMap]:
     """All named maps for a family, including auxiliaries such as tminus."""
     return dict(_named(family))
@@ -202,30 +226,22 @@ def named_generators(family: Family) -> dict[str, AffineMap]:
 
 def generators(family: Family) -> list[AffineMap]:
     """The generators of the family's orbit group."""
-    table = _named(family)
-    return [table[name] for name in _ORBIT_GENERATORS[family]]
+    maps = _token_table(family)[0]
+    return [maps[name] for name in _ORBIT_GENERATORS[family]]
 
 
 def resolve_token(family: Family, token: str) -> AffineMap:
-    invert = token.endswith("^-1")
-    base = token[:-3] if invert else token
-    table = _named(family)
-    if base not in table:
-        raise KeyError(f"unknown generator {token!r} for family {family.value}")
-    return table[base].inverse() if invert else table[base]
+    try:
+        return _token_table(family)[0][token]
+    except KeyError:
+        raise KeyError(f"unknown generator {token!r} for family {family.value}") from None
 
 
 def invert_token(family: Family, token: str) -> str:
     if token.endswith("^-1"):
         return token[:-3]
-    m = resolve_token(family, token)
-    inv = m.inverse()
-    if inv == m:
-        return token
-    for name, g in _named(family).items():
-        if g == inv:
-            return name
-    return token + "^-1"
+    resolve_token(family, token)  # rejects an unknown token
+    return _token_table(family)[1][token]
 
 
 def invert_word(family: Family, word: Sequence[str]) -> tuple[str, ...]:
@@ -417,8 +433,7 @@ def _is_generic(family: Family, params: Sequence[ParamValue]) -> bool:
     return transcendence_degree(params) == family_space(family).dimension
 
 
-def _even_sign_patterns(n: int = 4) -> list[tuple[int, ...]]:
-    return [s for s in itertools.product((1, -1), repeat=n) if s.count(-1) % 2 == 0]
+_EVEN_SIGN_PATTERNS = tuple(s for s in itertools.product((1, -1), repeat=4) if s.count(-1) % 2 == 0)
 
 
 def orbit_decide(family: Family, v: Sequence[ParamValue | Rational], w: Sequence[ParamValue | Rational]) -> OrbitVerdict:
@@ -504,11 +519,17 @@ def orbit_decide(family: Family, v: Sequence[ParamValue | Rational], w: Sequence
             witness=witness,
         )
 
+    # The IV/V/VI scans visit candidates in a fixed order and stop at the
+    # first Yes.  Each coordinate difference and its coset verdict is
+    # computed once per call, then looked up by every candidate using it.
     if family is Family.PIV:
+        diff_table = [[w[j] - v[i] for i in range(3)] for j in range(3)]
+        test_table = [[decide_coset(d, 0, 1) for d in row] for row in diff_table]
+
         def candidates():
             for perm in itertools.permutations(range(3)):
-                diffs = [w[j] - v[perm[j]] for j in range(3)]
-                tests = [decide_coset(d, 0, 1) for d in diffs]
+                diffs = [diff_table[j][perm[j]] for j in range(3)]
+                tests = [test_table[j][perm[j]] for j in range(3)]
                 if tri_and(tests) is TriBool.YES:
                     witness = OrbitWitness(
                         perm=perm,
@@ -532,13 +553,18 @@ def orbit_decide(family: Family, v: Sequence[ParamValue | Rational], w: Sequence
         )
 
     if family is Family.PV:
+        # base[j][i] = w_j - v_i; the criterion tests w_j - v_i - a/4 for j < 3.
+        base = [[w[j] - v[i] for i in range(4)] for j in range(4)]
+        diff_table = [[[base[j][i] - Fraction(a, 4) for a in range(4)] for i in range(4)] for j in range(3)]
+        test_table = [[[decide_coset(d, 0, 1) for d in by_a] for by_a in row] for row in diff_table]
+
         def candidates():
             for perm in itertools.permutations(range(4)):
                 for a in range(4):
-                    diffs = [w[j] - v[perm[j]] - Fraction(a, 4) for j in range(3)]
-                    tests = [decide_coset(d, 0, 1) for d in diffs]
+                    diffs = [diff_table[j][perm[j]][a] for j in range(3)]
+                    tests = [test_table[j][perm[j]][a] for j in range(3)]
                     if tri_and(tests) is TriBool.YES:
-                        shift = tuple((w[j] - v[perm[j]]).const for j in range(4))
+                        shift = tuple(base[j][perm[j]].const for j in range(4))
                         witness = OrbitWitness(
                             perm=perm,
                             signs=(1, 1, 1, 1),
@@ -563,13 +589,19 @@ def orbit_decide(family: Family, v: Sequence[ParamValue | Rational], w: Sequence
         )
 
     if family is Family.PVI:
+        # diff_table[j][i][k] = w_j - s*v_i with s = +1 (k = 0) or -1 (k = 1).
+        diff_table = [[[w[j] - v[i] * s for s in (1, -1)] for i in range(4)] for j in range(4)]
+        test_table = [[[decide_coset(d, 0, 1) for d in by_s] for by_s in row] for row in diff_table]
+
         def candidates():
             for perm in itertools.permutations(range(4)):
-                for signs in _even_sign_patterns():
-                    diffs = [w[j] - v[perm[j]] * signs[j] for j in range(4)]
-                    tests = [decide_coset(d, 0, 1) for d in diffs]
-                    total = diffs[0] + diffs[1] + diffs[2] + diffs[3]
-                    tests.append(decide_coset(total, 0, 2))
+                for signs in _EVEN_SIGN_PATTERNS:
+                    diffs = [diff_table[j][perm[j]][signs[j] < 0] for j in range(4)]
+                    tests = [test_table[j][perm[j]][signs[j] < 0] for j in range(4)]
+                    # The even-sum test cannot change a No, so it runs only when needed.
+                    if tri_and(tests) is not TriBool.NO:
+                        total = diffs[0] + diffs[1] + diffs[2] + diffs[3]
+                        tests.append(decide_coset(total, 0, 2))
                     if tri_and(tests) is TriBool.YES:
                         witness = OrbitWitness(
                             perm=perm,
@@ -613,6 +645,7 @@ def generator_word(
     v: Sequence[ParamValue | Rational],
     w: Sequence[ParamValue | Rational],
     bound: int = 16,
+    verdict: OrbitVerdict | None = None,
 ) -> WordResult:
     """Best-effort word in the family's generators mapping v to w exactly.
 
@@ -620,11 +653,13 @@ def generator_word(
     the translation part is solved over the available translation lattice
     (second, fourth, fifth families); the third and sixth families use a
     bounded bidirectional search, so an absent word there is not a proof of
-    non-existence.
+    non-existence.  ``verdict`` is ``orbit_decide(family, v, w)`` when the
+    caller has already computed it.
     """
     v = _coerce_params(family, v)
     w = _coerce_params(family, w)
-    verdict = orbit_decide(family, v, w)
+    if verdict is None:
+        verdict = orbit_decide(family, v, w)
     if verdict.related is not TriBool.YES:
         raise ValueError("generator_word requires an orbit_decide verdict of Yes")
 
@@ -713,12 +748,12 @@ def _bidirectional_search(
                 new_frontier[nxt] = word + (name,)
         frontiers[side] = new_frontier
         depths[side] += 1
-        meet = set(sides[0]) & set(sides[1])
+        meet = sides[0].keys() & sides[1].keys()
         if meet:
-            mid = next(iter(meet))
-            forward = sides[0][mid]
-            backward = sides[1][mid]
-            word = forward + invert_word(family, backward)
+            # Set order follows the atoms' hashes, which vary between runs;
+            # the shortest, then lexicographically first, word is stable.
+            words = (sides[0][mid] + invert_word(family, sides[1][mid]) for mid in meet)
+            word = min(words, key=lambda wd: (len(wd), wd))
             if apply_word(family, word, v) == w:
                 return word
     return None
@@ -734,7 +769,7 @@ def orbit_with_word(
     verdict = orbit_decide(family, v, w)
     if verdict.related is not TriBool.YES:
         return verdict
-    result = generator_word(family, v, w, bound=bound)
+    result = generator_word(family, v, w, bound=bound, verdict=verdict)
     return replace(verdict, word=result.word, word_reason=result.reason)
 
 
@@ -763,13 +798,6 @@ _BACKLUND_KEY = {
     Family.PIV: "piv_backlund",
     Family.PV: "pv_backlund",
     Family.PVI: "pvi_backlund",
-}
-
-_SAME_FAMILY_CRITERION_KEY = {
-    Family.PII: "genone",
-    Family.PIII: "p3orth",
-    Family.PIV: "p4orth",
-    Family.PV: "pv_orbit",
 }
 
 _SAME_FAMILY_QUESTION_KEY = {

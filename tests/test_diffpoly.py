@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from painleve import catalog
+from painleve import catalog, diffpoly
 from painleve.diffpoly import (
     DiffExpr,
     Poly,
@@ -188,6 +188,58 @@ def test_zero_test_agrees_with_random_evaluation(e):
         # Never nonzero across many points: for these small degrees the
         # Schwartz-Zippel failure chance is negligible.
         assert agree_zero or e.num.is_zero or hits < 5
+
+
+def evaluate_term_by_term(p, point):
+    """Poly.evaluate as it was before its power table: one Fraction power per
+    factor of every term."""
+    total = Fraction(0)
+    for exps, c in p.terms.items():
+        value = Fraction(c)
+        for i, e in enumerate(exps):
+            if e:
+                value *= Fraction(point[p.vars[i]]) ** e
+        total += value
+    return total
+
+
+@given(polys(), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_evaluate_agrees_with_term_by_term_evaluation(p, rng):
+    for _ in range(5):
+        point = {v: Fraction(rng.randint(-20, 20), rng.randint(1, 6)) for v in p.vars}
+        assert p.evaluate(point) == evaluate_term_by_term(p, point)
+
+
+def test_evaluate_agrees_on_chart_change_residuals():
+    rng = random.Random(5)
+    for r in diffpoly._pv_residuals():
+        for p in (r.num, r.den):
+            for _ in range(10):
+                point = {v: Fraction(rng.randint(-12, 12), rng.randint(1, 5)) for v in p.vars}
+                assert p.evaluate(point) == evaluate_term_by_term(p, point)
+
+
+def test_v4_elimination_agrees_with_substitute():
+    v1, v2, v3, v4 = (DiffExpr.var(sym(f"v{i}")) for i in range(1, 5))
+    v4_sub = {sym("v4"): -(v1 + v2 + v3)}
+    residuals = diffpoly._pv_residuals()
+    # The residuals vanish on the hyperplane; the perturbed ones do not.
+    bump = v4.power(3) * DiffExpr.var(jet("Q", 0)) - 3 * v4 * T + v1 * v4
+    for r in (*residuals, *(r + bump for r in residuals)):
+        expected = r.substitute(v4_sub)
+        got = diffpoly._eliminate_v4(r.num)
+        assert DiffExpr(got, r.den).equals(expected)
+        assert got.is_zero == expected.is_zero
+    assert all(diffpoly._eliminate_v4(r.num).is_zero for r in residuals)
+    assert not any(diffpoly._eliminate_v4((r + bump).num).is_zero for r in residuals)
+
+
+def test_random_point_check_reuses_report_residuals():
+    report = verify_pv_change_of_variables()
+    assert pv_random_point_check(points=25, seed=3, residuals=report.residuals) == pv_random_point_check(
+        points=25, seed=3
+    )
 
 
 # -- verifications ---------------------------------------------------------------------------

@@ -6,9 +6,11 @@ import pytest
 from painleve.catalog import EquationId, Family, UnsupportedFamilyError
 from painleve.exactnum import ParamValue, tau
 from painleve.numint import (
+    MAX_STEPS,
     MissingAtomError,
     NumericAssignment,
     SingularIntervalError,
+    StepBudgetError,
     Trajectory,
     TrajectoryStatus,
     compile_rhs,
@@ -207,6 +209,10 @@ def test_integrate_rejects_bad_arguments():
         integrate_rhs(exp_rhs, [1.0], 0.0, 1.0, -1e-3)
     with pytest.raises(ValueError):
         integrate_rhs(exp_rhs, [1.0], 1.0, 0.5, 1e-3)
+    for step in (1e-300, 5e-324, math.nan, 1.0 / (MAX_STEPS + 1)):
+        with pytest.raises(StepBudgetError):
+            integrate_rhs(exp_rhs, [1.0], 0.0, 1.0, step)
+    assert len(integrate_rhs(exp_rhs, [1.0], 0.0, 1.0, 1.0 / MAX_STEPS).samples) == MAX_STEPS + 1
     eq = EquationId(Family.PII, [H])
     with pytest.raises(ValueError):
         integrate(eq, None, [0.1], 1.0, 2.0, 1e-3)  # needs (y, y')

@@ -1,24 +1,29 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from painleve import weyl
 from painleve.catalog import EquationId, Family, InvalidEquationError
-from painleve.exactnum import ParamValue, TriBool, alg, tau, transcendence_degree
+from painleve.exactnum import ParamValue, TriBool, alg, decide_coset, tau, transcendence_degree, tri_and
 from painleve.weyl import (
     AffineMap,
     HypothesisStatus,
     NoGeneratorsError,
+    OrbitWitness,
     Verdict,
     apply_word,
     cross_family_verdict,
     generator_word,
     generators,
+    invert_token,
     invert_word,
     named_generators,
     orbit_decide,
     orbit_with_word,
     pv_translation_module,
+    resolve_token,
     word_map,
 )
 
@@ -87,6 +92,23 @@ def test_generator_catalogs():
     assert [g.provenance for g in generators(Family.PVI)] == ["s1", "s2", "s3", "s4", "s5"]
     with pytest.raises(NoGeneratorsError):
         generators(Family.PI)
+
+
+@pytest.mark.parametrize("family", [Family.PII, Family.PIII, Family.PIV, Family.PV, Family.PVI])
+def test_token_table_matches_fresh_generators(family):
+    fresh = weyl._named(family)
+    for name, m in fresh.items():
+        assert resolve_token(family, name) == m
+        assert resolve_token(family, name + "^-1") == m.inverse()
+        inv = m.inverse()
+        expected = name if inv == m else next((n for n, g in fresh.items() if g == inv), name + "^-1")
+        assert invert_token(family, name) == expected
+        assert invert_token(family, name + "^-1") == name
+    for bad in ("nosuch", "nosuch^-1", "s1^-1^-1"):
+        with pytest.raises(KeyError):
+            resolve_token(family, bad)
+    with pytest.raises(KeyError):
+        invert_token(family, "nosuch")
 
 
 def test_pii_generator_actions():
@@ -264,6 +286,115 @@ def test_orbit_soundness_fuzz():
 
 
 # -- generator words -------------------------------------------------------------------------
+
+
+def scan_orbit_decide(family, v, w):
+    """The IV/V/VI scan as orbit_decide ran it before the coset table: every
+    candidate recomputes its differences and all of its coset tests.
+    Returns (related, witness, hypothesis status)."""
+    v = weyl._coerce_params(family, v)
+    w = weyl._coerce_params(family, w)
+
+    def candidates():
+        if family is Family.PIV:
+            for perm in itertools.permutations(range(3)):
+                diffs = [w[j] - v[perm[j]] for j in range(3)]
+                tests = [decide_coset(d, 0, 1) for d in diffs]
+                witness = None
+                if tri_and(tests) is TriBool.YES:
+                    witness = OrbitWitness(
+                        perm=perm,
+                        signs=(1, 1, 1),
+                        shift=tuple(d.const for d in diffs),
+                        integer_shift=tuple(int(d.const) for d in diffs),
+                    )
+                yield tests, witness
+        elif family is Family.PV:
+            for perm in itertools.permutations(range(4)):
+                for a in range(4):
+                    diffs = [w[j] - v[perm[j]] - Fraction(a, 4) for j in range(3)]
+                    tests = [decide_coset(d, 0, 1) for d in diffs]
+                    witness = None
+                    if tri_and(tests) is TriBool.YES:
+                        witness = OrbitWitness(
+                            perm=perm,
+                            signs=(1, 1, 1, 1),
+                            shift=tuple((w[j] - v[perm[j]]).const for j in range(4)),
+                            quarter_shift=a,
+                            integer_shift=tuple(int(d.const) for d in diffs),
+                        )
+                    yield tests, witness
+        else:
+            for perm in itertools.permutations(range(4)):
+                for signs in itertools.product((1, -1), repeat=4):
+                    if signs.count(-1) % 2:
+                        continue
+                    diffs = [w[j] - v[perm[j]] * signs[j] for j in range(4)]
+                    tests = [decide_coset(d, 0, 1) for d in diffs]
+                    tests.append(decide_coset(diffs[0] + diffs[1] + diffs[2] + diffs[3], 0, 2))
+                    witness = None
+                    if tri_and(tests) is TriBool.YES:
+                        witness = OrbitWitness(
+                            perm=perm,
+                            signs=signs,
+                            shift=tuple(d.const for d in diffs),
+                            integer_shift=tuple(int(d.const) for d in diffs),
+                        )
+                    yield tests, witness
+
+    related, witness = weyl._search_witness(candidates())
+    if family is Family.PIV:
+        status = weyl._status(related, transcendence_degree(v) == 2 or transcendence_degree(w) == 2)
+    elif family is Family.PV:
+        status = weyl._status(related, weyl._is_generic(family, v) or weyl._is_generic(family, w))
+    else:
+        status = HypothesisStatus.SUFFICIENT_ONLY if related is TriBool.YES else HypothesisStatus.OPEN
+    return related, witness, status
+
+
+def rand_atom_params(family, rng):
+    """Rational coordinates, some carrying a tau or alg atom; sum zero for IV/V."""
+    arity = {Family.PIV: 3, Family.PV: 4, Family.PVI: 4}[family]
+    vals = []
+    for _ in range(arity):
+        x = PV(Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 5, 6])))
+        r = rng.random()
+        if r < 0.25:
+            x = x + PV.of_atom(tau(rng.randint(1, 2)), rng.choice([1, -1, 2]))
+        elif r < 0.5:
+            x = x + PV.of_atom(alg(rng.randint(1, 3)), rng.choice([1, -1]))
+        vals.append(x)
+    if family in (Family.PIV, Family.PV):
+        vals[-1] = -sum(vals[:-1], PV(0))
+    return tuple(vals)
+
+
+@pytest.mark.parametrize("family", [Family.PIV, Family.PV, Family.PVI])
+def test_orbit_decide_agrees_with_candidate_scan(family):
+    rng = random.Random({Family.PIV: 41, Family.PV: 42, Family.PVI: 43}[family])
+    names = weyl._ORBIT_GENERATORS[family]
+    seen = set()
+    for i in range(60):
+        v = rand_atom_params(family, rng)
+        kind = i % 3
+        if kind == 0:  # related: a random generator word
+            w = apply_word(family, [rng.choice(names) for _ in range(rng.randint(0, 5))], v)
+        elif kind == 1:
+            # alg1 renamed alg2, plus integers: coordinate tests come out
+            # Unknown, and for VI the even-sum test can still decide No.
+            v = (v[0] + A1,) + v[1:-1] + (v[-1] - A1,)
+            shift = [rng.randint(-2, 2) for _ in v]
+            if family is not Family.PVI:
+                shift[-1] = -sum(shift[:-1])
+            renamed = [x + (A2 - A1) * x.coeff(alg(1)) + k for x, k in zip(v, shift)]
+            w = apply_word(family, [rng.choice(names) for _ in range(rng.randint(0, 3))], renamed)
+        else:
+            w = rand_atom_params(family, rng)
+        verdict = orbit_decide(family, v, w)
+        related, witness, status = scan_orbit_decide(family, v, w)
+        assert (verdict.related, verdict.witness, verdict.hypothesis_status) == (related, witness, status), (v, w)
+        seen.add(related)
+    assert seen == {TriBool.YES, TriBool.NO, TriBool.UNKNOWN}
 
 
 def test_word_requires_yes_verdict():
