@@ -1,9 +1,11 @@
 """Static definitions of the six Painlevé families.
 
-Parameter spaces with their exact linear constraints, the displayed ODE
-systems as differential-polynomial right-hand sides, the order-one Riccati
-locus of the second family, and the 24-vector root system driving the
-sixth-family strata.  Everything here is immutable data, constructed once.
+One spec per family (parameter space and its exact linear constraint,
+strata with their Morley degrees and citation keys, orbit generators,
+default chart), the displayed ODE systems as differential-polynomial
+right-hand sides, the order-one Riccati locus of the second family, and the
+24-vector root system driving the sixth-family strata.  Everything here is
+immutable data, constructed once.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .diffpoly import DiffExpr, RelationSet, Var, jet, relations_for_system, sym
+from .citations import PVI_LDEG_AMBIGUITY, Ambiguity
+from .diffpoly import RICCATI_SIGN_NOTE, DiffExpr, RelationSet, Var, jet, relations_for_system, sym
 from .exactnum import ParamValue, Rational
 
 
@@ -47,47 +50,137 @@ class InvalidEquationError(ValueError):
     pass
 
 
-_ARITY = {
-    Family.PI: 0,
-    Family.PII: 1,
-    Family.PIII: 2,
-    Family.PIV: 3,
-    Family.PV: 4,
-    Family.PVI: 4,
-}
-
-_SUM_ZERO = {Family.PIV, Family.PV}
-
-# Dimension of the parameter space (arity minus one for the sum-zero families);
-# a parameter tuple is generic when its transcendence degree reaches this.
-_DIMENSION = {
-    Family.PI: 0,
-    Family.PII: 1,
-    Family.PIII: 2,
-    Family.PIV: 2,
-    Family.PV: 3,
-    Family.PVI: 4,
-}
+PIV_SCALAR_NOTE = Ambiguity(
+    "The displayed scalar fourth-family equation contains the term 4tq^2;"
+    " q is read as a typo for y and the implemented form uses 4ty^2"
+    " (dimensionally consistent with the standard fourth-family equation)."
+    " The reading is surfaced here rather than silently fixed."
+)
 
 
 @dataclass(frozen=True)
-class FamilySpace:
+class StratumRow:
+    """One parameter stratum of a family.
+
+    ``degree`` is the Morley degree on the stratum, or None where
+    ``classify`` decides it fiber by fiber.  ``stratum_key`` cites the
+    stratum verdict; ``degree_keys[0]`` cites the degree verdict and the
+    rest are its supporting statements.  ``note`` goes with every fiber in
+    the stratum.
+    """
+
+    label: str
+    degree: int | None
+    stratum_key: str
+    degree_keys: tuple[str, ...]
+    note: str | None = None
+
+
+@dataclass(frozen=True)
+class FamilySpec:
+    """Everything the toolkit tabulates per family.
+
+    ``default_form`` is the ODE chart used when none is named (None: no
+    equation is cataloged).  ``orbit_generators`` generate the orbit group;
+    for the fourth family tminus is auxiliary only (it defines s0 but is not
+    itself a member of the orbit group H).  ``backlund_key`` and
+    ``same_family_question_key`` cite the family's transformation group and
+    its open same-family question.  ``strata`` lists the strata deepest
+    first, and ``notes`` go with every classification of the family.
+    """
+
     family: Family
     arity: int
     sum_zero: bool
-    dimension: int
-    description: str
+    default_form: str | None
+    orbit_generators: tuple[str, ...]
+    backlund_key: str
+    same_family_question_key: str | None
+    strata: tuple[StratumRow, ...]
+    notes: tuple[str, ...] = ()
+
+    @property
+    def dimension(self) -> int:
+        """Dimension of the parameter space; a parameter tuple is generic
+        when its transcendence degree reaches it."""
+        return self.arity - self.sum_zero
+
+    def row(self, label: str) -> StratumRow:
+        return next(r for r in self.strata if r.label == label)
 
 
-def family_space(family: Family) -> FamilySpace:
-    constraint = "sum of parameters must be exactly zero" if family in _SUM_ZERO else "no linear constraint"
-    return FamilySpace(
-        family=family,
-        arity=_ARITY[family],
-        sum_zero=family in _SUM_ZERO,
-        dimension=_DIMENSION[family],
-        description=f"{_ARITY[family]} parameter(s); {constraint}",
+_SPECS = {
+    spec.family: spec
+    for spec in (
+        FamilySpec(
+            Family.PI, arity=0, sum_zero=False, default_form="scalar",
+            orbit_generators=(), backlund_key="backlund_maps", same_family_question_key=None,
+            strata=(StratumRow("generic", 1, "generic_sm_trivial", ("generic_sm_trivial",)),),
+        ),
+        FamilySpec(
+            Family.PII, arity=1, sum_zero=False, default_form="scalar",
+            orbit_generators=("reflect", "shift_up", "shift_down"),
+            backlund_key="pii_backlund", same_family_question_key="q_ortho2",
+            strata=(
+                StratumRow(
+                    "half-integer", 2, "pii_halfinteger_backlund",
+                    ("pii_degree_two", "pii_halfinteger_backlund", "pii_riccati", "pii_riccati_subvariety"),
+                    RICCATI_SIGN_NOTE,
+                ),
+                StratumRow("generic", 1, "pii_sm_nonhalf", ("pii_sm_nonhalf",)),
+            ),
+        ),
+        FamilySpec(
+            Family.PIII, arity=2, sum_zero=False, default_form="system",
+            orbit_generators=("s1", "s2", "s3", "s4"),
+            backlund_key="piii_backlund", same_family_question_key="q_p3orth_nongen",
+            strata=(
+                StratumRow("D1", 3, "piii_d1", ("piii_deg3",)),
+                StratumRow("W1", 2, "piii_w1", ("piii_deg2",)),
+                StratumRow("generic", 1, "piii_sm", ("piii_sm",)),
+            ),
+        ),
+        FamilySpec(
+            Family.PIV, arity=3, sum_zero=True, default_form="system",
+            orbit_generators=("s0", "s1", "s2"),
+            backlund_key="piv_backlund", same_family_question_key="q_p4orth_nongen",
+            strata=(
+                StratumRow("D", 3, "piv_d", ("piv_deg3",)),
+                StratumRow("W", 2, "piv_w", ("piv_deg2",)),
+                StratumRow("generic", 1, "piv_sm", ("piv_sm",)),
+            ),
+            notes=(PIV_SCALAR_NOTE,),
+        ),
+        FamilySpec(
+            Family.PV, arity=4, sum_zero=True, default_form="system",
+            orbit_generators=("s1", "s2", "s3", "tminus"),
+            backlund_key="pv_backlund", same_family_question_key="q_ques5",
+            strata=(
+                StratumRow("D", 4, "pv_d", ("pv_deg4",)),
+                StratumRow("S1", 3, "pv_s1", ("pv_deg3",)),
+                StratumRow("S2", 3, "pv_s2", ("pv_deg3",)),
+                StratumRow("W", 2, "pv_w", ("pv_deg2",)),
+                StratumRow("generic", 1, "pv_sm", ("pv_sm",)),
+            ),
+        ),
+        FamilySpec(
+            Family.PVI, arity=4, sum_zero=False, default_form=None,
+            orbit_generators=("s1", "s2", "s3", "s4", "s5"),
+            backlund_key="pvi_backlund", same_family_question_key="q_pvi_orbit",
+            strata=(
+                StratumRow("D", 5, "pvi_roots", ("pvi_d_deg",)),
+                StratumRow("L", 3, "pvi_roots", ("pvi_l_deg3",), PVI_LDEG_AMBIGUITY),
+                StratumRow("P", 3, "pvi_roots", ("pvi_p_deg",)),
+                StratumRow("M", None, "pvi_roots", ("pvi_m_deg",)),
+                StratumRow("generic", 1, "pvi_sm", ("pvi_sm",)),
+            ),
+        ),
     )
+}
+
+
+def family_space(family: Family) -> FamilySpec:
+    return _SPECS[family]
 
 
 def _as_param(x) -> ParamValue:
@@ -211,13 +304,6 @@ class OdeSystem:
             )
         return (DiffExpr.var(jet(self.state_vars[0], self.order)) - self.rhs[0],)
 
-
-PIV_SCALAR_NOTE = (
-    "The displayed scalar fourth-family equation contains the term 4tq^2;"
-    " q is read as a typo for y and the implemented form uses 4ty^2"
-    " (dimensionally consistent with the standard fourth-family equation)."
-    " The reading is surfaced here rather than silently fixed."
-)
 
 PI_FORM_NOTE = (
     "literature-standard form, included so the family enumeration is total;"
@@ -364,15 +450,6 @@ for _builder in (_build_pi, _build_pii, _build_piii, _build_piv_system, _build_p
     _register(_builder())
 
 
-_DEFAULT_FORM = {
-    Family.PI: "scalar",
-    Family.PII: "scalar",
-    Family.PIII: "system",
-    Family.PIV: "system",
-    Family.PV: "system",
-}
-
-
 def ode_system(family: Family, form: str | None = None) -> OdeSystem:
     """The exact symbolic system for a family.
 
@@ -383,7 +460,7 @@ def ode_system(family: Family, form: str | None = None) -> OdeSystem:
     """
     if family is Family.PVI:
         raise UnsupportedFamilyError("no explicit equation is cataloged for the sixth family")
-    form = form or _DEFAULT_FORM[family]
+    form = form or _SPECS[family].default_form
     try:
         return _SYSTEMS[(family, form)]
     except KeyError:

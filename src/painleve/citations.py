@@ -93,12 +93,6 @@ CITATIONS: dict[str, Citation] = {
             "for such alpha, X_II(alpha) has one order one subvariety, which we will denote by R(alpha)",
         ),
         _c(
-            "pii_sm_generic",
-            "second-family analysis",
-            "generic second-family fibers are strongly minimal",
-            "for generic coefficient alpha, P_II(alpha) is strongly minimal",
-        ),
-        _c(
             "pii_sm_nonhalf",
             "introduction",
             "off the half-integer locus the fiber is strongly minimal (degree one)",
@@ -126,13 +120,6 @@ CITATIONS: dict[str, Citation] = {
             "Suppose that alpha, beta in C, with at least one of alpha, beta transcendental. Then "
             "X_II(alpha) is nonorthogonal to X_II(beta) if and only if beta - alpha in Z or "
             "beta + alpha in Z.",
-        ),
-        _c(
-            "kernel",
-            "Lemma kernel",
-            "integer fibers are orthogonal to transcendental fibers",
-            "The definable set X_II(n) for n in Z is orthogonal to X_II(alpha) where alpha in C "
-            "is transcendental.",
         ),
         _c(
             "kernel1",
@@ -437,14 +424,6 @@ CITATIONS: dict[str, Citation] = {
         ),
         # -- open questions ---------------------------------------------------------------
         _c(
-            "q_np1",
-            "Question np1",
-            "do the transformation groups give all same-family nonorthogonality?",
-            "For each of the Painlevé families, do the groups of affine transformations (Bäcklund "
-            "transformations) give all instances of nonorthogonality of between fibers of the "
-            "family of equations?",
-        ),
-        _c(
             "q_np2",
             "Question np2",
             "are generic solutions from distinct families orthogonal?",
@@ -496,7 +475,13 @@ CITATIONS: dict[str, Citation] = {
 }
 
 
-PVI_LDEG_AMBIGUITY = (
+class Ambiguity(str):
+    """A note that surfaces an unresolved reading or conflict in the source
+    material; responses list these under "ambiguities", apart from plain
+    notes."""
+
+
+PVI_LDEG_AMBIGUITY = Ambiguity(
     "Conflicting degree statements for the L \\ D stratum of the sixth family: "
     f'"{CITATIONS["pvi_l_deg3"].quote}" versus "{CITATIONS["pvi_l_deg4"].quote}". '
     "Degree three (the first statement) is reported; the conflict is surfaced, not resolved."

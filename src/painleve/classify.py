@@ -16,8 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .catalog import EquationId, Family, family_space, inner_product, root_system
-from .citations import PVI_LDEG_AMBIGUITY, Citation, cite
-from .diffpoly import riccati_sign_note
+from .citations import Ambiguity, Citation, cite
 from .exactnum import (
     ParamValue,
     TriBool,
@@ -65,6 +64,11 @@ class ClassificationReport:
     geometrically_trivial: TriBool
     citations: tuple[Citation, ...]
     notes: tuple[str, ...]
+    # The statement behind each verdict; None where the verdict is unknown.
+    stratum_citation: Citation | None
+    degree_citation: Citation | None
+    count_citation: Citation | None
+    triviality_citation: Citation | None
 
 
 # -- congruence helpers ----------------------------------------------------------
@@ -214,10 +218,9 @@ def stratum(eq: EquationId) -> Stratum:
             return Stratum(fam, "D")
         if in_d is TriBool.UNKNOWN:
             return Stratum(fam, None)
-        if (in_s1, in_s2) == (TriBool.YES, TriBool.YES):
-            return Stratum(fam, "S1S2")
+        # S1 and S2 together force D, so at most one of them is Yes here.
         if TriBool.UNKNOWN in (in_s1, in_s2):
-            # The undecided test flips the label (S1 vs S1S2, S2 vs W, ...).
+            # The undecided test flips the label (S1 vs W, S2 vs W, ...).
             return Stratum(fam, None)
         if in_s1 is TriBool.YES:
             return Stratum(fam, "S1")
@@ -252,64 +255,24 @@ def _components_for(fam: Family, degree: int) -> tuple[Component, ...]:
     return tuple(comps)
 
 
-def _degree_citations(fam: Family, strat: Stratum) -> list[str]:
-    label = strat.label
-    if fam is Family.PI:
-        return ["generic_sm_trivial"]
-    if fam is Family.PII:
-        return ["pii_degree_two", "pii_halfinteger_backlund"] if label == "half-integer" else ["pii_sm_nonhalf"]
-    if fam is Family.PIII:
-        return {"D1": ["piii_deg3"], "W1": ["piii_deg2"], "generic": ["piii_sm"]}[label]
-    if fam is Family.PIV:
-        return {"D": ["piv_deg3"], "W": ["piv_deg2"], "generic": ["piv_sm"]}[label]
-    if fam is Family.PV:
-        return {
-            "D": ["pv_deg4"],
-            "S1": ["pv_deg3"],
-            "S2": ["pv_deg3"],
-            "S1S2": ["pv_deg3"],
-            "W": ["pv_deg2"],
-            "generic": ["pv_sm"],
-        }[label]
-    if fam is Family.PVI:
-        if label == "M":
-            return ["pvi_m_deg"]
-        return {"D": ["pvi_d_deg"], "L": ["pvi_l_deg3"], "P": ["pvi_p_deg"], "generic": ["pvi_sm"]}[label]
-    raise ValueError(fam)
-
-
-def _degree_for(fam: Family, strat: Stratum, notes: list[str]) -> int | None:
-    label = strat.label
-    if label is None:
+def _pvi_m_degree(strat: Stratum, notes: list[str]) -> int | None:
+    """The sixth family's M stratum has degree 4 where the half-integer
+    special condition holds and 2 elsewhere."""
+    if strat.half_integer_special is TriBool.YES:
+        if strat.special_after_transformation:
+            notes.append(
+                "half-integer special condition holds after a signed-permutation "
+                "change of representative (it is orbit-invariant)"
+            )
+        return 4
+    if strat.half_integer_special is TriBool.UNKNOWN:
+        notes.append(Ambiguity("half-integer special condition undecided; degree is 2 or 4"))
         return None
-    if fam is Family.PI:
-        return 1
-    if fam is Family.PII:
-        return 2 if label == "half-integer" else 1
-    if fam is Family.PIII:
-        return {"D1": 3, "W1": 2, "generic": 1}[label]
-    if fam is Family.PIV:
-        return {"D": 3, "W": 2, "generic": 1}[label]
-    if fam is Family.PV:
-        return {"D": 4, "S1": 3, "S2": 3, "S1S2": 3, "W": 2, "generic": 1}[label]
-    if fam is Family.PVI:
-        if label == "L":
-            notes.append(PVI_LDEG_AMBIGUITY)
-            return 3
-        if label == "M":
-            if strat.half_integer_special is TriBool.YES:
-                if strat.special_after_transformation:
-                    notes.append(
-                        "half-integer special condition holds after a signed-permutation "
-                        "change of representative (it is orbit-invariant)"
-                    )
-                return 4
-            if strat.half_integer_special is TriBool.UNKNOWN:
-                notes.append("half-integer special condition undecided; degree is 2 or 4")
-                return None
-            return 2
-        return {"D": 5, "P": 3, "generic": 1}[label]
-    raise ValueError(fam)
+    return 2
+
+
+def _is_generic(eq: EquationId) -> bool:
+    return transcendence_degree(eq.params) == family_space(eq.family).dimension
 
 
 def algebraic_solution_count_P3(v1: ParamValue, v2: ParamValue) -> int | None:
@@ -324,7 +287,7 @@ def algebraic_solution_count_P3(v1: ParamValue, v2: ParamValue) -> int | None:
     return {2: 4, 1: 2, 0: 0}[yes]
 
 
-def _algebraic_solutions(eq: EquationId, strat: Stratum, notes: list[str]) -> tuple[int | None, list[str]]:
+def _algebraic_solutions(eq: EquationId) -> tuple[int | None, list[str]]:
     fam = eq.family
     if fam is Family.PII:
         verdict = _is_int(eq.params[0])
@@ -336,7 +299,7 @@ def _algebraic_solutions(eq: EquationId, strat: Stratum, notes: list[str]) -> tu
         if count is None:
             return None, []
         keys = ["murata3"]
-        if count == 0 and transcendence_degree(eq.params) == 2:
+        if count == 0 and _is_generic(eq):
             keys.append("piii_no_alg_generic")
         return count, keys
     if fam is Family.PV:
@@ -354,8 +317,7 @@ def _geometric_triviality(eq: EquationId, notes: list[str]) -> tuple[TriBool, li
     fam = eq.family
     if fam is Family.PII:
         return TriBool.YES, ["pii_trivial_all"]
-    generic = transcendence_degree(eq.params) == family_space(fam).dimension
-    if generic:
+    if _is_generic(eq):
         return TriBool.YES, ["generic_sm_trivial"]
     if fam is Family.PVI:
         notes.append(
@@ -367,47 +329,35 @@ def _geometric_triviality(eq: EquationId, notes: list[str]) -> tuple[TriBool, li
 
 def classify(eq: EquationId) -> ClassificationReport:
     """Full classification report for one equation, with citations."""
+    spec = family_space(eq.family)
     notes: list[str] = []
     strat = stratum(eq)
     citation_keys: list[str] = ["rank_one"]
-
-    degree = _degree_for(eq.family, strat, notes)
+    stratum_citation = degree_citation = None
+    components: tuple[Component, ...] = ()
     if strat.label is None:
+        degree = None
         notes.append(
             "stratum undecided: a defining congruence involves unrelated algebraic-irrational atoms"
         )
-        components: tuple[Component, ...] = ()
-    elif degree is None:
-        components = ()
     else:
-        components = _components_for(eq.family, degree)
-        citation_keys.extend(_degree_citations(eq.family, strat))
-        if eq.family is Family.PII and strat.label == "half-integer":
-            citation_keys.extend(["pii_riccati", "pii_riccati_subvariety"])
-            notes.append(riccati_sign_note())
+        row = spec.row(strat.label)
+        stratum_citation = cite(row.stratum_key)
+        degree = row.degree
+        if degree is None:
+            degree = _pvi_m_degree(strat, notes)
+        if row.note is not None:
+            notes.append(row.note)
+        if degree is not None:
+            components = _components_for(eq.family, degree)
+            citation_keys.extend(row.degree_keys)
+            degree_citation = cite(row.degree_keys[0])
 
-    if degree is None:
-        strongly_minimal = TriBool.UNKNOWN
-    else:
-        strongly_minimal = TriBool.of(degree == 1)
-
-    count, count_keys = _algebraic_solutions(eq, strat, notes)
-    citation_keys.extend(count_keys)
-
+    strongly_minimal = TriBool.UNKNOWN if degree is None else TriBool.of(degree == 1)
+    count, count_keys = _algebraic_solutions(eq)
     trivial, trivial_keys = _geometric_triviality(eq, notes)
-    citation_keys.extend(trivial_keys)
-
-    if eq.family is Family.PIV:
-        from .catalog import PIV_SCALAR_NOTE
-
-        notes.append(PIV_SCALAR_NOTE)
-
-    seen = set()
-    citations = []
-    for key in citation_keys:
-        if key not in seen:
-            seen.add(key)
-            citations.append(cite(key))
+    citation_keys += count_keys + trivial_keys
+    notes.extend(spec.notes)
 
     return ClassificationReport(
         equation=eq,
@@ -418,6 +368,10 @@ def classify(eq: EquationId) -> ClassificationReport:
         components=components,
         algebraic_solutions=count,
         geometrically_trivial=trivial,
-        citations=tuple(citations),
+        citations=tuple(cite(key) for key in dict.fromkeys(citation_keys)),
         notes=tuple(notes),
+        stratum_citation=stratum_citation,
+        degree_citation=degree_citation,
+        count_citation=cite(count_keys[0]) if count_keys else None,
+        triviality_citation=cite(trivial_keys[0]) if trivial_keys else None,
     )

@@ -30,7 +30,7 @@ from .catalog import (
     UnknownFamilyError,
     UnsupportedFamilyError,
 )
-from .citations import Citation
+from .citations import Ambiguity, Citation, cite
 from .classify import ClassificationReport, classify
 from .diffpoly import (
     pv_random_point_check,
@@ -42,9 +42,11 @@ from .diffpoly import (
 from .exactnum import ParamSyntaxError, ParamValue, TriBool, format_param, parse_param
 from .numint import MissingAtomError, NumericAssignment, SingularIntervalError, StepBudgetError
 from .weyl import (
+    MAX_SEARCH_BOUND,
     AffineMap,
     HypothesisStatus,
     OrbitVerdict,
+    SearchBoundError,
     Verdict,
     cross_family_verdict,
     named_generators,
@@ -53,14 +55,6 @@ from .weyl import (
 )
 
 OPEN_TAG = "open-question"
-
-_AMBIGUITY_MARKERS = (
-    "Conflicting degree statements",
-    "Sign convention:",
-    "4tq^2",
-    "half-integer special condition undecided",
-)
-
 
 class InputError(ValueError):
     pass
@@ -85,15 +79,7 @@ def _verdict(kind: str, value, citation: Citation | None):
     return {"kind": kind, "value": value, "citation": _citation_json(citation)}
 
 
-def _split_notes(notes: Sequence[str]) -> tuple[list[str], list[str]]:
-    plain, ambiguous = [], []
-    for note in notes:
-        (ambiguous if any(m in note for m in _AMBIGUITY_MARKERS) else plain).append(note)
-    return plain, ambiguous
-
-
 def _response(query: dict, verdicts: list, citations: list[Citation], notes: Sequence[str] = ()) -> dict:
-    plain, ambiguous = _split_notes(notes)
     seen, cites = set(), []
     for c in citations:
         if c.key not in seen:
@@ -103,8 +89,8 @@ def _response(query: dict, verdicts: list, citations: list[Citation], notes: Seq
         "query": query,
         "verdicts": verdicts,
         "citations": cites,
-        "notes": plain,
-        "ambiguities": ambiguous,
+        "notes": [n for n in notes if not isinstance(n, Ambiguity)],
+        "ambiguities": [n for n in notes if isinstance(n, Ambiguity)],
     }
 
 
@@ -122,61 +108,18 @@ def _equation(family: str, params: str) -> EquationId:
 # -- classify ---------------------------------------------------------------------
 
 
-_STRATUM_CITE = {
-    (Family.PI, "generic"): "generic_sm_trivial",
-    (Family.PII, "half-integer"): "pii_halfinteger_backlund",
-    (Family.PII, "generic"): "pii_sm_nonhalf",
-    (Family.PIII, "W1"): "piii_w1",
-    (Family.PIII, "D1"): "piii_d1",
-    (Family.PIII, "generic"): "piii_sm",
-    (Family.PIV, "W"): "piv_w",
-    (Family.PIV, "D"): "piv_d",
-    (Family.PIV, "generic"): "piv_sm",
-    (Family.PV, "W"): "pv_w",
-    (Family.PV, "S1"): "pv_s1",
-    (Family.PV, "S2"): "pv_s2",
-    (Family.PV, "S1S2"): "pv_s1",
-    (Family.PV, "D"): "pv_d",
-    (Family.PV, "generic"): "pv_sm",
-    (Family.PVI, "M"): "pvi_roots",
-    (Family.PVI, "P"): "pvi_roots",
-    (Family.PVI, "L"): "pvi_roots",
-    (Family.PVI, "D"): "pvi_roots",
-    (Family.PVI, "generic"): "pvi_sm",
-}
-
-
 def _classification_payload(report: ClassificationReport) -> tuple[dict, int]:
-    from .citations import cite
-
     eq = report.equation
-    by_key = {c.key: c for c in report.citations}
-
-    def find(*keys: str) -> Citation | None:
-        for key in keys:
-            if key in by_key:
-                return by_key[key]
-        return None
-
-    degree_cite = find(
-        "pii_degree_two", "pii_sm_nonhalf", "piii_deg3", "piii_deg2", "piii_sm",
-        "piv_deg3", "piv_deg2", "piv_sm", "pv_deg4", "pv_deg3", "pv_deg2", "pv_sm",
-        "pvi_d_deg", "pvi_l_deg3", "pvi_p_deg", "pvi_m_deg", "pvi_sm", "generic_sm_trivial",
-    )
-    stratum_key = _STRATUM_CITE.get((eq.family, report.stratum.label))
-    stratum_cite = cite(stratum_key) if stratum_key else None
-    count_cite = find("murata_pii", "murata3", "pv_count1", "pv_count2")
-    trivial_cite = find("pii_trivial_all", "generic_sm_trivial")
-
+    degree_cite = report.degree_citation
     unknown = "unknown"
     verdicts = [
-        _verdict("morley-rank", report.rank, by_key["rank_one"]),
+        _verdict("morley-rank", report.rank, cite("rank_one")),
         _verdict("morley-degree", report.degree if report.degree is not None else unknown, degree_cite),
         _verdict("strongly-minimal", _tri(report.strongly_minimal), degree_cite),
         _verdict(
             "stratum",
             report.stratum.label if report.stratum.label is not None else unknown,
-            stratum_cite,
+            report.stratum_citation,
         ),
         _verdict(
             "components",
@@ -186,16 +129,16 @@ def _classification_payload(report: ClassificationReport) -> tuple[dict, int]:
         _verdict(
             "algebraic-solutions",
             report.algebraic_solutions if report.algebraic_solutions is not None else unknown,
-            count_cite,
+            report.count_citation,
         ),
-        _verdict("geometrically-trivial", _tri(report.geometrically_trivial), trivial_cite),
+        _verdict("geometrically-trivial", _tri(report.geometrically_trivial), report.triviality_citation),
     ]
     if eq.family is Family.PVI and report.stratum.label == "M":
         verdicts.append(
             _verdict(
                 "half-integer-special",
                 _tri(report.stratum.half_integer_special),
-                find("pvi_m_deg"),
+                degree_cite,
             )
         )
     query = {
@@ -292,8 +235,6 @@ def _cmd_orthogonal(args) -> tuple[dict, int]:
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
-    from .citations import cite
-
     target = args.target
     query = {"subcommand": "verify", "target": target}
     if target == "riccati":
@@ -437,7 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True)
     p.add_argument("--v", required=True, help="first parameter tuple")
     p.add_argument("--w", required=True, help="second parameter tuple")
-    p.add_argument("--bound", type=int, default=16, help="generator-word search bound")
+    p.add_argument("--bound", type=int, default=16, help=f"generator-word search bound, at most {MAX_SEARCH_BOUND}")
 
     p = sub.add_parser("orthogonal", help="orthogonality verdict for two equations")
     p.add_argument("--family1", required=True)
@@ -490,6 +431,7 @@ _INPUT_ERRORS = (
     SingularIntervalError,
     MissingAtomError,
     StepBudgetError,
+    SearchBoundError,
 )
 
 

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from .citations import Ambiguity
+
 Rational = Fraction | int
 
 _PLAIN = -1  # derivative order used for non-jet symbols (t, parameters)
@@ -484,7 +486,7 @@ def reduce(e: DiffExpr, rels: RelationSet) -> DiffExpr:
 # -- verifications driven by the cataloged systems -----------------------------
 
 
-RICCATI_SIGN_NOTE = (
+RICCATI_SIGN_NOTE = Ambiguity(
     "Sign convention: the source text attributes the order-one locus"
     " y' = y^2 + t/2 to the fiber at alpha = -1/2, while symbolic prolongation"
     " matches y' = +(y^2 + t/2) to alpha = +1/2 and y' = -(y^2 + t/2) to"
@@ -493,7 +495,7 @@ RICCATI_SIGN_NOTE = (
 )
 
 
-def riccati_sign_note() -> str:
+def riccati_sign_note() -> Ambiguity:
     return RICCATI_SIGN_NOTE
 
 

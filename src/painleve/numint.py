@@ -112,17 +112,18 @@ def _expr_source(expr: DiffExpr, names: Mapping[Var, str], consts: Mapping[Var, 
 
 def compile_rhs(
     exprs: Sequence[DiffExpr],
-    state_vars: Sequence[str],
+    state_vars: Sequence[str | Var],
     param_values: Mapping[str, float],
 ) -> Callable[[float, Sequence[float]], tuple[float, ...]]:
     """Compile first-order right-hand sides into f(t, state) -> state'.
 
-    State variables map to jet order 0; parameter symbols are folded in as
-    numeric literals.
+    A state variable given by name is its jet of order 0; a jet ``Var``
+    stands for itself, so a scalar order-2 equation compiles as its (x, x')
+    companion system.  Parameter symbols are folded in as numeric literals.
     """
     names: dict[Var, str] = {sym("t"): "t"}
     for i, s in enumerate(state_vars):
-        names[jet(s, 0)] = f"x{i}"
+        names[s if isinstance(s, Var) else jet(s, 0)] = f"x{i}"
     consts = {sym(k): float(v) for k, v in param_values.items()}
     args = ", ".join(["t"] + [f"x{i}" for i in range(len(state_vars))])
     body = ", ".join(_expr_source(e, names, consts) for e in exprs)
@@ -143,14 +144,9 @@ def _companion_rhs(system: OdeSystem, param_values: Mapping[str, float]) -> tupl
     if system.order == 1:
         return compile_rhs(system.rhs, system.state_vars, param_values), system.state_vars
     base = system.state_vars[0]
-    names: dict[Var, str] = {sym("t"): "t", jet(base, 0): "x0", jet(base, 1): "x1"}
-    consts = {sym(k): float(v) for k, v in param_values.items()}
-    top = _expr_source(system.rhs[0], names, consts)
-    source = f"def _rhs(t, x0, x1):\n    return (x1, {top})\n"
-    namespace: dict = {}
-    exec(source, namespace)
-    fn = namespace["_rhs"]
-    return (lambda t, state: fn(t, *state)), (base, base + "'")
+    slope = jet(base, 1)
+    rhs = compile_rhs((DiffExpr.var(slope), system.rhs[0]), (base, slope), param_values)
+    return rhs, (base, base + "'")
 
 
 # -- integration --------------------------------------------------------------------
@@ -235,8 +231,6 @@ def integrate(
     The third and fifth families are singular at t = 0, so the interval must
     not touch it.  The sixth family is rejected (classification-only).
     """
-    if eq.family is Family.PVI:
-        raise UnsupportedFamilyError("no explicit equation is cataloged for the sixth family")
     system = ode_system(eq.family, form)
     for s in system.singular_t:
         if t0 <= float(s) <= t1:

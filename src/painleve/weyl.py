@@ -39,6 +39,10 @@ class NoGeneratorsError(ValueError):
     pass
 
 
+class SearchBoundError(ValueError):
+    """The generator-word search bound exceeds MAX_SEARCH_BOUND."""
+
+
 # -- affine maps -----------------------------------------------------------------
 
 
@@ -189,17 +193,6 @@ def _named(family: Family) -> dict[str, AffineMap]:
     raise NoGeneratorsError(f"family {family.value} has no parameter transformations")
 
 
-# Orbit-group generators; for the fourth family tminus is auxiliary only
-# (it defines s0 but is not itself a member of the orbit group H).
-_ORBIT_GENERATORS = {
-    Family.PII: ("reflect", "shift_up", "shift_down"),
-    Family.PIII: ("s1", "s2", "s3", "s4"),
-    Family.PIV: ("s0", "s1", "s2"),
-    Family.PV: ("s1", "s2", "s3", "tminus"),
-    Family.PVI: ("s1", "s2", "s3", "s4", "s5"),
-}
-
-
 @lru_cache(maxsize=None)
 def _token_table(family: Family) -> tuple[dict[str, AffineMap], dict[str, str]]:
     """Every word token of a family, ``name`` and ``name^-1``, mapped to its
@@ -227,7 +220,7 @@ def named_generators(family: Family) -> dict[str, AffineMap]:
 def generators(family: Family) -> list[AffineMap]:
     """The generators of the family's orbit group."""
     maps = _token_table(family)[0]
-    return [maps[name] for name in _ORBIT_GENERATORS[family]]
+    return [maps[name] for name in family_space(family).orbit_generators]
 
 
 def resolve_token(family: Family, token: str) -> AffineMap:
@@ -506,10 +499,7 @@ def orbit_decide(family: Family, v: Sequence[ParamValue | Rational], w: Sequence
                     integer_shift=(int(shift.const),),
                     note=f"difference criterion only (branch {branch}); no affine witness with rational shift",
                 )
-        status = _status(
-            related,
-            transcendence_degree(v) == 2 and transcendence_degree(w) == 2,
-        )
+        status = _status(related, _is_generic(family, v) and _is_generic(family, w))
         return OrbitVerdict(
             family=family,
             related=related,
@@ -542,7 +532,7 @@ def orbit_decide(family: Family, v: Sequence[ParamValue | Rational], w: Sequence
                 yield tests, witness
 
         related, witness = _search_witness(candidates())
-        status = _status(related, transcendence_degree(v) == 2 or transcendence_degree(w) == 2)
+        status = _status(related, _is_generic(family, v) or _is_generic(family, w))
         return OrbitVerdict(
             family=family,
             related=related,
@@ -654,8 +644,10 @@ def generator_word(
     (second, fourth, fifth families); the third and sixth families use a
     bounded bidirectional search, so an absent word there is not a proof of
     non-existence.  ``verdict`` is ``orbit_decide(family, v, w)`` when the
-    caller has already computed it.
+    caller has already computed it.  A ``bound`` above MAX_SEARCH_BOUND
+    raises SearchBoundError.
     """
+    _check_bound(bound)
     v = _coerce_params(family, v)
     w = _coerce_params(family, w)
     if verdict is None:
@@ -716,6 +708,17 @@ def _pii_word(a: ParamValue, b: ParamValue) -> tuple[str, ...] | None:
     return None
 
 
+# Largest accepted word-search bound.  The search's state sets grow roughly
+# as bound^4: on one sixth-family pair, bounds 20, 30 and 40 took 0.6 s,
+# 2.9 s (28 MB) and 9.7 s (53 MB).
+MAX_SEARCH_BOUND = 32
+
+
+def _check_bound(bound: int) -> None:
+    if bound > MAX_SEARCH_BOUND:
+        raise SearchBoundError(f"word search bound {bound} exceeds the maximum of {MAX_SEARCH_BOUND}")
+
+
 def _bidirectional_search(
     family: Family,
     v: tuple[ParamValue, ...],
@@ -724,8 +727,7 @@ def _bidirectional_search(
 ) -> tuple[str, ...] | None:
     """Meet-in-the-middle over the (involutive) generators; combined word
     length is capped by ``bound``."""
-    gen_names = _ORBIT_GENERATORS[family]
-    gens = [(name, resolve_token(family, name)) for name in gen_names]
+    gens = [(name, resolve_token(family, name)) for name in family_space(family).orbit_generators]
     if v == w:
         return ()
     sides: list[dict[tuple[ParamValue, ...], tuple[str, ...]]] = [{v: ()}, {w: ()}]
@@ -765,7 +767,9 @@ def orbit_with_word(
     w: Sequence[ParamValue | Rational],
     bound: int = 16,
 ) -> OrbitVerdict:
-    """orbit_decide plus word synthesis when the verdict is Yes."""
+    """orbit_decide plus word synthesis when the verdict is Yes; the bound is
+    checked first, whatever the verdict."""
+    _check_bound(bound)
     verdict = orbit_decide(family, v, w)
     if verdict.related is not TriBool.YES:
         return verdict
@@ -791,24 +795,6 @@ class OrthoVerdict:
     notes: tuple[str, ...] = ()
 
 
-_BACKLUND_KEY = {
-    Family.PI: "backlund_maps",
-    Family.PII: "pii_backlund",
-    Family.PIII: "piii_backlund",
-    Family.PIV: "piv_backlund",
-    Family.PV: "pv_backlund",
-    Family.PVI: "pvi_backlund",
-}
-
-_SAME_FAMILY_QUESTION_KEY = {
-    Family.PII: "q_ortho2",
-    Family.PIII: "q_p3orth_nongen",
-    Family.PIV: "q_p4orth_nongen",
-    Family.PV: "q_ques5",
-    Family.PVI: "q_pvi_orbit",
-}
-
-
 def cross_family_verdict(eq1: EquationId, eq2: EquationId) -> OrthoVerdict:
     """Match a pair of equations against the hypothesis clauses of the proved
     orthogonality statements; fall through to Open when none applies."""
@@ -823,7 +809,7 @@ def _same_family_verdict(eq1: EquationId, eq2: EquationId) -> OrthoVerdict:
     if verdict.related is TriBool.YES:
         return OrthoVerdict(
             verdict=Verdict.NONORTHOGONAL,
-            citation=cite(_BACKLUND_KEY[family]),
+            citation=cite(family_space(family).backlund_key),
             applicability="parameters related by the family's transformation group",
         )
     if family is Family.PII:
@@ -849,7 +835,7 @@ def _same_family_verdict(eq1: EquationId, eq2: EquationId) -> OrthoVerdict:
         verdict=Verdict.OPEN,
         citation=None,
         applicability="no proved clause covers this same-family pair",
-        question=cite(_SAME_FAMILY_QUESTION_KEY[family]),
+        question=cite(family_space(family).same_family_question_key),
         notes=notes,
     )
 
@@ -863,7 +849,7 @@ def _distinct_family_verdict(eq1: EquationId, eq2: EquationId) -> OrthoVerdict:
     if pair == {Family.PII, Family.PIII}:
         p3 = by_family(Family.PIII)
         p2 = by_family(Family.PII)
-        if transcendence_degree(p3.params) == 2:
+        if _is_generic(Family.PIII, p3.params):
             alpha = p2.params[0]
             half = decide_coset(alpha, Fraction(1, 2), 1)
             if half is TriBool.YES:
@@ -902,7 +888,7 @@ def _distinct_family_verdict(eq1: EquationId, eq2: EquationId) -> OrthoVerdict:
     if pair == {Family.PIII, Family.PV}:
         p3 = by_family(Family.PIII)
         p5 = by_family(Family.PV)
-        if transcendence_degree(p3.params) == 2 and _is_generic(Family.PV, p5.params):
+        if _is_generic(Family.PIII, p3.params) and _is_generic(Family.PV, p5.params):
             return OrthoVerdict(
                 verdict=Verdict.ORTHOGONAL,
                 citation=cite("naggy2"),

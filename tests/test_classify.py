@@ -1,11 +1,13 @@
+import ast
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from painleve.catalog import EquationId, Family, inner_product, root_system
-from painleve.citations import PVI_LDEG_AMBIGUITY
+from painleve.citations import CITATIONS, PVI_LDEG_AMBIGUITY
 from painleve.classify import algebraic_solution_count_P3, classify, stratum
 from painleve.exactnum import ParamValue, TriBool, alg, decide_coset, rational_rank, tau
 
@@ -231,6 +233,20 @@ def test_degree_citation_quotes():
     assert any("has two algebraic solutions" in c.quote for c in report.citations)
     report = classify(eq(Family.PVI, [0, 0, 0, 0]))
     assert any("Morley degree five" in c.quote for c in report.citations)
+
+
+def test_every_registry_entry_is_cited():
+    # A key is cited when it is a string literal somewhere in the package
+    # outside the registry's own entries.
+    literals = set()
+    for path in (Path(__file__).parent.parent / "src" / "painleve").glob("*.py"):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, ast.AnnAssign) and getattr(stmt.target, "id", None) == "CITATIONS":
+                continue
+            literals.update(
+                n.value for n in ast.walk(stmt) if isinstance(n, ast.Constant) and isinstance(n.value, str)
+            )
+    assert sorted(set(CITATIONS) - literals) == []
 
 
 # -- PVI rank cross-check and invariance ---------------------------------------------------

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from painleve.cli import run
+from painleve.weyl import MAX_SEARCH_BOUND
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -369,3 +370,61 @@ def test_orbit_word_is_independent_of_hash_seed():
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert json.loads(first.stdout)["word"] == ["s1", "s4"]
+
+
+# One fixture per strata row of every family: (family, params, stratum
+# label, Morley degree, stratum-verdict citation key, degree-verdict key).
+STRATA_ROWS = [
+    ("I", "", "generic", 1, "generic_sm_trivial", "generic_sm_trivial"),
+    ("II", "1/2", "half-integer", 2, "pii_halfinteger_backlund", "pii_degree_two"),
+    ("II", "tau1", "generic", 1, "pii_sm_nonhalf", "pii_sm_nonhalf"),
+    ("III", "0,0", "D1", 3, "piii_d1", "piii_deg3"),
+    ("III", "1/2,1/2", "W1", 2, "piii_w1", "piii_deg2"),
+    ("III", "1/3,1/5", "generic", 1, "piii_sm", "piii_sm"),
+    ("IV", "0,0,0", "D", 3, "piv_d", "piv_deg3"),
+    ("IV", "1/2,-1/2,0", "W", 2, "piv_w", "piv_deg2"),
+    ("IV", "1/3,1/5,-8/15", "generic", 1, "piv_sm", "piv_sm"),
+    ("V", "0,0,0,0", "D", 4, "pv_d", "pv_deg4"),
+    ("V", "2/3,-1/3,1/3,-2/3", "S1", 3, "pv_s1", "pv_deg3"),
+    ("V", "1/3,1/3,1/3,-1", "S2", 3, "pv_s2", "pv_deg3"),
+    ("V", "1/2,-1/2,1/3,-1/3", "W", 2, "pv_w", "pv_deg2"),
+    ("V", "1/3,1/5,1/7,-71/105", "generic", 1, "pv_sm", "pv_sm"),
+    ("VI", "0,0,0,0", "D", 5, "pvi_roots", "pvi_d_deg"),
+    ("VI", "1/3,0,0,0", "L", 3, "pvi_roots", "pvi_l_deg3"),
+    ("VI", "1/3,1/3,1/4,-3/4", "P", 3, "pvi_roots", "pvi_p_deg"),
+    ("VI", "1/3,1/3,1/5,1/7", "M", 2, "pvi_roots", "pvi_m_deg"),
+    ("VI", "1/2,0,1/4,1/4", "M", 4, "pvi_roots", "pvi_m_deg"),
+    ("VI", "1/3,1/5,2/7,3/11", "generic", 1, "pvi_sm", "pvi_sm"),
+]
+
+
+@pytest.mark.parametrize("family,params,label,degree,stratum_key,degree_key", STRATA_ROWS)
+def test_every_strata_row_in_classify_payload(family, params, label, degree, stratum_key, degree_key, capsys):
+    payload, code = run_json(["classify", "--family", family, "--params", params], capsys)
+    assert code == 0
+    verdicts = {v["kind"]: v for v in payload["verdicts"]}
+    assert verdicts["stratum"]["value"] == label
+    assert verdicts["stratum"]["citation"]["key"] == stratum_key
+    assert verdicts["morley-degree"]["value"] == degree
+    assert verdicts["morley-degree"]["citation"]["key"] == degree_key
+
+
+def test_orbit_bound_above_cap_is_input_error(capsys):
+    assert MAX_SEARCH_BOUND >= 16  # the default bound stays accepted
+    at_cap = ["orbit", "--family", "II", "--v", "1/4", "--w", "7/4", "--bound", str(MAX_SEARCH_BOUND)]
+    payload, code = run_json(at_cap, capsys)
+    assert code == 0 and payload["word"] is not None
+    # Unrelated pairs are refused too: the bound is checked before any work.
+    for argv in (
+        at_cap[:-1] + [str(MAX_SEARCH_BOUND + 1)],
+        ["orbit", "--family", "II", "--v", "tau1", "--w", "tau2", "--bound", str(MAX_SEARCH_BOUND + 1)],
+    ):
+        payload, code = run_json(argv, capsys)
+        assert (payload, code) == (None, 2)
+    # A related sixth-family pair whose word search would not finish.
+    proc = run_subprocess(
+        ["orbit", "--family", "VI", "--v", "1/3,1/5,2/7,3/11", "--w", "181/3,301/5,2/7,3/11", "--bound", "1000"]
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert b"bound 1000" in proc.stderr

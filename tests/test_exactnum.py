@@ -266,7 +266,7 @@ def test_solve_rectangular_systems():
     st.integers(min_value=1, max_value=3),
     st.data(),
 )
-@settings(max_examples=150)
+@settings(max_examples=150, deadline=None)
 def test_solve_agrees_with_brute_force(m, n, data):
     A = [
         [data.draw(st.integers(min_value=-4, max_value=4)) for _ in range(n)]

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from painleve import weyl
-from painleve.catalog import EquationId, Family, InvalidEquationError
+from painleve.catalog import EquationId, Family, InvalidEquationError, family_space
 from painleve.exactnum import ParamValue, TriBool, alg, decide_coset, tau, transcendence_degree, tri_and
 from painleve.weyl import (
     AffineMap,
@@ -372,7 +372,7 @@ def rand_atom_params(family, rng):
 @pytest.mark.parametrize("family", [Family.PIV, Family.PV, Family.PVI])
 def test_orbit_decide_agrees_with_candidate_scan(family):
     rng = random.Random({Family.PIV: 41, Family.PV: 42, Family.PVI: 43}[family])
-    names = weyl._ORBIT_GENERATORS[family]
+    names = family_space(family).orbit_generators
     seen = set()
     for i in range(60):
         v = rand_atom_params(family, rng)
