@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import shlex
 import sys
 from fractions import Fraction
@@ -307,14 +308,20 @@ def _parse_assignment(text: str) -> NumericAssignment:
 
 
 def _cmd_integrate(args) -> tuple[dict, int]:
+    for option, value in (("--t0", args.t0), ("--t1", args.t1), ("--step", args.step)):
+        if not math.isfinite(value):
+            raise InputError(f"{option} must be a finite number, got {value}")
     eq = _equation(args.family, args.params)
     assign = _parse_assignment(args.assign)
     initial = [float(x) for x in args.initial.split(",")] if args.initial else []
     traj = numint.integrate(eq, assign, initial, args.t0, args.t1, args.step, form=args.form)
     residual = numint.residual_norm(traj, eq, assign)
     if args.out:
-        numint.write_csv(traj, args.out)
-        numint.write_json(traj, args.out + ".json")
+        try:
+            numint.write_csv(traj, args.out)
+            numint.write_json(traj, args.out + ".json")
+        except OSError as err:
+            raise InputError(f"cannot write --out {args.out!r}: {err.strerror or err}") from err
     payload = {
         "query": {
             "subcommand": "integrate",

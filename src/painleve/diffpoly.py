@@ -7,6 +7,12 @@ the Leibniz rule with D(t) = 1, D(parameter) = 0 and D(x^(k)) = x^(k+1) on
 free jets.  Reduction rewrites derivatives modulo a triangular set of ODE
 relations.  Equality of fractions is decided by cross-multiplication, so no
 multivariate gcd machinery is needed.
+
+Without a gcd, denominators are kept small by construction.  Substituting
+v -> n_v/d_v into a polynomial brings every term over one common denominator,
+prod(d_v^m_v) with m_v the top degree of v, instead of cross-multiplying the
+terms into a running sum; and two fractions over the same denominator are
+added by adding their numerators.
 """
 
 from __future__ import annotations
@@ -72,7 +78,7 @@ class Poly:
         # Canonicalize: drop zero coefficients, prune unused variables,
         # keep the variable tuple sorted.
         vars = tuple(vars)
-        clean = {exps: Fraction(c) for exps, c in terms.items() if c != 0}
+        clean = {exps: c if type(c) is Fraction else Fraction(c) for exps, c in terms.items() if c}
         used = [i for i in range(len(vars)) if any(e[i] for e in clean)]
         if len(used) != len(vars):
             vars = tuple(vars[i] for i in used)
@@ -122,8 +128,9 @@ class Poly:
     # -- alignment -----------------------------------------------------------
 
     def _aligned(self, target: tuple[Var, ...]) -> dict[tuple[int, ...], Fraction]:
+        # Read-only for the caller: the result may be this polynomial's terms.
         if target == self.vars:
-            return dict(self.terms)
+            return self.terms
         pos = {v: i for i, v in enumerate(target)}
         idx = [pos[v] for v in self.vars]
         out: dict[tuple[int, ...], Fraction] = {}
@@ -141,10 +148,16 @@ class Poly:
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        vars = Poly._merge_vars(self, other)
-        terms = self._aligned(vars)
-        for exps, c in other._aligned(vars).items():
-            terms[exps] = terms.get(exps, Fraction(0)) + c
+        return Poly.sum((self, other))
+
+    @staticmethod
+    def sum(polys: Sequence["Poly"]) -> "Poly":
+        """Sum of polynomials, collected in one pass."""
+        vars = tuple(sorted({v for p in polys for v in p.vars}, key=Var.sort_key))
+        terms: dict[tuple[int, ...], Fraction] = {}
+        for p in polys:
+            for exps, c in p._aligned(vars).items():
+                terms[exps] = terms[exps] + c if exps in terms else c
         return Poly(vars, terms)
 
     def __neg__(self) -> "Poly":
@@ -163,7 +176,7 @@ class Poly:
         for e1, c1 in a.items():
             for e2, c2 in b.items():
                 key = tuple(x + y for x, y in zip(e1, e2))
-                terms[key] = terms.get(key, Fraction(0)) + c1 * c2
+                terms[key] = terms[key] + c1 * c2 if key in terms else c1 * c2
         return Poly(vars, terms)
 
     def scale(self, q: Rational) -> "Poly":
@@ -196,7 +209,7 @@ class Poly:
         return None  # parameter: derivative 0
 
     def total_derivative(self) -> "Poly":
-        out = Poly.const(0)
+        parts = []
         for exps, c in self.terms.items():
             for i, e in enumerate(exps):
                 if e == 0:
@@ -206,28 +219,47 @@ class Poly:
                     continue
                 rest = list(exps)
                 rest[i] = e - 1
-                mono = Poly(self.vars, {tuple(rest): c * e})
-                out = out + mono * dv
-        return out
+                parts.append(Poly(self.vars, {tuple(rest): c * e}) * dv)
+        return Poly.sum(parts)
 
     # -- substitution and evaluation ------------------------------------------------
 
     def substitute(self, mapping: Mapping[Var, "DiffExpr"]) -> "DiffExpr":
-        relevant = {v: ex for v, ex in mapping.items() if v in self.vars}
-        if not relevant:
-            return DiffExpr(self, Poly.const(1))
-        out = DiffExpr.const(0)
+        """Replace each mapped variable v by n_v/d_v over one common denominator.
+
+        With m_v the top degree of v here, every term is brought to
+        prod(d_v^m_v): its factor v^e becomes n_v^e * d_v^(m_v - e), read from
+        per-variable power tables.  No term is cross-multiplied into a running
+        sum, so the denominator is prod(d_v^m_v) and not a product over terms.
+        """
+        return DiffExpr(self).substitute(mapping)
+
+    def _top_degrees(self, mapping: Mapping[Var, "DiffExpr"]) -> dict[Var, int]:
+        """Top degree of each mapped variable that occurs here."""
+        return {v: self.degree_in(v) for v in self.vars if v in mapping}
+
+    def _cleared(self, tables: Mapping[Var, list["Poly"]]) -> "Poly":
+        """This polynomial with each factor v^e replaced by tables[v][e].
+
+        ``tables`` may name variables that do not occur here (exponent 0).
+        Terms that share their exponents in the tabled variables are
+        multiplied by the table factors once.
+        """
+        pos = {v: i for i, v in enumerate(self.vars)}
+        mapped = [pos.get(v) for v in tables]
+        kept = [i for i, v in enumerate(self.vars) if v not in tables]
+        kept_vars = tuple(self.vars[i] for i in kept)
+        groups: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
         for exps, c in self.terms.items():
-            term = DiffExpr.const(c)
-            for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                v = self.vars[i]
-                base = relevant.get(v)
-                factor = base.power(e) if base is not None else DiffExpr(Poly((v,), {(e,): Fraction(1)}), Poly.const(1))
-                term = term * factor
-            out = out + term
-        return out
+            key = tuple(0 if i is None else exps[i] for i in mapped)
+            groups.setdefault(key, {})[tuple(exps[i] for i in kept)] = c
+        parts = []
+        for key, terms in groups.items():
+            part = Poly(kept_vars, terms)
+            for row, e in zip(tables.values(), key):
+                part = part * row[e]
+            parts.append(part)
+        return Poly.sum(parts)
 
     def evaluate(self, point: Mapping[Var, Rational]) -> Fraction:
         """Exact value at a rational point, summed over one common denominator.
@@ -279,6 +311,24 @@ class Poly:
     __repr__ = __str__
 
 
+def _powers(p: Poly, k: int) -> list[Poly]:
+    """[p^0, p^1, ..., p^k]."""
+    out = [Poly.const(1)]
+    for _ in range(k):
+        out.append(out[-1] * p)
+    return out
+
+
+def _factor_tables(mapping: Mapping[Var, "DiffExpr"], tops: Mapping[Var, int]) -> dict[Var, list[Poly]]:
+    """tables[v][e] = n_v^e * d_v^(m - e) for v -> n_v/d_v of top degree m."""
+    tables = {}
+    for v, m in tops.items():
+        nums = _powers(mapping[v].num, m)
+        dens = _powers(mapping[v].den, m)
+        tables[v] = [nums[e] * dens[m - e] for e in range(m + 1)]
+    return tables
+
+
 class DiffExpr:
     """Fraction of two polynomials; denominator never identically zero."""
 
@@ -326,6 +376,8 @@ class DiffExpr:
 
     def __add__(self, other):
         other = DiffExpr._coerce(other)
+        if self.den == other.den:
+            return DiffExpr(self.num + other.num, self.den)
         return DiffExpr(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
@@ -388,11 +440,19 @@ class DiffExpr:
         return DiffExpr(dn * self.den - self.num * dd, self.den * self.den)
 
     def substitute(self, mapping: Mapping[Var, "DiffExpr"]) -> "DiffExpr":
-        num = self.num.substitute(mapping)
-        den = self.den.substitute(mapping)
-        if den.num.is_zero:
+        """Numerator and denominator are both brought over the common
+        denominator of ``Poly.substitute`` for their joint top degrees, which
+        then cancels."""
+        tops = self.den._top_degrees(mapping)
+        for v, m in self.num._top_degrees(mapping).items():
+            tops[v] = max(m, tops.get(v, 0))
+        if not tops:
+            return self
+        tables = _factor_tables(mapping, tops)
+        den = self.den._cleared(tables)
+        if den.is_zero:
             raise ZeroDivisionError("denominator vanished identically after substitution")
-        return DiffExpr(num.num * den.den, num.den * den.num)
+        return DiffExpr(self.num._cleared(tables), den)
 
     def evaluate(self, point: Mapping[Var, Rational]) -> Fraction:
         den = self.den.evaluate(point)
@@ -568,13 +628,8 @@ def _eliminate_v4(p: Poly) -> Poly:
     for exps, c in p.terms.items():
         groups.setdefault(exps[k], {})[exps[:k] + (0,) + exps[k + 1 :]] = c
     linear = -(Poly.var(sym("v1")) + Poly.var(sym("v2")) + Poly.var(sym("v3")))
-    out = Poly.const(0)
-    power = Poly.const(1)
-    for e in range(max(groups) + 1):
-        if e in groups:
-            out = out + Poly(p.vars, groups[e]) * power
-        power = power * linear
-    return out
+    powers = _powers(linear, max(groups))
+    return Poly.sum([Poly(p.vars, terms) * powers[e] for e, terms in groups.items()])
 
 
 def verify_pv_change_of_variables() -> ChangeOfVariablesReport:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from painleve import numint
 from painleve.cli import run
 from painleve.weyl import MAX_SEARCH_BOUND
 
@@ -254,6 +255,41 @@ def test_integrate_singular_interval_is_input_error(capsys):
     )
     assert code == 2
     assert "singular" in capsys.readouterr().err.lower()
+
+
+@pytest.mark.parametrize("option", ["--t0", "--t1", "--step"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_integrate_non_finite_interval_is_input_error(option, value, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("integrate ran on a non-finite interval")
+
+    monkeypatch.setattr(numint, "integrate", no_work)
+    times = {"--t0": "1.0", "--t1": "1.5", "--step": "0.01"}
+    times[option] = value
+    argv = ["integrate", "--family", "II", "--params", "0", "--initial", "0.1,0.2"]
+    for name, text in times.items():
+        argv.append(f"{name}={text}")
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {option} must be a finite number")
+
+
+def test_integrate_unwritable_out_is_input_error_in_batch(tmp_path, capsys):
+    batch = tmp_path / "queries.txt"
+    missing = tmp_path / "missing" / "traj.csv"
+    batch.write_text(
+        "integrate --family II --params 0 --initial 0.1,0.2 --t0 1.0 --t1 1.1 --step 0.01"
+        f" --out {missing}\n"
+        'classify --family II --params "1/2"\n'
+    )
+    code = run(["--batch", str(batch)])
+    captured = capsys.readouterr()
+    assert code == 2
+    records = [json.loads(line) for line in captured.out.splitlines() if line.strip()]
+    assert [r["query"]["subcommand"] for r in records] == ["classify"]
+    assert captured.err.startswith("error: cannot write --out")
+    assert "Traceback" not in captured.err
 
 
 def test_batch_mode(tmp_path, capsys):

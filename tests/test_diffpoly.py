@@ -220,6 +220,95 @@ def test_evaluate_agrees_on_chart_change_residuals():
                 assert p.evaluate(point) == evaluate_term_by_term(p, point)
 
 
+def cross_add(a, b):
+    """a + b by cross-multiplication, whatever the denominators."""
+    return DiffExpr(a.num * b.den + b.num * a.den, a.den * b.den)
+
+
+def substitute_term_by_term(p, mapping):
+    """Poly.substitute as it was before the common denominator: each
+    substituted term is cross-multiplied into the running sum."""
+    relevant = {v: ex for v, ex in mapping.items() if v in p.vars}
+    if not relevant:
+        return DiffExpr(p, Poly.const(1))
+    out = DiffExpr.const(0)
+    for exps, c in p.terms.items():
+        term = DiffExpr.const(c)
+        for i, e in enumerate(exps):
+            if e == 0:
+                continue
+            v = p.vars[i]
+            base = relevant.get(v)
+            factor = base.power(e) if base is not None else DiffExpr(Poly((v,), {(e,): Fraction(1)}), Poly.const(1))
+            term = term * factor
+        out = cross_add(out, term)
+    return out
+
+
+def expr_substitute_term_by_term(e, mapping):
+    num = substitute_term_by_term(e.num, mapping)
+    den = substitute_term_by_term(e.den, mapping)
+    if den.num.is_zero:
+        raise ZeroDivisionError("denominator vanished identically after substitution")
+    return DiffExpr(num.num * den.den, num.den * den.num)
+
+
+@st.composite
+def mappings(draw):
+    """Images for a subset of the base variables, with non-constant
+    denominators allowed; unmapped variables stay as they are."""
+    names = draw(st.lists(base_vars, unique=True, max_size=3))
+    return {v: draw(exprs()) for v in names}
+
+
+@given(st.one_of(polys(), st.just(Poly.const(0))), exprs(), mappings())
+@settings(max_examples=80, deadline=None)
+def test_substitute_agrees_with_term_by_term_substitution(p, e, mapping):
+    assert p.substitute(mapping).equals(substitute_term_by_term(p, mapping))
+    try:
+        expected = expr_substitute_term_by_term(e, mapping)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            e.substitute(mapping)
+        return
+    assert e.substitute(mapping).equals(expected)
+
+
+def test_substitute_with_mapped_exponent_zero_in_some_terms():
+    q0, v1 = jet("q", 0), sym("v1")
+    q, v = DiffExpr.var(q0), DiffExpr.var(v1)
+    mapping = {q0: (T + 1) / (T - 1), v1: Y / T}
+    # q occurs in the denominator only, v1 in the numerator only, and each
+    # polynomial has terms without them.
+    e = (v * v * Y + T + 3) / (q * q * q + Y)
+    expected = expr_substitute_term_by_term(e, mapping)
+    assert e.substitute(mapping).equals(expected)
+    for p in (e.num, e.den, Poly.const(0), Poly.const(5)):
+        assert p.substitute(mapping).equals(substitute_term_by_term(p, mapping))
+    with pytest.raises(ZeroDivisionError):
+        (T / (q - 1)).substitute({q0: DiffExpr.const(1)})
+
+
+@given(polys(), polys(), polys())
+@settings(max_examples=60, deadline=None)
+def test_equal_denominator_sum_agrees_with_cross_multiplication(a, b, d):
+    if d.is_zero:
+        d = Poly.const(1)
+    x, y = DiffExpr(a, d), DiffExpr(b, d)
+    assert x.den == y.den
+    total = x + y
+    assert total.equals(cross_add(x, y))
+    assert total.den == x.den
+
+
+def test_chart_change_residual_denominators_stay_small():
+    # Summing substituted terms by cross-multiplication gave the q residual
+    # the denominator t^2 (Q - 1)^12; over one common denominator it is
+    # t (Q - 1)^2.
+    for r in diffpoly._pv_residuals():
+        assert r.den.degree_in(jet("Q", 0)) <= 4
+
+
 def test_v4_elimination_agrees_with_substitute():
     v1, v2, v3, v4 = (DiffExpr.var(sym(f"v{i}")) for i in range(1, 5))
     v4_sub = {sym("v4"): -(v1 + v2 + v3)}
