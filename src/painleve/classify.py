@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .catalog import EquationId, Family, family_space, inner_product, root_system
-from .citations import Ambiguity, Citation, cite
+from .citations import Citation, cite
 from .exactnum import (
     ParamValue,
     TriBool,
@@ -152,8 +152,8 @@ def _pvi_half_integer_special(v: Sequence[ParamValue]) -> tuple[TriBool, bool]:
     the finite transformations (signed permutations with even sign weight);
     integer translations preserve both congruences, so this makes the test
     orbit-invariant.  Returns the verdict and whether a non-identity
-    transformation was needed."""
-    saw_unknown = False
+    transformation was needed.  On M no test is undecided: each has the atoms
+    of a root pairing, and M leaves no root pairing undecided."""
     identity_hit = False
     hit = False
     for perm in itertools.permutations(range(4)):
@@ -171,11 +171,9 @@ def _pvi_half_integer_special(v: Sequence[ParamValue]) -> tuple[TriBool, bool]:
                 hit = True
                 if perm == (0, 1, 2, 3) and signs == (1, 1, 1, 1):
                     identity_hit = True
-            elif check is TriBool.UNKNOWN:
-                saw_unknown = True
     if hit:
         return TriBool.YES, not identity_hit
-    return (TriBool.UNKNOWN if saw_unknown else TriBool.NO), False
+    return TriBool.NO, False
 
 
 def stratum(eq: EquationId) -> Stratum:
@@ -255,7 +253,7 @@ def _components_for(fam: Family, degree: int) -> tuple[Component, ...]:
     return tuple(comps)
 
 
-def _pvi_m_degree(strat: Stratum, notes: list[str]) -> int | None:
+def _pvi_m_degree(strat: Stratum, notes: list[str]) -> int:
     """The sixth family's M stratum has degree 4 where the half-integer
     special condition holds and 2 elsewhere."""
     if strat.half_integer_special is TriBool.YES:
@@ -265,9 +263,6 @@ def _pvi_m_degree(strat: Stratum, notes: list[str]) -> int | None:
                 "change of representative (it is orbit-invariant)"
             )
         return 4
-    if strat.half_integer_special is TriBool.UNKNOWN:
-        notes.append(Ambiguity("half-integer special condition undecided; degree is 2 or 4"))
-        return None
     return 2
 
 
@@ -348,10 +343,9 @@ def classify(eq: EquationId) -> ClassificationReport:
             degree = _pvi_m_degree(strat, notes)
         if row.note is not None:
             notes.append(row.note)
-        if degree is not None:
-            components = _components_for(eq.family, degree)
-            citation_keys.extend(row.degree_keys)
-            degree_citation = cite(row.degree_keys[0])
+        components = _components_for(eq.family, degree)
+        citation_keys.extend(row.degree_keys)
+        degree_citation = cite(row.degree_keys[0])
 
     strongly_minimal = TriBool.UNKNOWN if degree is None else TriBool.of(degree == 1)
     count, count_keys = _algebraic_solutions(eq)

@@ -443,7 +443,9 @@ _INPUT_ERRORS = (
 
 
 # Options whose value may start with a minus sign ("--params -1/2,...").
-_SIGNED_VALUE_OPTIONS = frozenset({"--params", "--params1", "--params2", "--v", "--w", "--initial"})
+_SIGNED_VALUE_OPTIONS = frozenset(
+    {"--params", "--params1", "--params2", "--v", "--w", "--initial", "--t0", "--t1", "--step"}
+)
 
 
 def _bind_negative_values(argv: Sequence[str]) -> list[str]:

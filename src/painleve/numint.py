@@ -165,13 +165,17 @@ def integrate_rhs(
 ) -> Trajectory:
     """Classical RK4 with a fixed step (the step is snapped so that the span
     divides evenly).  Aborts with Blowup when any state component leaves
-    [-1e8, 1e8] or stops being finite.  Raises StepBudgetError, before any
-    step is taken, when the interval needs more than MAX_STEPS steps."""
+    [-1e8, 1e8] or stops being finite.  Raises ValueError for a non-finite
+    t0, t1 or step, and StepBudgetError, before any step is taken, when the
+    interval needs more than MAX_STEPS steps."""
+    for name, value in (("t0", t0), ("t1", t1), ("step", step)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number, got {value}")
     if step <= 0:
         raise ValueError("step must be positive")
     if t1 <= t0:
         raise ValueError("t1 must exceed t0")
-    if not (t1 - t0) / step <= MAX_STEPS:
+    if (t1 - t0) / step > MAX_STEPS:
         raise StepBudgetError(f"interval [{t0}, {t1}] at step {step} needs more than {MAX_STEPS} steps")
     n_steps = max(1, round((t1 - t0) / step))
     h = (t1 - t0) / n_steps

@@ -7,9 +7,12 @@ the generator catalogs, the affine-map algebra, the closed-form orbit
 criteria with re-verifiable witnesses, best-effort generator-word synthesis,
 and the orthogonality verdict table within and across families.
 
+On parameters the Bäcklund transformations form affine Weyl groups
+(Noumi–Yamada, CMP 199, 1998), so every map is a signed permutation plus a
+translation.  Maps and orbit witnesses store ``perm``, ``signs`` and a
+translation ``t``, meaning ``result[j] = signs[j] * v[perm[j]] + t[j]``.
 Words are tuples of generator names applied left to right; ``name^-1``
-denotes an inverse.  Orbit witnesses use the convention
-``w[j] = signs[j] * v[perm[j]] + shift[j]``.
+denotes an inverse.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from .exactnum import (
     Rational,
     TriBool,
     decide_coset,
-    integer_solve,
     transcendence_degree,
     tri_and,
     tri_or,
@@ -48,75 +50,52 @@ class SearchBoundError(ValueError):
 
 @dataclass(frozen=True)
 class AffineMap:
-    """Exact affine map v -> linear*v + translation on a family's parameter space."""
+    """Exact affine map on a family's parameter space, stored as a signed
+    permutation plus a translation (the convention in the module docstring)."""
 
     family: Family
-    linear: tuple[tuple[Fraction, ...], ...]
+    perm: tuple[int, ...]
+    signs: tuple[int, ...]
     translation: tuple[Fraction, ...]
     provenance: str = field(default="composite", compare=False)
 
     @property
     def dim(self) -> int:
-        return len(self.translation)
+        return len(self.perm)
 
     def apply(self, values: Sequence[ParamValue | Rational]) -> tuple[ParamValue, ...]:
         vals = [v if isinstance(v, ParamValue) else ParamValue(v) for v in values]
         if len(vals) != self.dim:
             raise ValueError(f"expected {self.dim} values, got {len(vals)}")
-        out = []
-        for row, shift in zip(self.linear, self.translation):
-            acc = None
-            for x, c in zip(vals, row):
-                if c:
-                    term = x if c == 1 else x * c
-                    acc = term if acc is None else acc + term
-            if acc is None:
-                acc = ParamValue(shift)
-            elif shift:
-                acc = acc + shift
-            out.append(acc)
-        return tuple(out)
+        signed = (vals[p] if s > 0 else -vals[p] for p, s in zip(self.perm, self.signs))
+        return tuple(x + t if t else x for x, t in zip(signed, self.translation))
 
     def compose(self, other: "AffineMap") -> "AffineMap":
         """self after other: apply(compose(f, g), v) == apply(f, apply(g, v))."""
         if self.family is not other.family:
             raise ValueError("cannot compose maps from different families")
-        n = self.dim
-        lin = tuple(
-            tuple(Fraction(sum(self.linear[i][k] * other.linear[k][j] for k in range(n))) for j in range(n))
-            for i in range(n)
+        return AffineMap(
+            self.family,
+            tuple(other.perm[p] for p in self.perm),
+            tuple(s * other.signs[p] for p, s in zip(self.perm, self.signs)),
+            tuple(s * other.translation[p] + t for p, s, t in zip(self.perm, self.signs, self.translation)),
         )
-        tr = tuple(
-            Fraction(sum(self.linear[i][k] * other.translation[k] for k in range(n)) + self.translation[i])
-            for i in range(n)
-        )
-        return AffineMap(self.family, lin, tr, provenance="composite")
 
     def inverse(self) -> "AffineMap":
+        # w[j] = signs[j]*v[perm[j]] + translation[j] solves to
+        # v[perm[j]] = signs[j]*w[j] - signs[j]*translation[j].
         n = self.dim
-        aug = [list(self.linear[i]) + [Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-            if pivot is None:
-                raise ValueError("affine map is not invertible")
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            pv = aug[col][col]
-            aug[col] = [x / pv for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col] != 0:
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        inv = tuple(tuple(row[n:]) for row in aug)
-        tr = tuple(Fraction(-sum(inv[i][k] * self.translation[k] for k in range(n))) for i in range(n))
-        return AffineMap(self.family, inv, tr, provenance=f"({self.provenance})^-1")
+        perm, signs, translation = [0] * n, [1] * n, [Fraction(0)] * n
+        for j, (p, s, t) in enumerate(zip(self.perm, self.signs, self.translation)):
+            perm[p], signs[p], translation[p] = j, s, -s * t
+        return AffineMap(self.family, tuple(perm), tuple(signs), tuple(translation), f"({self.provenance})^-1")
 
     def is_identity(self) -> bool:
         return self == AffineMap.identity(self.family, self.dim)
 
     @staticmethod
     def identity(family: Family, dim: int) -> "AffineMap":
-        lin = tuple(tuple(Fraction(1 if i == j else 0) for j in range(dim)) for i in range(dim))
-        return AffineMap(family, lin, tuple(Fraction(0) for _ in range(dim)), provenance="id")
+        return AffineMap.from_permutation(family, range(dim), name="id")
 
     @staticmethod
     def from_permutation(
@@ -128,13 +107,11 @@ class AffineMap:
     ) -> "AffineMap":
         """Signed permutation plus translation: result[j] = signs[j]*v[perm[j]] + translation[j]."""
         n = len(perm)
-        signs = signs or [1] * n
-        translation = translation or [0] * n
-        lin = tuple(
-            tuple(Fraction(signs[j]) if k == perm[j] else Fraction(0) for k in range(n))
-            for j in range(n)
-        )
-        return AffineMap(family, lin, tuple(Fraction(x) for x in translation), provenance=name)
+        signs = tuple(signs or [1] * n)
+        translation = tuple(Fraction(x) for x in translation or [0] * n)
+        if sorted(perm) != list(range(n)) or {len(signs), len(translation)} != {n} or not set(signs) <= {1, -1}:
+            raise ValueError(f"not a signed permutation plus translation on {n} coordinates")
+        return AffineMap(family, tuple(perm), signs, translation, provenance=name)
 
     def __str__(self) -> str:
         return f"AffineMap[{self.family.value}:{self.provenance}]"
@@ -147,9 +124,9 @@ def _named(family: Family) -> dict[str, AffineMap]:
     P = AffineMap.from_permutation
     if family is Family.PII:
         return {
-            "reflect": AffineMap(family, ((Fraction(-1),),), (Fraction(-1),), provenance="reflect"),
-            "shift_up": AffineMap(family, ((Fraction(1),),), (Fraction(1),), provenance="shift_up"),
-            "shift_down": AffineMap(family, ((Fraction(1),),), (Fraction(-1),), provenance="shift_down"),
+            "reflect": P(family, (0,), signs=(-1,), translation=(-1,), name="reflect"),
+            "shift_up": P(family, (0,), translation=(1,), name="shift_up"),
+            "shift_down": P(family, (0,), translation=(-1,), name="shift_down"),
         }
     if family is Family.PIII:
         return {
@@ -163,24 +140,14 @@ def _named(family: Family) -> dict[str, AffineMap]:
             "s0": P(family, (0, 2, 1), translation=(0, 1, -1), name="s0"),
             "s1": P(family, (1, 0, 2), name="s1"),
             "s2": P(family, (2, 1, 0), name="s2"),
-            "tminus": AffineMap(
-                family,
-                AffineMap.identity(family, 3).linear,
-                (Fraction(-1, 3), Fraction(-1, 3), Fraction(2, 3)),
-                provenance="tminus",
-            ),
+            "tminus": P(family, (0, 1, 2), translation=[Fraction(x, 3) for x in (-1, -1, 2)], name="tminus"),
         }
     if family is Family.PV:
         return {
             "s1": P(family, (1, 0, 2, 3), name="s1"),
             "s2": P(family, (2, 1, 0, 3), name="s2"),
             "s3": P(family, (0, 1, 3, 2), name="s3"),
-            "tminus": AffineMap(
-                family,
-                AffineMap.identity(family, 4).linear,
-                (Fraction(-1, 4), Fraction(-1, 4), Fraction(-1, 4), Fraction(3, 4)),
-                provenance="tminus",
-            ),
+            "tminus": P(family, (0, 1, 2, 3), translation=[Fraction(x, 4) for x in (-1, -1, -1, 3)], name="tminus"),
         }
     if family is Family.PVI:
         return {
@@ -260,47 +227,44 @@ def apply_word(family: Family, word: Sequence[str], values: Sequence[ParamValue 
 def pv_translation_module() -> list[AffineMap]:
     """The four quarter-translations generating the fifth family's Z-module of
     translations: +1/4*(1,1,1,-3), +1/4*(0,0,-4,4), +1/4*(0,-4,0,4), +1/4*(-4,0,0,4)."""
-    fam = Family.PV
-    ident = AffineMap.identity(fam, 4).linear
     vecs = [
         (Fraction(1, 4), Fraction(1, 4), Fraction(1, 4), Fraction(-3, 4)),
         (Fraction(0), Fraction(0), Fraction(-1), Fraction(1)),
         (Fraction(0), Fraction(-1), Fraction(0), Fraction(1)),
         (Fraction(-1), Fraction(0), Fraction(0), Fraction(1)),
     ]
-    return [AffineMap(fam, ident, v, provenance=f"alpha{i + 1}") for i, v in enumerate(vecs)]
+    P = AffineMap.from_permutation
+    return [P(Family.PV, range(4), translation=v, name=f"alpha{i + 1}") for i, v in enumerate(vecs)]
 
 
 # -- permutation and translation words (machine-derived, verified) -----------------------
 
 
 @lru_cache(maxsize=None)
-def _perm_words(family: Family) -> dict[tuple[tuple[Fraction, ...], ...], tuple[str, ...]]:
-    """BFS over the permutation generators: linear part -> shortest word."""
+def _perm_words(family: Family) -> dict[tuple[int, ...], tuple[str, ...]]:
+    """BFS over the permutation generators: permutation -> shortest word."""
     perm_gens = {
         Family.PIV: ("s1", "s2"),
         Family.PV: ("s1", "s2", "s3"),
     }[family]
     dim = family_space(family).arity
     start = AffineMap.identity(family, dim)
-    seen = {start.linear: ()}
+    seen = {start.perm: ()}
     frontier = [start]
     while frontier:
         nxt = []
         for m in frontier:
             for name in perm_gens:
-                g = resolve_token(family, name)
-                composed = g.compose(m)
-                if composed.linear not in seen:
-                    seen[composed.linear] = seen[m.linear] + (name,)
+                composed = resolve_token(family, name).compose(m)
+                if composed.perm not in seen:
+                    seen[composed.perm] = seen[m.perm] + (name,)
                     nxt.append(composed)
         frontier = nxt
     return seen
 
 
 def _perm_word_for(family: Family, perm: Sequence[int]) -> tuple[str, ...]:
-    target = AffineMap.from_permutation(family, perm)
-    return _perm_words(family)[target.linear]
+    return _perm_words(family)[tuple(perm)]
 
 
 @lru_cache(maxsize=None)
@@ -315,39 +279,31 @@ def _translation_words(family: Family) -> dict[tuple[Fraction, ...], tuple[str, 
         base_word = _perm_word_for(family, (0, 3, 2, 1)) + composite
     else:
         raise NoGeneratorsError(f"no translation-word table for family {family.value}")
-    dim = family_space(family).arity
-    ident = AffineMap.identity(family, dim)
+    ident = AffineMap.identity(family, family_space(family).arity)
     out: dict[tuple[Fraction, ...], tuple[str, ...]] = {}
-    for linear, pword in _perm_words(family).items():
+    for pword in _perm_words(family).values():
         word = pword + base_word + invert_word(family, pword)
         m = word_map(family, word)
-        if m.linear == ident.linear and m.translation not in out:
+        if (m.perm, m.signs) == (ident.perm, ident.signs) and m.translation not in out:
             out[m.translation] = word
     return out
 
 
 def _integer_translation_word(family: Family, shift: Sequence[Fraction]) -> tuple[str, ...] | None:
     """Express an integral sum-zero translation as a generator word using the
-    elementary-move table; coefficients come from integer_solve over the
-    triangular basis e_i - e_{i+1}."""
+    elementary-move table.  The basis e_k - e_{k+1} is triangular, so the
+    coefficient of e_k - e_{k+1} is the prefix sum shift_0 + ... + shift_k."""
     moves = _translation_words(family)
     n = family_space(family).arity
-    basis = []
-    for i in range(n - 1):
-        vec = tuple(Fraction(1 if k == i else (-1 if k == i + 1 else 0)) for k in range(n))
-        if vec not in moves:
-            return None
-        basis.append(vec)
-    A = [[int(b[i]) for b in basis] for i in range(n)]
-    target = [int(x) for x in shift]
-    coeffs = integer_solve(A, target)
-    if coeffs is None:
+    coeffs = list(itertools.accumulate(int(x) for x in shift))
+    if coeffs[-1] != 0:
         return None
     word: tuple[str, ...] = ()
-    for c, vec in zip(coeffs, basis):
-        if c == 0:
-            continue
-        move = moves[vec] if c > 0 else invert_word(family, moves[vec])
+    for k, c in enumerate(coeffs[:-1]):
+        vec = tuple(Fraction(1 if i == k else (-1 if i == k + 1 else 0)) for i in range(n))
+        if vec not in moves:
+            return None
+        move = moves[vec] if c >= 0 else invert_word(family, moves[vec])
         word += move * abs(c)
     return word
 
@@ -363,7 +319,8 @@ class HypothesisStatus(Enum):
 
 @dataclass(frozen=True)
 class OrbitWitness:
-    """Witness data; when the map fields are set, w = signs*v[perm] + shift exactly."""
+    """Witness data; when the map fields are set, ``perm``, ``signs`` and the
+    translation ``shift`` map v to w exactly, in the module's convention."""
 
     perm: tuple[int, ...] | None = None
     signs: tuple[int, ...] | None = None

@@ -5,6 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from painleve.catalog import EquationId, Family, inner_product, root_system
 from painleve.citations import CITATIONS, PVI_LDEG_AMBIGUITY
@@ -85,6 +86,39 @@ def test_pvi_half_integer_special_flag():
     s3 = stratum(eq(Family.PVI, [Fraction(1, 5), 0, Fraction(1, 4), Fraction(1, 4)]))
     assert s3.label == "M"
     assert s3.half_integer_special is TriBool.NO
+
+
+_PVI_ATOMS = (tau(1), tau(2), alg(1), alg(2), alg(3))
+
+
+@st.composite
+def pvi_on_m(draw):
+    """Sixth-family parameters with tau/alg atoms, built to land on M often:
+    v_j is tied to v_i by a signed integral shift (one integral root
+    pairing), and sometimes v_l to v_m by a half-integral one."""
+
+    def value():
+        const = Fraction(draw(st.integers(-6, 6)), draw(st.sampled_from([1, 2, 3, 5])))
+        coeffs = {a: draw(st.sampled_from([0, 0, 0, 1, -1, 2, H])) for a in _PVI_ATOMS}
+        return PV(const, coeffs)
+
+    v = [value() for _ in range(4)]
+    i, j, l, m = draw(st.permutations(range(4)))
+    v[j] = v[i] * draw(st.sampled_from([1, -1])) + draw(st.integers(-3, 3))
+    if draw(st.booleans()):
+        v[m] = v[l] * draw(st.sampled_from([1, -1])) + H + draw(st.integers(-3, 3))
+    return v
+
+
+@given(pvi_on_m())
+@settings(max_examples=60, deadline=None)
+def test_pvi_m_half_integer_special_is_decided(v):
+    # Each half-integer test has the atoms of a root pairing, and M leaves no
+    # root pairing undecided, so the special condition is always decided.
+    s = stratum(eq(Family.PVI, v))
+    assume(s.label == "M")
+    assert s.half_integer_special in (TriBool.YES, TriBool.NO)
+    assert classify(eq(Family.PVI, v)).degree == (4 if s.half_integer_special is TriBool.YES else 2)
 
 
 def test_stratum_unknown_on_undecided_congruence():

@@ -349,6 +349,14 @@ SEPARATE_NEGATIVE_VALUES = {
         "integrate", "--family", "II", "--params", "1/4", "--initial", "-0.1,0.2",
         "--t0", "1.0", "--t1", "1.1", "--step", "0.01",
     ],
+    "t0-t1": [
+        "integrate", "--family", "II", "--params", "0", "--initial", "0.1,0.2",
+        "--t0", "-1e-3", "--t1", "-1e-4", "--step", "1e-5",
+    ],
+    "t0": [
+        "integrate", "--family", "II", "--params", "0", "--initial", "0.1,0.2",
+        "--t0", "-1e-3", "--t1", "0.1", "--step", "0.01",
+    ],
 }
 
 
@@ -370,6 +378,15 @@ def test_separate_negative_value(name, capsys):
     assert (payload, code) == run_json(_joined(argv), capsys)
 
 
+def test_separate_negative_step_reaches_the_step_check(capsys):
+    code = run([
+        "integrate", "--family", "II", "--params", "0", "--initial", "0.1,0.2",
+        "--t0", "0", "--t1", "0.1", "--step", "-1e-2",
+    ])
+    assert code == 2
+    assert "step must be positive" in capsys.readouterr().err
+
+
 def test_separate_negative_value_in_batch(tmp_path, capsys):
     batch = tmp_path / "queries.txt"
     batch.write_text(
@@ -377,14 +394,18 @@ def test_separate_negative_value_in_batch(tmp_path, capsys):
         "orbit --family II --v -1/4 --w 7/4\n"
         "orthogonal --family1 II --params1 -1/3 --family2 II --params2 -4/3\n"
         "integrate --family II --params 1/4 --initial -0.1,0.2 --t0 1.0 --t1 1.1 --step 0.01\n"
+        "integrate --family II --params 0 --initial 0.1,0.2 --t0 -1e-3 --t1 0.1 --step 0.01\n"
     )
     code = run(["--batch", str(batch)])
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines() if line.strip()]
     assert code == 0
-    assert [r["query"]["subcommand"] for r in records] == ["classify", "orbit", "orthogonal", "integrate"]
+    assert [r["query"]["subcommand"] for r in records] == [
+        "classify", "orbit", "orthogonal", "integrate", "integrate",
+    ]
     assert records[0]["query"]["params"] == ["-1/2"]
     assert records[1]["query"]["v"] == ["-1/4"]
     assert records[2]["query"]["params1"] == ["-1/3"]
+    assert records[4]["query"]["t0"] == -1e-3
 
 
 def test_integrate_step_budget_is_input_error():

@@ -204,12 +204,23 @@ def test_csv_and_json_export(tmp_path):
     assert len(payload["samples"]) == len(traj.samples)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("which", ["t0", "t1", "step"])
+def test_integrate_rejects_non_finite_times(which, bad):
+    # Checked before the step budget: an infinite step would otherwise pass
+    # it as a single step, and a NaN would fail it with a misleading message.
+    args = {"t0": 0.0, "t1": 1.0, "step": 1e-3, which: bad}
+    with pytest.raises(ValueError, match=f"{which} must be a finite number") as info:
+        integrate_rhs(exp_rhs, [1.0], args["t0"], args["t1"], args["step"])
+    assert not isinstance(info.value, StepBudgetError)
+
+
 def test_integrate_rejects_bad_arguments():
     with pytest.raises(ValueError):
         integrate_rhs(exp_rhs, [1.0], 0.0, 1.0, -1e-3)
     with pytest.raises(ValueError):
         integrate_rhs(exp_rhs, [1.0], 1.0, 0.5, 1e-3)
-    for step in (1e-300, 5e-324, math.nan, 1.0 / (MAX_STEPS + 1)):
+    for step in (1e-300, 5e-324, 1.0 / (MAX_STEPS + 1)):
         with pytest.raises(StepBudgetError):
             integrate_rhs(exp_rhs, [1.0], 0.0, 1.0, step)
     assert len(integrate_rhs(exp_rhs, [1.0], 0.0, 1.0, 1.0 / MAX_STEPS).samples) == MAX_STEPS + 1

@@ -6,7 +6,16 @@ import pytest
 
 from painleve import weyl
 from painleve.catalog import EquationId, Family, InvalidEquationError, family_space
-from painleve.exactnum import ParamValue, TriBool, alg, decide_coset, tau, transcendence_degree, tri_and
+from painleve.exactnum import (
+    ParamValue,
+    TriBool,
+    alg,
+    decide_coset,
+    integer_solve,
+    tau,
+    transcendence_degree,
+    tri_and,
+)
 from painleve.weyl import (
     AffineMap,
     HypothesisStatus,
@@ -82,6 +91,14 @@ def test_equality_ignores_provenance():
     b = AffineMap.from_permutation(Family.PIII, (1, 0), name="y")
     assert a == b
     assert hash(a) == hash(b)
+
+
+def test_from_permutation_rejects_non_permutations():
+    bad = [((0, 0), None, None), ((0, 2), None, None), ((1, 0), (1,), None), ((1, 0), (1, 2), None),
+           ((1, 0), None, (1,))]
+    for perm, signs, translation in bad:
+        with pytest.raises(ValueError):
+            AffineMap.from_permutation(Family.PIII, perm, signs=signs, translation=translation)
 
 
 def test_generator_catalogs():
@@ -176,6 +193,96 @@ def test_invert_word_roundtrip():
     inv = invert_word(Family.PV, word)
     assert word_map(Family.PV, word + inv).is_identity()
     assert invert_word(Family.PII, ("shift_up",)) == ("shift_down",)
+
+
+# -- dense-matrix reference -------------------------------------------------------------
+# An independent model of the affine-map algebra: dense Fraction matrices,
+# matrix products, a Gaussian-elimination inverse and a row-by-row apply.
+# Only each generator's own data is read from the module under test.
+
+
+def dense(m):
+    n = m.dim
+    linear = tuple(tuple(Fraction(m.signs[j] if k == m.perm[j] else 0) for k in range(n)) for j in range(n))
+    return linear, m.translation
+
+
+def dense_compose(f, g):
+    """f after g."""
+    (fl, ft), (gl, gt) = f, g
+    n = len(ft)
+    linear = tuple(tuple(sum((fl[i][k] * gl[k][j] for k in range(n)), Fraction(0)) for j in range(n))
+                   for i in range(n))
+    return linear, tuple(sum((fl[i][k] * gt[k] for k in range(n)), ft[i]) for i in range(n))
+
+
+def dense_inverse(f):
+    linear, translation = f
+    n = len(translation)
+    aug = [list(linear[i]) + [Fraction(int(j == i)) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                aug[r] = [x - aug[r][col] * y for x, y in zip(aug[r], aug[col])]
+    inv = tuple(tuple(row[n:]) for row in aug)
+    return inv, tuple(-sum((inv[i][k] * translation[k] for k in range(n)), Fraction(0)) for i in range(n))
+
+
+def dense_apply(f, values):
+    linear, translation = f
+    return tuple(sum((x * c for x, c in zip(values, row)), PV(t)) for row, t in zip(linear, translation))
+
+
+def dense_word(family, word):
+    named = named_generators(family)
+    n = family_space(family).arity
+    out = dense(AffineMap.identity(family, n))
+    for token in word:
+        g = dense(named[token.removesuffix("^-1")])
+        out = dense_compose(dense_inverse(g) if token.endswith("^-1") else g, out)
+    return out
+
+
+@pytest.mark.parametrize("family", [Family.PII, Family.PIII, Family.PIV, Family.PV, Family.PVI])
+def test_word_algebra_matches_dense_reference(family):
+    rng = random.Random(f"dense:{family.value}")
+    tokens = [name + suffix for name in named_generators(family) for suffix in ("", "^-1")]
+    for _ in range(60):
+        word = tuple(rng.choice(tokens) for _ in range(rng.randint(0, 12)))
+        reference = dense_word(family, word)
+        m = word_map(family, word)
+        assert dense(m) == reference, word
+        assert dense(m.inverse()) == dense_inverse(reference), word
+        v = rand_atom_params(family, rng)
+        assert apply_word(family, word, v) == dense_apply(reference, v), (word, v)
+
+
+def integer_solve_translation_word(family, shift):
+    """Reference for _integer_translation_word: the coefficients over the
+    basis e_i - e_{i+1} come from integer_solve instead of prefix sums."""
+    moves = weyl._translation_words(family)
+    n = family_space(family).arity
+    basis = [tuple(Fraction(1 if k == i else (-1 if k == i + 1 else 0)) for k in range(n)) for i in range(n - 1)]
+    coeffs = integer_solve([[int(b[i]) for b in basis] for i in range(n)], [int(x) for x in shift])
+    word = ()
+    for c, vec in zip(coeffs, basis):
+        word += (moves[vec] if c > 0 else invert_word(family, moves[vec])) * abs(c)
+    return word
+
+
+@pytest.mark.parametrize("family", [Family.PIV, Family.PV])
+def test_integer_translation_word_matches_integer_solve(family):
+    rng = random.Random(f"translation:{family.value}")
+    n = family_space(family).arity
+    for _ in range(150):
+        head = [rng.randint(-6, 6) for _ in range(n - 1)]
+        shift = tuple(Fraction(x) for x in head + [-sum(head)])
+        word = weyl._integer_translation_word(family, shift)
+        assert word == integer_solve_translation_word(family, shift), shift
+        assert word_map(family, word) == AffineMap.from_permutation(family, range(n), translation=shift)
 
 
 # -- orbit criterion fixtures -----------------------------------------------------------
@@ -354,7 +461,7 @@ def scan_orbit_decide(family, v, w):
 
 def rand_atom_params(family, rng):
     """Rational coordinates, some carrying a tau or alg atom; sum zero for IV/V."""
-    arity = {Family.PIV: 3, Family.PV: 4, Family.PVI: 4}[family]
+    arity = family_space(family).arity
     vals = []
     for _ in range(arity):
         x = PV(Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 5, 6])))
