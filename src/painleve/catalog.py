@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .citations import PVI_LDEG_AMBIGUITY, Ambiguity
 from .diffpoly import RICCATI_SIGN_NOTE, DiffExpr, RelationSet, Var, jet, relations_for_system, sym
-from .exactnum import ParamValue, Rational
+from .exactnum import ZERO, ParamValue, Rational
 
 
 class Family(Enum):
@@ -257,9 +257,15 @@ def root_system() -> RootSystem:
 
 def inner_product(values: Sequence[ParamValue | Rational], root: Sequence[Rational]) -> ParamValue:
     """Componentwise inner product sum(v_i * a_i) over exact values."""
-    total = ParamValue(0)
+    total = ZERO
     for v, a in zip(values, root, strict=True):
-        total = total + _as_param(v) * Fraction(a)
+        v = _as_param(v)
+        if a == 1:
+            total = total + v
+        elif a == -1:
+            total = total - v
+        elif a != 0:
+            total = total + v * Fraction(a)
     return total
 
 

@@ -448,19 +448,32 @@ _SIGNED_VALUE_OPTIONS = frozenset(
 )
 
 
+def _is_negative_value(text: str) -> bool:
+    """A leading '-' followed by a digit or '.', or a float such as ``-inf``."""
+    if text[:1] != "-":
+        return False
+    if text[1:2].isdigit() or text[1:2] == ".":
+        return True
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _bind_negative_values(argv: Sequence[str]) -> list[str]:
     """Rewrite ``--params -1/2`` as ``--params=-1/2``.
 
     argparse reads a separate argument that starts with '-' and is not a
-    plain negative number as an option, so a fraction or a list with a
-    leading negative value would otherwise be rejected.
+    plain negative number as an option, so a fraction, a list with a
+    leading negative value or ``-inf`` would otherwise be rejected.
     """
     out: list[str] = []
     i = 0
     while i < len(argv):
         arg = argv[i]
         nxt = argv[i + 1] if i + 1 < len(argv) else ""
-        if arg in _SIGNED_VALUE_OPTIONS and nxt[:1] == "-" and (nxt[1:2].isdigit() or nxt[1:2] == "."):
+        if arg in _SIGNED_VALUE_OPTIONS and _is_negative_value(nxt):
             out.append(f"{arg}={nxt}")
             i += 2
         else:

@@ -111,8 +111,13 @@ class ParamSyntaxError(ValueError):
 class ParamValue:
     """Immutable canonical Q-affine combination of atoms.
 
-    Canonical form stores no zero coefficients and keeps atom terms sorted,
-    so structural equality is semantic equality and values hash.
+    Canonical form: ``const`` is a ``Fraction``, and ``terms`` holds
+    ``(atom, coefficient)`` pairs sorted by :meth:`Atom.sort_key`, each
+    coefficient a nonzero ``Fraction``.  Structural equality is then semantic
+    equality and values hash.  ``__init__`` brings any input into this form;
+    the internal constructor :meth:`_canonical` relies on its caller passing
+    parts already in it, and the arithmetic below uses it wherever no atom
+    can cancel.
     """
 
     __slots__ = ("const", "terms")
@@ -121,13 +126,12 @@ class ParamValue:
     terms: tuple[tuple[Atom, Fraction], ...]
 
     def __init__(self, const: Rational = 0, coeffs: Mapping[Atom, Rational] | None = None):
-        object.__setattr__(self, "const", Fraction(const))
+        object.__setattr__(self, "const", const if type(const) is Fraction else Fraction(const))
         items = []
         if coeffs:
             for atom, c in coeffs.items():
-                c = Fraction(c)
                 if c != 0:
-                    items.append((atom, c))
+                    items.append((atom, c if type(c) is Fraction else Fraction(c)))
         items.sort(key=lambda it: it[0].sort_key())
         object.__setattr__(self, "terms", tuple(items))
 
@@ -135,6 +139,14 @@ class ParamValue:
         raise AttributeError("ParamValue is immutable")
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _canonical(cls, const: Fraction, terms: tuple[tuple[Atom, Fraction], ...]) -> "ParamValue":
+        """Build a value from parts already in canonical form, unchecked."""
+        value = object.__new__(cls)
+        object.__setattr__(value, "const", const)
+        object.__setattr__(value, "terms", terms)
+        return value
 
     @staticmethod
     def of(value: Rational) -> "ParamValue":
@@ -170,16 +182,23 @@ class ParamValue:
     # -- arithmetic (closed and exact) --------------------------------------
 
     def _combine(self, other: "ParamValue", sign: int) -> "ParamValue":
+        const = self.const + other.const if sign > 0 else self.const - other.const
+        if not other.terms:
+            return ParamValue._canonical(const, self.terms)
+        if not self.terms:
+            terms = other.terms if sign > 0 else tuple((a, -c) for a, c in other.terms)
+            return ParamValue._canonical(const, terms)
+        # Atoms on both sides may cancel; __init__ drops the zero coefficients.
         coeffs: dict[Atom, Fraction] = dict(self.terms)
         for a, c in other.terms:
-            coeffs[a] = coeffs.get(a, Fraction(0)) + sign * c
-        return ParamValue(self.const + sign * other.const, coeffs)
+            coeffs[a] = coeffs.get(a, 0) + c if sign > 0 else coeffs.get(a, 0) - c
+        return ParamValue(const, coeffs)
 
     def __add__(self, other):
         if isinstance(other, ParamValue):
             return self._combine(other, 1)
         if isinstance(other, (int, Fraction)):
-            return ParamValue(self.const + other, dict(self.terms))
+            return ParamValue._canonical(self.const + other, self.terms)
         return NotImplemented
 
     __radd__ = __add__
@@ -188,19 +207,24 @@ class ParamValue:
         if isinstance(other, ParamValue):
             return self._combine(other, -1)
         if isinstance(other, (int, Fraction)):
-            return ParamValue(self.const - other, dict(self.terms))
+            return ParamValue._canonical(self.const - other, self.terms)
         return NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self) -> "ParamValue":
-        return ParamValue(-self.const, {a: -c for a, c in self.terms})
+        return ParamValue._canonical(-self.const, tuple((a, -c) for a, c in self.terms))
 
     def __mul__(self, scalar):
         if isinstance(scalar, (int, Fraction)):
-            s = Fraction(scalar)
-            return ParamValue(self.const * s, {a: c * s for a, c in self.terms})
+            if scalar == 0:
+                return ZERO
+            if scalar == 1:
+                return self
+            return ParamValue._canonical(
+                self.const * scalar, tuple((a, c * scalar) for a, c in self.terms)
+            )
         return NotImplemented
 
     __rmul__ = __mul__
@@ -373,12 +397,15 @@ def decide_coset(x: ParamValue, offset: Rational, modulus: Rational) -> TriBool:
     modulus = Fraction(modulus)
     if modulus <= 0:
         raise ValueError("modulus must be positive")
-    y = x - Fraction(offset)
-    if not y.terms:
-        return TriBool.of((y.const / modulus).denominator == 1)
-    if y.has_transcendental:
+    if not x.terms:
+        q = x.const - offset if offset else x.const
+        if modulus != 1:
+            q = q / modulus
+        return TriBool.of(q.denominator == 1)
+    # A rational offset leaves the atom terms of x - offset unchanged.
+    if x.has_transcendental:
         return TriBool.NO
-    return TriBool.NO if len(y.terms) == 1 else TriBool.UNKNOWN
+    return TriBool.NO if len(x.terms) == 1 else TriBool.UNKNOWN
 
 
 def rational_rank(rows: Sequence[Sequence[Rational]]) -> int:

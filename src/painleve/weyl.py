@@ -510,6 +510,11 @@ def orbit_decide(family: Family, v: Sequence[ParamValue | Rational], w: Sequence
                 for a in range(4):
                     diffs = [diff_table[j][perm[j]][a] for j in range(3)]
                     tests = [test_table[j][perm[j]][a] for j in range(3)]
+                    # Both points sum to zero, so the test for j = 3 is Yes when
+                    # the other three are; it runs only where they leave Unknown,
+                    # which it can still turn into No.
+                    if tri_and(tests) is TriBool.UNKNOWN:
+                        tests.append(decide_coset(base[3][perm[3]] - Fraction(a, 4), 0, 1))
                     if tri_and(tests) is TriBool.YES:
                         shift = tuple(base[j][perm[j]].const for j in range(4))
                         witness = OrbitWitness(

@@ -71,6 +71,21 @@ def test_inner_product_example():
     assert inner_product(v, (1, 1, 0, 0)) == ParamValue(Fraction(1, 2))
 
 
+def test_inner_product_matches_multiplied_sum():
+    rng = random.Random(13)
+    roots = list(root_system()) + [(2, 0, -1, 0), (Fraction(1, 2), -3, 0, 1)]
+    for _ in range(50):
+        v = [
+            ParamValue(Fraction(rng.randint(-9, 9), rng.randint(1, 6)), {tau(rng.randint(1, 2)): rng.randint(-2, 2)})
+            for _ in range(4)
+        ]
+        for root in roots:
+            expected = ParamValue(0)
+            for x, a in zip(v, root):
+                expected = expected + x * Fraction(a)
+            assert inner_product(v, root) == expected
+
+
 # -- right-hand sides against independent transcriptions ------------------------
 
 T = T_VAR

@@ -337,3 +337,46 @@ def test_degree_invariant_under_generator_words():
         after = classify(eq(family, list(image)))
         assert before.degree == after.degree
         assert before.algebraic_solutions == after.algebraic_solutions
+    # tau and alg atoms, with coordinates tied through shared atom parts so
+    # that the non-generic strata are reached.  The special-after-
+    # transformation flag and the notes depend on the representative.
+    labels = set()
+    for _ in range(200):
+        family = rng.choice([Family.PII, Family.PIII, Family.PIV, Family.PV, Family.PVI])
+        params = _tied_params(family, rng)
+        names = [g.provenance for g in weyl.generators(family)]
+        word = tuple(rng.choice(names) for _ in range(rng.randint(0, 12)))
+        image = weyl.apply_word(family, word, params)
+        before = classify(eq(family, params))
+        after = classify(eq(family, list(image)))
+        assert _invariant_fields(before) == _invariant_fields(after), (family, params, word)
+        labels.add((family, before.stratum.label))
+    assert {label for family, label in labels if family is Family.PVI} >= {"M", "P", "L"}
+    assert {family for family, label in labels if label not in ("generic", None)} >= {
+        Family.PIII, Family.PIV, Family.PV, Family.PVI,
+    }
+
+
+def _tied_params(family, rng):
+    """Rationals of small denominator plus atom parts shared up to sign."""
+    arity = {Family.PII: 1, Family.PIII: 2, Family.PIV: 3, Family.PV: 4, Family.PVI: 4}[family]
+    pool = [T1, T2, A1, A2, A1 + A2, T1 - A1]
+    shared = rng.choice([PV(0)] + pool)
+    vals = []
+    for _ in range(arity):
+        part = rng.choice([shared, shared, -shared, rng.choice(pool)])
+        vals.append(part + Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 4])))
+    if family in (Family.PIV, Family.PV):
+        vals[-1] = -sum(vals[:-1], PV(0))
+    return vals
+
+
+def _invariant_fields(report):
+    return (
+        report.stratum.label,
+        report.degree,
+        report.strongly_minimal,
+        report.algebraic_solutions,
+        report.geometrically_trivial,
+        report.stratum.half_integer_special,
+    )

@@ -387,6 +387,32 @@ def test_separate_negative_step_reaches_the_step_check(capsys):
     assert "step must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", ["--t0", "--t1"])
+def test_separate_negative_infinity_reaches_the_finite_check(option, capsys):
+    times = {"--t0": "0", "--t1": "0.1", "--step": "0.01"}
+    times[option] = "-inf"
+    argv = ["integrate", "--family", "II", "--params", "0", "--initial", "0.1,0.2"]
+    for name, text in times.items():
+        argv += [name, text]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {option} must be a finite number, got -inf\n"
+
+
+def test_separate_negative_infinity_in_batch(tmp_path, capsys):
+    batch = tmp_path / "queries.txt"
+    batch.write_text(
+        "integrate --family II --params 0 --initial 0.1,0.2 --t0 -inf --t1 0.1 --step 0.01\n"
+        "classify --family II --params -1/2\n"
+    )
+    assert run(["--batch", str(batch)]) == 2
+    captured = capsys.readouterr()
+    records = [json.loads(line) for line in captured.out.splitlines() if line.strip()]
+    assert [r["query"]["subcommand"] for r in records] == ["classify"]
+    assert captured.err == "error: --t0 must be a finite number, got -inf\n"
+
+
 def test_separate_negative_value_in_batch(tmp_path, capsys):
     batch = tmp_path / "queries.txt"
     batch.write_text(

@@ -178,6 +178,86 @@ def test_coset_yes_implies_atom_free(v):
         assert v.is_rational
 
 
+# -- fast paths against the __init__-based arithmetic ------------------------
+#
+# The reference operations build every result through ``__init__``, which
+# re-normalises its input; the arithmetic under test builds results from
+# parts it assumes are already canonical.
+
+def reference_combine(x, y, sign):
+    coeffs = dict(x.terms)
+    for a, c in y.terms:
+        coeffs[a] = coeffs.get(a, Fraction(0)) + sign * c
+    return ParamValue(x.const + sign * y.const, coeffs)
+
+
+def reference_neg(x):
+    return ParamValue(-x.const, {a: -c for a, c in x.terms})
+
+
+def reference_mul(x, scalar):
+    s = Fraction(scalar)
+    return ParamValue(x.const * s, {a: c * s for a, c in x.terms})
+
+
+def reference_decide_coset(x, offset, modulus):
+    modulus = Fraction(modulus)
+    y = reference_combine(x, ParamValue(offset), -1)
+    if not y.terms:
+        return TriBool.of((y.const / modulus).denominator == 1)
+    if y.has_transcendental:
+        return TriBool.NO
+    return TriBool.NO if len(y.terms) == 1 else TriBool.UNKNOWN
+
+
+def assert_same_canonical(value, expected):
+    assert value == expected
+    assert hash(value) == hash(expected)
+    assert type(value.const) is Fraction
+    assert all(type(c) is Fraction and c != 0 for _, c in value.terms)
+    keys = [a.sort_key() for a, _ in value.terms]
+    assert keys == sorted(keys)
+
+
+operands = st.one_of(rationals.map(ParamValue), param_values)
+scalars = st.one_of(
+    st.sampled_from([0, 1, -1, Fraction(0), Fraction(1), Fraction(-1)]),
+    st.integers(min_value=-20, max_value=20),
+    rationals,
+)
+
+
+@given(operands, operands)
+def test_combine_matches_reference(x, y):
+    assert_same_canonical(x + y, reference_combine(x, y, 1))
+    assert_same_canonical(x - y, reference_combine(x, y, -1))
+
+
+@given(operands, scalars)
+def test_scalar_operations_match_reference(x, s):
+    assert_same_canonical(-x, reference_neg(x))
+    assert_same_canonical(x * s, reference_mul(x, s))
+    assert_same_canonical(s * x, reference_mul(x, s))
+    assert_same_canonical(x + s, reference_combine(x, ParamValue(s), 1))
+    assert_same_canonical(s + x, reference_combine(x, ParamValue(s), 1))
+    assert_same_canonical(x - s, reference_combine(x, ParamValue(s), -1))
+    assert_same_canonical(s - x, reference_combine(ParamValue(s), x, -1))
+    if s != 0:
+        assert_same_canonical(x / s, reference_mul(x, Fraction(1) / Fraction(s)))
+
+
+offsets = st.one_of(
+    st.sampled_from([0, Fraction(0), Fraction(1, 2)]),
+    st.integers(min_value=-9, max_value=9).map(lambda a: Fraction(a, 4)),
+)
+moduli = st.sampled_from([1, 2, Fraction(1), Fraction(1, 2)])
+
+
+@given(operands, offsets, moduli)
+def test_decide_coset_matches_reference(x, offset, modulus):
+    assert decide_coset(x, offset, modulus) is reference_decide_coset(x, offset, modulus)
+
+
 # -- tri-valued logic ----------------------------------------------------------
 
 def test_tribool_combinators():

@@ -12,6 +12,7 @@ from painleve.exactnum import (
     alg,
     decide_coset,
     integer_solve,
+    parse_param,
     tau,
     transcendence_degree,
     tri_and,
@@ -363,6 +364,15 @@ def test_orbit_piii_half_shift_yes_without_word():
     assert verdict.witness.note is not None  # outside the generator lattice
 
 
+# v has one coordinate with a single alg atom and three with two.  Where a
+# candidate maps that coordinate to w_4, the three tests the criterion names
+# are Unknown and only the fourth coordinate's test decides No.
+PV_FOURTH_COORDINATE_PAIR = (
+    "alg3 - 1,-1*alg1 + alg3 + 1,alg1 - alg2 + 1/2,alg2 - 2*alg3 - 1/2",
+    "2/3,-2/3,-5/4,5/4",
+)
+
+
 def test_orbit_symmetry():
     rng = random.Random(17)
     for _ in range(60):
@@ -370,6 +380,23 @@ def test_orbit_symmetry():
         v = rand_params(family, rng)
         w = rand_params(family, rng)
         assert orbit_decide(family, v, w).related is orbit_decide(family, w, v).related
+    # tau and alg atoms, with related pairs and pairs tied through alg atoms.
+    for i in range(150):
+        family = rng.choice([Family.PII, Family.PIII, Family.PIV, Family.PV, Family.PVI])
+        names = family_space(family).orbit_generators
+        v = rand_atom_params(family, rng)
+        kind = i % 3
+        if kind == 0:
+            w = apply_word(family, [rng.choice(names) for _ in range(rng.randint(0, 5))], v)
+        elif kind == 1:
+            w = apply_word(family, [rng.choice(names) for _ in range(rng.randint(0, 3))], v)
+            w = tuple(x + (A2 - A1) * x.coeff(alg(1)) for x in w)
+        else:
+            w = rand_atom_params(family, rng)
+        assert orbit_decide(family, v, w).related is orbit_decide(family, w, v).related, (family, v, w)
+    v, w = (tuple(parse_param(x) for x in text.split(",")) for text in PV_FOURTH_COORDINATE_PAIR)
+    assert orbit_decide(Family.PV, v, w).related is TriBool.NO
+    assert orbit_decide(Family.PV, w, v).related is TriBool.NO
 
 
 def test_orbit_validates_parameters():
@@ -421,6 +448,7 @@ def scan_orbit_decide(family, v, w):
                 for a in range(4):
                     diffs = [w[j] - v[perm[j]] - Fraction(a, 4) for j in range(3)]
                     tests = [decide_coset(d, 0, 1) for d in diffs]
+                    tests.append(decide_coset(w[3] - v[perm[3]] - Fraction(a, 4), 0, 1))
                     witness = None
                     if tri_and(tests) is TriBool.YES:
                         witness = OrbitWitness(
