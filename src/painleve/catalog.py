@@ -3,9 +3,8 @@
 One spec per family (parameter space and its exact linear constraint,
 strata with their Morley degrees and citation keys, orbit generators,
 default chart), the displayed ODE systems as differential-polynomial
-right-hand sides, the order-one Riccati locus of the second family, and the
-24-vector root system driving the sixth-family strata.  Everything here is
-immutable data, constructed once.
+right-hand sides, and the order-one Riccati locus of the second family.
+Everything here is immutable data, constructed once.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from typing import Sequence
 
 from .citations import PVI_LDEG_AMBIGUITY, Ambiguity
 from .diffpoly import RICCATI_SIGN_NOTE, DiffExpr, RelationSet, Var, jet, relations_for_system, sym
-from .exactnum import ZERO, ParamValue, Rational
+from .exactnum import ParamValue, Rational
 
 
 class Family(Enum):
@@ -218,55 +217,6 @@ class EquationId:
     def __str__(self) -> str:
         inner = ", ".join(str(p) for p in self.params)
         return f"P{self.family.value}({inner})"
-
-
-@dataclass(frozen=True)
-class RootSystem:
-    """The 24 integer vectors with exactly two nonzero entries, each ±1."""
-
-    roots: tuple[tuple[int, int, int, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.roots)
-
-    def __iter__(self):
-        return iter(self.roots)
-
-    def __contains__(self, vec) -> bool:
-        return tuple(vec) in self.roots
-
-
-def _build_roots() -> tuple[tuple[int, int, int, int], ...]:
-    out = []
-    for i in range(4):
-        for j in range(i + 1, 4):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    v = [0, 0, 0, 0]
-                    v[i], v[j] = si, sj
-                    out.append(tuple(v))
-    return tuple(sorted(out))
-
-
-_ROOTS = RootSystem(_build_roots())
-
-
-def root_system() -> RootSystem:
-    return _ROOTS
-
-
-def inner_product(values: Sequence[ParamValue | Rational], root: Sequence[Rational]) -> ParamValue:
-    """Componentwise inner product sum(v_i * a_i) over exact values."""
-    total = ZERO
-    for v, a in zip(values, root, strict=True):
-        v = _as_param(v)
-        if a == 1:
-            total = total + v
-        elif a == -1:
-            total = total - v
-        elif a != 0:
-            total = total + v * Fraction(a)
-    return total
 
 
 # -- ODE systems ----------------------------------------------------------------

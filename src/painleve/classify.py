@@ -3,9 +3,10 @@ component structure, algebraic-solution counts, geometric triviality.
 
 Every verdict carries a citation from the registry or is an explicit
 Unknown; undecided congruences (algebraic-irrational atoms) propagate as
-Unknown rather than being guessed.  Strata are tested deepest-first, which
-is sound because each family's deeper strata are contained in the shallower
-ones.
+Unknown rather than being guessed.  ``catalog.FamilySpec.strata`` is the one
+statement of each family's strata, deepest first; a fiber lies in the first
+stratum there whose membership decides Yes, which is sound because each
+family's deeper strata are contained in the shallower ones.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .catalog import EquationId, Family, family_space, inner_product, root_system
+from .catalog import EquationId, Family, family_space
 from .citations import Citation, cite
 from .exactnum import (
     ParamValue,
@@ -40,10 +41,6 @@ class Stratum:
     label: str | None
     half_integer_special: TriBool = TriBool.NO
     special_after_transformation: bool = False
-
-    @property
-    def known(self) -> bool:
-        return self.label is not None
 
 
 @dataclass(frozen=True)
@@ -78,73 +75,81 @@ def _is_int(x: ParamValue) -> TriBool:
     return decide_coset(x, 0, _INT)
 
 
-def _same_int_coset(values: Sequence[ParamValue]) -> TriBool:
-    return tri_and(_is_int(values[0] - y) for y in values[1:])
-
-
 # -- strata ----------------------------------------------------------------------
+#
+# Each family maps the labels of its non-generic strata to membership
+# verdicts; ``stratum`` walks ``FamilySpec.strata`` over that map.
 
 
-def _pii_region(alpha: ParamValue) -> TriBool:
-    return decide_coset(alpha, Fraction(1, 2), 1)
+def _pii_strata(v: Sequence[ParamValue]) -> dict[str, TriBool]:
+    return {"half-integer": decide_coset(v[0], Fraction(1, 2), 1)}
 
 
-def _piii_regions(v: Sequence[ParamValue]) -> tuple[TriBool, TriBool]:
-    in_w1 = decide_coset(v[0] - v[1], 0, 2)
-    in_d1 = tri_and([_is_int(v[0]), _is_int(v[1]), decide_coset(v[0] + v[1], 0, 2)])
-    return in_w1, in_d1
+def _piii_strata(v: Sequence[ParamValue]) -> dict[str, TriBool]:
+    return {
+        "D1": tri_and([_is_int(v[0]), _is_int(v[1]), decide_coset(v[0] + v[1], 0, 2)]),
+        "W1": decide_coset(v[0] - v[1], 0, 2),
+    }
 
 
-def _piv_regions(v: Sequence[ParamValue]) -> tuple[TriBool, TriBool]:
-    diffs = [v[0] - v[1], v[2] - v[1], v[0] - v[2]]
-    tests = [_is_int(d) for d in diffs]
-    return tri_or(tests), tri_and(tests)
+def _piv_strata(v: Sequence[ParamValue]) -> dict[str, TriBool]:
+    tests = [_is_int(v[0] - v[1]), _is_int(v[2] - v[1]), _is_int(v[0] - v[2])]
+    return {"D": tri_and(tests), "W": tri_or(tests)}
 
 
-def _pv_regions(v: Sequence[ParamValue]) -> tuple[TriBool, TriBool, TriBool, TriBool]:
-    pair_tests = {(i, j): _is_int(v[i] - v[j]) for i, j in itertools.combinations(range(4), 2)}
-    in_w = tri_or(pair_tests.values())
-    in_s1 = tri_or(
-        tri_and([pair_tests[p1], pair_tests[p2]])
-        for p1, p2 in [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]
-    )
-    in_s2 = tri_or(
-        tri_and([pair_tests[_ord(i, j)], pair_tests[_ord(j, k)]])
-        for i, j, k in itertools.permutations(range(4), 3)
-        if i < k  # (i,j,k) and (k,j,i) give the same pair of tests
-    )
-    in_d = tri_and([pair_tests[(0, 1)], pair_tests[(0, 2)], pair_tests[(0, 3)]])
-    return in_w, in_s1, in_s2, in_d
+def _pv_strata(v: Sequence[ParamValue]) -> dict[str, TriBool]:
+    pair = {(i, j): _is_int(v[i] - v[j]) for i, j in itertools.combinations(range(4), 2)}
+
+    def two_pairs(covered: int) -> TriBool:
+        """Two integral pairs that together cover ``covered`` coordinates."""
+        return tri_or(
+            tri_and([pair[p], pair[q]])
+            for p, q in itertools.combinations(pair, 2)
+            if len(set(p + q)) == covered
+        )
+
+    # S1 and S2 together force D, so their order in the walk does not matter.
+    return {
+        "D": tri_and([pair[0, 1], pair[0, 2], pair[0, 3]]),
+        "S1": two_pairs(4),
+        "S2": two_pairs(3),
+        "W": tri_or(pair.values()),
+    }
 
 
-def _ord(i: int, j: int) -> tuple[int, int]:
-    return (i, j) if i < j else (j, i)
+# Least rank of the integrally pairing D4 roots on each sixth-family stratum.
+_PVI_MIN_RANK = {"D": 4, "L": 3, "P": 2, "M": 1}
 
 
-def _pvi_root_scan(v: Sequence[ParamValue]) -> tuple[list, list]:
-    """Split the 24 roots by whether <v, root> pairs integrally: certainly-yes
-    and undecided."""
-    yes, unknown = [], []
-    for root in root_system():
-        verdict = _is_int(inner_product(v, root))
-        if verdict is TriBool.YES:
-            yes.append(root)
-        elif verdict is TriBool.UNKNOWN:
-            unknown.append(root)
-    return yes, unknown
-
-
-def _pvi_rank(v: Sequence[ParamValue]) -> int | None:
-    """Rank of the span of integrally-pairing roots; None when undecided
-    pairings could change it."""
-    yes, unknown = _pvi_root_scan(v)
+def _pvi_strata(v: Sequence[ParamValue]) -> dict[str, TriBool]:
+    """Strata by the rank of the D4 roots ±e_i±e_j that pair integrally with
+    v.  A root and its negative pair alike, so the 12 pairings v_i ± v_j
+    (i < j) decide it; a stratum is Unknown when only the undecided
+    pairings reach its rank."""
+    yes, undecided = [], []
+    for i, j in itertools.combinations(range(4), 2):
+        for sign, value in ((1, v[i] + v[j]), (-1, v[i] - v[j])):
+            verdict = _is_int(value)
+            if verdict is not TriBool.NO:
+                row = [0, 0, 0, 0]
+                row[i], row[j] = 1, sign
+                (yes if verdict is TriBool.YES else undecided).append(row)
     rank_yes = rational_rank(yes)
-    if unknown and rational_rank(yes + unknown) > rank_yes:
-        return None
-    return rank_yes
+    rank_all = rational_rank(yes + undecided) if undecided else rank_yes
+    return {
+        label: TriBool.YES if rank_yes >= r else TriBool.UNKNOWN if rank_all >= r else TriBool.NO
+        for label, r in _PVI_MIN_RANK.items()
+    }
 
 
-_PVI_LABELS = {0: "generic", 1: "M", 2: "P", 3: "L", 4: "D"}
+_STRATA_TESTS = {
+    Family.PI: lambda v: {},
+    Family.PII: _pii_strata,
+    Family.PIII: _piii_strata,
+    Family.PIV: _piv_strata,
+    Family.PV: _pv_strata,
+    Family.PVI: _pvi_strata,
+}
 
 
 def _pvi_half_integer_special(v: Sequence[ParamValue]) -> tuple[TriBool, bool]:
@@ -177,68 +182,21 @@ def _pvi_half_integer_special(v: Sequence[ParamValue]) -> tuple[TriBool, bool]:
 
 
 def stratum(eq: EquationId) -> Stratum:
-    """Deepest stratum whose defining congruences all decide Yes; Unknown
-    (label None) when an undecided congruence could change the answer."""
+    """Walk ``FamilySpec.strata`` deepest first: the first stratum whose
+    membership decides Yes, or Unknown (label None) at the first undecided
+    one.  The generic row has no test and always holds."""
     fam = eq.family
-    v = eq.params
-    if fam is Family.PI:
-        return Stratum(fam, "generic")
-    if fam is Family.PII:
-        region = _pii_region(v[0])
-        if region is TriBool.UNKNOWN:
+    membership = _STRATA_TESTS[fam](eq.params)
+    for row in family_space(fam).strata:
+        verdict = membership.get(row.label, TriBool.YES)
+        if verdict is TriBool.UNKNOWN:
             return Stratum(fam, None)
-        return Stratum(fam, "half-integer" if region is TriBool.YES else "generic")
-    if fam is Family.PIII:
-        in_w1, in_d1 = _piii_regions(v)
-        if in_d1 is TriBool.YES:
-            return Stratum(fam, "D1")
-        if in_d1 is TriBool.UNKNOWN:
-            return Stratum(fam, None)
-        if in_w1 is TriBool.YES:
-            return Stratum(fam, "W1")
-        if in_w1 is TriBool.UNKNOWN:
-            return Stratum(fam, None)
-        return Stratum(fam, "generic")
-    if fam is Family.PIV:
-        in_w, in_d = _piv_regions(v)
-        if in_d is TriBool.YES:
-            return Stratum(fam, "D")
-        if in_d is TriBool.UNKNOWN:
-            return Stratum(fam, None)
-        if in_w is TriBool.YES:
-            return Stratum(fam, "W")
-        if in_w is TriBool.UNKNOWN:
-            return Stratum(fam, None)
-        return Stratum(fam, "generic")
-    if fam is Family.PV:
-        in_w, in_s1, in_s2, in_d = _pv_regions(v)
-        if in_d is TriBool.YES:
-            return Stratum(fam, "D")
-        if in_d is TriBool.UNKNOWN:
-            return Stratum(fam, None)
-        # S1 and S2 together force D, so at most one of them is Yes here.
-        if TriBool.UNKNOWN in (in_s1, in_s2):
-            # The undecided test flips the label (S1 vs W, S2 vs W, ...).
-            return Stratum(fam, None)
-        if in_s1 is TriBool.YES:
-            return Stratum(fam, "S1")
-        if in_s2 is TriBool.YES:
-            return Stratum(fam, "S2")
-        if in_w is TriBool.YES:
-            return Stratum(fam, "W")
-        if in_w is TriBool.UNKNOWN:
-            return Stratum(fam, None)
-        return Stratum(fam, "generic")
-    if fam is Family.PVI:
-        rank = _pvi_rank(v)
-        if rank is None:
-            return Stratum(fam, None)
-        label = _PVI_LABELS[rank]
-        special, transformed = TriBool.NO, False
-        if label == "M":
-            special, transformed = _pvi_half_integer_special(v)
-        return Stratum(fam, label, half_integer_special=special, special_after_transformation=transformed)
-    raise ValueError(f"unhandled family {fam}")
+        if verdict is TriBool.YES:
+            break
+    if fam is Family.PVI and row.label == "M":
+        special, transformed = _pvi_half_integer_special(eq.params)
+        return Stratum(fam, row.label, half_integer_special=special, special_after_transformation=transformed)
+    return Stratum(fam, row.label)
 
 
 # -- degree, components, counts ---------------------------------------------------
@@ -282,7 +240,7 @@ def algebraic_solution_count_P3(v1: ParamValue, v2: ParamValue) -> int | None:
     return {2: 4, 1: 2, 0: 0}[yes]
 
 
-def _algebraic_solutions(eq: EquationId) -> tuple[int | None, list[str]]:
+def _algebraic_solutions(eq: EquationId, strat: Stratum) -> tuple[int | None, list[str]]:
     fam = eq.family
     if fam is Family.PII:
         verdict = _is_int(eq.params[0])
@@ -298,10 +256,9 @@ def _algebraic_solutions(eq: EquationId) -> tuple[int | None, list[str]]:
             keys.append("piii_no_alg_generic")
         return count, keys
     if fam is Family.PV:
-        _, _, in_s2, in_d = _pv_regions(eq.params)
-        if in_d is TriBool.YES:
+        if strat.label == "D":
             return 2, ["pv_count2"]
-        if in_d is TriBool.NO and in_s2 is TriBool.YES:
+        if strat.label == "S2":
             return 1, ["pv_count1"]
         return None, []
     # First, fourth and sixth families: no count criterion is implemented.
@@ -348,7 +305,7 @@ def classify(eq: EquationId) -> ClassificationReport:
         degree_citation = cite(row.degree_keys[0])
 
     strongly_minimal = TriBool.UNKNOWN if degree is None else TriBool.of(degree == 1)
-    count, count_keys = _algebraic_solutions(eq)
+    count, count_keys = _algebraic_solutions(eq, strat)
     trivial, trivial_keys = _geometric_triviality(eq, notes)
     citation_keys += count_keys + trivial_keys
     notes.extend(spec.notes)

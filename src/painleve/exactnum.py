@@ -149,10 +149,6 @@ class ParamValue:
         return value
 
     @staticmethod
-    def of(value: Rational) -> "ParamValue":
-        return ParamValue(value)
-
-    @staticmethod
     def of_atom(atom: Atom, coeff: Rational = 1) -> "ParamValue":
         return ParamValue(0, {atom: coeff})
 
@@ -174,10 +170,6 @@ class ParamValue:
     @property
     def has_transcendental(self) -> bool:
         return any(a.kind is AtomKind.TRANSCENDENTAL for a, _ in self.terms)
-
-    @property
-    def algebraic_atoms(self) -> tuple[Atom, ...]:
-        return tuple(a for a, _ in self.terms if a.kind is AtomKind.ALGEBRAIC_IRRATIONAL)
 
     # -- arithmetic (closed and exact) --------------------------------------
 
@@ -443,74 +435,3 @@ def transcendence_degree(values: Sequence[ParamValue]) -> int:
         return 0
     rows = [[v.coeff(a) for a in atoms] for v in values]
     return rational_rank(rows)
-
-
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, s, t) with g = gcd(a, b) >= 0 and s*a + t*b = g."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
-def integer_solve(A: Sequence[Sequence[int]], b: Sequence[int]) -> list[int] | None:
-    """Solve A·x = b over the integers, exactly.
-
-    Performs unimodular column reduction (Hermite-style) of A, tracking the
-    transform, then back-substitutes with divisibility checks.  Returns one
-    integral solution, or None when no integral solution exists.
-    """
-    m = len(A)
-    n = len(A[0]) if m else 0
-    if any(len(row) != n for row in A):
-        raise ValueError("matrix rows must have equal length")
-    if len(b) != m:
-        raise ValueError("dimension mismatch between matrix and vector")
-    W = [[int(x) for x in row] for row in A]
-    b = [int(x) for x in b]
-    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    pivots: list[tuple[int, int]] = []
-    col = 0
-    for row in range(m):
-        if col >= n:
-            break
-        j0 = next((j for j in range(col, n) if W[row][j] != 0), None)
-        if j0 is None:
-            continue
-        if j0 != col:
-            for M in (W, U):
-                for r in range(len(M)):
-                    M[r][col], M[r][j0] = M[r][j0], M[r][col]
-        for j in range(col + 1, n):
-            if W[row][j] == 0:
-                continue
-            a, c = W[row][col], W[row][j]
-            g, s, t = _ext_gcd(a, c)
-            u_, v_ = a // g, c // g
-            for M in (W, U):
-                for r in range(len(M)):
-                    x, y = M[r][col], M[r][j]
-                    M[r][col] = s * x + t * y
-                    M[r][j] = -v_ * x + u_ * y
-        pivots.append((row, col))
-        col += 1
-    y = [0] * n
-    for row, c in pivots:
-        residue = b[row] - sum(W[row][j] * y[j] for j in range(c))
-        pivot = W[row][c]
-        if residue % pivot != 0:
-            return None
-        y[c] = residue // pivot
-    for r in range(m):
-        if sum(W[r][j] * y[j] for j in range(n)) != b[r]:
-            return None
-    x = [sum(U[i][j] * y[j] for j in range(n)) for i in range(n)]
-    assert all(sum(A[i][k] * x[k] for k in range(n)) == b[i] for i in range(m))
-    return x

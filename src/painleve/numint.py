@@ -49,9 +49,15 @@ class TrajectoryStatus(Enum):
 
 @dataclass(frozen=True)
 class NumericAssignment:
-    """Numeric values for symbolic atoms; the module never invents values."""
+    """Numeric values for symbolic atoms; the module never invents values.
+    Every value must be finite."""
 
     atom_values: Mapping[Atom, float] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for atom, value in self.atom_values.items():
+            if not math.isfinite(value):
+                raise ValueError(f"atom {atom.name} must be a finite number, got {value}")
 
     def value_of(self, p: ParamValue) -> float:
         total = float(p.const)
@@ -77,9 +83,6 @@ class Trajectory:
     def times(self) -> list[float]:
         return [t for t, _ in self.samples]
 
-    def component(self, index: int) -> list[float]:
-        return [state[index] for _, state in self.samples]
-
 
 # -- compilation ------------------------------------------------------------------
 
@@ -96,9 +99,14 @@ def _poly_source(poly: Poly, names: Mapping[Var, str], consts: Mapping[Var, floa
                 continue
             v = poly.vars[i]
             if v in consts:
-                constant *= consts[v] ** e
+                try:
+                    constant *= consts[v] ** e
+                except OverflowError:
+                    constant = math.inf
             else:
                 factors.extend([names[v]] * e)
+        if not math.isfinite(constant):
+            raise ValueError("a coefficient of the right-hand side overflows at these parameter values")
         chunks.append("*".join([repr(constant), *factors]))
     return "(" + " + ".join(chunks) + ")"
 
@@ -166,11 +174,13 @@ def integrate_rhs(
     """Classical RK4 with a fixed step (the step is snapped so that the span
     divides evenly).  Aborts with Blowup when any state component leaves
     [-1e8, 1e8] or stops being finite.  Raises ValueError for a non-finite
-    t0, t1 or step, and StepBudgetError, before any step is taken, when the
-    interval needs more than MAX_STEPS steps."""
+    t0, t1, step or initial component, and StepBudgetError, before any step
+    is taken, when the interval needs more than MAX_STEPS steps."""
     for name, value in (("t0", t0), ("t1", t1), ("step", step)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be a finite number, got {value}")
+    if not all(math.isfinite(x) for x in initial):
+        raise ValueError(f"initial state must be finite, got {list(initial)}")
     if step <= 0:
         raise ValueError("step must be positive")
     if t1 <= t0:

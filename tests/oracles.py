@@ -1,0 +1,245 @@
+"""Reference implementations kept as test oracles.
+
+- ``integer_solve`` solves integer linear systems by column reduction; the
+  translation-word tests compare ``weyl`` against it.
+- ``pvi_root_scan`` splits the 24 roots of D4 by how they pair with a
+  sixth-family parameter.
+- ``chain_stratum`` decides the stratum by one hand-written if-chain per
+  family, and ``chain_pv_algebraic_solutions`` decides the fifth family's
+  count from its congruences, apart from the stratum.  ``chain_classify``
+  runs ``classify`` on both, for comparison with the walk over
+  ``FamilySpec.strata``.
+"""
+
+from __future__ import annotations
+
+import importlib
+import itertools
+from fractions import Fraction
+from typing import Sequence
+from unittest import mock
+
+from painleve.catalog import EquationId, Family
+from painleve.classify import ClassificationReport, Stratum, _pvi_half_integer_special
+from painleve.exactnum import ParamValue, TriBool, decide_coset, rational_rank, tri_and, tri_or
+
+# The package exports the function ``classify`` under the module's name.
+classify_module = importlib.import_module("painleve.classify")
+
+# -- integer linear systems -----------------------------------------------------------
+
+
+def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """Return (g, s, t) with g = gcd(a, b) >= 0 and s*a + t*b = g."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r != 0:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
+def integer_solve(A: Sequence[Sequence[int]], b: Sequence[int]) -> list[int] | None:
+    """Solve A·x = b over the integers, exactly.
+
+    Performs unimodular column reduction (Hermite-style) of A, tracking the
+    transform, then back-substitutes with divisibility checks.  Returns one
+    integral solution, or None when no integral solution exists.
+    """
+    m = len(A)
+    n = len(A[0]) if m else 0
+    if any(len(row) != n for row in A):
+        raise ValueError("matrix rows must have equal length")
+    if len(b) != m:
+        raise ValueError("dimension mismatch between matrix and vector")
+    W = [[int(x) for x in row] for row in A]
+    b = [int(x) for x in b]
+    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    pivots: list[tuple[int, int]] = []
+    col = 0
+    for row in range(m):
+        if col >= n:
+            break
+        j0 = next((j for j in range(col, n) if W[row][j] != 0), None)
+        if j0 is None:
+            continue
+        if j0 != col:
+            for M in (W, U):
+                for r in range(len(M)):
+                    M[r][col], M[r][j0] = M[r][j0], M[r][col]
+        for j in range(col + 1, n):
+            if W[row][j] == 0:
+                continue
+            a, c = W[row][col], W[row][j]
+            g, s, t = _ext_gcd(a, c)
+            u_, v_ = a // g, c // g
+            for M in (W, U):
+                for r in range(len(M)):
+                    x, y = M[r][col], M[r][j]
+                    M[r][col] = s * x + t * y
+                    M[r][j] = -v_ * x + u_ * y
+        pivots.append((row, col))
+        col += 1
+    y = [0] * n
+    for row, c in pivots:
+        residue = b[row] - sum(W[row][j] * y[j] for j in range(c))
+        pivot = W[row][c]
+        if residue % pivot != 0:
+            return None
+        y[c] = residue // pivot
+    for r in range(m):
+        if sum(W[r][j] * y[j] for j in range(n)) != b[r]:
+            return None
+    x = [sum(U[i][j] * y[j] for j in range(n)) for i in range(n)]
+    assert all(sum(A[i][k] * x[k] for k in range(n)) == b[i] for i in range(m))
+    return x
+
+
+# -- the D4 roots ----------------------------------------------------------------------
+
+# The 24 integer vectors with exactly two nonzero entries, each ±1.
+D4_ROOTS = tuple(
+    tuple(si if k == i else sj if k == j else 0 for k in range(4))
+    for i, j in itertools.combinations(range(4), 2)
+    for si in (1, -1)
+    for sj in (1, -1)
+)
+
+
+def pvi_root_scan(v: Sequence[ParamValue]) -> tuple[list, list]:
+    """Split the 24 roots by whether <v, root> is an integer: certainly yes,
+    and undecided."""
+    yes, unknown = [], []
+    for root in D4_ROOTS:
+        verdict = decide_coset(sum((x * a for x, a in zip(v, root)), ParamValue(0)), 0, 1)
+        if verdict is TriBool.YES:
+            yes.append(root)
+        elif verdict is TriBool.UNKNOWN:
+            unknown.append(root)
+    return yes, unknown
+
+
+# -- the per-family strata chains -------------------------------------------------------
+
+
+def _is_int(x: ParamValue) -> TriBool:
+    return decide_coset(x, 0, 1)
+
+
+def _pv_regions(v: Sequence[ParamValue]) -> tuple[TriBool, TriBool, TriBool, TriBool]:
+    pair = {(i, j): _is_int(v[i] - v[j]) for i, j in itertools.combinations(range(4), 2)}
+    in_w = tri_or(pair.values())
+    in_s1 = tri_or(
+        tri_and([pair[p], pair[q]]) for p, q in [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]
+    )
+    in_s2 = tri_or(
+        tri_and([pair[min(i, j), max(i, j)], pair[min(j, k), max(j, k)]])
+        for i, j, k in itertools.permutations(range(4), 3)
+    )
+    in_d = tri_and([pair[0, 1], pair[0, 2], pair[0, 3]])
+    return in_w, in_s1, in_s2, in_d
+
+
+def _pvi_rank(v: Sequence[ParamValue]) -> int | None:
+    yes, unknown = pvi_root_scan(v)
+    rank_yes = rational_rank(yes)
+    if unknown and rational_rank(yes + unknown) > rank_yes:
+        return None
+    return rank_yes
+
+
+def chain_stratum(eq: EquationId) -> Stratum:
+    """The stratum, decided by one hand-written if-chain per family."""
+    fam = eq.family
+    v = eq.params
+    if fam is Family.PI:
+        return Stratum(fam, "generic")
+    if fam is Family.PII:
+        region = decide_coset(v[0], Fraction(1, 2), 1)
+        if region is TriBool.UNKNOWN:
+            return Stratum(fam, None)
+        return Stratum(fam, "half-integer" if region is TriBool.YES else "generic")
+    if fam is Family.PIII:
+        in_w1 = decide_coset(v[0] - v[1], 0, 2)
+        in_d1 = tri_and([_is_int(v[0]), _is_int(v[1]), decide_coset(v[0] + v[1], 0, 2)])
+        if in_d1 is TriBool.YES:
+            return Stratum(fam, "D1")
+        if in_d1 is TriBool.UNKNOWN:
+            return Stratum(fam, None)
+        if in_w1 is TriBool.YES:
+            return Stratum(fam, "W1")
+        if in_w1 is TriBool.UNKNOWN:
+            return Stratum(fam, None)
+        return Stratum(fam, "generic")
+    if fam is Family.PIV:
+        tests = [_is_int(v[0] - v[1]), _is_int(v[2] - v[1]), _is_int(v[0] - v[2])]
+        in_w, in_d = tri_or(tests), tri_and(tests)
+        if in_d is TriBool.YES:
+            return Stratum(fam, "D")
+        if in_d is TriBool.UNKNOWN:
+            return Stratum(fam, None)
+        if in_w is TriBool.YES:
+            return Stratum(fam, "W")
+        if in_w is TriBool.UNKNOWN:
+            return Stratum(fam, None)
+        return Stratum(fam, "generic")
+    if fam is Family.PV:
+        in_w, in_s1, in_s2, in_d = _pv_regions(v)
+        if in_d is TriBool.YES:
+            return Stratum(fam, "D")
+        if in_d is TriBool.UNKNOWN:
+            return Stratum(fam, None)
+        if TriBool.UNKNOWN in (in_s1, in_s2):
+            return Stratum(fam, None)
+        if in_s1 is TriBool.YES:
+            return Stratum(fam, "S1")
+        if in_s2 is TriBool.YES:
+            return Stratum(fam, "S2")
+        if in_w is TriBool.YES:
+            return Stratum(fam, "W")
+        if in_w is TriBool.UNKNOWN:
+            return Stratum(fam, None)
+        return Stratum(fam, "generic")
+    rank = _pvi_rank(v)
+    if rank is None:
+        return Stratum(fam, None)
+    label = {0: "generic", 1: "M", 2: "P", 3: "L", 4: "D"}[rank]
+    if label != "M":
+        return Stratum(fam, label)
+    special, transformed = _pvi_half_integer_special(v)
+    return Stratum(fam, label, half_integer_special=special, special_after_transformation=transformed)
+
+
+def chain_pv_algebraic_solutions(v: Sequence[ParamValue]) -> int | None:
+    """The fifth family's count from its congruences, decided apart from the
+    stratum."""
+    _, _, in_s2, in_d = _pv_regions(v)
+    if in_d is TriBool.YES:
+        return 2
+    if in_d is TriBool.NO and in_s2 is TriBool.YES:
+        return 1
+    return None
+
+
+_walk_algebraic_solutions = classify_module._algebraic_solutions
+
+
+def _chain_algebraic_solutions(eq: EquationId, strat: Stratum) -> tuple[int | None, list[str]]:
+    if eq.family is not Family.PV:
+        return _walk_algebraic_solutions(eq, strat)
+    count = chain_pv_algebraic_solutions(eq.params)
+    return count, [] if count is None else [{2: "pv_count2", 1: "pv_count1"}[count]]
+
+
+def chain_classify(eq: EquationId) -> ClassificationReport:
+    """``classify`` with the stratum and the fifth family's count decided by
+    the chains above."""
+    with mock.patch.object(classify_module, "stratum", chain_stratum), mock.patch.object(
+        classify_module, "_algebraic_solutions", _chain_algebraic_solutions
+    ):
+        return classify_module.classify(eq)

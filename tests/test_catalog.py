@@ -10,13 +10,11 @@ from painleve.catalog import (
     UnknownFamilyError,
     UnsupportedFamilyError,
     family_space,
-    inner_product,
     ode_system,
     pii_residual,
     piv_scalar_params,
     riccati_relation,
     riccati_rules,
-    root_system,
     PI_FORM_NOTE,
     PIV_SCALAR_NOTE,
 )
@@ -52,38 +50,6 @@ def test_equation_id_validation():
         EquationId(Family.PII, [1, 2])
     t1 = ParamValue.of_atom(tau(1))
     EquationId(Family.PIV, [t1, -t1, 0])  # symbolic cancellation is exact
-
-
-def test_root_system_shape():
-    roots = root_system()
-    assert len(roots) == 24
-    for r in roots:
-        assert sum(1 for x in r if x != 0) == 2
-        assert all(x in (-1, 0, 1) for x in r)
-        assert tuple(-x for x in r) in roots
-    assert (1, 1, 0, 0) in roots
-    assert (-1, -1, 0, 0) in roots
-
-
-def test_inner_product_example():
-    v = [Fraction(1, 2), 0, Fraction(1, 4), Fraction(1, 4)]
-    assert inner_product(v, (0, 0, 1, -1)) == ParamValue(0)
-    assert inner_product(v, (1, 1, 0, 0)) == ParamValue(Fraction(1, 2))
-
-
-def test_inner_product_matches_multiplied_sum():
-    rng = random.Random(13)
-    roots = list(root_system()) + [(2, 0, -1, 0), (Fraction(1, 2), -3, 0, 1)]
-    for _ in range(50):
-        v = [
-            ParamValue(Fraction(rng.randint(-9, 9), rng.randint(1, 6)), {tau(rng.randint(1, 2)): rng.randint(-2, 2)})
-            for _ in range(4)
-        ]
-        for root in roots:
-            expected = ParamValue(0)
-            for x, a in zip(v, root):
-                expected = expected + x * Fraction(a)
-            assert inner_product(v, root) == expected
 
 
 # -- right-hand sides against independent transcriptions ------------------------

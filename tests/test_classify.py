@@ -7,10 +7,12 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from painleve.catalog import EquationId, Family, inner_product, root_system
+from painleve.catalog import EquationId, Family, family_space
 from painleve.citations import CITATIONS, PVI_LDEG_AMBIGUITY
 from painleve.classify import algebraic_solution_count_P3, classify, stratum
 from painleve.exactnum import ParamValue, TriBool, alg, decide_coset, rational_rank, tau
+
+from oracles import chain_classify, chain_stratum, classify_module, pvi_root_scan
 
 PV = ParamValue
 T1, T2, T3, T4 = (PV.of_atom(tau(i)) for i in (1, 2, 3, 4))
@@ -303,11 +305,13 @@ def _random_params(family, rng, atoms=True):
 
 def test_pvi_rank_matches_bruteforce_independent_subsets():
     rng = random.Random(21)
-    roots = list(root_system())
+    roots = [r for r in itertools.product((-1, 0, 1), repeat=4) if sum(map(abs, r)) == 2]
+    assert len(roots) == 24
     for _ in range(20):
         params = _random_params(Family.PVI, rng)
         integral = [
-            r for r in roots if decide_coset(inner_product(params, r), 0, 1) is TriBool.YES
+            r for r in roots
+            if decide_coset(sum((x * a for x, a in zip(params, r)), PV(0)), 0, 1) is TriBool.YES
         ]
         s = stratum(eq(Family.PVI, params))
         # brute force: largest linearly independent subset of size <= 4
@@ -380,3 +384,58 @@ def _invariant_fields(report):
         report.geometrically_trivial,
         report.stratum.half_integer_special,
     )
+
+
+# -- the walk over FamilySpec.strata against the per-family chains ------------------------
+
+def test_strata_tests_name_every_non_generic_row():
+    for family in Family:
+        labels = [row.label for row in family_space(family).strata]
+        assert labels[-1] == "generic"
+        tests = classify_module._STRATA_TESTS[family]([PV(0)] * family_space(family).arity)
+        assert list(tests) == labels[:-1]
+
+
+@st.composite
+def tied_equations(draw):
+    """Parameters of any family with tau/alg atoms, some coordinates tied to
+    others, or to their negatives, by small rational shifts.  Sum-zero
+    families subtract the mean, which keeps every difference."""
+    family = draw(st.sampled_from(list(Family)))
+    spec = family_space(family)
+    parts = [PV(0), PV(0), T1, T2, A1, A2, A1 + A2, T1 - A1, A1 - 2 * A2 + PV.of_atom(alg(3))]
+
+    def value():
+        const = Fraction(draw(st.integers(-6, 6)), draw(st.sampled_from([1, 1, 2, 3, 4])))
+        return draw(st.sampled_from(parts)) + const
+
+    v = [value() for _ in range(spec.arity)]
+    for _ in range(draw(st.integers(0, 2 * spec.arity))):
+        i, j = draw(st.integers(0, spec.arity - 1)), draw(st.integers(0, spec.arity - 1))
+        shift = Fraction(draw(st.integers(-4, 4)), draw(st.sampled_from([1, 1, 2])))
+        v[j] = v[i] * draw(st.sampled_from([1, -1])) + shift
+    if spec.sum_zero:
+        mean = sum(v, PV(0)) / spec.arity
+        v = [x - mean for x in v]
+    return eq(family, v)
+
+
+@given(tied_equations())
+@settings(max_examples=400, deadline=None)
+def test_classify_matches_per_family_chains(equation):
+    assert stratum(equation) == chain_stratum(equation)
+    assert classify(equation) == chain_classify(equation)
+
+
+def test_pvi_pairings_match_root_scan_rank():
+    rng = random.Random(34)
+    for _ in range(300):
+        v = _tied_params(Family.PVI, rng)
+        yes, unknown = pvi_root_scan(v)
+        tests = classify_module._pvi_strata(v)
+        rank_yes, rank_all = rational_rank(yes), rational_rank(yes + unknown)
+        for label, least in [("D", 4), ("L", 3), ("P", 2), ("M", 1)]:
+            expected = (
+                TriBool.YES if rank_yes >= least else TriBool.UNKNOWN if rank_all >= least else TriBool.NO
+            )
+            assert tests[label] is expected, (v, label)

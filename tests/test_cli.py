@@ -413,6 +413,37 @@ def test_separate_negative_infinity_in_batch(tmp_path, capsys):
     assert captured.err == "error: --t0 must be a finite number, got -inf\n"
 
 
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (["--params", "tau1", "--assign", "tau1=nan", "--initial", "0.1,0.2"], "atom tau1 must be a finite number, got nan"),
+        (["--params", "tau1", "--assign", "tau1=inf", "--initial", "0.1,0.2"], "atom tau1 must be a finite number, got inf"),
+        (["--params", "0", "--initial", "nan,0"], "initial state must be finite, got [nan, 0.0]"),
+        (["--params", "0", "--initial", "inf,0"], "initial state must be finite, got [inf, 0.0]"),
+    ],
+)
+def test_non_finite_integrate_values_exit_2(options, message, capsys):
+    argv = ["integrate", "--family", "II", *options, "--t0", "0", "--t1", "0.1", "--step", "0.01"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_non_finite_integrate_values_in_batch(tmp_path, capsys):
+    batch = tmp_path / "queries.txt"
+    batch.write_text(
+        "integrate --family II --params tau1 --assign tau1=nan --initial 0.1,0.2 --t0 0 --t1 0.1 --step 0.01\n"
+        "integrate --family II --params 0 --initial nan,0 --t0 0 --t1 0.1 --step 0.01\n"
+        "classify --family II --params -1/2\n"
+    )
+    assert run(["--batch", str(batch)]) == 2
+    captured = capsys.readouterr()
+    records = [json.loads(line) for line in captured.out.splitlines() if line.strip()]
+    assert [r["query"]["subcommand"] for r in records] == ["classify"]
+    assert captured.err.count("error: ") == 2
+
+
 def test_separate_negative_value_in_batch(tmp_path, capsys):
     batch = tmp_path / "queries.txt"
     batch.write_text(

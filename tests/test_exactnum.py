@@ -13,7 +13,6 @@ from painleve.exactnum import (
     alg,
     decide_coset,
     format_param,
-    integer_solve,
     parse_param,
     rational_rank,
     tau,
@@ -22,6 +21,8 @@ from painleve.exactnum import (
     tri_not,
     tri_or,
 )
+
+from oracles import integer_solve
 
 # -- strategies --------------------------------------------------------------
 
@@ -304,7 +305,7 @@ def test_td_unchanged_by_linear_combinations(values, weights, const):
     assert transcendence_degree(values + [combo]) == transcendence_degree(values)
 
 
-# -- integer_solve ---------------------------------------------------------------
+# -- integer_solve (the test oracle for translation words) -----------------------
 
 def brute_force_solve(A, b, radius):
     n = len(A[0]) if A else 0

@@ -215,6 +215,32 @@ def test_integrate_rejects_non_finite_times(which, bad):
     assert not isinstance(info.value, StepBudgetError)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_integrate_rejects_non_finite_initial_state(bad):
+    with pytest.raises(ValueError, match="initial state must be finite"):
+        integrate_rhs(exp_rhs, [bad], 0.0, 1.0, 1e-2)
+    eq = EquationId(Family.PII, [0])
+    with pytest.raises(ValueError, match="initial state must be finite"):
+        integrate(eq, None, [0.1, bad], 0.0, 1.0, 1e-2)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_atom_values_rejected(bad):
+    with pytest.raises(ValueError, match="atom tau1 must be a finite number"):
+        NumericAssignment({tau(1): bad})
+
+
+def test_parameter_overflow_rejected():
+    # Finite atom values whose parameter, or a folded product of
+    # parameters, leaves the floats.
+    t1 = ParamValue.of_atom(tau(1))
+    with pytest.raises(ValueError, match="overflows"):
+        integrate(EquationId(Family.PII, [t1 * 2]), NumericAssignment({tau(1): 1e308}), [0.1, 0.1], 0.0, 1.0, 1e-2)
+    eq = EquationId(Family.PV, [t1, 0, 0, -t1])
+    with pytest.raises(ValueError, match="overflows"):
+        integrate(eq, NumericAssignment({tau(1): 1e200}), [0.5, 0.5], 1.0, 1.1, 1e-2, form="QP")
+
+
 def test_integrate_rejects_bad_arguments():
     with pytest.raises(ValueError):
         integrate_rhs(exp_rhs, [1.0], 0.0, 1.0, -1e-3)

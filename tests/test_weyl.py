@@ -11,7 +11,6 @@ from painleve.exactnum import (
     TriBool,
     alg,
     decide_coset,
-    integer_solve,
     parse_param,
     tau,
     transcendence_degree,
@@ -36,6 +35,8 @@ from painleve.weyl import (
     resolve_token,
     word_map,
 )
+
+from oracles import integer_solve
 
 PV = ParamValue
 T1, T2, T3, T4 = (PV.of_atom(tau(i)) for i in (1, 2, 3, 4))
