@@ -43,11 +43,9 @@ from .diffpoly import (
 from .exactnum import ParamSyntaxError, ParamValue, TriBool, format_param, parse_param
 from .numint import MissingAtomError, NumericAssignment, SingularIntervalError, StepBudgetError
 from .weyl import (
-    MAX_SEARCH_BOUND,
     AffineMap,
     HypothesisStatus,
     OrbitVerdict,
-    SearchBoundError,
     Verdict,
     cross_family_verdict,
     named_generators,
@@ -187,7 +185,7 @@ def _cmd_orbit(args) -> tuple[dict, int]:
     family = Family.from_name(args.family)
     v = _parse_params(args.v)
     w = _parse_params(args.w)
-    verdict = orbit_with_word(family, v, w, bound=args.bound)
+    verdict = orbit_with_word(family, v, w)
     status_cite = verdict.criterion_citation if verdict.hypothesis_status is not HypothesisStatus.OPEN else None
     verdicts = [
         _verdict("related", _tri(verdict.related), verdict.criterion_citation),
@@ -385,7 +383,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True)
     p.add_argument("--v", required=True, help="first parameter tuple")
     p.add_argument("--w", required=True, help="second parameter tuple")
-    p.add_argument("--bound", type=int, default=16, help=f"generator-word search bound, at most {MAX_SEARCH_BOUND}")
 
     p = sub.add_parser("orthogonal", help="orthogonality verdict for two equations")
     p.add_argument("--family1", required=True)
@@ -438,7 +435,6 @@ _INPUT_ERRORS = (
     SingularIntervalError,
     MissingAtomError,
     StepBudgetError,
-    SearchBoundError,
 )
 
 

@@ -4,20 +4,24 @@ Each family carries a group of exact affine maps on parameter space
 (generated by the cataloged reflections and quarter/third translations);
 fibers over the same orbit are in definable bijection.  This module holds
 the generator catalogs, the affine-map algebra, the closed-form orbit
-criteria with re-verifiable witnesses, best-effort generator-word synthesis,
-and the orthogonality verdict table within and across families.
+criteria with re-verifiable witnesses, generator words read off the
+witnesses, and the orthogonality verdict table within and across families.
 
 On parameters the Bäcklund transformations form affine Weyl groups
 (Noumi–Yamada, CMP 199, 1998), so every map is a signed permutation plus a
 translation.  Maps and orbit witnesses store ``perm``, ``signs`` and a
 translation ``t``, meaning ``result[j] = signs[j] * v[perm[j]] + t[j]``.
 Words are tuples of generator names applied left to right; ``name^-1``
-denotes an inverse.
+denotes an inverse.  The third to sixth families' words come from one
+alcove walk: the witness maps a point of the fundamental alcove to another
+alcove, and walking that image back, one wall at a time, spells the
+shortest group element that maps v to w (see ``_alcove_word``).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
@@ -39,10 +43,6 @@ from .exactnum import (
 
 class NoGeneratorsError(ValueError):
     pass
-
-
-class SearchBoundError(ValueError):
-    """The generator-word search bound exceeds MAX_SEARCH_BOUND."""
 
 
 # -- affine maps -----------------------------------------------------------------
@@ -161,22 +161,11 @@ def _named(family: Family) -> dict[str, AffineMap]:
 
 
 @lru_cache(maxsize=None)
-def _token_table(family: Family) -> tuple[dict[str, AffineMap], dict[str, str]]:
-    """Every word token of a family, ``name`` and ``name^-1``, mapped to its
-    affine map; and every name mapped to the token that inverts it (the name
-    itself for an involution, else another generator equal to the inverse,
-    else ``name^-1``)."""
-    named = _named(family)
-    maps = dict(named)
-    inverse_token = {}
-    for name, m in named.items():
-        inv = m.inverse()
-        maps[name + "^-1"] = inv
-        if inv == m:
-            inverse_token[name] = name
-        else:
-            inverse_token[name] = next((n for n, g in named.items() if g == inv), name + "^-1")
-    return maps, inverse_token
+def _token_table(family: Family) -> dict[str, AffineMap]:
+    """Every word token of a family, ``name`` and ``name^-1``, mapped to its affine map."""
+    maps = _named(family)
+    maps.update({name + "^-1": m.inverse() for name, m in maps.items()})
+    return maps
 
 
 def named_generators(family: Family) -> dict[str, AffineMap]:
@@ -184,28 +173,11 @@ def named_generators(family: Family) -> dict[str, AffineMap]:
     return dict(_named(family))
 
 
-def generators(family: Family) -> list[AffineMap]:
-    """The generators of the family's orbit group."""
-    maps = _token_table(family)[0]
-    return [maps[name] for name in family_space(family).orbit_generators]
-
-
 def resolve_token(family: Family, token: str) -> AffineMap:
     try:
-        return _token_table(family)[0][token]
+        return _token_table(family)[token]
     except KeyError:
         raise KeyError(f"unknown generator {token!r} for family {family.value}") from None
-
-
-def invert_token(family: Family, token: str) -> str:
-    if token.endswith("^-1"):
-        return token[:-3]
-    resolve_token(family, token)  # rejects an unknown token
-    return _token_table(family)[1][token]
-
-
-def invert_word(family: Family, word: Sequence[str]) -> tuple[str, ...]:
-    return tuple(invert_token(family, tok) for tok in reversed(word))
 
 
 def word_map(family: Family, word: Sequence[str]) -> AffineMap:
@@ -222,90 +194,6 @@ def apply_word(family: Family, word: Sequence[str], values: Sequence[ParamValue 
     for token in word:
         out = resolve_token(family, token).apply(out)
     return out
-
-
-def pv_translation_module() -> list[AffineMap]:
-    """The four quarter-translations generating the fifth family's Z-module of
-    translations: +1/4*(1,1,1,-3), +1/4*(0,0,-4,4), +1/4*(0,-4,0,4), +1/4*(-4,0,0,4)."""
-    vecs = [
-        (Fraction(1, 4), Fraction(1, 4), Fraction(1, 4), Fraction(-3, 4)),
-        (Fraction(0), Fraction(0), Fraction(-1), Fraction(1)),
-        (Fraction(0), Fraction(-1), Fraction(0), Fraction(1)),
-        (Fraction(-1), Fraction(0), Fraction(0), Fraction(1)),
-    ]
-    P = AffineMap.from_permutation
-    return [P(Family.PV, range(4), translation=v, name=f"alpha{i + 1}") for i, v in enumerate(vecs)]
-
-
-# -- permutation and translation words (machine-derived, verified) -----------------------
-
-
-@lru_cache(maxsize=None)
-def _perm_words(family: Family) -> dict[tuple[int, ...], tuple[str, ...]]:
-    """BFS over the permutation generators: permutation -> shortest word."""
-    perm_gens = {
-        Family.PIV: ("s1", "s2"),
-        Family.PV: ("s1", "s2", "s3"),
-    }[family]
-    dim = family_space(family).arity
-    start = AffineMap.identity(family, dim)
-    seen = {start.perm: ()}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for name in perm_gens:
-                composed = resolve_token(family, name).compose(m)
-                if composed.perm not in seen:
-                    seen[composed.perm] = seen[m.perm] + (name,)
-                    nxt.append(composed)
-        frontier = nxt
-    return seen
-
-
-def _perm_word_for(family: Family, perm: Sequence[int]) -> tuple[str, ...]:
-    return _perm_words(family)[tuple(perm)]
-
-
-@lru_cache(maxsize=None)
-def _translation_words(family: Family) -> dict[tuple[Fraction, ...], tuple[str, ...]]:
-    """Words for the elementary integer translations e_i - e_j, derived by
-    conjugating one base translation word by permutation words and verifying
-    each candidate exactly."""
-    if family is Family.PIV:
-        base_word: tuple[str, ...] = ("s1", "s2", "s1", "s0")
-    elif family is Family.PV:
-        composite = ("tminus", "s3", "s1", "s2", "s1", "s3", "tminus^-1")
-        base_word = _perm_word_for(family, (0, 3, 2, 1)) + composite
-    else:
-        raise NoGeneratorsError(f"no translation-word table for family {family.value}")
-    ident = AffineMap.identity(family, family_space(family).arity)
-    out: dict[tuple[Fraction, ...], tuple[str, ...]] = {}
-    for pword in _perm_words(family).values():
-        word = pword + base_word + invert_word(family, pword)
-        m = word_map(family, word)
-        if (m.perm, m.signs) == (ident.perm, ident.signs) and m.translation not in out:
-            out[m.translation] = word
-    return out
-
-
-def _integer_translation_word(family: Family, shift: Sequence[Fraction]) -> tuple[str, ...] | None:
-    """Express an integral sum-zero translation as a generator word using the
-    elementary-move table.  The basis e_k - e_{k+1} is triangular, so the
-    coefficient of e_k - e_{k+1} is the prefix sum shift_0 + ... + shift_k."""
-    moves = _translation_words(family)
-    n = family_space(family).arity
-    coeffs = list(itertools.accumulate(int(x) for x in shift))
-    if coeffs[-1] != 0:
-        return None
-    word: tuple[str, ...] = ()
-    for k, c in enumerate(coeffs[:-1]):
-        vec = tuple(Fraction(1 if i == k else (-1 if i == k + 1 else 0)) for i in range(n))
-        if vec not in moves:
-            return None
-        move = moves[vec] if c >= 0 else invert_word(family, moves[vec])
-        word += move * abs(c)
-    return word
 
 
 # -- orbit verdicts -------------------------------------------------------------------
@@ -436,20 +324,20 @@ def orbit_decide(family: Family, v: Sequence[ParamValue | Rational], w: Sequence
         related = tri_or([t_plus, t_minus])
         witness = None
         if related is TriBool.YES:
+            # The group's elements are exactly these four linear parts with an
+            # integral shift of even sum, so a candidate in that lattice is
+            # preferred; the note marks a witness that is not a group element.
+            rational = []
             for eps, perm in itertools.product((1, -1), ((0, 1), (1, 0))):
                 shifts = [w[j] - v[perm[j]] * eps for j in range(2)]
                 if all(s.is_rational for s in shifts):
-                    in_lattice = all(s.const.denominator == 1 for s in shifts) and (
-                        (shifts[0].const + shifts[1].const) % 2 == 0
-                    )
-                    witness = OrbitWitness(
-                        perm=perm,
-                        signs=(eps, eps),
-                        shift=tuple(s.const for s in shifts),
-                        note=None if in_lattice else "affine witness lies outside the generator lattice",
-                    )
-                    break
-            if witness is None:
+                    rational.append((perm, eps, tuple(s.const for s in shifts)))
+            in_lattice = [c for c in rational if _in_lattice(c[2])]
+            if rational:
+                perm, eps, shift = (in_lattice or rational)[0]
+                note = None if in_lattice else "affine witness lies outside the generator lattice"
+                witness = OrbitWitness(perm=perm, signs=(eps, eps), shift=shift, note=note)
+            else:
                 branch = "+" if t_plus is TriBool.YES else "-"
                 shift = (dw - dv) if t_plus is TriBool.YES else (dw + dv)
                 witness = OrbitWitness(
@@ -591,151 +479,174 @@ def _status(related: TriBool, hypotheses_hold: bool) -> HypothesisStatus:
 
 # -- generator words ---------------------------------------------------------------------
 
+# Longest word returned; a longer one is reported as WordTooLong.
+MAX_WORD_TOKENS = 10_000
+
+# The third to sixth families' orbit groups are affine Weyl groups.  Each row
+# lists words for their simple reflections (the fifth family's affine one is
+# the displayed composite) and a rational point inside the alcove bounded by
+# those reflections' walls.
+_ALCOVES = {
+    Family.PIII: ((("s1",), ("s2",), ("s3",), ("s4",)), ("1/2", "1/4")),
+    Family.PIV: ((("s0",), ("s1",), ("s2",)), ("0", "1/3", "-1/3")),
+    Family.PV: (
+        (("s1",), ("s2",), ("s3",), ("tminus", "s3", "s1", "s2", "s1", "s3", "tminus^-1")),
+        ("1/8", "3/8", "-1/8", "-3/8"),
+    ),
+    Family.PVI: ((("s1",), ("s2",), ("s3",), ("s4",), ("s5",)), ("2/5", "3/10", "1/5", "1/10")),
+}
+
+# The fifth family's quarter translation; tminus translates by its negative.
+_QUARTER = (Fraction(1, 4), Fraction(1, 4), Fraction(1, 4), Fraction(-3, 4))
+
+
+def _in_lattice(shift: Sequence[Fraction]) -> bool:
+    """Integral with even sum: the translations of the III-VI orbit groups
+    (for IV/V, whose shifts sum to zero, just integral)."""
+    return all(t.denominator == 1 for t in shift) and sum(shift) % 2 == 0
+
+
+@lru_cache(maxsize=None)
+def _alcove(family: Family):
+    """The family's alcove, scaled by the common denominator of its point:
+    ``(scale, point, walls, roots)``.  Each wall is ``(i, a, j, b, k, block)``:
+    inside the alcove a*x_i + b*x_j > k, and ``block`` spells the reflection
+    x -> x - c*(a*e_i + b*e_j) with c = a*x_i + b*x_j - k.  ``roots`` lists
+    the positive roots x_i + b*x_j (i < j) of the finite group; each has a
+    reflecting wall at every integer level."""
+    blocks, point = _ALCOVES[family]
+    point = [Fraction(x) for x in point]
+    scale = math.lcm(*(x.denominator for x in point))
+    point = tuple(int(x * scale) for x in point)
+    walls = []
+    for block in blocks:
+        # The block is the reflection in a root e_i + b*e_j at level k.
+        m = word_map(family, block)
+        i = next(i for i in range(m.dim) if (m.perm[i], m.signs[i]) != (i, 1))
+        j, b, k = m.perm[i], -m.signs[i], int(m.translation[i]) * scale
+        a = 1 if point[i] + b * point[j] > k else -1
+        walls.append((i, a, j, a * b, a * k, block))
+    signs = (-1,) if family_space(family).sum_zero else (-1, 1)
+    roots = tuple((i, j, b) for i, j in itertools.combinations(range(len(point)), 2) for b in signs)
+    return scale, point, tuple(walls), roots
+
+
+def _alcove_word(
+    family: Family, witness: OrbitWitness, shift: Sequence[Fraction], w: Sequence[ParamValue], budget: int
+) -> tuple[str, ...] | None:
+    """Reduced word of the shortest group element h with h(v) = w, given the
+    witness map g (with translation ``shift``, a group element) that maps v
+    to w; None when that word has more than ``budget`` tokens.
+
+    Every such h is u*g with u in the stabilizer of w, which the reflections
+    in walls through w generate.  Reflecting g(point) across those walls
+    until none of them separates it from the point gives h(point) for the
+    shortest h of the coset (Dyer).  Walking h(point) back into the alcove,
+    one violated wall at a time, lowers the length by one per step, so the
+    reflections taken, last first, spell a reduced word for h.  The point is
+    rational, so the walk is integer arithmetic on the scaled point even when
+    v and w carry atoms.
+    """
+    scale, point, walls, roots = _alcove(family)
+    q = [s * point[p] + int(t) * scale for p, s, t in zip(witness.perm, witness.signs, shift)]
+    through_w = []
+    for i, j, b in roots:
+        level = w[i] + w[j] * b
+        if level.is_rational and level.const.denominator == 1:
+            through_w.append((i, j, b, int(level.const) * scale))
+    moved = True
+    while moved:
+        moved = False
+        for i, j, b, k in through_w:
+            c = q[i] + b * q[j] - k
+            if c * (point[i] + b * point[j] - k) < 0:
+                q[i] -= c
+                q[j] -= b * c
+                moved = True
+    taken: list[tuple[str, ...]] = []
+    tokens = 0
+    while True:
+        for i, a, j, b, k, block in walls:
+            c = a * q[i] + b * q[j] - k
+            if c < 0:
+                q[i] -= a * c
+                q[j] -= b * c
+                taken.append(block)
+                tokens += len(block)
+                if tokens > budget:
+                    return None
+                break
+        else:
+            return tuple(token for block in reversed(taken) for token in block)
+
 
 def generator_word(
     family: Family,
     v: Sequence[ParamValue | Rational],
     w: Sequence[ParamValue | Rational],
-    bound: int = 16,
     verdict: OrbitVerdict | None = None,
 ) -> WordResult:
-    """Best-effort word in the family's generators mapping v to w exactly.
+    """A word in the family's generators mapping v to w exactly, read from
+    the orbit witness.
 
-    The permutation/sign part is composed from the reflection generators and
-    the translation part is solved over the available translation lattice
-    (second, fourth, fifth families); the third and sixth families use a
-    bounded bidirectional search, so an absent word there is not a proof of
-    non-existence.  ``verdict`` is ``orbit_decide(family, v, w)`` when the
-    caller has already computed it.  A ``bound`` above MAX_SEARCH_BOUND
-    raises SearchBoundError.
+    The second family's word is its normal form, a reflection or not and
+    then a run of one shift.  For the third to sixth families the witness
+    map is a group element unless it lies outside the generator lattice
+    (the third family's extra parity), and the group is an affine Weyl
+    group, so ``_alcove_word`` spells the shortest element mapping v to w by
+    an alcove walk; the fifth family's quarter translation is split off
+    first and appended as ``tminus^-1`` tokens.  NoWordFound therefore
+    proves that no group element maps v to w.  A word longer than
+    MAX_WORD_TOKENS is reported as WordTooLong.  ``verdict`` is
+    ``orbit_decide(family, v, w)`` when the caller has already computed it.
     """
-    _check_bound(bound)
     v = _coerce_params(family, v)
     w = _coerce_params(family, w)
     if verdict is None:
         verdict = orbit_decide(family, v, w)
     if verdict.related is not TriBool.YES:
         raise ValueError("generator_word requires an orbit_decide verdict of Yes")
-
     if family is Family.PI:
         return WordResult(word=())
+    witness = verdict.witness
+    if not witness.has_map:
+        return WordResult(word=None, reason="NoWordFound")
 
     if family is Family.PII:
-        word = _pii_word(v[0], w[0])
-        if word is not None and apply_word(family, word, v) == w:
-            return WordResult(word=word)
-        return WordResult(word=None, reason="NoWordFound")
-
-    if family in (Family.PIV, Family.PV):
-        witness = verdict.witness
-        if witness is None or not witness.has_map:
-            return WordResult(word=None, reason="NoWordFound")
-        word = _perm_word_for(family, witness.perm)
-        shift = witness.shift
+        # w = v + n, or w = -v + n = reflect(v) + (n + 1).
+        reflect = witness.signs[0] < 0
+        n = int(witness.shift[0]) + reflect
+        if abs(n) + reflect > MAX_WORD_TOKENS:
+            return WordResult(word=None, reason="WordTooLong")
+        word = ("reflect",) * reflect + (("shift_up",) * n if n >= 0 else ("shift_down",) * -n)
+    else:
+        shift, target, tail = witness.shift, w, ()
         if family is Family.PV:
-            a = witness.quarter_shift or 0
-            quarter = (Fraction(1, 4), Fraction(1, 4), Fraction(1, 4), Fraction(-3, 4))
-            word += ("tminus^-1",) * a
-            residue = tuple(s - a * q for s, q in zip(shift, quarter))
-        else:
-            residue = shift
-        tail = _integer_translation_word(family, residue)
-        if tail is None:
+            a = witness.quarter_shift
+            shift = tuple(t - a * x for t, x in zip(shift, _QUARTER))
+            target = tuple(y - a * x for y, x in zip(w, _QUARTER))
+            tail = ("tminus^-1",) * a
+        if not _in_lattice(shift):
             return WordResult(word=None, reason="NoWordFound")
+        word = _alcove_word(family, witness, shift, target, MAX_WORD_TOKENS - len(tail))
+        if word is None:
+            return WordResult(word=None, reason="WordTooLong")
         word += tail
-        if apply_word(family, word, v) == w:
-            return WordResult(word=word)
-        return WordResult(word=None, reason="NoWordFound")
-
-    if family in (Family.PIII, Family.PVI):
-        word = _bidirectional_search(family, v, w, bound)
-        if word is not None:
-            return WordResult(word=word)
-        return WordResult(word=None, reason="NoWordFound")
-
-    raise NoGeneratorsError(f"family {family.value} has no generators")
-
-
-def _pii_word(a: ParamValue, b: ParamValue) -> tuple[str, ...] | None:
-    diff = b - a
-    if diff.is_rational and diff.const.denominator == 1:
-        n = int(diff.const)
-        return ("shift_up",) * n if n >= 0 else ("shift_down",) * (-n)
-    summ = b + a
-    if summ.is_rational and summ.const.denominator == 1:
-        k = int(summ.const) + 1
-        word: tuple[str, ...] = ("reflect",)
-        word += ("shift_up",) * k if k >= 0 else ("shift_down",) * (-k)
-        return word
-    return None
-
-
-# Largest accepted word-search bound.  The search's state sets grow roughly
-# as bound^4: on one sixth-family pair, bounds 20, 30 and 40 took 0.6 s,
-# 2.9 s (28 MB) and 9.7 s (53 MB).
-MAX_SEARCH_BOUND = 32
-
-
-def _check_bound(bound: int) -> None:
-    if bound > MAX_SEARCH_BOUND:
-        raise SearchBoundError(f"word search bound {bound} exceeds the maximum of {MAX_SEARCH_BOUND}")
-
-
-def _bidirectional_search(
-    family: Family,
-    v: tuple[ParamValue, ...],
-    w: tuple[ParamValue, ...],
-    bound: int,
-) -> tuple[str, ...] | None:
-    """Meet-in-the-middle over the (involutive) generators; combined word
-    length is capped by ``bound``."""
-    gens = [(name, resolve_token(family, name)) for name in family_space(family).orbit_generators]
-    if v == w:
-        return ()
-    sides: list[dict[tuple[ParamValue, ...], tuple[str, ...]]] = [{v: ()}, {w: ()}]
-    frontiers = [dict(sides[0]), dict(sides[1])]
-    depths = [0, 0]
-    while sum(depths) < bound and (frontiers[0] or frontiers[1]):
-        if not frontiers[0]:
-            side = 1
-        elif not frontiers[1]:
-            side = 0
-        else:
-            side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
-        new_frontier: dict[tuple[ParamValue, ...], tuple[str, ...]] = {}
-        for state, word in frontiers[side].items():
-            for name, g in gens:
-                nxt = g.apply(state)
-                if nxt in sides[side]:
-                    continue
-                sides[side][nxt] = word + (name,)
-                new_frontier[nxt] = word + (name,)
-        frontiers[side] = new_frontier
-        depths[side] += 1
-        meet = sides[0].keys() & sides[1].keys()
-        if meet:
-            # Set order follows the atoms' hashes, which vary between runs;
-            # the shortest, then lexicographically first, word is stable.
-            words = (sides[0][mid] + invert_word(family, sides[1][mid]) for mid in meet)
-            word = min(words, key=lambda wd: (len(wd), wd))
-            if apply_word(family, word, v) == w:
-                return word
-    return None
+    if apply_word(family, word, v) == w:
+        return WordResult(word=word)
+    return WordResult(word=None, reason="NoWordFound")
 
 
 def orbit_with_word(
     family: Family,
     v: Sequence[ParamValue | Rational],
     w: Sequence[ParamValue | Rational],
-    bound: int = 16,
 ) -> OrbitVerdict:
-    """orbit_decide plus word synthesis when the verdict is Yes; the bound is
-    checked first, whatever the verdict."""
-    _check_bound(bound)
+    """orbit_decide plus word synthesis when the verdict is Yes."""
     verdict = orbit_decide(family, v, w)
     if verdict.related is not TriBool.YES:
         return verdict
-    result = generator_word(family, v, w, bound=bound, verdict=verdict)
+    result = generator_word(family, v, w, verdict=verdict)
     return replace(verdict, word=result.word, word_reason=result.reason)
 
 

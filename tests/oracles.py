@@ -1,7 +1,6 @@
 """Reference implementations kept as test oracles.
 
-- ``integer_solve`` solves integer linear systems by column reduction; the
-  translation-word tests compare ``weyl`` against it.
+- ``integer_solve`` solves integer linear systems by column reduction.
 - ``pvi_root_scan`` splits the 24 roots of D4 by how they pair with a
   sixth-family parameter.
 - ``chain_stratum`` decides the stratum by one hand-written if-chain per
@@ -9,6 +8,11 @@
   count from its congruences, apart from the stratum.  ``chain_classify``
   runs ``classify`` on both, for comparison with the walk over
   ``FamilySpec.strata``.
+- ``shortest_word`` is the bounded meet-in-the-middle search that spelled
+  third- and sixth-family words before the alcove walk; it finds a shortest
+  word.  ``table_word`` is the fourth and fifth families' former
+  construction: a permutation word from a breadth-first search, then the
+  translation as copies of conjugated elementary translation words.
 """
 
 from __future__ import annotations
@@ -16,12 +20,14 @@ from __future__ import annotations
 import importlib
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 from unittest import mock
 
-from painleve.catalog import EquationId, Family
+from painleve.catalog import EquationId, Family, family_space
 from painleve.classify import ClassificationReport, Stratum, _pvi_half_integer_special
 from painleve.exactnum import ParamValue, TriBool, decide_coset, rational_rank, tri_and, tri_or
+from painleve.weyl import AffineMap, OrbitWitness, apply_word, named_generators, resolve_token, word_map
 
 # The package exports the function ``classify`` under the module's name.
 classify_module = importlib.import_module("painleve.classify")
@@ -243,3 +249,116 @@ def chain_classify(eq: EquationId) -> ClassificationReport:
         classify_module, "_algebraic_solutions", _chain_algebraic_solutions
     ):
         return classify_module.classify(eq)
+
+
+# -- generator words ------------------------------------------------------------------
+
+
+def invert_word(family: Family, word: Sequence[str]) -> tuple[str, ...]:
+    """A word for the inverse map: each token inverted (by the name itself for
+    an involution, else by another generator equal to the inverse, else by
+    ``name^-1``), in reverse order."""
+    named = named_generators(family)
+
+    def invert(token: str) -> str:
+        if token.endswith("^-1"):
+            return token[:-3]
+        inverse = named[token].inverse()
+        return next((name for name, g in named.items() if g == inverse), token + "^-1")
+
+    return tuple(invert(token) for token in reversed(word))
+
+
+def shortest_word(
+    family: Family, v: Sequence[ParamValue], w: Sequence[ParamValue], bound: int = 16
+) -> tuple[str, ...] | None:
+    """Meet-in-the-middle over the (involutive) orbit generators: a shortest,
+    then lexicographically first, word of at most ``bound`` letters mapping v
+    to w, or None."""
+    gens = [(name, resolve_token(family, name)) for name in family_space(family).orbit_generators]
+    v, w = tuple(v), tuple(w)
+    if v == w:
+        return ()
+    sides: list[dict[tuple[ParamValue, ...], tuple[str, ...]]] = [{v: ()}, {w: ()}]
+    frontiers = [dict(sides[0]), dict(sides[1])]
+    depths = [0, 0]
+    while sum(depths) < bound and (frontiers[0] or frontiers[1]):
+        if not frontiers[0]:
+            side = 1
+        elif not frontiers[1]:
+            side = 0
+        else:
+            side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
+        new_frontier: dict[tuple[ParamValue, ...], tuple[str, ...]] = {}
+        for state, word in frontiers[side].items():
+            for name, g in gens:
+                nxt = g.apply(state)
+                if nxt in sides[side]:
+                    continue
+                sides[side][nxt] = word + (name,)
+                new_frontier[nxt] = word + (name,)
+        frontiers[side] = new_frontier
+        depths[side] += 1
+        meet = sides[0].keys() & sides[1].keys()
+        if meet:
+            words = (sides[0][mid] + invert_word(family, sides[1][mid]) for mid in meet)
+            word = min(words, key=lambda wd: (len(wd), wd))
+            if apply_word(family, word, v) == w:
+                return word
+    return None
+
+
+@lru_cache(maxsize=None)
+def _perm_words(family: Family) -> dict[tuple[int, ...], tuple[str, ...]]:
+    """BFS over the permutation generators: permutation -> shortest word."""
+    perm_gens = {Family.PIV: ("s1", "s2"), Family.PV: ("s1", "s2", "s3")}[family]
+    start = AffineMap.identity(family, family_space(family).arity)
+    seen = {start.perm: ()}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for name in perm_gens:
+                composed = resolve_token(family, name).compose(m)
+                if composed.perm not in seen:
+                    seen[composed.perm] = seen[m.perm] + (name,)
+                    nxt.append(composed)
+        frontier = nxt
+    return seen
+
+
+@lru_cache(maxsize=None)
+def _translation_words(family: Family) -> dict[tuple[Fraction, ...], tuple[str, ...]]:
+    """Words for the elementary integer translations e_i - e_j: one base
+    translation word conjugated by every permutation word."""
+    if family is Family.PIV:
+        base_word: tuple[str, ...] = ("s1", "s2", "s1", "s0")
+    else:
+        composite = ("tminus", "s3", "s1", "s2", "s1", "s3", "tminus^-1")
+        base_word = _perm_words(family)[(0, 3, 2, 1)] + composite
+    ident = AffineMap.identity(family, family_space(family).arity)
+    out: dict[tuple[Fraction, ...], tuple[str, ...]] = {}
+    for pword in _perm_words(family).values():
+        word = pword + base_word + invert_word(family, pword)
+        m = word_map(family, word)
+        if (m.perm, m.signs) == (ident.perm, ident.signs) and m.translation not in out:
+            out[m.translation] = word
+    return out
+
+
+def table_word(family: Family, witness: OrbitWitness) -> tuple[str, ...]:
+    """The fourth or fifth family's word for the witness map: the permutation
+    word, the quarter translations, then each integral translation e_k -
+    e_{k+1} repeated by its coefficient (a prefix sum of the shift)."""
+    word = _perm_words(family)[witness.perm]
+    shift = witness.shift
+    if family is Family.PV:
+        a = witness.quarter_shift
+        word += ("tminus^-1",) * a
+        shift = tuple(t - a * Fraction(q, 4) for t, q in zip(shift, (1, 1, 1, -3)))
+    moves = _translation_words(family)
+    n = family_space(family).arity
+    for k, c in enumerate(itertools.accumulate(int(x) for x in shift[:-1])):
+        vec = tuple(Fraction(1 if i == k else (-1 if i == k + 1 else 0)) for i in range(n))
+        word += (moves[vec] if c >= 0 else invert_word(family, moves[vec])) * abs(c)
+    return word

@@ -10,7 +10,7 @@ import random
 import time
 from fractions import Fraction
 
-from painleve.catalog import EquationId, Family
+from painleve.catalog import EquationId, Family, family_space
 from painleve.citations import PVI_LDEG_AMBIGUITY
 from painleve.classify import classify
 from painleve.diffpoly import (
@@ -36,7 +36,6 @@ from painleve.weyl import (
     apply_word,
     cross_family_verdict,
     generator_word,
-    generators,
     named_generators,
     orbit_decide,
     word_map,
@@ -134,7 +133,7 @@ def test_criterion_4_orbit_soundness_fuzz():
     for _ in range(trials):
         family = rng.choice(families)
         v = random_params(family)
-        names = [g.provenance for g in generators(family)]
+        names = family_space(family).orbit_generators
         word = tuple(rng.choice(names) for _ in range(rng.randint(0, 12)))
         w = apply_word(family, word, v)
         verdict = orbit_decide(family, v, w)

@@ -1,5 +1,7 @@
 import itertools
 import random
+import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,7 @@ from painleve.exactnum import (
     tri_and,
 )
 from painleve.weyl import (
+    MAX_WORD_TOKENS,
     AffineMap,
     HypothesisStatus,
     NoGeneratorsError,
@@ -25,18 +28,14 @@ from painleve.weyl import (
     apply_word,
     cross_family_verdict,
     generator_word,
-    generators,
-    invert_token,
-    invert_word,
     named_generators,
     orbit_decide,
     orbit_with_word,
-    pv_translation_module,
     resolve_token,
     word_map,
 )
 
-from oracles import integer_solve
+from oracles import shortest_word, table_word
 
 PV = ParamValue
 T1, T2, T3, T4 = (PV.of_atom(tau(i)) for i in (1, 2, 3, 4))
@@ -104,13 +103,18 @@ def test_from_permutation_rejects_non_permutations():
 
 
 def test_generator_catalogs():
-    assert [g.provenance for g in generators(Family.PII)] == ["reflect", "shift_up", "shift_down"]
-    assert [g.provenance for g in generators(Family.PIII)] == ["s1", "s2", "s3", "s4"]
-    assert [g.provenance for g in generators(Family.PIV)] == ["s0", "s1", "s2"]
-    assert [g.provenance for g in generators(Family.PV)] == ["s1", "s2", "s3", "tminus"]
-    assert [g.provenance for g in generators(Family.PVI)] == ["s1", "s2", "s3", "s4", "s5"]
+    catalogs = {
+        Family.PII: ["reflect", "shift_up", "shift_down"],
+        Family.PIII: ["s1", "s2", "s3", "s4"],
+        Family.PIV: ["s0", "s1", "s2"],
+        Family.PV: ["s1", "s2", "s3", "tminus"],
+        Family.PVI: ["s1", "s2", "s3", "s4", "s5"],
+    }
+    for family, names in catalogs.items():
+        assert list(family_space(family).orbit_generators) == names
+        assert [resolve_token(family, name).provenance for name in names] == names
     with pytest.raises(NoGeneratorsError):
-        generators(Family.PI)
+        resolve_token(Family.PI, "s1")
 
 
 @pytest.mark.parametrize("family", [Family.PII, Family.PIII, Family.PIV, Family.PV, Family.PVI])
@@ -119,15 +123,9 @@ def test_token_table_matches_fresh_generators(family):
     for name, m in fresh.items():
         assert resolve_token(family, name) == m
         assert resolve_token(family, name + "^-1") == m.inverse()
-        inv = m.inverse()
-        expected = name if inv == m else next((n for n, g in fresh.items() if g == inv), name + "^-1")
-        assert invert_token(family, name) == expected
-        assert invert_token(family, name + "^-1") == name
     for bad in ("nosuch", "nosuch^-1", "s1^-1^-1"):
         with pytest.raises(KeyError):
             resolve_token(family, bad)
-    with pytest.raises(KeyError):
-        invert_token(family, "nosuch")
 
 
 def test_pii_generator_actions():
@@ -176,7 +174,9 @@ def test_sum_zero_preserved_symbolically():
 
 
 def test_pv_translation_module_actions():
-    alphas = pv_translation_module()
+    # The four quarter translations generating the fifth family's translations.
+    vecs = [(H / 2, H / 2, H / 2, -3 * H / 2), (0, 0, -1, 1), (0, -1, 0, 1), (-1, 0, 0, 1)]
+    alphas = [AffineMap.from_permutation(Family.PV, range(4), translation=vec) for vec in vecs]
     v = (T1, T2, T3, -T1 - T2 - T3)
     a1 = alphas[0].apply(v)
     assert a1[0] == T1 + Fraction(1, 4)
@@ -192,9 +192,9 @@ def test_pv_translation_module_actions():
 
 def test_invert_word_roundtrip():
     word = ("tminus", "s3", "s1")
-    inv = invert_word(Family.PV, word)
+    inv = tuple(token + "^-1" for token in reversed(word))
     assert word_map(Family.PV, word + inv).is_identity()
-    assert invert_word(Family.PII, ("shift_up",)) == ("shift_down",)
+    assert resolve_token(Family.PII, "shift_up^-1") == resolve_token(Family.PII, "shift_down")
 
 
 # -- dense-matrix reference -------------------------------------------------------------
@@ -260,31 +260,6 @@ def test_word_algebra_matches_dense_reference(family):
         assert dense(m.inverse()) == dense_inverse(reference), word
         v = rand_atom_params(family, rng)
         assert apply_word(family, word, v) == dense_apply(reference, v), (word, v)
-
-
-def integer_solve_translation_word(family, shift):
-    """Reference for _integer_translation_word: the coefficients over the
-    basis e_i - e_{i+1} come from integer_solve instead of prefix sums."""
-    moves = weyl._translation_words(family)
-    n = family_space(family).arity
-    basis = [tuple(Fraction(1 if k == i else (-1 if k == i + 1 else 0)) for k in range(n)) for i in range(n - 1)]
-    coeffs = integer_solve([[int(b[i]) for b in basis] for i in range(n)], [int(x) for x in shift])
-    word = ()
-    for c, vec in zip(coeffs, basis):
-        word += (moves[vec] if c > 0 else invert_word(family, moves[vec])) * abs(c)
-    return word
-
-
-@pytest.mark.parametrize("family", [Family.PIV, Family.PV])
-def test_integer_translation_word_matches_integer_solve(family):
-    rng = random.Random(f"translation:{family.value}")
-    n = family_space(family).arity
-    for _ in range(150):
-        head = [rng.randint(-6, 6) for _ in range(n - 1)]
-        shift = tuple(Fraction(x) for x in head + [-sum(head)])
-        word = weyl._integer_translation_word(family, shift)
-        assert word == integer_solve_translation_word(family, shift), shift
-        assert word_map(family, word) == AffineMap.from_permutation(family, range(n), translation=shift)
 
 
 # -- orbit criterion fixtures -----------------------------------------------------------
@@ -410,7 +385,7 @@ def test_orbit_soundness_fuzz():
     for _ in range(250):
         family = rng.choice([Family.PII, Family.PIII, Family.PIV, Family.PV, Family.PVI])
         v = rand_params(family, rng)
-        names = [g.provenance for g in generators(family)]
+        names = family_space(family).orbit_generators
         word = tuple(rng.choice(names) for _ in range(rng.randint(0, 12)))
         w = apply_word(family, word, v)
         verdict = orbit_decide(family, v, w)
@@ -557,10 +532,10 @@ def test_word_property_random_words():
     for family, max_len in lengths.items():
         for _ in range(8):
             v = rand_params(family, rng)
-            names = [g.provenance for g in generators(family)]
+            names = family_space(family).orbit_generators
             word = tuple(rng.choice(names) for _ in range(rng.randint(1, max_len)))
             w = apply_word(family, word, v)
-            res = generator_word(family, v, w, bound=16)
+            res = generator_word(family, v, w)
             assert res.word is not None, (family, word)
             assert apply_word(family, res.word, v) == w
 
@@ -595,14 +570,105 @@ def test_word_piv_negative_translation():
     assert apply_word(Family.PIV, res.word, (PV(2), PV(-3), PV(1))) == (PV(-3), PV(3), PV(0))
 
 
-def test_word_bound_exhaustion_reports_no_word():
-    v = (T1, T2)
-    w = apply_word(Family.PIII, ("s1", "s3", "s2", "s4", "s1", "s3", "s2", "s4", "s3", "s1"), v)
-    res = generator_word(Family.PIII, v, w, bound=2)
-    if res.word is None:
-        assert res.reason == "NoWordFound"
-    else:  # a shorter equivalent word may exist within the bound
-        assert apply_word(Family.PIII, res.word, v) == w
+def test_orbit_piii_witness_prefers_the_generator_lattice():
+    # The identity candidate has the rational shift (-2/15, 2/15); the swap
+    # has shift 0 and is the generator s1.
+    v, w = (PV(Fraction(1, 3)), PV(Fraction(1, 5))), (PV(Fraction(1, 5)), PV(Fraction(1, 3)))
+    verdict = orbit_with_word(Family.PIII, v, w)
+    assert (verdict.witness.perm, verdict.witness.shift, verdict.witness.note) == ((1, 0), (0, 0), None)
+    assert verdict.word == ("s1",)
+
+
+def test_word_pvi_long_translation():
+    # A translation by (60, 60, 0, 0): the bounded search gave NoWordFound.
+    v = tuple(PV(Fraction(*x)) for x in ((1, 3), (1, 5), (2, 7), (3, 11)))
+    w = (v[0] + 60, v[1] + 60, v[2], v[3])
+    res = generator_word(Family.PVI, v, w)
+    assert res.word is not None and apply_word(Family.PVI, res.word, v) == w
+    # one reflection per wall x_i + b*x_j = k crossed on the way from v to w
+    assert len(res.word) == 120 + 8 * 60
+
+
+@pytest.mark.parametrize("family", [Family.PII, Family.PIII, Family.PIV, Family.PV, Family.PVI])
+def test_word_too_long_keeps_the_verdict(family):
+    n = 10**9
+    v = {
+        Family.PII: (PV(0),),
+        Family.PIII: (PV(Fraction(1, 3)), PV(Fraction(1, 5))),
+        Family.PIV: (PV(Fraction(1, 3)), PV(Fraction(1, 5)), PV(Fraction(-8, 15))),
+        Family.PV: (PV(Fraction(1, 3)), PV(Fraction(1, 5)), PV(Fraction(1, 7)), PV(Fraction(-71, 105))),
+        Family.PVI: (PV(Fraction(1, 3)), PV(Fraction(1, 5)), PV(Fraction(2, 7)), PV(Fraction(3, 11))),
+    }[family]
+    shift = {Family.PII: (n,), Family.PIII: (n, n), Family.PVI: (n, n, 0, 0)}.get(family, (n, -n) + (0,) * (len(v) - 2))
+    w = tuple(x + k for x, k in zip(v, shift))
+    start = time.perf_counter()
+    verdict = orbit_with_word(family, v, w)
+    assert time.perf_counter() - start < 1.0
+    assert (verdict.word, verdict.word_reason) == (None, "WordTooLong")
+    assert verdict == replace(orbit_decide(family, v, w), word_reason="WordTooLong")
+
+
+def test_word_at_the_token_cap_is_returned():
+    assert generator_word(Family.PII, [0], [MAX_WORD_TOKENS]).word == ("shift_up",) * MAX_WORD_TOKENS
+    assert generator_word(Family.PII, [0], [MAX_WORD_TOKENS + 1]).reason == "WordTooLong"
+    # reflect, then shift_up past the reflection's -1: one token over the cap
+    v, w = [Fraction(1, 4)], [Fraction(-1, 4) + MAX_WORD_TOKENS - 1]
+    assert generator_word(Family.PII, v, w).reason == "WordTooLong"
+
+
+def fuzz_params(family, rng):
+    """Rational coordinates, or coordinates carrying tau atoms, alg atoms, or
+    tied to another coordinate (equal or opposite up to an integer or a
+    half), so that walls pass through the points; sum zero for IV/V."""
+    arity = family_space(family).arity
+    vals = [PV(Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 5, 6]))) for _ in range(arity)]
+    kind = rng.choice(("rational", "tau", "alg", "tied"))
+    for i in range(arity):
+        if kind == "tau" and rng.random() < 0.6:
+            vals[i] = vals[i] + PV.of_atom(tau(rng.randint(1, 2)), rng.choice([1, -1]))
+        elif kind == "alg" and rng.random() < 0.6:
+            vals[i] = vals[i] + PV.of_atom(alg(rng.randint(1, 2)), rng.choice([1, -1]))
+        elif kind == "tied" and i and rng.random() < 0.7:
+            vals[i] = vals[rng.randrange(i)] * rng.choice([1, -1]) + rng.choice([0, 1, -1, H])
+    if family in (Family.PIV, Family.PV):
+        vals[-1] = -sum(vals[:-1], PV(0))
+    return tuple(vals)
+
+
+@pytest.mark.parametrize("family", [Family.PIII, Family.PIV, Family.PV, Family.PVI])
+def test_alcove_word_is_shortest(family):
+    rng = random.Random(f"alcove:{family.value}")
+    names = family_space(family).orbit_generators
+    for _ in range(400):
+        v = fuzz_params(family, rng)
+        w = apply_word(family, [rng.choice(names) for _ in range(rng.randint(0, 10))], v)
+        verdict = orbit_with_word(family, v, w)
+        assert verdict.word is not None and apply_word(family, verdict.word, v) == w, (v, w)
+        if family is not Family.PV:
+            assert len(verdict.word) == len(shortest_word(family, v, w, bound=10)), (v, w)
+        if family in (Family.PIV, Family.PV):
+            assert len(verdict.word) <= len(table_word(family, verdict.witness)), (v, w)
+
+
+def test_piii_no_word_found_is_a_proof():
+    # The criterion holds after a half shift of both coordinates, but for most
+    # points no group element maps v to w (the group's extra parity).
+    rng = random.Random(19)
+    names = family_space(Family.PIII).orbit_generators
+    reasons = set()
+    for _ in range(30):
+        v = fuzz_params(Family.PIII, rng)
+        w = tuple(x + H for x in apply_word(Family.PIII, [rng.choice(names) for _ in range(rng.randint(0, 6))], v))
+        verdict = orbit_with_word(Family.PIII, v, w)
+        assert verdict.related is TriBool.YES
+        oracle = shortest_word(Family.PIII, v, w, bound=12)
+        if verdict.word is None:
+            assert (verdict.word_reason, oracle) == ("NoWordFound", None), (v, w)
+        else:
+            assert apply_word(Family.PIII, verdict.word, v) == w, (v, w)
+            assert len(verdict.word) == len(oracle) if len(verdict.word) <= 12 else oracle is None, (v, w)
+        reasons.add(verdict.word_reason)
+    assert reasons == {None, "NoWordFound"}
 
 
 # -- cross-family verdicts ----------------------------------------------------------------------
