@@ -10,9 +10,17 @@ and numerically.
 from .catalog import EquationId, Family
 from .classify import ClassificationReport, classify, stratum
 from .exactnum import ParamValue, TriBool, parse_param
-from .weyl import cross_family_verdict, generator_word, orbit_decide
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in ("cross_family_verdict", "generator_word", "orbit_decide"):
+        from . import weyl
+
+        return getattr(weyl, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ClassificationReport",

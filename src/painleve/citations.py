@@ -487,6 +487,14 @@ PVI_LDEG_AMBIGUITY = Ambiguity(
     "Degree three (the first statement) is reported; the conflict is surfaced, not resolved."
 )
 
+RICCATI_SIGN_NOTE = Ambiguity(
+    "Sign convention: the source text attributes the order-one locus"
+    " y' = y^2 + t/2 to the fiber at alpha = -1/2, while symbolic prolongation"
+    " matches y' = +(y^2 + t/2) to alpha = +1/2 and y' = -(y^2 + t/2) to"
+    " alpha = -1/2.  The computed matching is reported; the attribution in"
+    " the text is quoted, not resolved."
+)
+
 
 def cite(key: str) -> Citation:
     return CITATIONS[key]

@@ -10,12 +10,16 @@ statement) or the literal tag "open-question".  Exact values are emitted as
 "p/q" strings; classify/orbit/orthogonal responses contain no floats.
 
 Exit codes: 0 success, 2 input error, 3 verdict dominated by Unknown/Open
-(distinguishable for scripting).
+(distinguishable for scripting), 4 internal error (a bug, reported as
+"error: internal error: ..." rather than as an input error).  ``--batch``
+goes on past a failed line and exits with the worst code of its lines,
+ranked 4, then 2, then 3, then 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import shlex
@@ -23,35 +27,41 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from . import numint
 from .catalog import (
-    EquationId,
-    Family,
-    InvalidEquationError,
-    UnknownFamilyError,
-    UnsupportedFamilyError,
+    EquationId, Family, InvalidEquationError, NumericInputError, UnknownFamilyError, UnsupportedFamilyError,
 )
 from .citations import Ambiguity, Citation, cite
 from .classify import ClassificationReport, classify
-from .diffpoly import (
-    pv_random_point_check,
-    riccati_sign_note,
-    verify_group_relation,
-    verify_pv_change_of_variables,
-    verify_riccati,
-)
 from .exactnum import ParamSyntaxError, ParamValue, TriBool, format_param, parse_param
-from .numint import MissingAtomError, NumericAssignment, SingularIntervalError, StepBudgetError
-from .weyl import (
-    AffineMap,
-    HypothesisStatus,
-    OrbitVerdict,
-    Verdict,
-    cross_family_verdict,
-    named_generators,
-    orbit_with_word,
-    word_map,
-)
+
+# What the handlers use from the modules a classify query never needs.  A
+# handler binds its modules and their names into this module's globals on
+# first use, keeping any name already set here (a wrapper, say).
+_LAZY = {
+    "weyl": ("AffineMap", "HypothesisStatus", "OrbitVerdict", "Verdict", "cross_family_verdict",
+             "named_generators", "orbit_with_word", "word_map"),
+    "diffpoly": ("pv_random_point_check", "riccati_sign_note", "verify_group_relation", "verify_pv_change_of_variables",
+                 "verify_riccati"),
+    "numint": ("NumericAssignment",),
+}
+_LAZY_OWNER = {name: module for module, names in _LAZY.items() for name in (module, *names)}
+
+
+def _load(*modules: str) -> None:
+    namespace = globals()
+    for module in (m for m in modules if m not in namespace):
+        mod = importlib.import_module(f"{__package__}.{module}")
+        for name in _LAZY[module]:
+            namespace.setdefault(name, getattr(mod, name))
+        namespace[module] = mod
+
+
+def __getattr__(name: str):
+    if name not in _LAZY_OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load(_LAZY_OWNER[name])
+    return globals()[name]
+
 
 OPEN_TAG = "open-question"
 
@@ -182,6 +192,7 @@ def _witness_json(verdict: OrbitVerdict):
 
 
 def _cmd_orbit(args) -> tuple[dict, int]:
+    _load("weyl")
     family = Family.from_name(args.family)
     v = _parse_params(args.v)
     w = _parse_params(args.w)
@@ -210,6 +221,7 @@ def _cmd_orbit(args) -> tuple[dict, int]:
 
 
 def _cmd_orthogonal(args) -> tuple[dict, int]:
+    _load("weyl")
     eq1 = _equation(args.family1, args.params1)
     eq2 = _equation(args.family2, args.params2)
     verdict = cross_family_verdict(eq1, eq2)
@@ -234,6 +246,7 @@ def _cmd_orthogonal(args) -> tuple[dict, int]:
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
+    _load("weyl", "diffpoly")
     target = args.target
     query = {"subcommand": "verify", "target": target}
     if target == "riccati":
@@ -301,17 +314,25 @@ def _parse_assignment(text: str) -> NumericAssignment:
             if atom_value.is_rational or len(atom_value.terms) != 1 or atom_value.const != 0:
                 raise InputError(f"{name!r} is not a bare atom")
             atom = atom_value.terms[0][0]
-            values[atom] = float(raw)
+            values[atom] = _float(raw)
     return NumericAssignment(values)
 
 
+def _float(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError as err:
+        raise InputError(err) from None
+
+
 def _cmd_integrate(args) -> tuple[dict, int]:
+    _load("numint")
     for option, value in (("--t0", args.t0), ("--t1", args.t1), ("--step", args.step)):
         if not math.isfinite(value):
             raise InputError(f"{option} must be a finite number, got {value}")
     eq = _equation(args.family, args.params)
     assign = _parse_assignment(args.assign)
-    initial = [float(x) for x in args.initial.split(",")] if args.initial else []
+    initial = [_float(x) for x in args.initial.split(",")] if args.initial else []
     traj = numint.integrate(eq, assign, initial, args.t0, args.t1, args.step, form=args.form)
     residual = numint.residual_norm(traj, eq, assign)
     if args.out:
@@ -427,14 +448,7 @@ _DISPATCH = {
 }
 
 _INPUT_ERRORS = (
-    InputError,
-    InvalidEquationError,
-    UnknownFamilyError,
-    UnsupportedFamilyError,
-    ParamSyntaxError,
-    SingularIntervalError,
-    MissingAtomError,
-    StepBudgetError,
+    InputError, InvalidEquationError, UnknownFamilyError, UnsupportedFamilyError, ParamSyntaxError, NumericInputError,
 )
 
 
@@ -488,9 +502,12 @@ def _run_single(argv: Sequence[str], parser: argparse.ArgumentParser) -> tuple[d
     except _INPUT_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return None, 2
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return None, 2
+    except Exception as err:  # a bug, not bad input: report it with its traceback and go on
+        import traceback
+
+        print(f"error: internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        traceback.print_exc()
+        return None, 4
 
 
 def run(argv: Sequence[str]) -> int:
@@ -517,7 +534,7 @@ def run(argv: Sequence[str]) -> int:
                 payload, code = None, int(exc.code or 2)
             if payload is not None:
                 print(json.dumps(payload, sort_keys=True))
-            worst = 2 if 2 in (worst, code) else max(worst, code)
+            worst = 2 if 2 in (worst, code) and 4 not in (worst, code) else max(worst, code)
         return worst
     payload, code = _run_single(list(argv), parser)
     if payload is not None:

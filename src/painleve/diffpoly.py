@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .citations import Ambiguity
+from .citations import RICCATI_SIGN_NOTE, Ambiguity
 
 Rational = Fraction | int
 
@@ -546,15 +546,6 @@ def reduce(e: DiffExpr, rels: RelationSet) -> DiffExpr:
 # -- verifications driven by the cataloged systems -----------------------------
 
 
-RICCATI_SIGN_NOTE = Ambiguity(
-    "Sign convention: the source text attributes the order-one locus"
-    " y' = y^2 + t/2 to the fiber at alpha = -1/2, while symbolic prolongation"
-    " matches y' = +(y^2 + t/2) to alpha = +1/2 and y' = -(y^2 + t/2) to"
-    " alpha = -1/2.  The computed matching is reported; the attribution in"
-    " the text is quoted, not resolved."
-)
-
-
 def riccati_sign_note() -> Ambiguity:
     return RICCATI_SIGN_NOTE
 
@@ -563,11 +554,11 @@ def verify_riccati(sign: int) -> Fraction:
     """Reduce y'' - 2y^3 - ty modulo y' = sign*(y^2 + t/2) and return the
     unique constant alpha for which the full residual vanishes identically.
     """
-    from . import catalog
+    from . import odes
 
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    rels = RelationSet(catalog.riccati_rules(sign))
+    rels = RelationSet(odes.riccati_rules(sign))
     y = DiffExpr.var(jet("y", 0))
     target = DiffExpr.var(jet("y", 2)) - 2 * y.power(3) - DiffExpr.t() * y
     residual = reduce(target, rels)
@@ -600,10 +591,11 @@ def pv_change_of_variables_exprs() -> tuple[DiffExpr, DiffExpr]:
 
 
 def _pv_residuals() -> tuple[DiffExpr, DiffExpr]:
-    from . import catalog
+    from .catalog import Family
+    from .odes import ode_system
 
-    qp = catalog.ode_system(catalog.Family.PV, form="system")
-    QP = catalog.ode_system(catalog.Family.PV, form="QP")
+    qp = ode_system(Family.PV, form="system")
+    QP = ode_system(Family.PV, form="QP")
     rels = QP.relations()
     q_expr, p_expr = pv_change_of_variables_exprs()
     state_map = {jet("q", 0): q_expr, jet("p", 0): p_expr}

@@ -18,27 +18,19 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Mapping, Sequence
 
-from .catalog import EquationId, Family, OdeSystem, UnsupportedFamilyError, ode_system
+from .catalog import (
+    EquationId, Family, MissingAtomError, NumericInputError, SingularIntervalError, StepBudgetError,
+    UnsupportedFamilyError,
+)
 from .diffpoly import DiffExpr, Poly, Var, jet, sym
 from .exactnum import Atom, ParamValue
+from .odes import OdeSystem, ode_system
 
 BLOWUP_THRESHOLD = 1e8
 
 # Most RK4 steps one integration may take.  Every sample is kept in memory
 # (about 200 bytes for a two-component state), so this also caps memory.
 MAX_STEPS = 200_000
-
-
-class SingularIntervalError(ValueError):
-    """The requested time interval touches a fixed singularity of the system."""
-
-
-class StepBudgetError(ValueError):
-    """The interval needs more than MAX_STEPS steps of the requested size."""
-
-
-class MissingAtomError(KeyError):
-    """A symbolic atom in the parameters has no numeric assignment."""
 
 
 class TrajectoryStatus(Enum):
@@ -57,14 +49,17 @@ class NumericAssignment:
     def __post_init__(self) -> None:
         for atom, value in self.atom_values.items():
             if not math.isfinite(value):
-                raise ValueError(f"atom {atom.name} must be a finite number, got {value}")
+                raise NumericInputError(f"atom {atom.name} must be a finite number, got {value}")
 
     def value_of(self, p: ParamValue) -> float:
-        total = float(p.const)
-        for atom, coeff in p.terms:
-            if atom not in self.atom_values:
-                raise MissingAtomError(f"atom {atom.name} has no numeric assignment")
-            total += float(coeff) * self.atom_values[atom]
+        try:
+            total = float(p.const)
+            for atom, coeff in p.terms:
+                if atom not in self.atom_values:
+                    raise MissingAtomError(f"atom {atom.name} has no numeric assignment")
+                total += float(coeff) * self.atom_values[atom]
+        except OverflowError:
+            raise NumericInputError(f"parameter {p} is too large for a float") from None
         return total
 
 
@@ -106,7 +101,7 @@ def _poly_source(poly: Poly, names: Mapping[Var, str], consts: Mapping[Var, floa
             else:
                 factors.extend([names[v]] * e)
         if not math.isfinite(constant):
-            raise ValueError("a coefficient of the right-hand side overflows at these parameter values")
+            raise NumericInputError("a coefficient of the right-hand side overflows at these parameter values")
         chunks.append("*".join([repr(constant), *factors]))
     return "(" + " + ".join(chunks) + ")"
 
@@ -173,18 +168,19 @@ def integrate_rhs(
 ) -> Trajectory:
     """Classical RK4 with a fixed step (the step is snapped so that the span
     divides evenly).  Aborts with Blowup when any state component leaves
-    [-1e8, 1e8] or stops being finite.  Raises ValueError for a non-finite
-    t0, t1, step or initial component, and StepBudgetError, before any step
-    is taken, when the interval needs more than MAX_STEPS steps."""
+    [-1e8, 1e8] or stops being finite.  Raises NumericInputError for a
+    non-finite t0, t1, step or initial component, a step that is not
+    positive or t1 <= t0, and StepBudgetError, before any step is taken,
+    when the interval needs more than MAX_STEPS steps."""
     for name, value in (("t0", t0), ("t1", t1), ("step", step)):
         if not math.isfinite(value):
-            raise ValueError(f"{name} must be a finite number, got {value}")
+            raise NumericInputError(f"{name} must be a finite number, got {value}")
     if not all(math.isfinite(x) for x in initial):
-        raise ValueError(f"initial state must be finite, got {list(initial)}")
+        raise NumericInputError(f"initial state must be finite, got {list(initial)}")
     if step <= 0:
-        raise ValueError("step must be positive")
+        raise NumericInputError("step must be positive")
     if t1 <= t0:
-        raise ValueError("t1 must exceed t0")
+        raise NumericInputError("t1 must exceed t0")
     if (t1 - t0) / step > MAX_STEPS:
         raise StepBudgetError(f"interval [{t0}, {t1}] at step {step} needs more than {MAX_STEPS} steps")
     n_steps = max(1, round((t1 - t0) / step))
@@ -259,7 +255,7 @@ def integrate(
     rhs, state_names = _companion_rhs(system, params)
     expected = len(state_names)
     if len(initial) != expected:
-        raise ValueError(f"initial state needs {expected} components {state_names}")
+        raise NumericInputError(f"initial state needs {expected} components {state_names}")
     return integrate_rhs(
         rhs,
         initial,

@@ -10,16 +10,12 @@ from painleve.catalog import (
     UnknownFamilyError,
     UnsupportedFamilyError,
     family_space,
-    ode_system,
-    pii_residual,
     piv_scalar_params,
-    riccati_relation,
-    riccati_rules,
-    PI_FORM_NOTE,
     PIV_SCALAR_NOTE,
 )
 from painleve.diffpoly import DiffExpr, T_VAR, jet, sym, total_derivative
 from painleve.exactnum import ParamValue, tau
+from painleve.odes import PI_FORM_NOTE, ode_system, pii_residual, riccati_relation, riccati_rules
 
 
 def test_family_names():

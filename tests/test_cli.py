@@ -1,13 +1,20 @@
+import contextlib
+import importlib.util
+import io
 import json
 import os
+import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from painleve import numint
+from painleve import cli, numint
 from painleve.cli import run
+from painleve.exactnum import ParamValue, format_param, parse_param
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -539,3 +546,171 @@ def test_orbit_words_are_not_capped_by_a_search_bound():
     payload = json.loads(proc.stdout)
     assert (payload["word"], payload["word_reason"]) == (None, "WordTooLong")
     assert payload["witness"]["shift"] == ["1000000000"]
+
+
+def test_missing_atom_error_is_not_quoted(capsys):
+    code = run(["integrate", "--family", "II", "--params", "tau1", "--initial", "0.1,0.2",
+                "--t0", "1", "--t1", "2", "--step", "0.1"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: atom tau1 has no numeric assignment\n"
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyError])
+def test_internal_errors_exit_4_and_batch_goes_on(error, tmp_path, monkeypatch, capsys):
+    def broken(args):
+        raise error("a bug")
+
+    monkeypatch.setitem(cli._DISPATCH, "classify", broken)
+    assert run(["classify", "--family", "II", "--params", "0"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: internal error: {error.__name__}: ")
+    assert "Traceback" in err and "a bug" in err.splitlines()[-1]
+    batch = tmp_path / "queries.txt"
+    batch.write_text(
+        "classify --family II --params 0\n"
+        "orbit --family IV --v 1,1,1 --w 0,0,0\n"
+        "atoms --params tau1\n"
+    )
+    assert run(["--batch", str(batch)]) == 4  # worse than the input error on line 2
+    captured = capsys.readouterr()
+    assert [json.loads(line)["query"]["subcommand"] for line in captured.out.splitlines()] == ["atoms"]
+    errors = [line for line in captured.err.splitlines() if line.startswith("error: ")]
+    assert errors[0].startswith("error: internal error: ")
+    assert errors[1].startswith("error: family IV parameters must sum to zero")
+
+
+def test_malformed_float_is_input_error(capsys):
+    base = ["integrate", "--family", "II", "--params", "tau1", "--t0", "1", "--t1", "1.1", "--step", "0.01"]
+    assert run([*base, "--initial", "x,0.2", "--assign", "tau1=0.5"]) == 2
+    assert run([*base, "--initial", "0.1,0.2", "--assign", "tau1=x"]) == 2
+    assert capsys.readouterr().err == "error: could not convert string to float: 'x'\n" * 2
+
+
+# -- fuzz of --batch over every subcommand -------------------------------------------
+
+_GOOD = ["0", "1", "-2", "1/2", "-1/3", "7/4", "tau1", "tau2", "alg1", "-1*tau2 + 1/3", "2*alg1 + tau3"]
+_BAD = ["1/0", "-0/0", "nan", "inf", "-inf", "", "x", "1e5", "tau", "1/2/3"]
+_ARITY = {"I": 0, "II": 1, "III": 2, "IV": 3, "V": 4, "VI": 4}
+
+
+@st.composite
+def _equation(draw, families=tuple(_ARITY)):
+    """(family, params): mostly well formed, else with one fault."""
+    family = draw(st.sampled_from(families))
+    params = draw(st.lists(st.sampled_from(_GOOD), min_size=_ARITY[family], max_size=_ARITY[family]))
+    if family in ("IV", "V"):  # close the exact sum to zero
+        params[-1] = format_param(-sum((parse_param(p) for p in params[:-1]), ParamValue(0)))
+    family = draw(st.sampled_from([family, f"P{family}", family.lower()]))
+    fault = draw(st.sampled_from([None, None, None, "arity", "sum", "token", "family"]))
+    if fault == "arity":
+        params = params[1:] if params and draw(st.booleans()) else [*params, "1/3"]
+    elif fault == "sum":
+        params = [*params[:-1], "5/7"]
+    elif fault == "token":
+        params = [*params[1:], draw(st.sampled_from(_BAD))]
+    elif fault == "family":
+        family = draw(st.sampled_from(["VII", "", "0", "P7"]))
+    return family, ",".join(params)
+
+
+def _line(*options):
+    return " ".join(name if value is None else f"{name} {shlex.quote(value)}" for name, value in options)
+
+
+def _time(usual):
+    return st.sampled_from([usual, usual, usual, "-0.5", "0", "1e-300", "nan", "inf", "-inf", "x"])
+
+
+@st.composite
+def _query(draw):
+    kind = draw(st.sampled_from(["classify", "orbit", "orthogonal", "verify", "integrate", "atoms"]))
+    if kind == "classify":
+        family, params = draw(_equation())
+        return _line((kind, None), ("--family", family), ("--params", params))
+    if kind == "orbit":
+        base = draw(st.sampled_from(tuple(_ARITY)))
+        (family, v), (_, w) = draw(_equation((base,))), draw(_equation((base,)))
+        return _line((kind, None), ("--family", family), ("--v", v), ("--w", w))
+    if kind == "orthogonal":
+        (family1, params1), (family2, params2) = draw(_equation()), draw(_equation())
+        return _line((kind, None), ("--family1", family1), ("--params1", params1),
+                     ("--family2", family2), ("--params2", params2))
+    if kind == "verify":
+        return _line((kind, None), ("--target", draw(st.sampled_from(["riccati", "group-relations", "bogus"]))))
+    if kind == "atoms":
+        params = draw(st.lists(st.sampled_from(_GOOD + _BAD), max_size=4))
+        return _line((kind, None), ("--params", ",".join(params)))
+    family, params = draw(_equation())
+    initial = draw(st.sampled_from(["0.1,0.2", "0.1,0.2", "-0.1,0.3", "0.1", "nan,0", "inf,0", "x,0", ""]))
+    assign = draw(st.sampled_from(["tau1=0.5,tau2=-1,tau3=0.25,alg1=2", "tau1=0.5,tau2=-1,tau3=0.25,alg1=2",
+                                   "", "tau1=nan", "tau3=inf", "tau1=x", "x", "1=2", "=1"]))
+    return _line((kind, None), ("--family", family), ("--params", params), ("--initial", initial),
+                 ("--t0", draw(_time("1"))), ("--t1", draw(_time("1.1"))), ("--step", draw(_time("0.01"))),
+                 ("--assign", assign))
+
+
+@given(st.lists(_query(), min_size=1, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_batch_fuzz_exits_0_2_or_3_with_json_records(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        batch = Path(tmp) / "queries.txt"
+        batch.write_text("\n".join(lines) + "\n")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(["--batch", str(batch)])
+    assert code in (0, 2, 3), err.getvalue()
+    assert "internal error" not in err.getvalue() and "Traceback" not in err.getvalue()
+    for line in out.getvalue().splitlines():
+        json.loads(line)
+
+
+# -- import boundary ------------------------------------------------------------------
+
+_LAZY_MODULES = ("painleve.weyl", "painleve.diffpoly", "painleve.numint")
+
+
+def _run_python(code):
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=str(SRC_DIR))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_classify_imports_no_weyl_diffpoly_or_numint():
+    out = _run_python(
+        "import sys\n"
+        "from painleve import cli\n"
+        "assert cli.run(['classify', '--family', 'VI', '--params', '1/2,0,1/4,1/4']) == 0\n"
+        f"print([m for m in {_LAZY_MODULES!r} if m in sys.modules], file=sys.stderr)\n"
+        "print('loaded', [m for m in sys.modules if m.startswith('painleve.')])\n"
+    )
+    loaded = json.loads(out.splitlines()[-1].removeprefix("loaded ").replace("'", '"'))
+    assert not set(loaded) & set(_LAZY_MODULES)
+    assert "painleve.classify" in loaded
+
+
+def test_tracer_names_resolve_on_cli():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", SRC_DIR.parent / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    names = [attr for module, attr, _ in tracer.WRAPPED if module == "cli"]
+    assert len(names) == 11
+    for name in names:
+        assert callable(getattr(cli, name)), name
+    with pytest.raises(AttributeError):
+        cli.no_such_name
+
+
+def test_wrapper_set_before_first_orbit_query_is_called():
+    out = _run_python(
+        "from painleve import cli\n"
+        "from painleve.weyl import orbit_with_word\n"
+        "calls = []\n"
+        "def wrapper(*args):\n"
+        "    calls.append(args)\n"
+        "    return orbit_with_word(*args)\n"
+        "cli.orbit_with_word = wrapper\n"
+        "assert cli.run(['orbit', '--family', 'II', '--v', '1/4', '--w', '7/4']) == 0\n"
+        "print('calls', len(calls), cli.orbit_with_word is wrapper)\n"
+    )
+    assert out.splitlines()[-1] == "calls 1 True"

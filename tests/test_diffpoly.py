@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from painleve import catalog, diffpoly
+from painleve import catalog, diffpoly, odes
 from painleve.diffpoly import (
     DiffExpr,
     Poly,
@@ -110,7 +110,7 @@ def test_printing_is_deterministic():
 
 
 def riccati_rels(sign=1):
-    return RelationSet(catalog.riccati_rules(sign))
+    return RelationSet(odes.riccati_rules(sign))
 
 
 def test_reduce_second_derivative_under_riccati():
@@ -119,7 +119,7 @@ def test_reduce_second_derivative_under_riccati():
 
 
 def test_reduce_piii_first_equation():
-    system = catalog.ode_system(catalog.Family.PIII)
+    system = odes.ode_system(catalog.Family.PIII)
     rels = system.relations()
     q, p = DiffExpr.var(jet("q", 0)), DiffExpr.var(jet("p", 0))
     v1 = DiffExpr.var(sym("v1"))
@@ -128,7 +128,7 @@ def test_reduce_piii_first_equation():
 
 
 def test_reduce_relation_residual_to_zero():
-    system = catalog.ode_system(catalog.Family.PV, "QP")
+    system = odes.ode_system(catalog.Family.PV, "QP")
     rels = system.relations()
     for resid in system.residual_exprs():
         assert reduce(resid, rels).is_zero

@@ -131,7 +131,7 @@ def test_atoms_need_assignment():
 
 
 def test_compile_rhs_folds_parameters():
-    from painleve.catalog import ode_system
+    from painleve.odes import ode_system
 
     system = ode_system(Family.PIV)
     rhs = compile_rhs(system.rhs, system.state_vars, {"v1": 0.5, "v2": 0.25, "v3": -0.75})
