@@ -232,20 +232,3 @@ class EquationId:
     def __str__(self) -> str:
         inner = ", ".join(str(p) for p in self.params)
         return f"P{self.family.value}({inner})"
-
-
-def piv_scalar_params(v1: ParamValue | Rational, v2: ParamValue | Rational, v3: ParamValue | Rational) -> tuple[ParamValue, ParamValue]:
-    """Parameter match between the fourth-family system chart and the scalar
-    equation: alpha = 3*v3 + 1, beta = -2*(v2 - v1)^2.
-
-    Only defined when v2 - v1 is an exact rational (squares leave the
-    Q-affine universe otherwise)."""
-    v1, v2, v3 = _as_param(v1), _as_param(v2), _as_param(v3)
-    alpha = v3 * 3 + 1
-    diff = v2 - v1
-    if not diff.is_rational:
-        raise InvalidEquationError(
-            "beta = -2*(v2 - v1)^2 requires v2 - v1 to be rational in the exact universe"
-        )
-    beta = ParamValue(-2 * diff.const * diff.const)
-    return alpha, beta

@@ -13,7 +13,8 @@ Exit codes: 0 success, 2 input error, 3 verdict dominated by Unknown/Open
 (distinguishable for scripting), 4 internal error (a bug, reported as
 "error: internal error: ..." rather than as an input error).  ``--batch``
 goes on past a failed line and exits with the worst code of its lines,
-ranked 4, then 2, then 3, then 0.
+ranked 4, then 2, then 3, then 0; a line asking for -h/--help is an input
+error there, since stdout carries only JSON records.
 """
 
 from __future__ import annotations
@@ -529,9 +530,16 @@ def run(argv: Sequence[str]) -> int:
             if not line or line.startswith("#"):
                 continue
             try:
-                payload, code = _run_single(shlex.split(line), parser)
+                tokens = shlex.split(line)
+                # Help would go to stdout, which carries only JSON records here.
+                if any(tok[:2] == "-h" or (len(tok) > 2 and "--help".startswith(tok)) for tok in tokens):
+                    raise InputError("-h/--help is not accepted in a --batch line")
+                payload, code = _run_single(tokens, parser)
             except SystemExit as exc:  # argparse rejected the line
                 payload, code = None, int(exc.code or 2)
+            except ValueError as err:  # that help request, or an unclosed quote
+                print(f"error: {err}", file=sys.stderr)
+                payload, code = None, 2
             if payload is not None:
                 print(json.dumps(payload, sort_keys=True))
             worst = 2 if 2 in (worst, code) and 4 not in (worst, code) else max(worst, code)

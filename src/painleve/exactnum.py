@@ -92,14 +92,6 @@ def tri_or(values: Iterable[TriBool]) -> TriBool:
     return out
 
 
-def tri_not(value: TriBool) -> TriBool:
-    if value is TriBool.YES:
-        return TriBool.NO
-    if value is TriBool.NO:
-        return TriBool.YES
-    return TriBool.UNKNOWN
-
-
 class ParamSyntaxError(ValueError):
     """Malformed parameter text; carries the 0-based offending position."""
 

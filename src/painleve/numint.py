@@ -6,12 +6,16 @@ threshold of 1e8 (the solutions have movable poles), and real-valued states
 only.  Identical inputs produce bit-identical trajectories.
 
 Right-hand sides are compiled once per integration into plain Python
-functions with the numeric parameter values folded in as literals.
+functions f(t, x0, x1, ...) with the numeric parameter values folded in as
+literals.  The RK4 loop and the residual loop are generated once per state
+dimension (memoised by the dimension alone); they keep the components in
+locals and call f positionally, an opaque rhs(t, state) through an adapter.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -113,6 +117,12 @@ def _expr_source(expr: DiffExpr, names: Mapping[Var, str], consts: Mapping[Var, 
     return f"({num}) / ({_poly_source(expr.den, names, consts)})"
 
 
+def _compiled(source: str, name: str) -> Callable:
+    namespace: dict = {}
+    exec(source, namespace)  # generated from catalog data or a state dimension only
+    return namespace[name]
+
+
 def compile_rhs(
     exprs: Sequence[DiffExpr],
     state_vars: Sequence[str | Var],
@@ -130,14 +140,12 @@ def compile_rhs(
     consts = {sym(k): float(v) for k, v in param_values.items()}
     args = ", ".join(["t"] + [f"x{i}" for i in range(len(state_vars))])
     body = ", ".join(_expr_source(e, names, consts) for e in exprs)
-    source = f"def _rhs({args}):\n    return ({body}{',' if len(exprs) == 1 else ''})\n"
-    namespace: dict = {}
-    exec(source, namespace)  # generated from exact catalog data only
-    fn = namespace["_rhs"]
+    fn = _compiled(f"def rhs({args}):\n    return ({body}{',' if len(exprs) == 1 else ''})\n", "rhs")
 
     def rhs(t: float, state: Sequence[float]) -> tuple[float, ...]:
         return fn(t, *state)
 
+    rhs.positional = fn
     return rhs
 
 
@@ -155,6 +163,41 @@ def _companion_rhs(system: OdeSystem, param_values: Mapping[str, float]) -> tupl
 # -- integration --------------------------------------------------------------------
 
 
+def _components(n: int, pattern: str) -> str:
+    return "".join(pattern.format(j=j) + ", " for j in range(n))
+
+
+@functools.cache
+def _rk4_loop(n: int) -> Callable:
+    """rk4(f, t0, h, n_steps, x0, ..., x{n-1}) -> (samples, blowup_t), blowup_t
+    None when every step was taken.  h2, h6 and tm are the very floats
+    h / 2, h / 6 and t + h / 2 of the formulas, so the results are too."""
+    x = _components(n, "x{j}")
+    return _compiled("\n".join([
+        f"def rk4(f, t0, h, n_steps, {x}):",
+        f"    samples = [(t0, ({x}))]",
+        "    append = samples.append",
+        "    h2, h6 = h / 2, h / 6",
+        "    for i in range(n_steps):",
+        "        t = t0 + i * h",
+        "        try:",
+        f"            {_components(n, 'a{j}')}= f(t, {x})",
+        "            tm = t + h2",
+        f"            {_components(n, 'b{j}')}= f(tm, {_components(n, 'x{j} + h2 * a{j}')})",
+        f"            {_components(n, 'c{j}')}= f(tm, {_components(n, 'x{j} + h2 * b{j}')})",
+        f"            {_components(n, 'd{j}')}= f(t + h, {_components(n, 'x{j} + h * c{j}')})",
+        *(f"            x{j} = x{j} + h6 * (a{j} + 2 * b{j} + 2 * c{j} + d{j})" for j in range(n)),
+        "        except (ZeroDivisionError, OverflowError):",
+        "            return samples, t",
+        "        t = t0 + (i + 1) * h",
+        # abs(x) <= threshold is False for inf and nan too.
+        f"        if not ({' and '.join(f'abs(x{j}) <= {BLOWUP_THRESHOLD!r}' for j in range(n))}):",
+        "            return samples, t",
+        f"        append((t, ({x})))",
+        "    return samples, None",
+    ]), "rk4")
+
+
 def integrate_rhs(
     rhs: Callable[[float, Sequence[float]], Sequence[float]],
     initial: Sequence[float],
@@ -169,12 +212,15 @@ def integrate_rhs(
     """Classical RK4 with a fixed step (the step is snapped so that the span
     divides evenly).  Aborts with Blowup when any state component leaves
     [-1e8, 1e8] or stops being finite.  Raises NumericInputError for a
-    non-finite t0, t1, step or initial component, a step that is not
-    positive or t1 <= t0, and StepBudgetError, before any step is taken,
-    when the interval needs more than MAX_STEPS steps."""
+    non-finite t0, t1 or step, an empty or non-finite initial state, a step
+    that is not positive or t1 <= t0, and StepBudgetError, before any step
+    is taken, when the interval needs more than MAX_STEPS steps; ValueError
+    when rhs returns a state of another length."""
     for name, value in (("t0", t0), ("t1", t1), ("step", step)):
         if not math.isfinite(value):
             raise NumericInputError(f"{name} must be a finite number, got {value}")
+    if not initial:
+        raise NumericInputError("initial state needs at least one component")
     if not all(math.isfinite(x) for x in initial):
         raise NumericInputError(f"initial state must be finite, got {list(initial)}")
     if step <= 0:
@@ -185,38 +231,15 @@ def integrate_rhs(
         raise StepBudgetError(f"interval [{t0}, {t1}] at step {step} needs more than {MAX_STEPS} steps")
     n_steps = max(1, round((t1 - t0) / step))
     h = (t1 - t0) / n_steps
-    state = tuple(float(x) for x in initial)
-    samples = [(t0, state)]
-    status = TrajectoryStatus.COMPLETED
-    blowup_t = None
-    for i in range(n_steps):
-        t = t0 + i * h
-        try:
-            k1 = rhs(t, state)
-            k2 = rhs(t + h / 2, [x + h / 2 * k for x, k in zip(state, k1)])
-            k3 = rhs(t + h / 2, [x + h / 2 * k for x, k in zip(state, k2)])
-            k4 = rhs(t + h, [x + h * k for x, k in zip(state, k3)])
-            state = tuple(
-                x + h / 6 * (a + 2 * b + 2 * c + d)
-                for x, a, b, c, d in zip(state, k1, k2, k3, k4)
-            )
-        except (ZeroDivisionError, OverflowError):
-            status = TrajectoryStatus.BLOWUP
-            blowup_t = t
-            break
-        t_next = t0 + (i + 1) * h
-        if any(not math.isfinite(x) or abs(x) > BLOWUP_THRESHOLD for x in state):
-            status = TrajectoryStatus.BLOWUP
-            blowup_t = t_next
-            break
-        samples.append((t_next, state))
+    f = getattr(rhs, "positional", None) or (lambda t, *state: rhs(t, state))
+    samples, blowup_t = _rk4_loop(len(initial))(f, t0, h, n_steps, *[float(x) for x in initial])
     return Trajectory(
         family=family,
         form=form,
         params=tuple(params),
         state_names=tuple(state_names),
         samples=samples,
-        status=status,
+        status=TrajectoryStatus.COMPLETED if blowup_t is None else TrajectoryStatus.BLOWUP,
         blowup_t=blowup_t,
         step=h,
     )
@@ -279,6 +302,22 @@ class ResidualReport:
     warning: str | None = None
 
 
+@functools.cache
+def _residual_loop(n: int) -> Callable:
+    """residual(f, samples, h) -> the running max, from 0.0, of
+    |five-point derivative - f| over interior samples and components."""
+    window = ", ".join(f"({'t' if k == 'r' else '_'}, ({_components(n, k + '{j}')}))" for k in "pqrsu")
+    return _compiled("\n".join([
+        "def residual(f, samples, h):",
+        "    worst = 0.0",
+        "    h12 = 12 * h",
+        f"    for {window} in zip(samples, samples[1:], samples[2:], samples[3:], samples[4:]):",
+        f"        {_components(n, 'f{j}')}= f(t, {_components(n, 'r{j}')})",
+        f"        worst = max(worst, {_components(n, 'abs((-u{j} + 8 * s{j} - 8 * q{j} + p{j}) / h12 - f{j})')})",
+        "    return worst",
+    ]), "residual")
+
+
 def residual_norm(traj: Trajectory, eq: EquationId, assign: NumericAssignment | None = None) -> ResidualReport:
     """Max deviation between a five-point fourth-order finite-difference
     derivative of the trajectory and the cataloged right-hand side.
@@ -288,22 +327,10 @@ def residual_norm(traj: Trajectory, eq: EquationId, assign: NumericAssignment | 
     """
     system = ode_system(eq.family, traj.form if traj.form != "custom" else None)
     params = _numeric_params(eq, assign, system)
-    rhs, _ = _companion_rhs(system, params)
+    rhs, state_names = _companion_rhs(system, params)
     if len(traj.samples) < 5:
         return ResidualReport(value=0.0, discretization_order=4, warning="trajectory too short for a residual")
-    h = traj.step
-    worst = 0.0
-    for i in range(2, len(traj.samples) - 2):
-        t_i, x_i = traj.samples[i]
-        f = rhs(t_i, x_i)
-        for j in range(len(x_i)):
-            fd = (
-                -traj.samples[i + 2][1][j]
-                + 8 * traj.samples[i + 1][1][j]
-                - 8 * traj.samples[i - 1][1][j]
-                + traj.samples[i - 2][1][j]
-            ) / (12 * h)
-            worst = max(worst, abs(fd - f[j]))
+    worst = _residual_loop(len(state_names))(rhs.positional, traj.samples, traj.step)
     return ResidualReport(value=worst, discretization_order=4)
 
 
@@ -334,4 +361,4 @@ def trajectory_json(traj: Trajectory) -> dict:
 
 def write_json(traj: Trajectory, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(trajectory_json(traj), fh)
+        fh.write(json.dumps(trajectory_json(traj)))

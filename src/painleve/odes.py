@@ -209,19 +209,6 @@ def ode_system(family: Family, form: str | None = None) -> OdeSystem:
         ) from None
 
 
-def pii_residual() -> DiffExpr:
-    """The scalar second-order residual y'' - 2y^3 - t*y - alpha."""
-    return ode_system(Family.PII).residual_exprs()[0]
-
-
-def riccati_relation(sign: int) -> DiffExpr:
-    """The order-one relation y' - sign*(y^2 + t/2) inside the second family."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    y = _state("y")
-    return DiffExpr.var(jet("y", 1)) - sign * (y.power(2) + Fraction(1, 2) * _T)
-
-
 def riccati_rules(sign: int) -> dict[Var, DiffExpr]:
     """Rewrite rule y' -> sign*(y^2 + t/2) as a relation-set seed."""
     if sign not in (1, -1):

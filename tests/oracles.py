@@ -13,12 +13,16 @@
   word.  ``table_word`` is the fourth and fifth families' former
   construction: a permutation word from a breadth-first search, then the
   translation as copies of conjugated elementary translation words.
+- ``tuple_integrate_rhs`` and ``indexed_residual_norm`` are the RK4 and
+  residual loops from before the loops generated per state dimension: they
+  call ``rhs(t, state)`` on tuples and lists and index the samples.
 """
 
 from __future__ import annotations
 
 import importlib
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -27,6 +31,11 @@ from unittest import mock
 from painleve.catalog import EquationId, Family, family_space
 from painleve.classify import ClassificationReport, Stratum, _pvi_half_integer_special
 from painleve.exactnum import ParamValue, TriBool, decide_coset, rational_rank, tri_and, tri_or
+from painleve.numint import (
+    BLOWUP_THRESHOLD, NumericAssignment, ResidualReport, Trajectory, TrajectoryStatus, _companion_rhs,
+    _numeric_params,
+)
+from painleve.odes import ode_system
 from painleve.weyl import AffineMap, OrbitWitness, apply_word, named_generators, resolve_token, word_map
 
 # The package exports the function ``classify`` under the module's name.
@@ -362,3 +371,71 @@ def table_word(family: Family, witness: OrbitWitness) -> tuple[str, ...]:
         vec = tuple(Fraction(1 if i == k else (-1 if i == k + 1 else 0)) for i in range(n))
         word += (moves[vec] if c >= 0 else invert_word(family, moves[vec])) * abs(c)
     return word
+
+
+# -- the RK4 and residual loops ---------------------------------------------------------
+
+
+def tuple_integrate_rhs(rhs, initial, t0, t1, step, state_names=(), family=None, form="custom", params=()):
+    """``numint.integrate_rhs`` for valid arguments, stepping tuples through
+    ``rhs(t, state)``."""
+    n_steps = max(1, round((t1 - t0) / step))
+    h = (t1 - t0) / n_steps
+    state = tuple(float(x) for x in initial)
+    samples = [(t0, state)]
+    status = TrajectoryStatus.COMPLETED
+    blowup_t = None
+    for i in range(n_steps):
+        t = t0 + i * h
+        try:
+            k1 = rhs(t, state)
+            k2 = rhs(t + h / 2, [x + h / 2 * k for x, k in zip(state, k1)])
+            k3 = rhs(t + h / 2, [x + h / 2 * k for x, k in zip(state, k2)])
+            k4 = rhs(t + h, [x + h * k for x, k in zip(state, k3)])
+            state = tuple(
+                x + h / 6 * (a + 2 * b + 2 * c + d)
+                for x, a, b, c, d in zip(state, k1, k2, k3, k4)
+            )
+        except (ZeroDivisionError, OverflowError):
+            status = TrajectoryStatus.BLOWUP
+            blowup_t = t
+            break
+        t_next = t0 + (i + 1) * h
+        if any(not math.isfinite(x) or abs(x) > BLOWUP_THRESHOLD for x in state):
+            status = TrajectoryStatus.BLOWUP
+            blowup_t = t_next
+            break
+        samples.append((t_next, state))
+    return Trajectory(
+        family=family,
+        form=form,
+        params=tuple(params),
+        state_names=tuple(state_names),
+        samples=samples,
+        status=status,
+        blowup_t=blowup_t,
+        step=h,
+    )
+
+
+def indexed_residual_norm(traj: Trajectory, eq: EquationId, assign: NumericAssignment | None = None) -> ResidualReport:
+    """``numint.residual_norm``, indexing ``traj.samples`` per component."""
+    system = ode_system(eq.family, traj.form if traj.form != "custom" else None)
+    params = _numeric_params(eq, assign, system)
+    rhs, _ = _companion_rhs(system, params)
+    if len(traj.samples) < 5:
+        return ResidualReport(value=0.0, discretization_order=4, warning="trajectory too short for a residual")
+    h = traj.step
+    worst = 0.0
+    for i in range(2, len(traj.samples) - 2):
+        t_i, x_i = traj.samples[i]
+        f = rhs(t_i, x_i)
+        for j in range(len(x_i)):
+            fd = (
+                -traj.samples[i + 2][1][j]
+                + 8 * traj.samples[i + 1][1][j]
+                - 8 * traj.samples[i - 1][1][j]
+                + traj.samples[i - 2][1][j]
+            ) / (12 * h)
+            worst = max(worst, abs(fd - f[j]))
+    return ResidualReport(value=worst, discretization_order=4)

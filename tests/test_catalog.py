@@ -10,12 +10,11 @@ from painleve.catalog import (
     UnknownFamilyError,
     UnsupportedFamilyError,
     family_space,
-    piv_scalar_params,
     PIV_SCALAR_NOTE,
 )
 from painleve.diffpoly import DiffExpr, T_VAR, jet, sym, total_derivative
 from painleve.exactnum import ParamValue, tau
-from painleve.odes import PI_FORM_NOTE, ode_system, pii_residual, riccati_relation, riccati_rules
+from painleve.odes import PI_FORM_NOTE, ode_system, riccati_rules
 
 
 def test_family_names():
@@ -147,8 +146,16 @@ def test_singular_loci():
     assert ode_system(Family.PIV).singular_t == ()
 
 
+def riccati_relation(sign: int) -> DiffExpr:
+    """The order-one relation y' - sign*(y^2 + t/2) inside the second family."""
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    y = DiffExpr.var(Y0)
+    return DiffExpr.var(Y1) - sign * (y.power(2) + Fraction(1, 2) * DiffExpr.t())
+
+
 def test_pii_residual():
-    resid = pii_residual()
+    resid = ode_system(Family.PII).residual_exprs()[0]
     point = {T: Fraction(2), Y0: Fraction(3), Y1: Fraction(0), jet("y", 2): Fraction(61), sym("alpha"): Fraction(1)}
     # y'' - 2y^3 - t y - alpha at y'' = 61, y = 3, t = 2, alpha = 1: 61 - 54 - 6 - 1 = 0
     assert resid.evaluate(point) == 0
@@ -176,20 +183,6 @@ def test_riccati_rules_kill_relation():
     for sign in (1, -1):
         rels = RelationSet(riccati_rules(sign))
         assert dp_reduce(riccati_relation(sign), rels).is_zero
-
-
-def test_piv_scalar_parameter_match():
-    alpha, beta = piv_scalar_params(Fraction(1, 2), Fraction(1, 2), -1)
-    assert alpha == ParamValue(-2)
-    assert beta == ParamValue(0)
-    alpha, beta = piv_scalar_params(0, 1, -1)
-    assert alpha == ParamValue(-2)
-    assert beta == ParamValue(-2)
-    t1 = ParamValue.of_atom(tau(1))
-    alpha, _ = piv_scalar_params(t1, t1 + 2, -2 * t1 - 2)
-    assert alpha == -6 * t1 - 5
-    with pytest.raises(InvalidEquationError):
-        piv_scalar_params(t1, 0, -t1)
 
 
 def test_rhs_variable_discipline():

@@ -332,6 +332,34 @@ def test_batch_missing_file(capsys):
     assert run(["--batch", "/nonexistent/queries.txt"]) == 2
 
 
+@pytest.mark.parametrize("line", ["classify --help", "orbit -h", "--help", "integrate --he",
+                                  "classify --family II --params 1/2 -h"])
+def test_batch_help_line_is_input_error(line, tmp_path, capsys):
+    # argparse would print the help text, which is not JSON, to stdout.
+    batch = tmp_path / "queries.txt"
+    batch.write_text(f"{line}\natoms --params tau1\n")
+    assert run(["--batch", str(batch)]) == 2
+    captured = capsys.readouterr()
+    assert [json.loads(r)["query"]["subcommand"] for r in captured.out.splitlines()] == ["atoms"]
+    assert captured.err == "error: -h/--help is not accepted in a --batch line\n"
+
+
+def test_help_outside_batch_still_prints_help(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["classify", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: painleve classify")
+
+
+def test_batch_line_with_unclosed_quote_is_input_error(tmp_path, capsys):
+    batch = tmp_path / "queries.txt"
+    batch.write_text('classify --family II --params "1/2\natoms --params tau1\n')
+    assert run(["--batch", str(batch)]) == 2
+    captured = capsys.readouterr()
+    assert [json.loads(r)["query"]["subcommand"] for r in captured.out.splitlines()] == ["atoms"]
+    assert captured.err == "error: No closing quotation\n"
+
+
 SRC_DIR = Path(__file__).parent.parent / "src"
 
 
@@ -649,7 +677,13 @@ def _query(draw):
                  ("--assign", assign))
 
 
-@given(st.lists(_query(), min_size=1, max_size=4))
+@st.composite
+def _batch_line(draw):
+    """A query, sometimes asking for help or with an unclosed quote."""
+    return draw(_query()) + draw(st.sampled_from(["", "", "", "", "", " --help", " -h", " --he", " '"]))
+
+
+@given(st.lists(_batch_line(), min_size=1, max_size=4))
 @settings(max_examples=150, deadline=None)
 def test_batch_fuzz_exits_0_2_or_3_with_json_records(lines):
     with tempfile.TemporaryDirectory() as tmp:

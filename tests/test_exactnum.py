@@ -18,7 +18,6 @@ from painleve.exactnum import (
     tau,
     transcendence_degree,
     tri_and,
-    tri_not,
     tri_or,
 )
 
@@ -266,7 +265,6 @@ def test_tribool_combinators():
     assert tri_and([TriBool.NO, TriBool.UNKNOWN]) is TriBool.NO
     assert tri_or([TriBool.NO, TriBool.UNKNOWN]) is TriBool.UNKNOWN
     assert tri_or([TriBool.YES, TriBool.UNKNOWN]) is TriBool.YES
-    assert tri_not(TriBool.UNKNOWN) is TriBool.UNKNOWN
 
 
 def test_tribool_is_not_truthy():

@@ -1,8 +1,13 @@
+import json
 import math
+import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+from oracles import indexed_residual_norm, tuple_integrate_rhs
+from painleve import numint
 from painleve.catalog import EquationId, Family, UnsupportedFamilyError
 from painleve.exactnum import ParamValue, tau
 from painleve.numint import (
@@ -19,7 +24,9 @@ from painleve.numint import (
     residual_norm,
     trajectory_json,
     write_csv,
+    write_json,
 )
+from painleve.odes import ode_system
 
 H = Fraction(1, 2)
 
@@ -204,6 +211,17 @@ def test_csv_and_json_export(tmp_path):
     assert len(payload["samples"]) == len(traj.samples)
 
 
+def test_json_export_is_the_dumped_payload(tmp_path):
+    eq = EquationId(Family.PV, [Fraction(1, 10), Fraction(1, 5), Fraction(-1, 20), Fraction(-1, 4)])
+    for traj in (
+        integrate(eq, None, [0.5, -0.0], 1.0, 1.2, 1e-2, form="QP"),
+        integrate_rhs(lambda t, s: (s[0] ** 2,), [1.0], 0.0, 2.0, 1e-2),  # blowup_t set
+    ):
+        path = tmp_path / "traj.json"
+        write_json(traj, str(path))
+        assert path.read_text() == json.dumps(trajectory_json(traj))
+
+
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 @pytest.mark.parametrize("which", ["t0", "t1", "step"])
 def test_integrate_rejects_non_finite_times(which, bad):
@@ -253,3 +271,128 @@ def test_integrate_rejects_bad_arguments():
     eq = EquationId(Family.PII, [H])
     with pytest.raises(ValueError):
         integrate(eq, None, [0.1], 1.0, 2.0, 1e-3)  # needs (y, y')
+
+
+# -- the generated loops against the tuple and index loops ----------------------------
+
+
+def _fraction(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-8, 8), rng.randint(1, 8))
+
+
+def _chart_case(chart: str, rng: random.Random):
+    """(equation, form, initial, t0) for one cataloged chart."""
+    small = [rng.uniform(-0.5, 0.5) for _ in range(2)]
+    t0 = rng.choice((1.0, 1.25, 1.5))
+    if chart == "I":
+        return EquationId(Family.PI, []), None, small, t0
+    if chart == "II":
+        return EquationId(Family.PII, [_fraction(rng)]), None, small, t0
+    if chart == "II riccati":
+        sign = rng.choice((1, -1))
+        y0 = small[0]
+        return EquationId(Family.PII, [Fraction(sign, 2)]), None, [y0, sign * (y0 * y0 + t0 / 2)], t0
+    if chart == "III":
+        return EquationId(Family.PIII, [_fraction(rng), _fraction(rng)]), None, small, t0
+    if chart == "IV":
+        v1, v2 = _fraction(rng), _fraction(rng)
+        return EquationId(Family.PIV, [v1, v2, -v1 - v2]), "system", small, t0
+    v = [_fraction(rng) for _ in range(3)]
+    eq = EquationId(Family.PV, [*v, -sum(v)])
+    if chart == "V":
+        return eq, "system", small, t0
+    return eq, "QP", [rng.choice((-0.375, -0.25, 0.25, 0.375)), small[1]], t0
+
+
+def _assert_same_trajectory(new: Trajectory, old: Trajectory) -> None:
+    # repr() tells -0.0 from 0.0 and nan from a number.
+    assert repr(new.samples) == repr(old.samples)
+    assert new.status is old.status
+    assert repr(new.blowup_t) == repr(old.blowup_t)
+    assert repr(new.step) == repr(old.step)
+
+
+def _assert_same_run(eq, form, initial, t0, t1, step, assign=None) -> Trajectory:
+    new = integrate(eq, assign, initial, t0, t1, step, form=form)
+    with mock.patch.object(numint, "integrate_rhs", tuple_integrate_rhs):
+        old = integrate(eq, assign, initial, t0, t1, step, form=form)
+    _assert_same_trajectory(new, old)
+    assert repr(residual_norm(new, eq, assign)) == repr(indexed_residual_norm(old, eq, assign))
+    return new
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("chart", ["I", "II", "II riccati", "III", "IV", "V", "V QP"])
+def test_generated_loops_match_oracle_on_charts(chart, seed):
+    rng = random.Random(f"{chart}:{seed}")
+    eq, form, initial, t0 = _chart_case(chart, rng)
+    step = rng.choice((1e-2, 7e-3, 5e-3, 2.5e-3))
+    _assert_same_run(eq, form, initial, t0, t0 + rng.choice((0.25, 0.5, 0.75)), step)
+
+
+def test_generated_loops_match_oracle_with_atoms():
+    eq = EquationId(Family.PII, [ParamValue.of_atom(tau(1)) * Fraction(1, 3)])
+    _assert_same_run(eq, None, [0.1, -0.2], 1.0, 1.5, 3e-3, NumericAssignment({tau(1): 0.7}))
+
+
+def test_generated_loops_match_oracle_on_blowup():
+    # y'' = 6y^2 + t from y = y' = 2 reaches a movable pole before t = 1.
+    traj = _assert_same_run(EquationId(Family.PI, []), None, [2.0, 2.0], 0.0, 5.0, 1e-2)
+    assert traj.status is TrajectoryStatus.BLOWUP and traj.blowup_t < 1.0
+
+
+def test_generated_loops_match_oracle_on_division_by_zero():
+    # The fourth family's scalar chart divides by y: from y = 0 the first
+    # evaluation raises ZeroDivisionError inside the compiled right-hand side.
+    system = ode_system(Family.PIV, "scalar")
+    rhs, _ = numint._companion_rhs(system, {"alpha": 0.5, "beta": -0.25})
+    cases = (([0.0, 1.0], TrajectoryStatus.BLOWUP, 1.0), ([0.5, 0.1], TrajectoryStatus.COMPLETED, None))
+    for initial, status, blowup_t in cases:
+        new = integrate_rhs(rhs, initial, 1.0, 1.5, 1e-2)
+        _assert_same_trajectory(new, tuple_integrate_rhs(rhs, initial, 1.0, 1.5, 1e-2))
+        assert (new.status, new.blowup_t) == (status, blowup_t)
+
+
+def _opaque_cases(rng: random.Random):
+    a, b, c = (rng.uniform(-2.0, 2.0) for _ in range(3))
+    yield lambda t, s: (a * math.sin(t) - s[0] * s[0],), [rng.uniform(-1.0, 1.0)]
+    yield lambda t, s: (a * (s[1] - s[0]), s[0] * (b - s[2]) - s[1], s[0] * s[1] - c * s[2]), [
+        rng.uniform(-1.0, 1.0) for _ in range(3)
+    ]
+    yield lambda t, s: (1 / (1.5 - t),), [-0.0]  # ZeroDivisionError at t = 1.5
+    yield lambda t, s: (s[0] ** 40,), [1.5]  # OverflowError inside a step
+    yield lambda t, s: (math.nan if t > 1.2 else s[0],), [0.0]  # a nan state
+    yield lambda t, s: (-s[1], s[0], 0.0), [-0.0, 1.0, 1e8]  # stays on the threshold
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_generated_loops_match_oracle_on_opaque_callables(seed):
+    rng = random.Random(seed)
+    for rhs, initial in _opaque_cases(rng):
+        step = rng.choice((0.1, 0.05, 1e-2))
+        _assert_same_trajectory(
+            integrate_rhs(rhs, initial, 1.0, 2.0, step), tuple_integrate_rhs(rhs, initial, 1.0, 2.0, step)
+        )
+
+
+def test_loops_are_memoised_by_dimension_only():
+    eq = EquationId(Family.PII, [H])
+    for y0 in (0.1, 0.2, 0.3):
+        residual_norm(integrate(eq, None, [y0, 0.0], 1.0, 1.1, 1e-2), eq)
+    integrate_rhs(exp_rhs, [1.0], 0.0, 0.1, 1e-2)
+    assert numint._rk4_loop(2) is numint._rk4_loop(2)
+    # The tests integrate states of 1, 2 and 3 components, nothing else.
+    assert numint._rk4_loop.cache_info().currsize <= 3
+    assert numint._residual_loop.cache_info().currsize <= 3
+
+
+@pytest.mark.parametrize("rhs", [lambda t, s: (s[0],), lambda t, s: (s[0], s[1], 1.0)], ids=["shorter", "longer"])
+def test_rhs_of_the_wrong_length_is_rejected(rhs):
+    # zip() would drop or ignore a component and report a completed run.
+    with pytest.raises(ValueError, match="values to unpack"):
+        integrate_rhs(rhs, [1.0, 2.0], 0.0, 0.1, 0.05)
+
+
+def test_empty_initial_state_rejected():
+    with pytest.raises(ValueError, match="at least one component"):
+        integrate_rhs(lambda t, s: (), [], 0.0, 0.1, 0.05)
