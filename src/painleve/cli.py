@@ -31,7 +31,7 @@ from typing import Sequence
 from .catalog import (
     EquationId, Family, InvalidEquationError, NumericInputError, UnknownFamilyError, UnsupportedFamilyError,
 )
-from .citations import Ambiguity, Citation, cite
+from .citations import RICCATI_SIGN_NOTE, Ambiguity, Citation, cite
 from .classify import ClassificationReport, classify
 from .exactnum import ParamSyntaxError, ParamValue, TriBool, format_param, parse_param
 
@@ -41,7 +41,7 @@ from .exactnum import ParamSyntaxError, ParamValue, TriBool, format_param, parse
 _LAZY = {
     "weyl": ("AffineMap", "HypothesisStatus", "OrbitVerdict", "Verdict", "cross_family_verdict",
              "named_generators", "orbit_with_word", "word_map"),
-    "diffpoly": ("pv_random_point_check", "riccati_sign_note", "verify_group_relation", "verify_pv_change_of_variables",
+    "diffpoly": ("pv_random_point_check", "verify_group_relation", "verify_pv_change_of_variables",
                  "verify_riccati"),
     "numint": ("NumericAssignment",),
 }
@@ -257,7 +257,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
             _verdict("riccati-matched-alpha-plus", _frac(plus), cite("pii_riccati")),
             _verdict("riccati-matched-alpha-minus", _frac(minus), cite("pii_riccati")),
         ]
-        return _response(query, verdicts, [cite("pii_riccati")], [riccati_sign_note()]), 0
+        return _response(query, verdicts, [cite("pii_riccati")], [RICCATI_SIGN_NOTE]), 0
     if target == "pv-change":
         report = verify_pv_change_of_variables()
         points, all_zero = pv_random_point_check(residuals=report.residuals)

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .citations import RICCATI_SIGN_NOTE, Ambiguity
 
 Rational = Fraction | int
 
@@ -476,11 +475,6 @@ class DiffExpr:
     __repr__ = __str__
 
 
-def total_derivative(e: DiffExpr) -> DiffExpr:
-    """Formal derivative per the operator rules; no relation substitution."""
-    return DiffExpr._coerce(e).total_derivative()
-
-
 class RelationSet:
     """Triangular substitution rules x^(k) -> expression, derived from an ODE.
 
@@ -546,10 +540,6 @@ def reduce(e: DiffExpr, rels: RelationSet) -> DiffExpr:
 # -- verifications driven by the cataloged systems -----------------------------
 
 
-def riccati_sign_note() -> Ambiguity:
-    return RICCATI_SIGN_NOTE
-
-
 def verify_riccati(sign: int) -> Fraction:
     """Reduce y'' - 2y^3 - ty modulo y' = sign*(y^2 + t/2) and return the
     unique constant alpha for which the full residual vanishes identically.
@@ -572,10 +562,6 @@ class ChangeOfVariablesReport:
     residuals: tuple[DiffExpr, DiffExpr]
     excluded_loci: tuple[str, ...]
     notes: tuple[str, ...]
-
-    @property
-    def holds(self) -> bool:
-        return self.identity_q and self.identity_p
 
 
 def pv_change_of_variables_exprs() -> tuple[DiffExpr, DiffExpr]:

@@ -152,9 +152,6 @@ class ParamValue:
                 return c
         return Fraction(0)
 
-    def atoms(self) -> tuple[Atom, ...]:
-        return tuple(a for a, _ in self.terms)
-
     @property
     def is_rational(self) -> bool:
         return not self.terms
@@ -276,6 +273,11 @@ def format_param(value: ParamValue) -> str:
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<atom>(?:tau|alg)\d+)|(?P<num>\d+)|(?P<op>[+\-*/]))")
 
+# Longest digit run accepted (a numerator, denominator or atom index), so
+# every printed value stays under CPython's 4,300-digit int-to-str limit.
+MAX_DIGITS = 1000
+_LONG_DIGIT_RUN = re.compile(r"\d{%d}" % (MAX_DIGITS + 1))
+
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
@@ -307,8 +309,12 @@ def parse_param(text: str) -> ParamValue:
         atom   := "tau" digits | "alg" digits
 
     Whitespace is insignificant.  Raises :class:`ParamSyntaxError` with the
-    offending position on malformed input or a zero denominator.
+    offending position on malformed input, a zero denominator or a digit
+    run longer than ``MAX_DIGITS``.
     """
+    long_run = _LONG_DIGIT_RUN.search(text)
+    if long_run:
+        raise ParamSyntaxError(f"more than {MAX_DIGITS} digits", long_run.start())
     tokens = _tokenize(text)
     if not tokens:
         raise ParamSyntaxError("empty parameter expression", 0)

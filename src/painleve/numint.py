@@ -14,7 +14,6 @@ locals and call f positionally, an opaque rhs(t, state) through an adapter.
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import math
@@ -77,10 +76,6 @@ class Trajectory:
     status: TrajectoryStatus
     blowup_t: float | None = None
     step: float = 0.0
-
-    @property
-    def times(self) -> list[float]:
-        return [t for t, _ in self.samples]
 
 
 # -- compilation ------------------------------------------------------------------
@@ -338,12 +333,13 @@ def residual_norm(traj: Trajectory, eq: EquationId, assign: NumericAssignment | 
 
 
 def write_csv(traj: Trajectory, path: str) -> None:
-    """Columns: t, then one column per state component."""
+    """Columns: t, then one column per state component; lines end in CRLF.
+    No field needs quoting: state names come from the catalog and values
+    are float reprs."""
+    lines = [",".join(("t", *traj.state_names))]
+    lines += [",".join(map(repr, (t, *state))) for t, state in traj.samples]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", *traj.state_names])
-        for t, state in traj.samples:
-            writer.writerow([repr(t), *[repr(x) for x in state]])
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def trajectory_json(traj: Trajectory) -> dict:

@@ -41,14 +41,6 @@ class OdeSystem:
     def relations(self) -> RelationSet:
         return relations_for_system(self.state_vars, self.order, self.rhs)
 
-    def residual_exprs(self) -> tuple[DiffExpr, ...]:
-        """Left side minus right side, one expression per equation."""
-        if self.order == 1:
-            return tuple(
-                DiffExpr.var(jet(name, 1)) - expr for name, expr in zip(self.state_vars, self.rhs)
-            )
-        return (DiffExpr.var(jet(self.state_vars[0], self.order)) - self.rhs[0],)
-
 
 PI_FORM_NOTE = (
     "literature-standard form, included so the family enumeration is total;"

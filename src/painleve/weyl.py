@@ -16,6 +16,21 @@ denotes an inverse.  The third to sixth families' words come from one
 alcove walk: the witness maps a point of the fundamental alcove to another
 alcove, and walking that image back, one wall at a time, spells the
 shortest group element that maps v to w (see ``_alcove_word``).
+
+The fourth to sixth families' orbit criteria are one lattice scan: is there
+a signed permutation g of the finite Weyl group and an offset c with
+w - g(v) - c integral?  ``_SCANS`` gives each family's linear parts in scan
+order (IV: the 6 permutations; V: the 24; VI: the 24, each with the 8 even
+sign patterns), its offsets (V: a/4 for a = 0..3; else 0), how many
+coordinates the criterion names (the ``integer_shift`` length) and whether
+the shift must also have even sum (VI).  Candidates are visited in that
+order and the first all-Yes one wins; otherwise the verdict is Unknown if
+some candidate was undecided, else No.  Each difference w_j - s*v_i - c
+and its coset verdict is computed at most once per call, when a candidate
+first reaches it, and a candidate stops at its first No coordinate.  In the
+sum-zero families IV and V the last coordinate is integral whenever the
+others are, so it is tested only where they leave Unknown; the even-sum
+test runs only where the coordinates are not No.
 """
 
 from __future__ import annotations
@@ -26,7 +41,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .catalog import EquationId, Family, family_space
 from .citations import Citation, cite
@@ -256,22 +271,118 @@ def _coerce_params(family: Family, values: Sequence[ParamValue | Rational]) -> t
     return EquationId(family, values).params
 
 
-def _search_witness(candidates: Iterable[tuple[list[TriBool], OrbitWitness]]) -> tuple[TriBool, OrbitWitness | None]:
-    saw_unknown = False
-    for tests, witness in candidates:
-        combined = tri_and(tests)
-        if combined is TriBool.YES:
-            return TriBool.YES, witness
-        if combined is TriBool.UNKNOWN:
-            saw_unknown = True
-    return (TriBool.UNKNOWN if saw_unknown else TriBool.NO), None
-
-
 def _is_generic(family: Family, params: Sequence[ParamValue]) -> bool:
     return transcendence_degree(params) == family_space(family).dimension
 
 
-_EVEN_SIGN_PATTERNS = tuple(s for s in itertools.product((1, -1), repeat=4) if s.count(-1) % 2 == 0)
+# Each family's cited criterion, its citation key, and the notes every verdict carries.
+_CRITERIA = {
+    Family.PI: ("the first family has a single equation; any two coincide", "backlund_maps", ()),
+    Family.PII: ("beta - alpha in Z or beta + alpha in Z", "genone", ()),
+    Family.PIII: ("{pi(v2-v1), pi(v1-v2)} = {pi(w2-w1), pi(w1-w2)} where pi is reduction mod 2Z", "p3orth", ()),
+    Family.PIV: ("some permutation sigma of {1,2,3} has v_i - w_sigma(i) in Z for all i", "p4orth", ()),
+    Family.PV: (
+        "a/4*(1,1,1) + (v_sigma(1), v_sigma(2), v_sigma(3)) - (w_1, w_2, w_3) in Z^3 "
+        "for some sigma in S_4 and a in Z (a taken mod 4)", "pv_orbit", (),
+    ),
+    Family.PVI: (
+        "w = signed permutation of v (even sign weight) plus an integer vector with even coordinate sum",
+        "pvi_orbit_criterion", ("the converse direction is an open question for the sixth family",),
+    ),
+}
+
+# Rows (linear parts (perm, signs) in scan order, offsets c, named coordinates,
+# even-sum test) of the lattice scan described in the module docstring.
+_PERMS3, _PERMS4 = tuple(itertools.permutations(range(3))), tuple(itertools.permutations(range(4)))
+_SCANS = {
+    Family.PIV: (tuple((p, (1, 1, 1)) for p in _PERMS3), (Fraction(0),), 3, False),
+    Family.PV: (tuple((p, (1, 1, 1, 1)) for p in _PERMS4), tuple(Fraction(a, 4) for a in range(4)), 3, False),
+    Family.PVI: (
+        tuple((p, s) for p in _PERMS4 for s in itertools.product((1, -1), repeat=4) if s.count(-1) % 2 == 0),
+        (Fraction(0),), 4, True,
+    ),
+}
+
+
+def _lattice_scan(
+    family: Family, v: Sequence[ParamValue], w: Sequence[ParamValue]
+) -> tuple[TriBool, OrbitWitness | None]:
+    """``(related, witness)`` from the first candidate g, c of ``_SCANS[family]``
+    with w - g(v) - c integral (see the module docstring)."""
+    linear, offsets, named, even_sum = _SCANS[family]
+    n = len(v)
+    free = n - family_space(family).sum_zero  # coordinates tested before the last
+    diffs: dict[tuple[int, int, int, int], ParamValue] = {}  # (j, i, s, k) -> w_j - s*v_i - c_k
+    tests: dict[tuple[int, int, int, int], TriBool] = {}
+
+    def diff(key: tuple[int, int, int, int]) -> ParamValue:
+        d = diffs.get(key)
+        if d is None:
+            j, i, s, k = key
+            d = w[j] - v[i] if s > 0 else w[j] + v[i]
+            d = diffs[key] = d - offsets[k] if offsets[k] else d
+        return d
+
+    def test(key: tuple[int, int, int, int]) -> TriBool:
+        t = tests.get(key)
+        if t is None:
+            t = tests[key] = decide_coset(diff(key), 0, 1)
+        return t
+
+    saw_unknown = False
+    for perm, signs in linear:
+        for k, c in enumerate(offsets):
+            # tri_and stops at the first No, so later coordinates go untested.
+            related = tri_and(test((j, perm[j], signs[j], k)) for j in range(free))
+            if related is TriBool.NO:
+                continue
+            keys = [(j, perm[j], signs[j], k) for j in range(n)]
+            if related is TriBool.UNKNOWN and free < n:
+                related = tri_and((related, test(keys[-1])))
+            if even_sum and related is not TriBool.NO:
+                total = sum((diff(key) for key in keys[1:]), diff(keys[0]))
+                related = tri_and((related, decide_coset(total, 0, 2)))
+            if related is TriBool.YES:
+                consts = [diff(key).const for key in keys]
+                return related, OrbitWitness(
+                    perm=perm,
+                    signs=signs,
+                    shift=tuple(x + c for x in consts),
+                    quarter_shift=k if len(offsets) > 1 else None,
+                    integer_shift=tuple(int(x) for x in consts[:named]),
+                )
+            saw_unknown = saw_unknown or related is TriBool.UNKNOWN
+    return (TriBool.UNKNOWN if saw_unknown else TriBool.NO), None
+
+
+def _piii_decide(v: Sequence[ParamValue], w: Sequence[ParamValue]) -> tuple[TriBool, OrbitWitness | None]:
+    """The third family's criterion on differences mod 2Z, as ``(related, witness)``."""
+    dv = v[1] - v[0]
+    dw = w[1] - w[0]
+    t_plus = decide_coset(dw - dv, 0, 2)
+    t_minus = decide_coset(dw + dv, 0, 2)
+    related = tri_or([t_plus, t_minus])
+    if related is not TriBool.YES:
+        return related, None
+    # The group's elements are exactly these four linear parts with an
+    # integral shift of even sum, so a candidate in that lattice is
+    # preferred; the note marks a witness that is not a group element.
+    rational = []
+    for eps, perm in itertools.product((1, -1), ((0, 1), (1, 0))):
+        shifts = [w[j] - v[perm[j]] * eps for j in range(2)]
+        if all(s.is_rational for s in shifts):
+            rational.append((perm, eps, tuple(s.const for s in shifts)))
+    in_lattice = [c for c in rational if _in_lattice(c[2])]
+    if rational:
+        perm, eps, shift = (in_lattice or rational)[0]
+        note = None if in_lattice else "affine witness lies outside the generator lattice"
+        return related, OrbitWitness(perm=perm, signs=(eps, eps), shift=shift, note=note)
+    branch = "+" if t_plus is TriBool.YES else "-"
+    shift = (dw - dv) if t_plus is TriBool.YES else (dw + dv)
+    return related, OrbitWitness(
+        integer_shift=(int(shift.const),),
+        note=f"difference criterion only (branch {branch}); no affine witness with rational shift",
+    )
 
 
 def orbit_decide(family: Family, v: Sequence[ParamValue | Rational], w: Sequence[ParamValue | Rational]) -> OrbitVerdict:
@@ -285,17 +396,9 @@ def orbit_decide(family: Family, v: Sequence[ParamValue | Rational], w: Sequence
     w = _coerce_params(family, w)
 
     if family is Family.PI:
+        related, hypotheses = TriBool.YES, True
         witness = OrbitWitness(perm=(), signs=(), shift=(), note="parameter-free family")
-        return OrbitVerdict(
-            family=family,
-            related=TriBool.YES,
-            criterion="the first family has a single equation; any two coincide",
-            criterion_citation=cite("backlund_maps"),
-            hypothesis_status=HypothesisStatus.PROVED,
-            witness=witness,
-        )
-
-    if family is Family.PII:
+    elif family is Family.PII:
         diff = w[0] - v[0]
         summ = w[0] + v[0]
         t_diff = decide_coset(diff, 0, 1)
@@ -306,167 +409,24 @@ def orbit_decide(family: Family, v: Sequence[ParamValue | Rational], w: Sequence
             witness = OrbitWitness(perm=(0,), signs=(1,), shift=(diff.const,), integer_shift=(int(diff.const),))
         elif t_sum is TriBool.YES:
             witness = OrbitWitness(perm=(0,), signs=(-1,), shift=(summ.const,), integer_shift=(int(summ.const),))
-        status = _status(related, v[0].has_transcendental or w[0].has_transcendental)
-        return OrbitVerdict(
-            family=family,
-            related=related,
-            criterion="beta - alpha in Z or beta + alpha in Z",
-            criterion_citation=cite("genone"),
-            hypothesis_status=status,
-            witness=witness,
-        )
-
-    if family is Family.PIII:
-        dv = v[1] - v[0]
-        dw = w[1] - w[0]
-        t_plus = decide_coset(dw - dv, 0, 2)
-        t_minus = decide_coset(dw + dv, 0, 2)
-        related = tri_or([t_plus, t_minus])
-        witness = None
-        if related is TriBool.YES:
-            # The group's elements are exactly these four linear parts with an
-            # integral shift of even sum, so a candidate in that lattice is
-            # preferred; the note marks a witness that is not a group element.
-            rational = []
-            for eps, perm in itertools.product((1, -1), ((0, 1), (1, 0))):
-                shifts = [w[j] - v[perm[j]] * eps for j in range(2)]
-                if all(s.is_rational for s in shifts):
-                    rational.append((perm, eps, tuple(s.const for s in shifts)))
-            in_lattice = [c for c in rational if _in_lattice(c[2])]
-            if rational:
-                perm, eps, shift = (in_lattice or rational)[0]
-                note = None if in_lattice else "affine witness lies outside the generator lattice"
-                witness = OrbitWitness(perm=perm, signs=(eps, eps), shift=shift, note=note)
-            else:
-                branch = "+" if t_plus is TriBool.YES else "-"
-                shift = (dw - dv) if t_plus is TriBool.YES else (dw + dv)
-                witness = OrbitWitness(
-                    integer_shift=(int(shift.const),),
-                    note=f"difference criterion only (branch {branch}); no affine witness with rational shift",
-                )
-        status = _status(related, _is_generic(family, v) and _is_generic(family, w))
-        return OrbitVerdict(
-            family=family,
-            related=related,
-            criterion="{pi(v2-v1), pi(v1-v2)} = {pi(w2-w1), pi(w1-w2)} where pi is reduction mod 2Z",
-            criterion_citation=cite("p3orth"),
-            hypothesis_status=status,
-            witness=witness,
-        )
-
-    # The IV/V/VI scans visit candidates in a fixed order and stop at the
-    # first Yes.  Each coordinate difference and its coset verdict is
-    # computed once per call, then looked up by every candidate using it.
-    if family is Family.PIV:
-        diff_table = [[w[j] - v[i] for i in range(3)] for j in range(3)]
-        test_table = [[decide_coset(d, 0, 1) for d in row] for row in diff_table]
-
-        def candidates():
-            for perm in itertools.permutations(range(3)):
-                diffs = [diff_table[j][perm[j]] for j in range(3)]
-                tests = [test_table[j][perm[j]] for j in range(3)]
-                if tri_and(tests) is TriBool.YES:
-                    witness = OrbitWitness(
-                        perm=perm,
-                        signs=(1, 1, 1),
-                        shift=tuple(d.const for d in diffs),
-                        integer_shift=tuple(int(d.const) for d in diffs),
-                    )
-                else:
-                    witness = None
-                yield tests, witness
-
-        related, witness = _search_witness(candidates())
-        status = _status(related, _is_generic(family, v) or _is_generic(family, w))
-        return OrbitVerdict(
-            family=family,
-            related=related,
-            criterion="some permutation sigma of {1,2,3} has v_i - w_sigma(i) in Z for all i",
-            criterion_citation=cite("p4orth"),
-            hypothesis_status=status,
-            witness=witness,
-        )
-
-    if family is Family.PV:
-        # base[j][i] = w_j - v_i; the criterion tests w_j - v_i - a/4 for j < 3.
-        base = [[w[j] - v[i] for i in range(4)] for j in range(4)]
-        diff_table = [[[base[j][i] - Fraction(a, 4) for a in range(4)] for i in range(4)] for j in range(3)]
-        test_table = [[[decide_coset(d, 0, 1) for d in by_a] for by_a in row] for row in diff_table]
-
-        def candidates():
-            for perm in itertools.permutations(range(4)):
-                for a in range(4):
-                    diffs = [diff_table[j][perm[j]][a] for j in range(3)]
-                    tests = [test_table[j][perm[j]][a] for j in range(3)]
-                    # Both points sum to zero, so the test for j = 3 is Yes when
-                    # the other three are; it runs only where they leave Unknown,
-                    # which it can still turn into No.
-                    if tri_and(tests) is TriBool.UNKNOWN:
-                        tests.append(decide_coset(base[3][perm[3]] - Fraction(a, 4), 0, 1))
-                    if tri_and(tests) is TriBool.YES:
-                        shift = tuple(base[j][perm[j]].const for j in range(4))
-                        witness = OrbitWitness(
-                            perm=perm,
-                            signs=(1, 1, 1, 1),
-                            shift=shift,
-                            quarter_shift=a,
-                            integer_shift=tuple(int(d.const) for d in diffs),
-                        )
-                    else:
-                        witness = None
-                    yield tests, witness
-
-        related, witness = _search_witness(candidates())
-        status = _status(related, _is_generic(family, v) or _is_generic(family, w))
-        return OrbitVerdict(
-            family=family,
-            related=related,
-            criterion="a/4*(1,1,1) + (v_sigma(1), v_sigma(2), v_sigma(3)) - (w_1, w_2, w_3) in Z^3 "
-            "for some sigma in S_4 and a in Z (a taken mod 4)",
-            criterion_citation=cite("pv_orbit"),
-            hypothesis_status=status,
-            witness=witness,
-        )
-
-    if family is Family.PVI:
-        # diff_table[j][i][k] = w_j - s*v_i with s = +1 (k = 0) or -1 (k = 1).
-        diff_table = [[[w[j] - v[i] * s for s in (1, -1)] for i in range(4)] for j in range(4)]
-        test_table = [[[decide_coset(d, 0, 1) for d in by_s] for by_s in row] for row in diff_table]
-
-        def candidates():
-            for perm in itertools.permutations(range(4)):
-                for signs in _EVEN_SIGN_PATTERNS:
-                    diffs = [diff_table[j][perm[j]][signs[j] < 0] for j in range(4)]
-                    tests = [test_table[j][perm[j]][signs[j] < 0] for j in range(4)]
-                    # The even-sum test cannot change a No, so it runs only when needed.
-                    if tri_and(tests) is not TriBool.NO:
-                        total = diffs[0] + diffs[1] + diffs[2] + diffs[3]
-                        tests.append(decide_coset(total, 0, 2))
-                    if tri_and(tests) is TriBool.YES:
-                        witness = OrbitWitness(
-                            perm=perm,
-                            signs=signs,
-                            shift=tuple(d.const for d in diffs),
-                            integer_shift=tuple(int(d.const) for d in diffs),
-                        )
-                    else:
-                        witness = None
-                    yield tests, witness
-
-        related, witness = _search_witness(candidates())
-        status = HypothesisStatus.SUFFICIENT_ONLY if related is TriBool.YES else HypothesisStatus.OPEN
-        return OrbitVerdict(
-            family=family,
-            related=related,
-            criterion="w = signed permutation of v (even sign weight) plus an integer vector "
-            "with even coordinate sum",
-            criterion_citation=cite("pvi_orbit_criterion"),
-            hypothesis_status=status,
-            witness=witness,
-            notes=("the converse direction is an open question for the sixth family",),
-        )
-
-    raise NoGeneratorsError(f"family {family.value} has no orbit criterion")
+        hypotheses = v[0].has_transcendental or w[0].has_transcendental
+    elif family is Family.PIII:
+        related, witness = _piii_decide(v, w)
+        hypotheses = _is_generic(family, v) and _is_generic(family, w)
+    else:
+        related, witness = _lattice_scan(family, v, w)
+        # The sixth family's converse is open: its hypotheses never hold.
+        hypotheses = family is not Family.PVI and (_is_generic(family, v) or _is_generic(family, w))
+    criterion, key, notes = _CRITERIA[family]
+    return OrbitVerdict(
+        family=family,
+        related=related,
+        criterion=criterion,
+        criterion_citation=cite(key),
+        hypothesis_status=_status(related, hypotheses),
+        witness=witness,
+        notes=notes,
+    )
 
 
 def _status(related: TriBool, hypotheses_hold: bool) -> HypothesisStatus:
@@ -495,10 +455,6 @@ _ALCOVES = {
     ),
     Family.PVI: ((("s1",), ("s2",), ("s3",), ("s4",), ("s5",)), ("2/5", "3/10", "1/5", "1/10")),
 }
-
-# The fifth family's quarter translation; tminus translates by its negative.
-_QUARTER = (Fraction(1, 4), Fraction(1, 4), Fraction(1, 4), Fraction(-3, 4))
-
 
 def _in_lattice(shift: Sequence[Fraction]) -> bool:
     """Integral with even sum: the translations of the III-VI orbit groups
@@ -623,8 +579,9 @@ def generator_word(
         shift, target, tail = witness.shift, w, ()
         if family is Family.PV:
             a = witness.quarter_shift
-            shift = tuple(t - a * x for t, x in zip(shift, _QUARTER))
-            target = tuple(y - a * x for y, x in zip(w, _QUARTER))
+            quarter = resolve_token(family, "tminus^-1").translation
+            shift = tuple(t - a * x for t, x in zip(shift, quarter))
+            target = tuple(y - a * x for y, x in zip(w, quarter))
             tail = ("tminus^-1",) * a
         if not _in_lattice(shift):
             return WordResult(word=None, reason="NoWordFound")

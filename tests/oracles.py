@@ -8,11 +8,17 @@
   count from its congruences, apart from the stratum.  ``chain_classify``
   runs ``classify`` on both, for comparison with the walk over
   ``FamilySpec.strata``.
+- ``scan_orbit_decide`` decides the fourth to sixth families' orbit
+  criteria by a plain scan: every candidate computes all of its coset tests.
 - ``shortest_word`` is the bounded meet-in-the-middle search that spelled
   third- and sixth-family words before the alcove walk; it finds a shortest
   word.  ``table_word`` is the fourth and fifth families' former
   construction: a permutation word from a breadth-first search, then the
   translation as copies of conjugated elementary translation words.
+- ``residual_exprs`` writes each equation of an ODE system as its left
+  side minus its right side.
+- ``csv_module_write_csv`` is ``numint.write_csv`` as it was before it
+  joined its lines itself: ``csv.writer`` with a list of reprs per row.
 - ``tuple_integrate_rhs`` and ``indexed_residual_norm`` are the RK4 and
   residual loops from before the loops generated per state dimension: they
   call ``rhs(t, state)`` on tuples and lists and index the samples.
@@ -20,6 +26,7 @@
 
 from __future__ import annotations
 
+import csv
 import importlib
 import itertools
 import math
@@ -29,14 +36,15 @@ from typing import Sequence
 from unittest import mock
 
 from painleve.catalog import EquationId, Family, family_space
+from painleve.diffpoly import DiffExpr, jet
 from painleve.classify import ClassificationReport, Stratum, _pvi_half_integer_special
-from painleve.exactnum import ParamValue, TriBool, decide_coset, rational_rank, tri_and, tri_or
+from painleve.exactnum import ParamValue, TriBool, decide_coset, rational_rank, transcendence_degree, tri_and, tri_or
 from painleve.numint import (
     BLOWUP_THRESHOLD, NumericAssignment, ResidualReport, Trajectory, TrajectoryStatus, _companion_rhs,
     _numeric_params,
 )
-from painleve.odes import ode_system
-from painleve.weyl import AffineMap, OrbitWitness, apply_word, named_generators, resolve_token, word_map
+from painleve.odes import OdeSystem, ode_system
+from painleve.weyl import AffineMap, HypothesisStatus, OrbitWitness, apply_word, named_generators, resolve_token, word_map
 
 # The package exports the function ``classify`` under the module's name.
 classify_module = importlib.import_module("painleve.classify")
@@ -260,6 +268,85 @@ def chain_classify(eq: EquationId) -> ClassificationReport:
         return classify_module.classify(eq)
 
 
+# -- orbit criteria -------------------------------------------------------------------
+
+
+def scan_orbit_decide(family: Family, v, w) -> tuple[TriBool, OrbitWitness | None, HypothesisStatus]:
+    """The fourth to sixth families' orbit criteria as a plain candidate scan:
+    every candidate computes its differences and all of its coset tests, and
+    the first candidate whose tests are all Yes gives the witness.  Returns
+    ``(related, witness, hypothesis status)``."""
+    v = EquationId(family, v).params
+    w = EquationId(family, w).params
+
+    def candidates():
+        if family is Family.PIV:
+            for perm in itertools.permutations(range(3)):
+                diffs = [w[j] - v[perm[j]] for j in range(3)]
+                tests = [decide_coset(d, 0, 1) for d in diffs]
+                witness = None
+                if tri_and(tests) is TriBool.YES:
+                    witness = OrbitWitness(
+                        perm=perm,
+                        signs=(1, 1, 1),
+                        shift=tuple(d.const for d in diffs),
+                        integer_shift=tuple(int(d.const) for d in diffs),
+                    )
+                yield tests, witness
+        elif family is Family.PV:
+            for perm in itertools.permutations(range(4)):
+                for a in range(4):
+                    diffs = [w[j] - v[perm[j]] - Fraction(a, 4) for j in range(3)]
+                    tests = [decide_coset(d, 0, 1) for d in diffs]
+                    tests.append(decide_coset(w[3] - v[perm[3]] - Fraction(a, 4), 0, 1))
+                    witness = None
+                    if tri_and(tests) is TriBool.YES:
+                        witness = OrbitWitness(
+                            perm=perm,
+                            signs=(1, 1, 1, 1),
+                            shift=tuple((w[j] - v[perm[j]]).const for j in range(4)),
+                            quarter_shift=a,
+                            integer_shift=tuple(int(d.const) for d in diffs),
+                        )
+                    yield tests, witness
+        else:
+            for perm in itertools.permutations(range(4)):
+                for signs in itertools.product((1, -1), repeat=4):
+                    if signs.count(-1) % 2:
+                        continue
+                    diffs = [w[j] - v[perm[j]] * signs[j] for j in range(4)]
+                    tests = [decide_coset(d, 0, 1) for d in diffs]
+                    tests.append(decide_coset(diffs[0] + diffs[1] + diffs[2] + diffs[3], 0, 2))
+                    witness = None
+                    if tri_and(tests) is TriBool.YES:
+                        witness = OrbitWitness(
+                            perm=perm,
+                            signs=signs,
+                            shift=tuple(d.const for d in diffs),
+                            integer_shift=tuple(int(d.const) for d in diffs),
+                        )
+                    yield tests, witness
+
+    related, witness = TriBool.NO, None
+    for tests, candidate in candidates():
+        combined = tri_and(tests)
+        if combined is TriBool.YES:
+            related, witness = combined, candidate
+            break
+        if combined is TriBool.UNKNOWN:
+            related = TriBool.UNKNOWN
+    # Proved needs a generic endpoint (IV, V); the sixth family's converse is open.
+    dimension = family_space(family).dimension
+    generic = family is not Family.PVI and dimension in (transcendence_degree(v), transcendence_degree(w))
+    if generic:
+        status = HypothesisStatus.PROVED
+    elif related is TriBool.YES:
+        status = HypothesisStatus.SUFFICIENT_ONLY
+    else:
+        status = HypothesisStatus.OPEN
+    return related, witness, status
+
+
 # -- generator words ------------------------------------------------------------------
 
 
@@ -373,6 +460,16 @@ def table_word(family: Family, witness: OrbitWitness) -> tuple[str, ...]:
     return word
 
 
+# -- ODE systems --------------------------------------------------------------------------
+
+
+def residual_exprs(system: OdeSystem) -> tuple[DiffExpr, ...]:
+    """Left side minus right side, one expression per equation."""
+    if system.order == 1:
+        return tuple(DiffExpr.var(jet(name, 1)) - expr for name, expr in zip(system.state_vars, system.rhs))
+    return (DiffExpr.var(jet(system.state_vars[0], system.order)) - system.rhs[0],)
+
+
 # -- the RK4 and residual loops ---------------------------------------------------------
 
 
@@ -439,3 +536,12 @@ def indexed_residual_norm(traj: Trajectory, eq: EquationId, assign: NumericAssig
             ) / (12 * h)
             worst = max(worst, abs(fd - f[j]))
     return ResidualReport(value=worst, discretization_order=4)
+
+
+def csv_module_write_csv(traj: Trajectory, path: str) -> None:
+    """Columns: t, then one column per state component."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", *traj.state_names])
+        for t, state in traj.samples:
+            writer.writerow([repr(t), *[repr(x) for x in state]])

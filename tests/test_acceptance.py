@@ -11,11 +11,10 @@ import time
 from fractions import Fraction
 
 from painleve.catalog import EquationId, Family, family_space
-from painleve.citations import PVI_LDEG_AMBIGUITY
+from painleve.citations import PVI_LDEG_AMBIGUITY, RICCATI_SIGN_NOTE
 from painleve.classify import classify
 from painleve.diffpoly import (
     pv_random_point_check,
-    riccati_sign_note,
     verify_pv_change_of_variables,
     verify_riccati,
 )
@@ -199,7 +198,7 @@ def test_criterion_7_symbolic_riccati():
     start = time.perf_counter()
     assert verify_riccati(1) == Fraction(1, 2)
     assert verify_riccati(-1) == Fraction(-1, 2)
-    note = riccati_sign_note()
+    note = RICCATI_SIGN_NOTE
     assert "-1/2" in note and "+1/2" in note
     report = classify(EquationId(Family.PII, [H]))
     assert note in report.notes

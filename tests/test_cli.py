@@ -328,6 +328,34 @@ def test_batch_mode_reports_input_errors(tmp_path, capsys):
     assert len(out_lines) == 1  # the valid line still ran
 
 
+LONG_NUMERAL = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--family", "II", "--params", LONG_NUMERAL],
+        ["atoms", "--params", "tau" + LONG_NUMERAL],
+        ["integrate", "--family", "II", "--params", "tau1", "--assign", f"tau{LONG_NUMERAL}=1",
+         "--initial", "0.1,0.2", "--t0", "1", "--t1", "1.1", "--step", "0.05"],
+    ],
+)
+def test_long_numeral_is_input_error(argv, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: more than 1000 digits (at position ")
+
+
+def test_long_numeral_in_batch_is_input_error(tmp_path, capsys):
+    batch = tmp_path / "queries.txt"
+    batch.write_text(f"classify --family II --params {LONG_NUMERAL}\natoms --params tau1\n")
+    assert run(["--batch", str(batch)]) == 2
+    captured = capsys.readouterr()
+    assert [json.loads(r)["query"]["subcommand"] for r in captured.out.splitlines()] == ["atoms"]
+    assert captured.err == "error: more than 1000 digits (at position 0)\n"
+
+
 def test_batch_missing_file(capsys):
     assert run(["--batch", "/nonexistent/queries.txt"]) == 2
 

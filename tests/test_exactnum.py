@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from painleve.exactnum import (
+    MAX_DIGITS,
     Atom,
     AtomKind,
     ParamSyntaxError,
@@ -52,7 +53,7 @@ def test_parse_linear_term():
     v = parse_param("2*tau1 - 1/3")
     assert v.const == Fraction(-1, 3)
     assert v.coeff(tau(1)) == 2
-    assert v.atoms() == (tau(1),)
+    assert [a for a, _ in v.terms] == [tau(1)]
 
 
 def test_parse_canonicalizes_repeated_atoms():
@@ -90,6 +91,20 @@ def test_parse_zero_denominator():
         parse_param("1/0")
 
 
+@pytest.mark.parametrize(
+    "template,pos",
+    [("{}", 0), ("-{}", 1), ("1/{}", 2), ("tau{}", 3), ("1 + 2*alg{}", 9), ("tau1 - {}/3", 7)],
+)
+def test_parse_rejects_digit_runs_over_the_limit(template, pos):
+    assert parse_param(template.format("7" * MAX_DIGITS)) is not None
+    with pytest.raises(ParamSyntaxError) as err:
+        parse_param(template.format("7" * (MAX_DIGITS + 1)))
+    assert err.value.position == pos
+    with pytest.raises(ParamSyntaxError) as err:
+        parse_param(template.format("1" * 5000))
+    assert err.value.position == pos
+
+
 @given(param_values)
 def test_print_parse_roundtrip(v):
     assert parse_param(format_param(v)) == v
@@ -112,13 +127,13 @@ def test_add_then_subtract_is_identity(a, b):
 def test_scaling_distributes_over_coefficients(v, q):
     scaled = v * q
     assert scaled.const == v.const * q
-    for a in v.atoms():
+    for a, _ in v.terms:
         assert scaled.coeff(a) == v.coeff(a) * q
 
 
 def test_no_zero_coefficients_stored():
     v = ParamValue(1, {tau(1): Fraction(0), alg(0): 2})
-    assert v.atoms() == (alg(0),)
+    assert [a for a, _ in v.terms] == [alg(0)]
 
 
 def test_equality_against_plain_rationals():

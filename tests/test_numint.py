@@ -1,12 +1,13 @@
 import json
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
 import pytest
 
-from oracles import indexed_residual_norm, tuple_integrate_rhs
+from oracles import csv_module_write_csv, indexed_residual_norm, tuple_integrate_rhs
 from painleve import numint
 from painleve.catalog import EquationId, Family, UnsupportedFamilyError
 from painleve.exactnum import ParamValue, tau
@@ -60,7 +61,7 @@ def test_determinism_bit_identical():
 
 def test_time_grid_is_strictly_monotone():
     traj = integrate_rhs(exp_rhs, [1.0], 0.0, 0.5, 1e-2)
-    times = traj.times
+    times = [t for t, _ in traj.samples]
     assert all(b > a for a, b in zip(times, times[1:]))
 
 
@@ -209,6 +210,31 @@ def test_csv_and_json_export(tmp_path):
     assert payload["family"] == "II"
     assert payload["status"] == "completed"
     assert len(payload["samples"]) == len(traj.samples)
+
+
+# Every chart numeric integration accepts.
+CHARTS = [
+    (Family.PI, "scalar", []),
+    (Family.PII, "scalar", [H]),
+    (Family.PIII, "system", [Fraction(1, 3), Fraction(-2, 5)]),
+    (Family.PIV, "system", [Fraction(1, 3), Fraction(1, 6), Fraction(-1, 2)]),
+    (Family.PV, "system", [Fraction(1, 10), Fraction(1, 5), Fraction(-1, 20), Fraction(-1, 4)]),
+    (Family.PV, "QP", [Fraction(1, 10), Fraction(1, 5), Fraction(-1, 20), Fraction(-1, 4)]),
+]
+
+
+def test_csv_bytes_match_the_csv_module(tmp_path):
+    trajectories = [
+        integrate(EquationId(family, params), None, [0.25, -0.125], 1.0, 1.2, 1e-2, form=form)
+        for family, form, params in CHARTS
+    ]
+    trajectories.append(replace(trajectories[1], samples=[(1.0, (-0.0, 0.0)), (1e-300, (-1e300, 0.1 + 0.2))]))
+    assert {traj.form for traj in trajectories} == {"scalar", "system", "QP"}
+    assert any("y'" in traj.state_names for traj in trajectories)
+    for traj in trajectories:
+        write_csv(traj, str(tmp_path / "new.csv"))
+        csv_module_write_csv(traj, str(tmp_path / "old.csv"))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def test_json_export_is_the_dumped_payload(tmp_path):

@@ -1,4 +1,3 @@
-import itertools
 import random
 import time
 from dataclasses import replace
@@ -16,14 +15,12 @@ from painleve.exactnum import (
     parse_param,
     tau,
     transcendence_degree,
-    tri_and,
 )
 from painleve.weyl import (
     MAX_WORD_TOKENS,
     AffineMap,
     HypothesisStatus,
     NoGeneratorsError,
-    OrbitWitness,
     Verdict,
     apply_word,
     cross_family_verdict,
@@ -35,7 +32,7 @@ from painleve.weyl import (
     word_map,
 )
 
-from oracles import shortest_word, table_word
+from oracles import scan_orbit_decide, shortest_word, table_word
 
 PV = ParamValue
 T1, T2, T3, T4 = (PV.of_atom(tau(i)) for i in (1, 2, 3, 4))
@@ -398,71 +395,6 @@ def test_orbit_soundness_fuzz():
 # -- generator words -------------------------------------------------------------------------
 
 
-def scan_orbit_decide(family, v, w):
-    """The IV/V/VI scan as orbit_decide ran it before the coset table: every
-    candidate recomputes its differences and all of its coset tests.
-    Returns (related, witness, hypothesis status)."""
-    v = weyl._coerce_params(family, v)
-    w = weyl._coerce_params(family, w)
-
-    def candidates():
-        if family is Family.PIV:
-            for perm in itertools.permutations(range(3)):
-                diffs = [w[j] - v[perm[j]] for j in range(3)]
-                tests = [decide_coset(d, 0, 1) for d in diffs]
-                witness = None
-                if tri_and(tests) is TriBool.YES:
-                    witness = OrbitWitness(
-                        perm=perm,
-                        signs=(1, 1, 1),
-                        shift=tuple(d.const for d in diffs),
-                        integer_shift=tuple(int(d.const) for d in diffs),
-                    )
-                yield tests, witness
-        elif family is Family.PV:
-            for perm in itertools.permutations(range(4)):
-                for a in range(4):
-                    diffs = [w[j] - v[perm[j]] - Fraction(a, 4) for j in range(3)]
-                    tests = [decide_coset(d, 0, 1) for d in diffs]
-                    tests.append(decide_coset(w[3] - v[perm[3]] - Fraction(a, 4), 0, 1))
-                    witness = None
-                    if tri_and(tests) is TriBool.YES:
-                        witness = OrbitWitness(
-                            perm=perm,
-                            signs=(1, 1, 1, 1),
-                            shift=tuple((w[j] - v[perm[j]]).const for j in range(4)),
-                            quarter_shift=a,
-                            integer_shift=tuple(int(d.const) for d in diffs),
-                        )
-                    yield tests, witness
-        else:
-            for perm in itertools.permutations(range(4)):
-                for signs in itertools.product((1, -1), repeat=4):
-                    if signs.count(-1) % 2:
-                        continue
-                    diffs = [w[j] - v[perm[j]] * signs[j] for j in range(4)]
-                    tests = [decide_coset(d, 0, 1) for d in diffs]
-                    tests.append(decide_coset(diffs[0] + diffs[1] + diffs[2] + diffs[3], 0, 2))
-                    witness = None
-                    if tri_and(tests) is TriBool.YES:
-                        witness = OrbitWitness(
-                            perm=perm,
-                            signs=signs,
-                            shift=tuple(d.const for d in diffs),
-                            integer_shift=tuple(int(d.const) for d in diffs),
-                        )
-                    yield tests, witness
-
-    related, witness = weyl._search_witness(candidates())
-    if family is Family.PIV:
-        status = weyl._status(related, transcendence_degree(v) == 2 or transcendence_degree(w) == 2)
-    elif family is Family.PV:
-        status = weyl._status(related, weyl._is_generic(family, v) or weyl._is_generic(family, w))
-    else:
-        status = HypothesisStatus.SUFFICIENT_ONLY if related is TriBool.YES else HypothesisStatus.OPEN
-    return related, witness, status
-
-
 def rand_atom_params(family, rng):
     """Rational coordinates, some carrying a tau or alg atom; sum zero for IV/V."""
     arity = family_space(family).arity
@@ -480,12 +412,13 @@ def rand_atom_params(family, rng):
     return tuple(vals)
 
 
-@pytest.mark.parametrize("family", [Family.PIV, Family.PV, Family.PVI])
-def test_orbit_decide_agrees_with_candidate_scan(family):
+def scan_pairs(family, count):
+    """Seeded (v, w) pairs for the fourth to sixth families: a third related
+    by a generator word, a third whose coordinate tests come out Unknown,
+    and a third unrelated."""
     rng = random.Random({Family.PIV: 41, Family.PV: 42, Family.PVI: 43}[family])
     names = family_space(family).orbit_generators
-    seen = set()
-    for i in range(60):
+    for i in range(count):
         v = rand_atom_params(family, rng)
         kind = i % 3
         if kind == 0:  # related: a random generator word
@@ -501,11 +434,58 @@ def test_orbit_decide_agrees_with_candidate_scan(family):
             w = apply_word(family, [rng.choice(names) for _ in range(rng.randint(0, 3))], renamed)
         else:
             w = rand_atom_params(family, rng)
+        yield v, w
+
+
+@pytest.mark.parametrize("family", [Family.PIV, Family.PV, Family.PVI])
+def test_orbit_decide_agrees_with_candidate_scan(family):
+    seen = set()
+    for v, w in scan_pairs(family, 300):
         verdict = orbit_decide(family, v, w)
         related, witness, status = scan_orbit_decide(family, v, w)
         assert (verdict.related, verdict.witness, verdict.hypothesis_status) == (related, witness, status), (v, w)
         seen.add(related)
     assert seen == {TriBool.YES, TriBool.NO, TriBool.UNKNOWN}
+
+
+def coset_moduli(monkeypatch, family, v, w):
+    """The modulus of every ``decide_coset`` call one ``orbit_decide`` makes."""
+    moduli = []
+
+    def counting(x, offset, modulus):
+        moduli.append(modulus)
+        return decide_coset(x, offset, modulus)
+
+    with monkeypatch.context() as m:
+        m.setattr(weyl, "decide_coset", counting)
+        orbit_decide(family, v, w)
+    return moduli
+
+
+@pytest.mark.parametrize("family, bound", [(Family.PIV, 9), (Family.PV, 64), (Family.PVI, 32)])
+def test_orbit_decide_tests_each_difference_at_most_once(monkeypatch, family, bound):
+    # One integer-coset test per difference w_j - s*v_i - c, at most.
+    for v, w in scan_pairs(family, 60):
+        assert coset_moduli(monkeypatch, family, v, w).count(1) <= bound, (v, w)
+
+
+def test_pvi_scan_stops_at_the_first_no_coordinate(monkeypatch):
+    # No w_0 - s*v_i is integral, so every candidate stops at its first
+    # coordinate: 8 tests in all (4 v_i, 2 signs).
+    v = tuple(PV(x) for x in (Fraction(1, 3), Fraction(1, 5), Fraction(2, 7), Fraction(3, 11)))
+    w = tuple(PV(x) for x in (Fraction(1, 13), Fraction(5, 2), Fraction(7, 3), Fraction(1, 6)))
+    assert orbit_decide(Family.PVI, v, w).related is TriBool.NO
+    assert len(coset_moduli(monkeypatch, Family.PVI, v, w)) <= 8
+
+
+@pytest.mark.parametrize("family, named", [(Family.PIV, 3), (Family.PV, 3), (Family.PVI, 4)])
+def test_integer_shift_covers_the_named_coordinates(family, named):
+    yes = [orbit_decide(family, v, w) for v, w in scan_pairs(family, 30)]
+    yes = [verdict for verdict in yes if verdict.related is TriBool.YES]
+    assert yes
+    for verdict in yes:
+        assert len(verdict.witness.integer_shift) == named
+        assert len(verdict.witness.shift) == family_space(family).arity
 
 
 def test_word_requires_yes_verdict():
