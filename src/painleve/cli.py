@@ -25,7 +25,6 @@ import json
 import math
 import shlex
 import sys
-from fractions import Fraction
 from typing import Sequence
 
 from .catalog import (
@@ -33,7 +32,7 @@ from .catalog import (
 )
 from .citations import RICCATI_SIGN_NOTE, Ambiguity, Citation, cite
 from .classify import ClassificationReport, classify
-from .exactnum import ParamSyntaxError, ParamValue, TriBool, format_param, parse_param
+from .exactnum import ParamSyntaxError, ParamValue, TriBool, format_fraction, format_param, parse_param
 
 # What the handlers use from the modules a classify query never needs.  A
 # handler binds its modules and their names into this module's globals on
@@ -71,10 +70,6 @@ class InputError(ValueError):
 
 
 # -- serialization helpers ---------------------------------------------------------
-
-
-def _frac(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def _tri(value: TriBool) -> str:
@@ -181,7 +176,7 @@ def _witness_json(verdict: OrbitVerdict):
     if w.signs is not None:
         out["signs"] = list(w.signs)
     if w.shift is not None:
-        out["shift"] = [_frac(x) for x in w.shift]
+        out["shift"] = [format_fraction(x) for x in w.shift]
     if w.quarter_shift is not None:
         out["quarter_shift"] = w.quarter_shift
     if w.integer_shift is not None:
@@ -206,8 +201,8 @@ def _cmd_orbit(args) -> tuple[dict, int]:
     query = {
         "subcommand": "orbit",
         "family": family.value,
-        "v": [format_param(p) for p in EquationId(family, v).params],
-        "w": [format_param(p) for p in EquationId(family, w).params],
+        "v": [format_param(p) for p in v],
+        "w": [format_param(p) for p in w],
     }
     payload = _response(query, verdicts, [verdict.criterion_citation], verdict.notes)
     payload["criterion"] = verdict.criterion
@@ -254,8 +249,8 @@ def _cmd_verify(args) -> tuple[dict, int]:
         plus = verify_riccati(1)
         minus = verify_riccati(-1)
         verdicts = [
-            _verdict("riccati-matched-alpha-plus", _frac(plus), cite("pii_riccati")),
-            _verdict("riccati-matched-alpha-minus", _frac(minus), cite("pii_riccati")),
+            _verdict("riccati-matched-alpha-plus", format_fraction(plus), cite("pii_riccati")),
+            _verdict("riccati-matched-alpha-minus", format_fraction(minus), cite("pii_riccati")),
         ]
         return _response(query, verdicts, [cite("pii_riccati")], [RICCATI_SIGN_NOTE]), 0
     if target == "pv-change":
@@ -335,7 +330,7 @@ def _cmd_integrate(args) -> tuple[dict, int]:
     assign = _parse_assignment(args.assign)
     initial = [_float(x) for x in args.initial.split(",")] if args.initial else []
     traj = numint.integrate(eq, assign, initial, args.t0, args.t1, args.step, form=args.form)
-    residual = numint.residual_norm(traj, eq, assign)
+    residual = numint.residual_norm(traj)
     if args.out:
         try:
             numint.write_csv(traj, args.out)

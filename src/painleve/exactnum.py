@@ -239,7 +239,7 @@ class ParamValue:
 ZERO = ParamValue(0)
 
 
-def _format_fraction(q: Fraction) -> str:
+def format_fraction(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
@@ -251,10 +251,10 @@ def format_param(value: ParamValue) -> str:
     pieces: list[tuple[int, str]] = []  # (sign, magnitude text)
     for atom, c in value.terms:
         mag = abs(c)
-        body = atom.name if mag == 1 else f"{_format_fraction(mag)}*{atom.name}"
+        body = atom.name if mag == 1 else f"{format_fraction(mag)}*{atom.name}"
         pieces.append((1 if c > 0 else -1, body))
     if value.const != 0 or not pieces:
-        pieces.append((1 if value.const >= 0 else -1, _format_fraction(abs(value.const))))
+        pieces.append((1 if value.const >= 0 else -1, format_fraction(abs(value.const))))
     sign, body = pieces[0]
     if sign < 0:
         # A bare leading "-atom" is outside the grammar; emit "-1*atom" instead.

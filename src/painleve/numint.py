@@ -7,9 +7,10 @@ only.  Identical inputs produce bit-identical trajectories.
 
 Right-hand sides are compiled once per integration into plain Python
 functions f(t, x0, x1, ...) with the numeric parameter values folded in as
-literals.  The RK4 loop and the residual loop are generated once per state
-dimension (memoised by the dimension alone); they keep the components in
-locals and call f positionally, an opaque rhs(t, state) through an adapter.
+literals; the trajectory carries f, and its residual reuses it.  The RK4
+loop and the residual loop are generated once per state dimension (memoised
+by the dimension alone); they keep the components in locals and call f
+positionally, an opaque rhs(t, state) through an adapter.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ MAX_STEPS = 200_000
 class TrajectoryStatus(Enum):
     COMPLETED = "completed"
     BLOWUP = "blowup"
-    SINGULAR_T = "singular-t"
 
 
 @dataclass(frozen=True)
@@ -76,6 +76,8 @@ class Trajectory:
     status: TrajectoryStatus
     blowup_t: float | None = None
     step: float = 0.0
+    # f(t, x0, x1, ...), the right-hand side the samples were integrated with.
+    rhs: Callable | None = field(default=None, compare=False, repr=False)
 
 
 # -- compilation ------------------------------------------------------------------
@@ -237,6 +239,7 @@ def integrate_rhs(
         status=TrajectoryStatus.COMPLETED if blowup_t is None else TrajectoryStatus.BLOWUP,
         blowup_t=blowup_t,
         step=h,
+        rhs=f,
     )
 
 
@@ -313,19 +316,17 @@ def _residual_loop(n: int) -> Callable:
     ]), "residual")
 
 
-def residual_norm(traj: Trajectory, eq: EquationId, assign: NumericAssignment | None = None) -> ResidualReport:
+def residual_norm(traj: Trajectory) -> ResidualReport:
     """Max deviation between a five-point fourth-order finite-difference
-    derivative of the trajectory and the cataloged right-hand side.
+    derivative of the trajectory and the right-hand side it was integrated
+    with.
 
     The reported discretization order is 4, so halving the step on a smooth
     segment shrinks the residual by roughly 16x.
     """
-    system = ode_system(eq.family, traj.form if traj.form != "custom" else None)
-    params = _numeric_params(eq, assign, system)
-    rhs, state_names = _companion_rhs(system, params)
     if len(traj.samples) < 5:
         return ResidualReport(value=0.0, discretization_order=4, warning="trajectory too short for a residual")
-    worst = _residual_loop(len(state_names))(rhs.positional, traj.samples, traj.step)
+    worst = _residual_loop(len(traj.samples[0][1]))(traj.rhs, traj.samples, traj.step)
     return ResidualReport(value=worst, discretization_order=4)
 
 

@@ -17,13 +17,14 @@ alcove walk: the witness maps a point of the fundamental alcove to another
 alcove, and walking that image back, one wall at a time, spells the
 shortest group element that maps v to w (see ``_alcove_word``).
 
-The fourth to sixth families' orbit criteria are one lattice scan: is there
-a signed permutation g of the finite Weyl group and an offset c with
-w - g(v) - c integral?  ``_SCANS`` gives each family's linear parts in scan
-order (IV: the 6 permutations; V: the 24; VI: the 24, each with the 8 even
-sign patterns), its offsets (V: a/4 for a = 0..3; else 0), how many
-coordinates the criterion names (the ``integer_shift`` length) and whether
-the shift must also have even sum (VI).  Candidates are visited in that
+The second and fourth to sixth families' orbit criteria are one lattice
+scan: is there a signed permutation g of the finite Weyl group and an offset
+c with w - g(v) - c integral?  ``_SCANS`` gives each family's linear parts in
+scan order (II: the signs +1, then -1; IV: the 6 permutations; V: the 24;
+VI: the 24, each with the 8 even sign patterns), its offsets (V: a/4 for
+a = 0..3; else 0), how many coordinates the criterion names (the
+``integer_shift`` length) and whether the shift must also have even sum
+(VI).  Candidates are visited in that
 order and the first all-Yes one wins; otherwise the verdict is Unknown if
 some candidate was undecided, else No.  Each difference w_j - s*v_i - c
 and its coset verdict is computed at most once per call, when a candidate
@@ -236,17 +237,6 @@ class OrbitWitness:
     def has_map(self) -> bool:
         return self.perm is not None and self.signs is not None and self.shift is not None
 
-    def reconstruct(self, v: Sequence[ParamValue]) -> tuple[ParamValue, ...] | None:
-        if not self.has_map:
-            return None
-        return tuple(
-            v[self.perm[j]] * self.signs[j] + self.shift[j] for j in range(len(self.perm))
-        )
-
-    def verifies(self, v: Sequence[ParamValue], w: Sequence[ParamValue]) -> bool:
-        rebuilt = self.reconstruct(v)
-        return rebuilt is not None and tuple(rebuilt) == tuple(w)
-
 
 @dataclass(frozen=True)
 class OrbitVerdict:
@@ -295,6 +285,7 @@ _CRITERIA = {
 # even-sum test) of the lattice scan described in the module docstring.
 _PERMS3, _PERMS4 = tuple(itertools.permutations(range(3))), tuple(itertools.permutations(range(4)))
 _SCANS = {
+    Family.PII: ((((0,), (1,)), ((0,), (-1,))), (Fraction(0),), 1, False),
     Family.PIV: (tuple((p, (1, 1, 1)) for p in _PERMS3), (Fraction(0),), 3, False),
     Family.PV: (tuple((p, (1, 1, 1, 1)) for p in _PERMS4), tuple(Fraction(a, 4) for a in range(4)), 3, False),
     Family.PVI: (
@@ -398,18 +389,6 @@ def orbit_decide(family: Family, v: Sequence[ParamValue | Rational], w: Sequence
     if family is Family.PI:
         related, hypotheses = TriBool.YES, True
         witness = OrbitWitness(perm=(), signs=(), shift=(), note="parameter-free family")
-    elif family is Family.PII:
-        diff = w[0] - v[0]
-        summ = w[0] + v[0]
-        t_diff = decide_coset(diff, 0, 1)
-        t_sum = decide_coset(summ, 0, 1)
-        related = tri_or([t_diff, t_sum])
-        witness = None
-        if t_diff is TriBool.YES:
-            witness = OrbitWitness(perm=(0,), signs=(1,), shift=(diff.const,), integer_shift=(int(diff.const),))
-        elif t_sum is TriBool.YES:
-            witness = OrbitWitness(perm=(0,), signs=(-1,), shift=(summ.const,), integer_shift=(int(summ.const),))
-        hypotheses = v[0].has_transcendental or w[0].has_transcendental
     elif family is Family.PIII:
         related, witness = _piii_decide(v, w)
         hypotheses = _is_generic(family, v) and _is_generic(family, w)
@@ -642,16 +621,12 @@ def _same_family_verdict(eq1: EquationId, eq2: EquationId) -> OrthoVerdict:
             citation=cite(family_space(family).backlund_key),
             applicability="parameters related by the family's transformation group",
         )
-    if family is Family.PII:
-        a, b = eq1.params[0], eq2.params[0]
-        algebraic = [not p.has_transcendental for p in (a, b)]
-        transcendental = [p.has_transcendental for p in (a, b)]
-        if (algebraic[0] and transcendental[1]) or (algebraic[1] and transcendental[0]):
-            return OrthoVerdict(
-                verdict=Verdict.ORTHOGONAL,
-                citation=cite("kernel1"),
-                applicability="one parameter algebraic over Q, the other transcendental",
-            )
+    if family is Family.PII and eq1.params[0].has_transcendental is not eq2.params[0].has_transcendental:
+        return OrthoVerdict(
+            verdict=Verdict.ORTHOGONAL,
+            citation=cite("kernel1"),
+            applicability="one parameter algebraic over Q, the other transcendental",
+        )
     if verdict.related is TriBool.NO and verdict.hypothesis_status is HypothesisStatus.PROVED:
         return OrthoVerdict(
             verdict=Verdict.ORTHOGONAL,
@@ -670,8 +645,21 @@ def _same_family_verdict(eq1: EquationId, eq2: EquationId) -> OrthoVerdict:
     )
 
 
+# The distinct-family pairs whose "both parameter tuples generic" clause has
+# its own statement: pair -> (citation key, applicability).  For the second
+# family's one parameter, generic means transcendental.
+_GENERIC_CLAUSES = {
+    frozenset((Family.PII, Family.PIV)): (
+        "naggy1", "second-family parameter transcendental, fourth-family parameters generic",
+    ),
+    frozenset((Family.PIII, Family.PV)): (
+        "naggy2", "third-family parameters independent transcendental, fifth-family parameters generic",
+    ),
+}
+
+
 def _distinct_family_verdict(eq1: EquationId, eq2: EquationId) -> OrthoVerdict:
-    pair = {eq1.family, eq2.family}
+    pair = frozenset((eq1.family, eq2.family))
 
     def by_family(fam: Family) -> EquationId:
         return eq1 if eq1.family is fam else eq2
@@ -704,34 +692,9 @@ def _distinct_family_verdict(eq1: EquationId, eq2: EquationId) -> OrthoVerdict:
             )
         return _open_distinct(question_key="q_nongen3orth")
 
-    if pair == {Family.PII, Family.PIV}:
-        p2 = by_family(Family.PII)
-        p4 = by_family(Family.PIV)
-        if p2.params[0].has_transcendental and _is_generic(Family.PIV, p4.params):
-            return OrthoVerdict(
-                verdict=Verdict.ORTHOGONAL,
-                citation=cite("naggy1"),
-                applicability="second-family parameter transcendental, fourth-family parameters generic",
-            )
-        return _open_distinct()
-
-    if pair == {Family.PIII, Family.PV}:
-        p3 = by_family(Family.PIII)
-        p5 = by_family(Family.PV)
-        if _is_generic(Family.PIII, p3.params) and _is_generic(Family.PV, p5.params):
-            return OrthoVerdict(
-                verdict=Verdict.ORTHOGONAL,
-                citation=cite("naggy2"),
-                applicability="third-family parameters independent transcendental, fifth-family parameters generic",
-            )
-        return _open_distinct()
-
+    key, applicability = _GENERIC_CLAUSES.get(pair, ("naggy", "distinct families, both parameter tuples generic"))
     if _is_generic(eq1.family, eq1.params) and _is_generic(eq2.family, eq2.params):
-        return OrthoVerdict(
-            verdict=Verdict.ORTHOGONAL,
-            citation=cite("naggy"),
-            applicability="distinct families, both parameter tuples generic",
-        )
+        return OrthoVerdict(verdict=Verdict.ORTHOGONAL, citation=cite(key), applicability=applicability)
     return _open_distinct()
 
 

@@ -8,8 +8,11 @@
   count from its congruences, apart from the stratum.  ``chain_classify``
   runs ``classify`` on both, for comparison with the walk over
   ``FamilySpec.strata``.
-- ``scan_orbit_decide`` decides the fourth to sixth families' orbit
-  criteria by a plain scan: every candidate computes all of its coset tests.
+- ``scan_orbit_decide`` decides the second and fourth to sixth families'
+  orbit criteria by a plain scan: every candidate computes all of its coset
+  tests.  ``witness_maps`` checks a witness map against v and w.
+- ``chain_distinct_family_verdict`` is the distinct-family orthogonality
+  chain with one block per specially cited pair.
 - ``shortest_word`` is the bounded meet-in-the-middle search that spelled
   third- and sixth-family words before the alcove walk; it finds a shortest
   word.  ``table_word`` is the fourth and fifth families' former
@@ -44,7 +47,11 @@ from painleve.numint import (
     _numeric_params,
 )
 from painleve.odes import OdeSystem, ode_system
-from painleve.weyl import AffineMap, HypothesisStatus, OrbitWitness, apply_word, named_generators, resolve_token, word_map
+from painleve.citations import cite
+from painleve.weyl import (
+    AffineMap, HypothesisStatus, OrbitWitness, OrthoVerdict, Verdict, _is_generic, _open_distinct, apply_word,
+    named_generators, resolve_token, word_map,
+)
 
 # The package exports the function ``classify`` under the module's name.
 classify_module = importlib.import_module("painleve.classify")
@@ -271,13 +278,41 @@ def chain_classify(eq: EquationId) -> ClassificationReport:
 # -- orbit criteria -------------------------------------------------------------------
 
 
+def witness_maps(witness: OrbitWitness, v: Sequence[ParamValue], w: Sequence[ParamValue]) -> bool:
+    """Whether the witness has a map and it sends v to w exactly:
+    w[j] == signs[j] * v[perm[j]] + shift[j] for every j."""
+    if not witness.has_map:
+        return False
+    rebuilt = tuple(v[witness.perm[j]] * witness.signs[j] + witness.shift[j] for j in range(len(witness.perm)))
+    return rebuilt == tuple(w)
+
+
 def scan_orbit_decide(family: Family, v, w) -> tuple[TriBool, OrbitWitness | None, HypothesisStatus]:
-    """The fourth to sixth families' orbit criteria as a plain candidate scan:
-    every candidate computes its differences and all of its coset tests, and
-    the first candidate whose tests are all Yes gives the witness.  Returns
-    ``(related, witness, hypothesis status)``."""
+    """The second and fourth to sixth families' orbit criteria as a plain
+    candidate scan: every candidate computes its differences and all of its
+    coset tests, and the first candidate whose tests are all Yes gives the
+    witness.  Returns ``(related, witness, hypothesis status)``."""
     v = EquationId(family, v).params
     w = EquationId(family, w).params
+
+    if family is Family.PII:
+        diff = w[0] - v[0]
+        summ = w[0] + v[0]
+        t_diff = decide_coset(diff, 0, 1)
+        t_sum = decide_coset(summ, 0, 1)
+        related = tri_or([t_diff, t_sum])
+        witness = None
+        if t_diff is TriBool.YES:
+            witness = OrbitWitness(perm=(0,), signs=(1,), shift=(diff.const,), integer_shift=(int(diff.const),))
+        elif t_sum is TriBool.YES:
+            witness = OrbitWitness(perm=(0,), signs=(-1,), shift=(summ.const,), integer_shift=(int(summ.const),))
+        if v[0].has_transcendental or w[0].has_transcendental:
+            status = HypothesisStatus.PROVED
+        elif related is TriBool.YES:
+            status = HypothesisStatus.SUFFICIENT_ONLY
+        else:
+            status = HypothesisStatus.OPEN
+        return related, witness, status
 
     def candidates():
         if family is Family.PIV:
@@ -345,6 +380,76 @@ def scan_orbit_decide(family: Family, v, w) -> tuple[TriBool, OrbitWitness | Non
     else:
         status = HypothesisStatus.OPEN
     return related, witness, status
+
+
+# -- orthogonality ----------------------------------------------------------------------
+
+
+def chain_distinct_family_verdict(eq1: EquationId, eq2: EquationId) -> OrthoVerdict:
+    """The distinct-family orthogonality verdict with the second and fourth,
+    and the third and fifth, families' clauses written out as their own blocks."""
+    pair = {eq1.family, eq2.family}
+
+    def by_family(fam: Family) -> EquationId:
+        return eq1 if eq1.family is fam else eq2
+
+    if pair == {Family.PII, Family.PIII}:
+        p3 = by_family(Family.PIII)
+        p2 = by_family(Family.PII)
+        if _is_generic(Family.PIII, p3.params):
+            alpha = p2.params[0]
+            half = decide_coset(alpha, Fraction(1, 2), 1)
+            if half is TriBool.YES:
+                applicability = (
+                    "third-family parameters independent transcendental; the second-family "
+                    "parameter is half-integer, so the statement covers the strongly minimal "
+                    "part X_II(alpha) \\ R(alpha) (its order-one locus R(alpha) is orthogonal "
+                    "by the dimension argument in the proof)"
+                )
+            elif half is TriBool.UNKNOWN:
+                applicability = (
+                    "third-family parameters independent transcendental; whether the "
+                    "second-family parameter is half-integer is undecided, but both clauses "
+                    "of the statement yield orthogonality"
+                )
+            else:
+                applicability = "third-family parameters independent transcendental"
+            return OrthoVerdict(
+                verdict=Verdict.ORTHOGONAL,
+                citation=cite("orthofam3"),
+                applicability=applicability,
+            )
+        return _open_distinct(question_key="q_nongen3orth")
+
+    if pair == {Family.PII, Family.PIV}:
+        p2 = by_family(Family.PII)
+        p4 = by_family(Family.PIV)
+        if p2.params[0].has_transcendental and _is_generic(Family.PIV, p4.params):
+            return OrthoVerdict(
+                verdict=Verdict.ORTHOGONAL,
+                citation=cite("naggy1"),
+                applicability="second-family parameter transcendental, fourth-family parameters generic",
+            )
+        return _open_distinct()
+
+    if pair == {Family.PIII, Family.PV}:
+        p3 = by_family(Family.PIII)
+        p5 = by_family(Family.PV)
+        if _is_generic(Family.PIII, p3.params) and _is_generic(Family.PV, p5.params):
+            return OrthoVerdict(
+                verdict=Verdict.ORTHOGONAL,
+                citation=cite("naggy2"),
+                applicability="third-family parameters independent transcendental, fifth-family parameters generic",
+            )
+        return _open_distinct()
+
+    if _is_generic(eq1.family, eq1.params) and _is_generic(eq2.family, eq2.params):
+        return OrthoVerdict(
+            verdict=Verdict.ORTHOGONAL,
+            citation=cite("naggy"),
+            applicability="distinct families, both parameter tuples generic",
+        )
+    return _open_distinct()
 
 
 # -- generator words ------------------------------------------------------------------

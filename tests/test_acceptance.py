@@ -40,7 +40,7 @@ from painleve.weyl import (
     word_map,
 )
 
-from oracles import integer_solve
+from oracles import integer_solve, witness_maps
 
 PV = ParamValue
 T1, T2, T3, T4 = (PV.of_atom(tau(i)) for i in (1, 2, 3, 4))
@@ -139,7 +139,7 @@ def test_criterion_4_orbit_soundness_fuzz():
         assert verdict.related is TriBool.YES, (family, word)
         assert verdict.witness is not None
         if verdict.witness.has_map:
-            assert verdict.witness.verifies(v, w), (family, word)
+            assert witness_maps(verdict.witness, v, w), (family, word)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     _ok(4, f"{trials} random generator words all recognized with verifying witnesses in {elapsed:.1f}s")

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from painleve import cli, numint
+from painleve import catalog, cli, numint
 from painleve.cli import run
 from painleve.exactnum import ParamValue, format_param, parse_param
 
@@ -583,6 +583,24 @@ def test_every_strata_row_in_classify_payload(family, params, label, degree, str
     assert verdicts["stratum"]["citation"]["key"] == stratum_key
     assert verdicts["morley-degree"]["value"] == degree
     assert verdicts["morley-degree"]["citation"]["key"] == degree_key
+
+
+def test_orbit_query_echoes_the_parsed_values(monkeypatch, capsys):
+    # orbit_decide and generator_word each validate v and w; the echo reuses
+    # the parsed values instead of validating them a third time.
+    init = catalog.EquationId.__init__
+    calls = []
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(catalog.EquationId, "__init__", counting)
+    argv = ["orbit", "--family", "VI", "--v", "1/3,1/5,2/7,3/11", "--w", "181/3,301/5,2/7,3/11"]
+    payload, code = run_json(argv, capsys)
+    assert code == 0
+    assert (payload["query"]["v"], payload["query"]["w"]) == (argv[4].split(","), argv[6].split(","))
+    assert len(calls) == 4
 
 
 def test_orbit_bound_option_is_gone():

@@ -156,8 +156,8 @@ def test_compile_rhs_folds_parameters():
 
 def test_residual_halves_with_step():
     eq = EquationId(Family.PII, [H])
-    coarse = residual_norm(integrate(eq, None, [0.2, 0.0], 1.0, 2.0, 2e-3), eq)
-    fine = residual_norm(integrate(eq, None, [0.2, 0.0], 1.0, 2.0, 1e-3), eq)
+    coarse = residual_norm(integrate(eq, None, [0.2, 0.0], 1.0, 2.0, 2e-3))
+    fine = residual_norm(integrate(eq, None, [0.2, 0.0], 1.0, 2.0, 1e-3))
     assert coarse.discretization_order == 4
     assert fine.value > 0
     assert coarse.value / fine.value >= 8
@@ -166,33 +166,31 @@ def test_residual_halves_with_step():
 def test_residual_of_non_solution_is_large():
     eq = EquationId(Family.PII, [H])
     real = integrate(eq, None, [0.2, 0.0], 1.0, 2.0, 1e-3)
-    fake = Trajectory(
-        family=real.family,
-        form=real.form,
-        params=real.params,
-        state_names=real.state_names,
-        samples=[(t, (1.0, 1.0)) for t, _ in real.samples],
-        status=TrajectoryStatus.COMPLETED,
-        step=real.step,
-    )
-    report = residual_norm(fake, eq)
+    fake = replace(real, samples=[(t, (1.0, 1.0)) for t, _ in real.samples])
+    report = residual_norm(fake)
     assert report.value > 0.1
 
 
 def test_residual_empty_trajectory_warns():
     eq = EquationId(Family.PII, [H])
-    short = Trajectory(
-        family=Family.PII,
-        form="scalar",
-        params=(0.5,),
-        state_names=("y", "y'"),
-        samples=[(1.0, (0.0, 0.0))],
-        status=TrajectoryStatus.COMPLETED,
-        step=1e-3,
-    )
-    report = residual_norm(short, eq)
+    short = replace(integrate(eq, None, [0.2, 0.0], 1.0, 1.1, 1e-3), samples=[(1.0, (0.0, 0.0))])
+    report = residual_norm(short)
     assert report.value == 0.0
     assert report.warning is not None
+
+
+def test_integrate_and_residual_compile_the_rhs_once(monkeypatch):
+    sources = []
+    compiled = numint._compiled
+
+    def counting(source, name):
+        sources.append(name)
+        return compiled(source, name)
+
+    monkeypatch.setattr(numint, "_compiled", counting)
+    eq = EquationId(Family.PIV, [Fraction(1, 3), Fraction(1, 5), Fraction(-8, 15)])
+    residual_norm(integrate(eq, None, [0.2, 0.1], 1.0, 1.5, 1e-2))
+    assert sources.count("rhs") == 1
 
 
 # -- export -------------------------------------------------------------------------
@@ -343,7 +341,7 @@ def _assert_same_run(eq, form, initial, t0, t1, step, assign=None) -> Trajectory
     with mock.patch.object(numint, "integrate_rhs", tuple_integrate_rhs):
         old = integrate(eq, assign, initial, t0, t1, step, form=form)
     _assert_same_trajectory(new, old)
-    assert repr(residual_norm(new, eq, assign)) == repr(indexed_residual_norm(old, eq, assign))
+    assert repr(residual_norm(new)) == repr(indexed_residual_norm(old, eq, assign))
     return new
 
 
@@ -404,7 +402,7 @@ def test_generated_loops_match_oracle_on_opaque_callables(seed):
 def test_loops_are_memoised_by_dimension_only():
     eq = EquationId(Family.PII, [H])
     for y0 in (0.1, 0.2, 0.3):
-        residual_norm(integrate(eq, None, [y0, 0.0], 1.0, 1.1, 1e-2), eq)
+        residual_norm(integrate(eq, None, [y0, 0.0], 1.0, 1.1, 1e-2))
     integrate_rhs(exp_rhs, [1.0], 0.0, 0.1, 1e-2)
     assert numint._rk4_loop(2) is numint._rk4_loop(2)
     # The tests integrate states of 1, 2 and 3 components, nothing else.

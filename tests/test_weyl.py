@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from dataclasses import replace
@@ -32,7 +33,7 @@ from painleve.weyl import (
     word_map,
 )
 
-from oracles import scan_orbit_decide, shortest_word, table_word
+from oracles import chain_distinct_family_verdict, scan_orbit_decide, shortest_word, table_word, witness_maps
 
 PV = ParamValue
 T1, T2, T3, T4 = (PV.of_atom(tau(i)) for i in (1, 2, 3, 4))
@@ -41,9 +42,8 @@ H = Fraction(1, 2)
 
 
 def rand_params(family, rng, atom_chance=0.5):
-    arity = {Family.PII: 1, Family.PIII: 2, Family.PIV: 3, Family.PV: 4, Family.PVI: 4}[family]
     vals = []
-    for i in range(arity):
+    for i in range(family_space(family).arity):
         x = PV(Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 4])))
         if rng.random() < atom_chance:
             x = x + PV.of_atom(tau(i + 1), rng.choice([1, 2]))
@@ -268,7 +268,7 @@ def test_orbit_pii_quarter_case():
     assert v.hypothesis_status is HypothesisStatus.SUFFICIENT_ONLY
     assert v.witness.signs == (-1,)
     assert v.witness.shift == (Fraction(2),)
-    assert v.witness.verifies((PV(Fraction(1, 4)),), (PV(Fraction(7, 4)),))
+    assert witness_maps(v.witness, (PV(Fraction(1, 4)),), (PV(Fraction(7, 4)),))
 
 
 def test_orbit_pii_generic_no():
@@ -297,7 +297,7 @@ def test_orbit_piv_witness_example():
     assert verdict.related is TriBool.YES
     assert verdict.witness.perm == (1, 2, 0)
     assert verdict.witness.shift == (Fraction(1), Fraction(0), Fraction(-1))
-    assert verdict.witness.verifies(v, w)
+    assert witness_maps(verdict.witness, v, w)
     assert verdict.hypothesis_status is HypothesisStatus.PROVED
 
 
@@ -316,7 +316,7 @@ def test_orbit_pvi_s5_image():
     assert verdict.related is TriBool.YES
     assert verdict.witness.signs.count(-1) == 2
     assert sum(verdict.witness.integer_shift) % 2 == 0
-    assert verdict.witness.verifies(v, w)
+    assert witness_maps(verdict.witness, v, w)
     assert verdict.hypothesis_status is HypothesisStatus.SUFFICIENT_ONLY
 
 
@@ -333,7 +333,7 @@ def test_orbit_piii_half_shift_yes_without_word():
     assert verdict.related is TriBool.YES
     assert verdict.word is None
     assert verdict.word_reason == "NoWordFound"
-    assert verdict.witness.verifies(v, w)
+    assert witness_maps(verdict.witness, v, w)
     assert verdict.witness.note is not None  # outside the generator lattice
 
 
@@ -389,7 +389,7 @@ def test_orbit_soundness_fuzz():
         assert verdict.related is TriBool.YES
         assert verdict.witness is not None
         if verdict.witness.has_map:
-            assert verdict.witness.verifies(v, w)
+            assert witness_maps(verdict.witness, v, w)
 
 
 # -- generator words -------------------------------------------------------------------------
@@ -413,10 +413,10 @@ def rand_atom_params(family, rng):
 
 
 def scan_pairs(family, count):
-    """Seeded (v, w) pairs for the fourth to sixth families: a third related
-    by a generator word, a third whose coordinate tests come out Unknown,
-    and a third unrelated."""
-    rng = random.Random({Family.PIV: 41, Family.PV: 42, Family.PVI: 43}[family])
+    """Seeded (v, w) pairs for the second and fourth to sixth families: a
+    third related by a generator word, a third whose coordinate tests come
+    out Unknown, and a third unrelated."""
+    rng = random.Random({Family.PII: 40, Family.PIV: 41, Family.PV: 42, Family.PVI: 43}[family])
     names = family_space(family).orbit_generators
     for i in range(count):
         v = rand_atom_params(family, rng)
@@ -426,9 +426,9 @@ def scan_pairs(family, count):
         elif kind == 1:
             # alg1 renamed alg2, plus integers: coordinate tests come out
             # Unknown, and for VI the even-sum test can still decide No.
-            v = (v[0] + A1,) + v[1:-1] + (v[-1] - A1,)
+            v = (v[0] + A1,) + v[1:-1] + (v[-1] - A1,) if len(v) > 1 else (v[0] + A1,)
             shift = [rng.randint(-2, 2) for _ in v]
-            if family is not Family.PVI:
+            if family_space(family).sum_zero:
                 shift[-1] = -sum(shift[:-1])
             renamed = [x + (A2 - A1) * x.coeff(alg(1)) + k for x, k in zip(v, shift)]
             w = apply_word(family, [rng.choice(names) for _ in range(rng.randint(0, 3))], renamed)
@@ -437,7 +437,7 @@ def scan_pairs(family, count):
         yield v, w
 
 
-@pytest.mark.parametrize("family", [Family.PIV, Family.PV, Family.PVI])
+@pytest.mark.parametrize("family", [Family.PII, Family.PIV, Family.PV, Family.PVI])
 def test_orbit_decide_agrees_with_candidate_scan(family):
     seen = set()
     for v, w in scan_pairs(family, 300):
@@ -462,7 +462,7 @@ def coset_moduli(monkeypatch, family, v, w):
     return moduli
 
 
-@pytest.mark.parametrize("family, bound", [(Family.PIV, 9), (Family.PV, 64), (Family.PVI, 32)])
+@pytest.mark.parametrize("family, bound", [(Family.PII, 2), (Family.PIV, 9), (Family.PV, 64), (Family.PVI, 32)])
 def test_orbit_decide_tests_each_difference_at_most_once(monkeypatch, family, bound):
     # One integer-coset test per difference w_j - s*v_i - c, at most.
     for v, w in scan_pairs(family, 60):
@@ -478,7 +478,32 @@ def test_pvi_scan_stops_at_the_first_no_coordinate(monkeypatch):
     assert len(coset_moduli(monkeypatch, Family.PVI, v, w)) <= 8
 
 
-@pytest.mark.parametrize("family, named", [(Family.PIV, 3), (Family.PV, 3), (Family.PVI, 4)])
+@pytest.mark.parametrize("family", [Family.PII, Family.PIII, Family.PIV, Family.PV, Family.PVI])
+def test_orbit_decide_is_invariant_under_the_group(family):
+    # w = g(v) lies in v's orbit, so v and w get the same verdict against any
+    # u, Unknown included: transitivity when the verdict is undecided.
+    rng = random.Random(f"invariance:{family.value}")
+    names = family_space(family).orbit_generators
+    sum_zero = family_space(family).sum_zero
+    seen = set()
+    for i in range(300):
+        v = rand_atom_params(family, rng)
+        w = apply_word(family, [rng.choice(names) for _ in range(rng.randint(1, 6))], v)
+        u = apply_word(family, [rng.choice(names) for _ in range(rng.randint(0, 4))], v)
+        kind = i % 4
+        if kind == 1:  # a near miss: half a shift off the orbit
+            u = (u[0] + H,) + (u[1:-1] + (u[-1] - H,) if sum_zero else u[1:])
+        elif kind == 2:  # alg1 renamed alg2: Unknown where v carries alg1
+            u = tuple(x + (A2 - A1) * x.coeff(alg(1)) for x in u)
+        elif kind == 3:
+            u = rand_atom_params(family, rng)
+        related = orbit_decide(family, v, u).related
+        assert orbit_decide(family, w, u).related is related, (v, w, u)
+        seen.add(related)
+    assert seen == {TriBool.YES, TriBool.NO, TriBool.UNKNOWN}
+
+
+@pytest.mark.parametrize("family, named", [(Family.PII, 1), (Family.PIV, 3), (Family.PV, 3), (Family.PVI, 4)])
 def test_integer_shift_covers_the_named_coordinates(family, named):
     yes = [orbit_decide(family, v, w) for v, w in scan_pairs(family, 30)]
     yes = [verdict for verdict in yes if verdict.related is TriBool.YES]
@@ -685,6 +710,29 @@ def test_cross_family_generic_pairs_cite_naggy():
         verdict = cross_family_verdict(eq1, eq2)
         assert verdict.verdict is Verdict.ORTHOGONAL
         assert verdict.citation.key == "naggy"
+
+
+def test_distinct_family_verdict_agrees_with_chain():
+    # Seeded pairs over all 36 ordered family pairs: distinct families against
+    # the chain with one block per cited pair, and the second family's
+    # kernel1 clause against its statement (one parameter algebraic, the
+    # other transcendental, and the orbit criterion not Yes).
+    rng = random.Random(53)
+    families = list(Family)
+    keys = set()
+    for _ in range(40):
+        for f1, f2 in itertools.product(families, repeat=2):
+            eq1, eq2 = (EquationId(f, rand_params(f, rng, atom_chance=0.75)) for f in (f1, f2))
+            verdict = cross_family_verdict(eq1, eq2)
+            if f1 is not f2:
+                assert verdict == chain_distinct_family_verdict(eq1, eq2), (eq1, eq2)
+            elif f1 is Family.PII:
+                a, b = (eq.params[0].has_transcendental for eq in (eq1, eq2))
+                related = orbit_decide(f1, eq1.params, eq2.params).related
+                kernel1 = a is not b and related is not TriBool.YES
+                assert (verdict.citation is not None and verdict.citation.key == "kernel1") is kernel1, (eq1, eq2)
+            keys.add((verdict.citation or verdict.question).key)
+    assert {"naggy", "naggy1", "naggy2", "orthofam3", "q_np2", "kernel1"} <= keys
 
 
 def test_cross_family_kernel1():
