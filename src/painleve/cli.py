@@ -242,7 +242,7 @@ def _cmd_orthogonal(args) -> tuple[dict, int]:
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
-    _load("weyl", "diffpoly")
+    _load("diffpoly")
     target = args.target
     query = {"subcommand": "verify", "target": target}
     if target == "riccati":
@@ -264,6 +264,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
         notes = list(report.notes) + [f"excluded loci: {', '.join(report.excluded_loci)}"]
         return _response(query, verdicts, [cite("pv_backlund")], notes), 0
     if target == "group-relations":
+        _load("weyl")
         checks = []
         named4 = named_generators(Family.PIV)
         checks.append(

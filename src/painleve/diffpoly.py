@@ -13,6 +13,9 @@ v -> n_v/d_v into a polynomial brings every term over one common denominator,
 prod(d_v^m_v) with m_v the top degree of v, instead of cross-multiplying the
 terms into a running sum; and two fractions over the same denominator are
 added by adding their numerators.
+
+A coefficient is an ``int`` when integral and a ``Fraction`` otherwise, so the
+mostly integral arithmetic of the verifications runs on ints.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from operator import add
+from typing import Mapping, NamedTuple, Sequence
 
 
 Rational = Fraction | int
@@ -28,15 +32,11 @@ Rational = Fraction | int
 _PLAIN = -1  # derivative order used for non-jet symbols (t, parameters)
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     """Ring variable: a plain symbol (order -1) or a jet variable x^(k)."""
 
     name: str
     order: int = _PLAIN
-
-    def sort_key(self) -> tuple[str, int]:
-        return (self.name, self.order)
 
     @property
     def is_jet(self) -> bool:
@@ -64,41 +64,56 @@ def jet(name: str, order: int = 0) -> Var:
 T_VAR = sym("t")
 
 
-class Poly:
-    """Multivariate polynomial: dense exponent tuples over a sorted variable
-    tuple, mapped to nonzero rational coefficients."""
+def _coefficient(c: Rational) -> Fraction | int:
+    """A rational coefficient in canonical form: an int when integral."""
+    c = c if type(c) is int or type(c) is Fraction else Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
-    __slots__ = ("vars", "terms")
+
+class Poly:
+    """Multivariate polynomial: dense exponent tuples over a sorted tuple of
+    the variables it uses, mapped to nonzero rational coefficients, each an
+    ``int`` when integral and a ``Fraction`` otherwise."""
+
+    __slots__ = ("vars", "terms", "_plan")
 
     vars: tuple[Var, ...]
-    terms: dict[tuple[int, ...], Fraction]
+    terms: dict[tuple[int, ...], Fraction | int]
 
     def __init__(self, vars: Sequence[Var], terms: Mapping[tuple[int, ...], Rational]):
         # Canonicalize: drop zero coefficients, prune unused variables,
         # keep the variable tuple sorted.
         vars = tuple(vars)
-        clean = {exps: c if type(c) is Fraction else Fraction(c) for exps, c in terms.items() if c}
+        clean = {exps: c if type(c) is int else _coefficient(c) for exps, c in terms.items() if c}
         used = [i for i in range(len(vars)) if any(e[i] for e in clean)]
         if len(used) != len(vars):
             vars = tuple(vars[i] for i in used)
             clean = {tuple(e[i] for i in used): c for e, c in clean.items()}
-        if vars and list(vars) != sorted(vars, key=Var.sort_key):
-            order = sorted(range(len(vars)), key=lambda i: vars[i].sort_key())
+        if vars and list(vars) != sorted(vars):
+            order = sorted(range(len(vars)), key=vars.__getitem__)
             vars = tuple(vars[i] for i in order)
             clean = {tuple(e[i] for i in order): c for e, c in clean.items()}
         self.vars = vars
         self.terms = clean
+        self._plan = None
+
+    @staticmethod
+    def _canonical(vars: tuple[Var, ...], terms: dict[tuple[int, ...], Fraction | int]) -> "Poly":
+        """A Poly from parts already in canonical form, without ``__init__``."""
+        p = object.__new__(Poly)
+        p.vars, p.terms, p._plan = vars, terms, None
+        return p
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def const(value: Rational) -> "Poly":
-        value = Fraction(value)
-        return Poly((), {(): value} if value else {})
+        value = _coefficient(value)
+        return Poly._canonical((), {(): value} if value else {})
 
     @staticmethod
     def var(v: Var) -> "Poly":
-        return Poly((v,), {(1,): Fraction(1)})
+        return Poly._canonical((v,), {(1,): 1})
 
     # -- basic queries ------------------------------------------------------
 
@@ -113,7 +128,7 @@ class Poly:
     def constant_value(self) -> Fraction:
         if not self.is_constant:
             raise ValueError("polynomial is not constant")
-        return self.terms.get((), Fraction(0))
+        return Fraction(self.terms.get((), 0))
 
     def degree_in(self, v: Var) -> int:
         if v not in self.vars:
@@ -126,23 +141,19 @@ class Poly:
 
     # -- alignment -----------------------------------------------------------
 
-    def _aligned(self, target: tuple[Var, ...]) -> dict[tuple[int, ...], Fraction]:
+    def _aligned(self, target: tuple[Var, ...]) -> dict[tuple[int, ...], Fraction | int]:
         # Read-only for the caller: the result may be this polynomial's terms.
         if target == self.vars:
             return self.terms
         pos = {v: i for i, v in enumerate(target)}
         idx = [pos[v] for v in self.vars]
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], Fraction | int] = {}
         for exps, c in self.terms.items():
             key = [0] * len(target)
             for i, e in zip(idx, exps):
                 key[i] = e
             out[tuple(key)] = c
         return out
-
-    @staticmethod
-    def _merge_vars(a: "Poly", b: "Poly") -> tuple[Var, ...]:
-        return tuple(sorted(set(a.vars) | set(b.vars), key=Var.sort_key))
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -152,15 +163,15 @@ class Poly:
     @staticmethod
     def sum(polys: Sequence["Poly"]) -> "Poly":
         """Sum of polynomials, collected in one pass."""
-        vars = tuple(sorted({v for p in polys for v in p.vars}, key=Var.sort_key))
-        terms: dict[tuple[int, ...], Fraction] = {}
+        vars = tuple(sorted({v for p in polys for v in p.vars}))
+        terms: dict[tuple[int, ...], Fraction | int] = {}
         for p in polys:
             for exps, c in p._aligned(vars).items():
                 terms[exps] = terms[exps] + c if exps in terms else c
         return Poly(vars, terms)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.vars, {e: -c for e, c in self.terms.items()})
+        return Poly._canonical(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -168,15 +179,17 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         if self.is_zero or other.is_zero:
             return Poly.const(0)
-        vars = Poly._merge_vars(self, other)
+        vars = self.vars if self.vars == other.vars else tuple(sorted(set(self.vars) | set(other.vars)))
         a = self._aligned(vars)
         b = other._aligned(vars)
-        terms: dict[tuple[int, ...], Fraction] = {}
+        terms: dict[tuple[int, ...], Fraction | int] = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
-                key = tuple(x + y for x, y in zip(e1, e2))
+                key = tuple(map(add, e1, e2))
                 terms[key] = terms[key] + c1 * c2 if key in terms else c1 * c2
-        return Poly(vars, terms)
+        # A product of nonzero polynomials uses every variable of its factors
+        # (degrees add), so only cancelled coefficients are dropped.
+        return Poly._canonical(vars, {e: c if type(c) is int else _coefficient(c) for e, c in terms.items() if c})
 
     def scale(self, q: Rational) -> "Poly":
         q = Fraction(q)
@@ -248,7 +261,7 @@ class Poly:
         mapped = [pos.get(v) for v in tables]
         kept = [i for i, v in enumerate(self.vars) if v not in tables]
         kept_vars = tuple(self.vars[i] for i in kept)
-        groups: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
+        groups: dict[tuple[int, ...], dict[tuple[int, ...], Fraction | int]] = {}
         for exps, c in self.terms.items():
             key = tuple(0 if i is None else exps[i] for i in mapped)
             groups.setdefault(key, {})[tuple(exps[i] for i in kept)] = c
@@ -265,19 +278,23 @@ class Poly:
 
         With vars[i] = n_i/d_i of top degree m_i, a monomial is
         prod(n_i^e_i * d_i^(m_i - e_i)) / prod(d_i^m_i); a per-point table of
-        those integer factors leaves only integer products in the sum.
+        those integer factors leaves only integer products in the sum.  The m_i
+        and the coefficients as integers over their lcm are kept as a plan.
         """
+        if self._plan is None:
+            coeff_den = math.lcm(*(c.denominator for c in self.terms.values()))
+            coeffs = [(exps, c.numerator * (coeff_den // c.denominator)) for exps, c in self.terms.items()]
+            self._plan = (tuple(map(max, zip(*self.terms))), coeffs, coeff_den)
+        tops, coeffs, coeff_den = self._plan
         scaled = []  # scaled[i][e] = n_i^e * d_i^(m_i - e)
         den = 1
-        for i, v in enumerate(self.vars):
-            x = Fraction(point[v])
-            top = max(e[i] for e in self.terms)
-            scaled.append([x.numerator**e * x.denominator ** (top - e) for e in range(top + 1)])
-            den *= x.denominator**top
-        coeff_den = math.lcm(*(c.denominator for c in self.terms.values()))
+        for v, top in zip(self.vars, tops):
+            x = point[v]
+            n, d = x.numerator, x.denominator
+            scaled.append([n**e * d ** (top - e) for e in range(top + 1)])
+            den *= d**top
         total = 0
-        for exps, c in self.terms.items():
-            term = c.numerator * (coeff_den // c.denominator)
+        for exps, term in coeffs:
             for row, e in zip(scaled, exps):
                 term *= row[e]
             total += term
@@ -422,7 +439,7 @@ class DiffExpr:
         return (self.num * other.den - other.num * self.den).is_zero
 
     def variables(self) -> tuple[Var, ...]:
-        return tuple(sorted(set(self.num.vars) | set(self.den.vars), key=Var.sort_key))
+        return tuple(sorted(set(self.num.vars) | set(self.den.vars)))
 
     def constant_value(self) -> Fraction:
         if not (self.num.is_constant and self.den.is_constant):
@@ -602,7 +619,7 @@ def _eliminate_v4(p: Poly) -> Poly:
     if v4 not in p.vars:
         return p
     k = p.vars.index(v4)
-    groups: dict[int, dict[tuple[int, ...], Fraction]] = {}
+    groups: dict[int, dict[tuple[int, ...], Fraction | int]] = {}
     for exps, c in p.terms.items():
         groups.setdefault(exps[k], {})[exps[:k] + (0,) + exps[k + 1 :]] = c
     linear = -(Poly.var(sym("v1")) + Poly.var(sym("v2")) + Poly.var(sym("v3")))

@@ -18,6 +18,10 @@
   word.  ``table_word`` is the fourth and fifth families' former
   construction: a permutation word from a breadth-first search, then the
   translation as copies of conjugated elementary translation words.
+- ``FractionPoly`` is ``diffpoly.Poly``'s kernel from before integer
+  coefficients: every coefficient a ``Fraction``, every product
+  re-canonicalised by ``__init__``, and ``evaluate`` deriving its top
+  degrees and coefficient lcm on each call.
 - ``residual_exprs`` writes each equation of an ODE system as its left
   side minus its right side.
 - ``csv_module_write_csv`` is ``numint.write_csv`` as it was before it
@@ -39,7 +43,7 @@ from typing import Sequence
 from unittest import mock
 
 from painleve.catalog import EquationId, Family, family_space
-from painleve.diffpoly import DiffExpr, jet
+from painleve.diffpoly import DiffExpr, Poly, Var, jet
 from painleve.classify import ClassificationReport, Stratum, _pvi_half_integer_special
 from painleve.exactnum import ParamValue, TriBool, decide_coset, rational_rank, transcendence_degree, tri_and, tri_or
 from painleve.numint import (
@@ -563,6 +567,82 @@ def table_word(family: Family, witness: OrbitWitness) -> tuple[str, ...]:
         vec = tuple(Fraction(1 if i == k else (-1 if i == k + 1 else 0)) for i in range(n))
         word += (moves[vec] if c >= 0 else invert_word(family, moves[vec])) * abs(c)
     return word
+
+
+# -- the polynomial kernel ----------------------------------------------------------------
+
+
+class FractionPoly:
+    """``diffpoly.Poly`` with ``Fraction`` coefficients only; the parts that
+    never looked at the coefficient type are ``Poly``'s own."""
+
+    __slots__ = ("vars", "terms")
+
+    def __init__(self, vars: Sequence[Var], terms) -> None:
+        # Canonicalize: drop zero coefficients, prune unused variables,
+        # keep the variable tuple sorted.
+        vars = tuple(vars)
+        clean = {exps: c if type(c) is Fraction else Fraction(c) for exps, c in terms.items() if c}
+        used = [i for i in range(len(vars)) if any(e[i] for e in clean)]
+        if len(used) != len(vars):
+            vars = tuple(vars[i] for i in used)
+            clean = {tuple(e[i] for i in used): c for e, c in clean.items()}
+        if vars and list(vars) != sorted(vars):
+            order = sorted(range(len(vars)), key=lambda i: vars[i])
+            vars = tuple(vars[i] for i in order)
+            clean = {tuple(e[i] for i in order): c for e, c in clean.items()}
+        self.vars = vars
+        self.terms = clean
+
+    is_zero = Poly.is_zero
+    is_constant = Poly.is_constant
+    _aligned = Poly._aligned
+    __str__ = Poly.__str__
+    __hash__ = Poly.__hash__
+
+    def constant_value(self) -> Fraction:
+        if not self.is_constant:
+            raise ValueError("polynomial is not constant")
+        return self.terms.get((), Fraction(0))
+
+    @staticmethod
+    def sum(polys: Sequence["FractionPoly"]) -> "FractionPoly":
+        vars = tuple(sorted({v for p in polys for v in p.vars}))
+        terms: dict[tuple[int, ...], Fraction] = {}
+        for p in polys:
+            for exps, c in p._aligned(vars).items():
+                terms[exps] = terms[exps] + c if exps in terms else c
+        return FractionPoly(vars, terms)
+
+    def __mul__(self, other: "FractionPoly") -> "FractionPoly":
+        if self.is_zero or other.is_zero:
+            return FractionPoly((), {})
+        vars = tuple(sorted(set(self.vars) | set(other.vars)))
+        a = self._aligned(vars)
+        b = other._aligned(vars)
+        terms: dict[tuple[int, ...], Fraction] = {}
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                key = tuple(x + y for x, y in zip(e1, e2))
+                terms[key] = terms[key] + c1 * c2 if key in terms else c1 * c2
+        return FractionPoly(vars, terms)
+
+    def evaluate(self, point) -> Fraction:
+        scaled = []  # scaled[i][e] = n_i^e * d_i^(m_i - e)
+        den = 1
+        for i, v in enumerate(self.vars):
+            x = Fraction(point[v])
+            top = max(e[i] for e in self.terms)
+            scaled.append([x.numerator**e * x.denominator ** (top - e) for e in range(top + 1)])
+            den *= x.denominator**top
+        coeff_den = math.lcm(*(c.denominator for c in self.terms.values()))
+        total = 0
+        for exps, c in self.terms.items():
+            term = c.numerator * (coeff_den // c.denominator)
+            for row, e in zip(scaled, exps):
+                term *= row[e]
+            total += term
+        return Fraction(total, den * coeff_den)
 
 
 # -- ODE systems --------------------------------------------------------------------------

@@ -769,6 +769,19 @@ def test_classify_imports_no_weyl_diffpoly_or_numint():
     assert "painleve.classify" in loaded
 
 
+@pytest.mark.parametrize("target", ["riccati", "pv-change"])
+def test_verify_imports_no_weyl_or_numint(target):
+    out = _run_python(
+        "import sys\n"
+        "from painleve import cli\n"
+        f"assert cli.run(['verify', '--target', {target!r}]) == 0\n"
+        "print('loaded', [m for m in sys.modules if m.startswith('painleve.')])\n"
+    )
+    loaded = json.loads(out.splitlines()[-1].removeprefix("loaded ").replace("'", '"'))
+    assert not {"painleve.weyl", "painleve.numint"} & set(loaded)
+    assert "painleve.diffpoly" in loaded
+
+
 def test_tracer_names_resolve_on_cli():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", SRC_DIR.parent / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)

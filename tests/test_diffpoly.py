@@ -22,7 +22,7 @@ from painleve.diffpoly import (
     verify_riccati,
 )
 
-from oracles import residual_exprs
+from oracles import FractionPoly, residual_exprs
 
 Y0, Y1, Y2 = jet("y", 0), jet("y", 1), jet("y", 2)
 T = DiffExpr.t()
@@ -87,6 +87,67 @@ def test_field_laws_by_cross_multiplication(a, b, c):
     assert ((a + b) + c).equals(a + (b + c))
     assert (a * (b + c)).equals(a * b + a * c)
     assert (a - a).is_zero
+
+
+# -- the kernel against the Fraction-coefficient oracle ---------------------------------
+
+# Ints, Fractions that may be integral (Fraction(4, 2) is one) and zeros.
+raw_coeffs = st.one_of(
+    st.integers(min_value=-6, max_value=6),
+    st.builds(Fraction, st.integers(min_value=-9, max_value=9), st.integers(min_value=1, max_value=4)),
+    st.sampled_from([Fraction(4, 2), Fraction(0), Fraction(-3, 3)]),
+)
+
+
+@st.composite
+def raw_polys(draw):
+    """(vars, terms) as a caller may pass them: unsorted, with unused
+    variables and zero coefficients; no variables gives a constant."""
+    vars = draw(st.lists(base_vars, unique=True, max_size=3))
+    exps = st.tuples(*[st.integers(min_value=0, max_value=2)] * len(vars))
+    return vars, draw(st.dictionaries(exps, raw_coeffs, max_size=5))
+
+
+def assert_agrees(p, f, rng):
+    assert (p.vars, p.terms) == (f.vars, f.terms)
+    assert all(type(c) is int or (type(c) is Fraction and c.denominator > 1) for c in p.terms.values())
+    assert str(p) == str(f)
+    assert hash(p) == hash(f)
+    if p.is_constant:
+        assert type(p.constant_value()) is Fraction
+        assert p.constant_value() == f.constant_value()
+    for _ in range(3):  # the second and later calls reuse the evaluation plan
+        point = {v: rng.choice((rng.randint(-9, 9), Fraction(rng.randint(-20, 20), rng.randint(1, 6))))
+                 for v in p.vars}
+        value = p.evaluate(point)
+        assert type(value) is Fraction and value == f.evaluate(point)
+
+
+@given(st.lists(raw_polys(), min_size=1, max_size=3), raw_coeffs, st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_kernel_agrees_with_fraction_oracle(raws, c, rng):
+    polys = [Poly(vars, terms) for vars, terms in raws]
+    fracs = [FractionPoly(vars, terms) for vars, terms in raws]
+    assert_agrees(Poly.const(c), FractionPoly((), {(): c}), rng)
+    assert_agrees(polys[0].scale(c), FractionPoly(fracs[0].vars, {e: x * c for e, x in fracs[0].terms.items()}), rng)
+    for p, f in zip(polys, fracs):
+        assert_agrees(p, f, rng)
+        assert_agrees(-p, FractionPoly(f.vars, {e: -c for e, c in f.terms.items()}), rng)
+    product, frac_product = polys[0], fracs[0]
+    for p, f in zip(polys[1:], fracs[1:]):
+        product, frac_product = product * p, frac_product * f
+        assert_agrees(product, frac_product, rng)
+    assert_agrees(polys[0] * polys[0], fracs[0] * fracs[0], rng)
+    assert_agrees(Poly.sum(polys), FractionPoly.sum(fracs), rng)
+    # Sums and products whose terms cancel, down to zero.
+    assert_agrees(polys[-1] - polys[-1], FractionPoly((), {}), rng)
+    t, frac_t = Poly.var(T_VAR), FractionPoly((T_VAR,), {(1,): 1})
+    frac_minus_t = FractionPoly((T_VAR,), {(1,): -1})
+    assert_agrees(
+        (polys[0] - t) * (polys[0] + t),
+        FractionPoly.sum([fracs[0], frac_minus_t]) * FractionPoly.sum([fracs[0], frac_t]),
+        rng,
+    )
 
 
 def test_zero_denominator_rejected():

@@ -3,11 +3,12 @@ import math
 import random
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
 
-from oracles import csv_module_write_csv, indexed_residual_norm, tuple_integrate_rhs
+from oracles import FractionPoly, csv_module_write_csv, indexed_residual_norm, tuple_integrate_rhs
 from painleve import numint
 from painleve.catalog import EquationId, Family, UnsupportedFamilyError
 from painleve.exactnum import ParamValue, tau
@@ -352,6 +353,28 @@ def test_generated_loops_match_oracle_on_charts(chart, seed):
     eq, form, initial, t0 = _chart_case(chart, rng)
     step = rng.choice((1e-2, 7e-3, 5e-3, 2.5e-3))
     _assert_same_run(eq, form, initial, t0, t0 + rng.choice((0.25, 0.5, 0.75)), step)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("chart", ["I", "II", "II riccati", "III", "IV", "V", "V QP"])
+def test_rhs_source_matches_fraction_coefficients(chart, seed):
+    eq, form, _, _ = _chart_case(chart, random.Random(f"{chart}:{seed}"))
+    system = ode_system(eq.family, form)
+    params = numint._numeric_params(eq, None, system)
+    expr_source = numint._expr_source
+
+    def fraction_expr_source(expr, names, consts):
+        as_fractions = SimpleNamespace(num=FractionPoly(expr.num.vars, expr.num.terms),
+                                       den=FractionPoly(expr.den.vars, expr.den.terms))
+        return expr_source(as_fractions, names, consts)
+
+    sources = []
+    for source in (expr_source, fraction_expr_source):
+        with mock.patch.object(numint, "_compiled", wraps=numint._compiled) as compiled, \
+                mock.patch.object(numint, "_expr_source", source):
+            numint._companion_rhs(system, params)
+        sources.append(compiled.call_args.args[0])
+    assert sources[0] == sources[1]
 
 
 def test_generated_loops_match_oracle_with_atoms():
