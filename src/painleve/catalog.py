@@ -1,14 +1,16 @@
 """Static definitions of the six Painlevé families.
 
 One spec per family (parameter space and its exact linear constraint,
-strata with their Morley degrees and citation keys, orbit generators,
-default chart), the equation identifier, and the input errors of the
-toolkit.  Everything here is immutable data, constructed once; the ODE
-systems themselves are in ``odes``.
+strata with their Morley degrees and citation keys, the transformation
+group's generators, orbit criterion, lattice scan and alcove, default
+chart), the equation identifier, and the input errors of the toolkit.
+Everything here is immutable data, constructed once; the ODE systems
+themselves are in ``odes`` and the group algorithms in ``weyl``.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -90,27 +92,65 @@ class StratumRow:
     note: str | None = None
 
 
+# The fifth family's affine simple reflection, as a word in its generators.
+PV_AFFINE_REFLECTION = ("tminus", "s3", "s1", "s2", "s1", "s3", "tminus^-1")
+
+
+def _q(*values: str) -> tuple[Fraction, ...]:
+    """Exact rationals from their "p/q" spellings."""
+    return tuple(Fraction(x) for x in values)
+
+
+# The transformation-group entries of a FamilySpec row (described there).
+Generator = namedtuple("Generator", "name perm signs translation", defaults=(None, None))
+OrbitCriterion = namedtuple("OrbitCriterion", "text key notes", defaults=((),))
+LatticeScan = namedtuple("LatticeScan", "sign_patterns offsets named even_sum")
+Alcove = namedtuple("Alcove", "reflections point")
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """Everything the toolkit tabulates per family.
 
     ``default_form`` is the ODE chart used when none is named (None: no
-    equation is cataloged).  ``orbit_generators`` generate the orbit group;
-    for the fourth family tminus is auxiliary only (it defines s0 but is not
-    itself a member of the orbit group H).  ``backlund_key`` and
-    ``same_family_question_key`` cite the family's transformation group and
-    its open same-family question.  ``strata`` lists the strata deepest
-    first, and ``notes`` go with every classification of the family.
+    equation is cataloged).  ``strata`` lists the strata deepest first, and
+    ``notes`` go with every classification of the family.
+
+    The rest is the family's transformation group, an affine Weyl group on
+    parameters (Noumi–Yamada, CMP 199, 1998).  Each of its ``generators``
+    maps v to ``result[j] = signs[j]*v[perm[j]] + translation[j]`` (None: all
+    +1, or all 0).  ``orbit_generators`` generate the orbit group (the fourth
+    family's tminus only defines s0).  ``criterion`` is the cited orbit
+    criterion, its citation key and the notes every verdict carries;
+    ``backlund_key`` and ``same_family_question_key`` cite the group and the
+    open same-family question.  ``alcove`` (None for I and II) gives words
+    for the simple reflections and a rational point strictly inside the
+    alcove their walls bound.
+
+    ``scan`` (None for I and III) is the orbit criterion as one lattice scan:
+    is there a signed permutation g of the finite Weyl group and an offset c
+    with w - g(v) - c integral?  Its linear parts are the permutations in
+    ``itertools.permutations`` order, each with every sign pattern in turn
+    (II: +1, then -1; IV: the 6 permutations; V: the 24; VI: the 24, each
+    with the 8 even sign patterns).  Then come the offsets c (V: a/4 for
+    a = 0..3; else 0), how many coordinates the criterion names (the
+    ``integer_shift`` length) and whether the shift must have even sum (VI).
+    The first candidate with an all-Yes test is the witness; otherwise the
+    verdict is Unknown if some candidate was undecided, else No.
     """
 
     family: Family
     arity: int
     sum_zero: bool
     default_form: str | None
-    orbit_generators: tuple[str, ...]
-    backlund_key: str
-    same_family_question_key: str | None
     strata: tuple[StratumRow, ...]
+    criterion: OrbitCriterion
+    backlund_key: str
+    same_family_question_key: str | None = None
+    generators: tuple[Generator, ...] = ()
+    orbit_generators: tuple[str, ...] = ()
+    scan: LatticeScan | None = None
+    alcove: Alcove | None = None
     notes: tuple[str, ...] = ()
 
     @property
@@ -128,13 +168,12 @@ _SPECS = {
     for spec in (
         FamilySpec(
             Family.PI, arity=0, sum_zero=False, default_form="scalar",
-            orbit_generators=(), backlund_key="backlund_maps", same_family_question_key=None,
             strata=(StratumRow("generic", 1, "generic_sm_trivial", ("generic_sm_trivial",)),),
+            criterion=OrbitCriterion("the first family has a single equation; any two coincide", "backlund_maps"),
+            backlund_key="backlund_maps",
         ),
         FamilySpec(
             Family.PII, arity=1, sum_zero=False, default_form="scalar",
-            orbit_generators=("reflect", "shift_up", "shift_down"),
-            backlund_key="pii_backlund", same_family_question_key="q_ortho2",
             strata=(
                 StratumRow(
                     "half-integer", 2, "pii_halfinteger_backlund",
@@ -143,32 +182,53 @@ _SPECS = {
                 ),
                 StratumRow("generic", 1, "pii_sm_nonhalf", ("pii_sm_nonhalf",)),
             ),
+            criterion=OrbitCriterion("beta - alpha in Z or beta + alpha in Z", "genone"),
+            backlund_key="pii_backlund", same_family_question_key="q_ortho2",
+            generators=(
+                Generator("reflect", (0,), (-1,), (-1,)), Generator("shift_up", (0,), translation=(1,)),
+                Generator("shift_down", (0,), translation=(-1,)),
+            ),
+            orbit_generators=("reflect", "shift_up", "shift_down"),
+            scan=LatticeScan(((1,), (-1,)), _q("0"), named=1, even_sum=False),
         ),
         FamilySpec(
             Family.PIII, arity=2, sum_zero=False, default_form="system",
-            orbit_generators=("s1", "s2", "s3", "s4"),
-            backlund_key="piii_backlund", same_family_question_key="q_p3orth_nongen",
             strata=(
                 StratumRow("D1", 3, "piii_d1", ("piii_deg3",)),
                 StratumRow("W1", 2, "piii_w1", ("piii_deg2",)),
                 StratumRow("generic", 1, "piii_sm", ("piii_sm",)),
             ),
+            criterion=OrbitCriterion(
+                "{pi(v2-v1), pi(v1-v2)} = {pi(w2-w1), pi(w1-w2)} where pi is reduction mod 2Z", "p3orth"
+            ),
+            backlund_key="piii_backlund", same_family_question_key="q_p3orth_nongen",
+            generators=(
+                Generator("s1", (1, 0)), Generator("s2", (1, 0), (-1, -1)),
+                Generator("s3", (1, 0), translation=(1, -1)), Generator("s4", (1, 0), (-1, -1), (1, 1)),
+            ),
+            orbit_generators=("s1", "s2", "s3", "s4"),
+            alcove=Alcove((("s1",), ("s2",), ("s3",), ("s4",)), _q("1/2", "1/4")),
         ),
         FamilySpec(
             Family.PIV, arity=3, sum_zero=True, default_form="system",
-            orbit_generators=("s0", "s1", "s2"),
-            backlund_key="piv_backlund", same_family_question_key="q_p4orth_nongen",
             strata=(
                 StratumRow("D", 3, "piv_d", ("piv_deg3",)),
                 StratumRow("W", 2, "piv_w", ("piv_deg2",)),
                 StratumRow("generic", 1, "piv_sm", ("piv_sm",)),
             ),
+            criterion=OrbitCriterion("some permutation sigma of {1,2,3} has v_i - w_sigma(i) in Z for all i", "p4orth"),
+            backlund_key="piv_backlund", same_family_question_key="q_p4orth_nongen",
+            generators=(
+                Generator("s0", (0, 2, 1), translation=(0, 1, -1)), Generator("s1", (1, 0, 2)),
+                Generator("s2", (2, 1, 0)), Generator("tminus", (0, 1, 2), translation=_q("-1/3", "-1/3", "2/3")),
+            ),
+            orbit_generators=("s0", "s1", "s2"),
+            scan=LatticeScan(((1, 1, 1),), _q("0"), named=3, even_sum=False),
+            alcove=Alcove((("s0",), ("s1",), ("s2",)), _q("0", "1/3", "-1/3")),
             notes=(PIV_SCALAR_NOTE,),
         ),
         FamilySpec(
             Family.PV, arity=4, sum_zero=True, default_form="system",
-            orbit_generators=("s1", "s2", "s3", "tminus"),
-            backlund_key="pv_backlund", same_family_question_key="q_ques5",
             strata=(
                 StratumRow("D", 4, "pv_d", ("pv_deg4",)),
                 StratumRow("S1", 3, "pv_s1", ("pv_deg3",)),
@@ -176,11 +236,21 @@ _SPECS = {
                 StratumRow("W", 2, "pv_w", ("pv_deg2",)),
                 StratumRow("generic", 1, "pv_sm", ("pv_sm",)),
             ),
+            criterion=OrbitCriterion(
+                "a/4*(1,1,1) + (v_sigma(1), v_sigma(2), v_sigma(3)) - (w_1, w_2, w_3) in Z^3 "
+                "for some sigma in S_4 and a in Z (a taken mod 4)", "pv_orbit",
+            ),
+            backlund_key="pv_backlund", same_family_question_key="q_ques5",
+            generators=(
+                Generator("s1", (1, 0, 2, 3)), Generator("s2", (2, 1, 0, 3)), Generator("s3", (0, 1, 3, 2)),
+                Generator("tminus", (0, 1, 2, 3), translation=_q("-1/4", "-1/4", "-1/4", "3/4")),
+            ),
+            orbit_generators=("s1", "s2", "s3", "tminus"),
+            scan=LatticeScan(((1, 1, 1, 1),), _q("0", "1/4", "1/2", "3/4"), named=3, even_sum=False),
+            alcove=Alcove((("s1",), ("s2",), ("s3",), PV_AFFINE_REFLECTION), _q("1/8", "3/8", "-1/8", "-3/8")),
         ),
         FamilySpec(
             Family.PVI, arity=4, sum_zero=False, default_form=None,
-            orbit_generators=("s1", "s2", "s3", "s4", "s5"),
-            backlund_key="pvi_backlund", same_family_question_key="q_pvi_orbit",
             strata=(
                 StratumRow("D", 5, "pvi_roots", ("pvi_d_deg",)),
                 StratumRow("L", 3, "pvi_roots", ("pvi_l_deg3",), PVI_LDEG_AMBIGUITY),
@@ -188,6 +258,23 @@ _SPECS = {
                 StratumRow("M", None, "pvi_roots", ("pvi_m_deg",)),
                 StratumRow("generic", 1, "pvi_sm", ("pvi_sm",)),
             ),
+            criterion=OrbitCriterion(
+                "w = signed permutation of v (even sign weight) plus an integer vector with even coordinate sum",
+                "pvi_orbit_criterion", ("the converse direction is an open question for the sixth family",),
+            ),
+            backlund_key="pvi_backlund", same_family_question_key="q_pvi_orbit",
+            generators=(
+                Generator("s1", (1, 0, 2, 3)), Generator("s2", (0, 2, 1, 3)), Generator("s3", (0, 1, 3, 2)),
+                Generator("s4", (0, 1, 3, 2), (1, 1, -1, -1)),
+                Generator("s5", (1, 0, 2, 3), (-1, -1, 1, 1), (1, 1, 0, 0)),
+            ),
+            orbit_generators=("s1", "s2", "s3", "s4", "s5"),
+            scan=LatticeScan(
+                ((1, 1, 1, 1), (1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1),
+                 (-1, 1, 1, -1), (-1, 1, -1, 1), (-1, -1, 1, 1), (-1, -1, -1, -1)),
+                _q("0"), named=4, even_sum=True,
+            ),
+            alcove=Alcove((("s1",), ("s2",), ("s3",), ("s4",), ("s5",)), _q("2/5", "3/10", "1/5", "1/10")),
         ),
     )
 }

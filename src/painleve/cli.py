@@ -28,7 +28,8 @@ import sys
 from typing import Sequence
 
 from .catalog import (
-    EquationId, Family, InvalidEquationError, NumericInputError, UnknownFamilyError, UnsupportedFamilyError,
+    PV_AFFINE_REFLECTION, EquationId, Family, InvalidEquationError, NumericInputError, UnknownFamilyError,
+    UnsupportedFamilyError,
 )
 from .citations import RICCATI_SIGN_NOTE, Ambiguity, Citation, cite
 from .classify import ClassificationReport, classify
@@ -278,7 +279,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
         checks.append(
             (
                 "pv-composite",
-                verify_group_relation(Family.PV, ("tminus", "s3", "s1", "s2", "s1", "s3", "tminus^-1"), expected5),
+                verify_group_relation(Family.PV, PV_AFFINE_REFLECTION, expected5),
                 cite("pv_composite_display"),
             )
         )
@@ -308,7 +309,7 @@ def _parse_assignment(text: str) -> NumericAssignment:
             if not _ or not name:
                 raise InputError(f"bad atom assignment {chunk!r}; expected name=value")
             atom_value = parse_param(name)
-            if atom_value.is_rational or len(atom_value.terms) != 1 or atom_value.const != 0:
+            if atom_value.const != 0 or [c for _, c in atom_value.terms] != [1]:
                 raise InputError(f"{name!r} is not a bare atom")
             atom = atom_value.terms[0][0]
             values[atom] = _float(raw)

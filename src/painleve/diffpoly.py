@@ -611,22 +611,6 @@ def _pv_residuals() -> tuple[DiffExpr, DiffExpr]:
     return residuals[0], residuals[1]
 
 
-def _eliminate_v4(p: Poly) -> Poly:
-    """p with v4 replaced by -(v1 + v2 + v3): the terms are grouped by their
-    v4 exponent k, and each group is multiplied by the k-th power of that
-    linear form."""
-    v4 = sym("v4")
-    if v4 not in p.vars:
-        return p
-    k = p.vars.index(v4)
-    groups: dict[int, dict[tuple[int, ...], Fraction | int]] = {}
-    for exps, c in p.terms.items():
-        groups.setdefault(exps[k], {})[exps[:k] + (0,) + exps[k + 1 :]] = c
-    linear = -(Poly.var(sym("v1")) + Poly.var(sym("v2")) + Poly.var(sym("v3")))
-    powers = _powers(linear, max(groups))
-    return Poly.sum([Poly(p.vars, terms) * powers[e] for e, terms in groups.items()])
-
-
 def verify_pv_change_of_variables() -> ChangeOfVariablesReport:
     """Check symbolically that the chart substitution carries the (Q, P)
     system onto the displayed (q, p) system, on the hyperplane sum(v) = 0.
@@ -638,7 +622,8 @@ def verify_pv_change_of_variables() -> ChangeOfVariablesReport:
     evaluate them without deriving them again.
     """
     residuals = _pv_residuals()
-    on_plane = [_eliminate_v4(r.num) for r in residuals]
+    v4 = -(DiffExpr.var(sym("v1")) + DiffExpr.var(sym("v2")) + DiffExpr.var(sym("v3")))
+    on_plane = [r.substitute({sym("v4"): v4}) for r in residuals]
     return ChangeOfVariablesReport(
         identity_q=on_plane[0].is_zero,
         identity_p=on_plane[1].is_zero,

@@ -2,36 +2,21 @@
 
 Each family carries a group of exact affine maps on parameter space
 (generated by the cataloged reflections and quarter/third translations);
-fibers over the same orbit are in definable bijection.  This module holds
-the generator catalogs, the affine-map algebra, the closed-form orbit
-criteria with re-verifiable witnesses, generator words read off the
-witnesses, and the orthogonality verdict table within and across families.
+fibers over the same orbit are in definable bijection.  The groups' data
+(generators, orbit criteria, lattice scans, alcoves) are rows of the
+per-family table, read through ``catalog.family_space``; this module holds
+the algorithms: the affine-map algebra, the orbit criteria with
+re-verifiable witnesses, generator words read off the witnesses, and the
+orthogonality verdicts within and across families.
 
-On parameters the Bäcklund transformations form affine Weyl groups
-(Noumi–Yamada, CMP 199, 1998), so every map is a signed permutation plus a
-translation.  Maps and orbit witnesses store ``perm``, ``signs`` and a
-translation ``t``, meaning ``result[j] = signs[j] * v[perm[j]] + t[j]``.
-Words are tuples of generator names applied left to right; ``name^-1``
-denotes an inverse.  The third to sixth families' words come from one
-alcove walk: the witness maps a point of the fundamental alcove to another
-alcove, and walking that image back, one wall at a time, spells the
-shortest group element that maps v to w (see ``_alcove_word``).
-
-The second and fourth to sixth families' orbit criteria are one lattice
-scan: is there a signed permutation g of the finite Weyl group and an offset
-c with w - g(v) - c integral?  ``_SCANS`` gives each family's linear parts in
-scan order (II: the signs +1, then -1; IV: the 6 permutations; V: the 24;
-VI: the 24, each with the 8 even sign patterns), its offsets (V: a/4 for
-a = 0..3; else 0), how many coordinates the criterion names (the
-``integer_shift`` length) and whether the shift must also have even sum
-(VI).  Candidates are visited in that
-order and the first all-Yes one wins; otherwise the verdict is Unknown if
-some candidate was undecided, else No.  Each difference w_j - s*v_i - c
-and its coset verdict is computed at most once per call, when a candidate
-first reaches it, and a candidate stops at its first No coordinate.  In the
-sum-zero families IV and V the last coordinate is integral whenever the
-others are, so it is tested only where they leave Unknown; the even-sum
-test runs only where the coordinates are not No.
+Every map is a signed permutation plus a translation.  Maps and orbit
+witnesses store ``perm``, ``signs`` and a translation ``t``, meaning
+``result[j] = signs[j] * v[perm[j]] + t[j]``.  Words are tuples of
+generator names applied left to right; ``name^-1`` denotes an inverse.  The
+third to sixth families' words come from one alcove walk: the witness maps
+a point of the fundamental alcove to another alcove, and walking that image
+back, one wall at a time, spells the shortest group element that maps v to
+w (see ``_alcove_word``).
 """
 
 from __future__ import annotations
@@ -133,47 +118,16 @@ class AffineMap:
         return f"AffineMap[{self.family.value}:{self.provenance}]"
 
 
-# -- generator catalogs ---------------------------------------------------------------
+# -- generators -----------------------------------------------------------------------
 
 
 def _named(family: Family) -> dict[str, AffineMap]:
-    P = AffineMap.from_permutation
-    if family is Family.PII:
-        return {
-            "reflect": P(family, (0,), signs=(-1,), translation=(-1,), name="reflect"),
-            "shift_up": P(family, (0,), translation=(1,), name="shift_up"),
-            "shift_down": P(family, (0,), translation=(-1,), name="shift_down"),
-        }
-    if family is Family.PIII:
-        return {
-            "s1": P(family, (1, 0), name="s1"),
-            "s2": P(family, (1, 0), signs=(-1, -1), name="s2"),
-            "s3": P(family, (1, 0), translation=(1, -1), name="s3"),
-            "s4": P(family, (1, 0), signs=(-1, -1), translation=(1, 1), name="s4"),
-        }
-    if family is Family.PIV:
-        return {
-            "s0": P(family, (0, 2, 1), translation=(0, 1, -1), name="s0"),
-            "s1": P(family, (1, 0, 2), name="s1"),
-            "s2": P(family, (2, 1, 0), name="s2"),
-            "tminus": P(family, (0, 1, 2), translation=[Fraction(x, 3) for x in (-1, -1, 2)], name="tminus"),
-        }
-    if family is Family.PV:
-        return {
-            "s1": P(family, (1, 0, 2, 3), name="s1"),
-            "s2": P(family, (2, 1, 0, 3), name="s2"),
-            "s3": P(family, (0, 1, 3, 2), name="s3"),
-            "tminus": P(family, (0, 1, 2, 3), translation=[Fraction(x, 4) for x in (-1, -1, -1, 3)], name="tminus"),
-        }
-    if family is Family.PVI:
-        return {
-            "s1": P(family, (1, 0, 2, 3), name="s1"),
-            "s2": P(family, (0, 2, 1, 3), name="s2"),
-            "s3": P(family, (0, 1, 3, 2), name="s3"),
-            "s4": P(family, (0, 1, 3, 2), signs=(1, 1, -1, -1), name="s4"),
-            "s5": P(family, (1, 0, 2, 3), signs=(-1, -1, 1, 1), translation=(1, 1, 0, 0), name="s5"),
-        }
-    raise NoGeneratorsError(f"family {family.value} has no parameter transformations")
+    generators = family_space(family).generators
+    if not generators:
+        raise NoGeneratorsError(f"family {family.value} has no parameter transformations")
+    return {
+        g.name: AffineMap.from_permutation(family, g.perm, g.signs, g.translation, name=g.name) for g in generators
+    }
 
 
 @lru_cache(maxsize=None)
@@ -186,7 +140,7 @@ def _token_table(family: Family) -> dict[str, AffineMap]:
 
 def named_generators(family: Family) -> dict[str, AffineMap]:
     """All named maps for a family, including auxiliaries such as tminus."""
-    return dict(_named(family))
+    return _named(family)
 
 
 def resolve_token(family: Family, token: str) -> AffineMap:
@@ -265,44 +219,30 @@ def _is_generic(family: Family, params: Sequence[ParamValue]) -> bool:
     return transcendence_degree(params) == family_space(family).dimension
 
 
-# Each family's cited criterion, its citation key, and the notes every verdict carries.
-_CRITERIA = {
-    Family.PI: ("the first family has a single equation; any two coincide", "backlund_maps", ()),
-    Family.PII: ("beta - alpha in Z or beta + alpha in Z", "genone", ()),
-    Family.PIII: ("{pi(v2-v1), pi(v1-v2)} = {pi(w2-w1), pi(w1-w2)} where pi is reduction mod 2Z", "p3orth", ()),
-    Family.PIV: ("some permutation sigma of {1,2,3} has v_i - w_sigma(i) in Z for all i", "p4orth", ()),
-    Family.PV: (
-        "a/4*(1,1,1) + (v_sigma(1), v_sigma(2), v_sigma(3)) - (w_1, w_2, w_3) in Z^3 "
-        "for some sigma in S_4 and a in Z (a taken mod 4)", "pv_orbit", (),
-    ),
-    Family.PVI: (
-        "w = signed permutation of v (even sign weight) plus an integer vector with even coordinate sum",
-        "pvi_orbit_criterion", ("the converse direction is an open question for the sixth family",),
-    ),
-}
-
-# Rows (linear parts (perm, signs) in scan order, offsets c, named coordinates,
-# even-sum test) of the lattice scan described in the module docstring.
-_PERMS3, _PERMS4 = tuple(itertools.permutations(range(3))), tuple(itertools.permutations(range(4)))
-_SCANS = {
-    Family.PII: ((((0,), (1,)), ((0,), (-1,))), (Fraction(0),), 1, False),
-    Family.PIV: (tuple((p, (1, 1, 1)) for p in _PERMS3), (Fraction(0),), 3, False),
-    Family.PV: (tuple((p, (1, 1, 1, 1)) for p in _PERMS4), tuple(Fraction(a, 4) for a in range(4)), 3, False),
-    Family.PVI: (
-        tuple((p, s) for p in _PERMS4 for s in itertools.product((1, -1), repeat=4) if s.count(-1) % 2 == 0),
-        (Fraction(0),), 4, True,
-    ),
-}
+@lru_cache(maxsize=None)
+def _scan_linear(family: Family) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """The linear parts ``(perm, signs)`` of the family's lattice scan, in scan order."""
+    spec = family_space(family)
+    return tuple((p, s) for p in itertools.permutations(range(spec.arity)) for s in spec.scan.sign_patterns)
 
 
 def _lattice_scan(
     family: Family, v: Sequence[ParamValue], w: Sequence[ParamValue]
 ) -> tuple[TriBool, OrbitWitness | None]:
-    """``(related, witness)`` from the first candidate g, c of ``_SCANS[family]``
-    with w - g(v) - c integral (see the module docstring)."""
-    linear, offsets, named, even_sum = _SCANS[family]
+    """``(related, witness)`` from the first candidate g, c of the family's
+    scan (see ``catalog.FamilySpec``) with w - g(v) - c integral.
+
+    Each difference w_j - s*v_i - c and its coset verdict is computed at
+    most once per call, when a candidate first reaches it, and a candidate
+    stops at its first No coordinate.  In the sum-zero families IV and V the
+    last coordinate is integral whenever the others are, so it is tested
+    only where they leave Unknown; the even-sum test runs only where the
+    coordinates are not No.
+    """
+    spec = family_space(family)
+    _, offsets, named, even_sum = spec.scan
     n = len(v)
-    free = n - family_space(family).sum_zero  # coordinates tested before the last
+    free = n - spec.sum_zero  # coordinates tested before the last
     diffs: dict[tuple[int, int, int, int], ParamValue] = {}  # (j, i, s, k) -> w_j - s*v_i - c_k
     tests: dict[tuple[int, int, int, int], TriBool] = {}
 
@@ -321,7 +261,7 @@ def _lattice_scan(
         return t
 
     saw_unknown = False
-    for perm, signs in linear:
+    for perm, signs in _scan_linear(family):
         for k, c in enumerate(offsets):
             # tri_and stops at the first No, so later coordinates go untested.
             related = tri_and(test((j, perm[j], signs[j], k)) for j in range(free))
@@ -396,15 +336,15 @@ def orbit_decide(family: Family, v: Sequence[ParamValue | Rational], w: Sequence
         related, witness = _lattice_scan(family, v, w)
         # The sixth family's converse is open: its hypotheses never hold.
         hypotheses = family is not Family.PVI and (_is_generic(family, v) or _is_generic(family, w))
-    criterion, key, notes = _CRITERIA[family]
+    criterion = family_space(family).criterion
     return OrbitVerdict(
         family=family,
         related=related,
-        criterion=criterion,
-        criterion_citation=cite(key),
+        criterion=criterion.text,
+        criterion_citation=cite(criterion.key),
         hypothesis_status=_status(related, hypotheses),
         witness=witness,
-        notes=notes,
+        notes=criterion.notes,
     )
 
 
@@ -421,19 +361,6 @@ def _status(related: TriBool, hypotheses_hold: bool) -> HypothesisStatus:
 # Longest word returned; a longer one is reported as WordTooLong.
 MAX_WORD_TOKENS = 10_000
 
-# The third to sixth families' orbit groups are affine Weyl groups.  Each row
-# lists words for their simple reflections (the fifth family's affine one is
-# the displayed composite) and a rational point inside the alcove bounded by
-# those reflections' walls.
-_ALCOVES = {
-    Family.PIII: ((("s1",), ("s2",), ("s3",), ("s4",)), ("1/2", "1/4")),
-    Family.PIV: ((("s0",), ("s1",), ("s2",)), ("0", "1/3", "-1/3")),
-    Family.PV: (
-        (("s1",), ("s2",), ("s3",), ("tminus", "s3", "s1", "s2", "s1", "s3", "tminus^-1")),
-        ("1/8", "3/8", "-1/8", "-3/8"),
-    ),
-    Family.PVI: ((("s1",), ("s2",), ("s3",), ("s4",), ("s5",)), ("2/5", "3/10", "1/5", "1/10")),
-}
 
 def _in_lattice(shift: Sequence[Fraction]) -> bool:
     """Integral with even sum: the translations of the III-VI orbit groups
@@ -449,8 +376,7 @@ def _alcove(family: Family):
     x -> x - c*(a*e_i + b*e_j) with c = a*x_i + b*x_j - k.  ``roots`` lists
     the positive roots x_i + b*x_j (i < j) of the finite group; each has a
     reflecting wall at every integer level."""
-    blocks, point = _ALCOVES[family]
-    point = [Fraction(x) for x in point]
+    blocks, point = family_space(family).alcove
     scale = math.lcm(*(x.denominator for x in point))
     point = tuple(int(x * scale) for x in point)
     walls = []

@@ -11,6 +11,7 @@
 - ``scan_orbit_decide`` decides the second and fourth to sixth families'
   orbit criteria by a plain scan: every candidate computes all of its coset
   tests.  ``witness_maps`` checks a witness map against v and w.
+  ``SCANS`` writes out each family's lattice-scan candidates by hand.
 - ``chain_distinct_family_verdict`` is the distinct-family orthogonality
   chain with one block per specially cited pair.
 - ``shortest_word`` is the bounded meet-in-the-middle search that spelled
@@ -289,6 +290,22 @@ def witness_maps(witness: OrbitWitness, v: Sequence[ParamValue], w: Sequence[Par
         return False
     rebuilt = tuple(v[witness.perm[j]] * witness.signs[j] + witness.shift[j] for j in range(len(witness.perm)))
     return rebuilt == tuple(w)
+
+
+# Each family's lattice scan written out: the linear parts (perm, signs) in
+# scan order, the offsets, how many coordinates the criterion names, and the
+# even-sum test.  The first all-Yes candidate is the printed witness, so the
+# order is part of the output.
+_PERMS3, _PERMS4 = tuple(itertools.permutations(range(3))), tuple(itertools.permutations(range(4)))
+SCANS = {
+    Family.PII: ((((0,), (1,)), ((0,), (-1,))), (Fraction(0),), 1, False),
+    Family.PIV: (tuple((p, (1, 1, 1)) for p in _PERMS3), (Fraction(0),), 3, False),
+    Family.PV: (tuple((p, (1, 1, 1, 1)) for p in _PERMS4), tuple(Fraction(a, 4) for a in range(4)), 3, False),
+    Family.PVI: (
+        tuple((p, s) for p in _PERMS4 for s in itertools.product((1, -1), repeat=4) if s.count(-1) % 2 == 0),
+        (Fraction(0),), 4, True,
+    ),
+}
 
 
 def scan_orbit_decide(family: Family, v, w) -> tuple[TriBool, OrbitWitness | None, HypothesisStatus]:

@@ -492,6 +492,19 @@ def test_non_finite_integrate_values_exit_2(options, message, capsys):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("assign", ["2*tau1=0.5", "-1*tau1=0.5"])
+def test_assign_with_a_coefficient_is_not_a_bare_atom(assign, tmp_path, capsys):
+    query = ["integrate", "--family", "II", "--params", "tau1", "--initial", "0.1,0.2",
+             "--t0", "0", "--t1", "0.1", "--step", "0.01", f"--assign={assign}"]
+    assert run(query) == 2
+    batch = tmp_path / "queries.txt"
+    batch.write_text(shlex.join(query) + "\n")
+    assert run(["--batch", str(batch)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {assign.partition('=')[0]!r} is not a bare atom\n" * 2
+
+
 def test_non_finite_integrate_values_in_batch(tmp_path, capsys):
     batch = tmp_path / "queries.txt"
     batch.write_text(

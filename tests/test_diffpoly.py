@@ -371,19 +371,21 @@ def test_chart_change_residual_denominators_stay_small():
         assert r.den.degree_in(jet("Q", 0)) <= 4
 
 
-def test_v4_elimination_agrees_with_substitute():
+def test_v4_elimination_detects_off_plane_residuals(monkeypatch):
     v1, v2, v3, v4 = (DiffExpr.var(sym(f"v{i}")) for i in range(1, 5))
-    v4_sub = {sym("v4"): -(v1 + v2 + v3)}
+    on_plane = {sym("v4"): -(v1 + v2 + v3)}
     residuals = diffpoly._pv_residuals()
-    # The residuals vanish on the hyperplane; the perturbed ones do not.
+    # The residuals vanish on the hyperplane but not off it; the perturbed
+    # ones vanish on neither.
     bump = v4.power(3) * DiffExpr.var(jet("Q", 0)) - 3 * v4 * T + v1 * v4
-    for r in (*residuals, *(r + bump for r in residuals)):
-        expected = r.substitute(v4_sub)
-        got = diffpoly._eliminate_v4(r.num)
-        assert DiffExpr(got, r.den).equals(expected)
-        assert got.is_zero == expected.is_zero
-    assert all(diffpoly._eliminate_v4(r.num).is_zero for r in residuals)
-    assert not any(diffpoly._eliminate_v4((r + bump).num).is_zero for r in residuals)
+    assert not any(r.is_zero for r in residuals)
+    assert all(r.substitute(on_plane).is_zero for r in residuals)
+    assert not any((r + bump).substitute(on_plane).is_zero for r in residuals)
+    report = verify_pv_change_of_variables()
+    assert report.identity_q and report.identity_p
+    monkeypatch.setattr(diffpoly, "_pv_residuals", lambda: tuple(r + bump for r in residuals))
+    report = verify_pv_change_of_variables()
+    assert not report.identity_q and not report.identity_p
 
 
 def test_random_point_check_reuses_report_residuals():

@@ -33,7 +33,9 @@ from painleve.weyl import (
     word_map,
 )
 
-from oracles import chain_distinct_family_verdict, scan_orbit_decide, shortest_word, table_word, witness_maps
+from oracles import (
+    SCANS, chain_distinct_family_verdict, scan_orbit_decide, shortest_word, table_word, witness_maps,
+)
 
 PV = ParamValue
 T1, T2, T3, T4 = (PV.of_atom(tau(i)) for i in (1, 2, 3, 4))
@@ -112,6 +114,30 @@ def test_generator_catalogs():
         assert [resolve_token(family, name).provenance for name in names] == names
     with pytest.raises(NoGeneratorsError):
         resolve_token(Family.PI, "s1")
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_family_group_table_is_consistent(family):
+    spec = family_space(family)
+    names = [g.name for g in spec.generators]
+    for g in spec.generators:
+        assert {len(x) for x in (g.perm, g.signs or g.perm, g.translation or g.perm)} == {spec.arity}
+        AffineMap.from_permutation(family, g.perm, g.signs, g.translation, name=g.name)
+    assert set(spec.orbit_generators) <= set(names)
+    if spec.alcove is not None:
+        point = spec.alcove.point
+        assert len(point) == spec.arity and (not spec.sum_zero or sum(point) == 0)
+        _, scaled, walls, roots = weyl._alcove(family)
+        # Strictly inside every wall, and on no reflecting hyperplane x_i + b*x_j = k.
+        assert all(a * scaled[i] + b * scaled[j] > k for i, a, j, b, k, _ in walls)
+        assert all((point[i] + b * point[j]).denominator != 1 for i, j, b in roots)
+    scan = spec.scan
+    if scan is None:
+        assert family not in SCANS
+        return
+    if family is Family.PVI:
+        assert all(s.count(-1) % 2 == 0 for s in scan.sign_patterns)
+    assert (weyl._scan_linear(family), scan.offsets, scan.named, scan.even_sum) == SCANS[family]
 
 
 @pytest.mark.parametrize("family", [Family.PII, Family.PIII, Family.PIV, Family.PV, Family.PVI])
