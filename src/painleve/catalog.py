@@ -11,7 +11,6 @@ themselves are in ``odes`` and the group algorithms in ``weyl``.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence
@@ -74,8 +73,7 @@ PIV_SCALAR_NOTE = Ambiguity(
 )
 
 
-@dataclass(frozen=True)
-class StratumRow:
+class StratumRow(namedtuple("StratumRow", "label degree stratum_key degree_keys note", defaults=(None,))):
     """One parameter stratum of a family.
 
     ``degree`` is the Morley degree on the stratum, or None where
@@ -85,11 +83,7 @@ class StratumRow:
     the stratum.
     """
 
-    label: str
-    degree: int | None
-    stratum_key: str
-    degree_keys: tuple[str, ...]
-    note: str | None = None
+    __slots__ = ()
 
 
 # The fifth family's affine simple reflection, as a word in its generators.
@@ -108,8 +102,12 @@ LatticeScan = namedtuple("LatticeScan", "sign_patterns offsets named even_sum")
 Alcove = namedtuple("Alcove", "reflections point")
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(namedtuple(
+    "FamilySpec",
+    "family arity sum_zero default_form strata criterion backlund_key same_family_question_key"
+    " generators orbit_generators scan alcove notes",
+    defaults=(None, (), (), None, None, ()),
+)):
     """Everything the toolkit tabulates per family.
 
     ``default_form`` is the ODE chart used when none is named (None: no
@@ -139,19 +137,7 @@ class FamilySpec:
     verdict is Unknown if some candidate was undecided, else No.
     """
 
-    family: Family
-    arity: int
-    sum_zero: bool
-    default_form: str | None
-    strata: tuple[StratumRow, ...]
-    criterion: OrbitCriterion
-    backlund_key: str
-    same_family_question_key: str | None = None
-    generators: tuple[Generator, ...] = ()
-    orbit_generators: tuple[str, ...] = ()
-    scan: LatticeScan | None = None
-    alcove: Alcove | None = None
-    notes: tuple[str, ...] = ()
+    __slots__ = ()
 
     @property
     def dimension(self) -> int:
@@ -292,16 +278,19 @@ def _as_param(x) -> ParamValue:
     raise InvalidEquationError(f"parameter {x!r} is not an exact value")
 
 
-@dataclass(frozen=True)
-class EquationId:
-    """A family tag plus a parameter vector valid for that family."""
+class EquationId(namedtuple("EquationId", "family params")):
+    """A family tag plus a parameter vector valid for that family.
 
-    family: Family
-    params: tuple[ParamValue, ...]
+    ``__new__`` makes each parameter a ``ParamValue``; ``__init__`` checks
+    the vector against the family (``perfbench/tracer.py`` wraps ``__init__``).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, family: Family, params: Sequence[ParamValue | Rational] = ()) -> "EquationId":
+        return super().__new__(cls, family, tuple(_as_param(p) for p in params))
 
     def __init__(self, family: Family, params: Sequence[ParamValue | Rational] = ()):
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "params", tuple(_as_param(p) for p in params))
         space = family_space(family)
         if len(self.params) != space.arity:
             raise InvalidEquationError(

@@ -12,12 +12,13 @@ family's deeper strata are contained in the shallower ones.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
+from operator import add, sub
 from typing import Sequence
 
 from .catalog import EquationId, Family, family_space
-from .citations import Citation, cite
+from .citations import cite
 from .exactnum import (
     ParamValue,
     TriBool,
@@ -29,43 +30,24 @@ from .exactnum import (
 )
 
 _INT = 1  # modulus for plain integer-coset tests
+_HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class Stratum:
-    """Family-specific parameter stratum; ``label`` is None when membership
-    is undecided.  ``half_integer_special`` is only meaningful for the
-    sixth family's M stratum."""
+# A family-specific parameter stratum; ``label`` is None when membership is
+# undecided.  ``half_integer_special`` is only meaningful for the sixth
+# family's M stratum.
+Stratum = namedtuple(
+    "Stratum", "family label half_integer_special special_after_transformation", defaults=(TriBool.NO, False)
+)
+Component = namedtuple("Component", "label order")
 
-    family: Family
-    label: str | None
-    half_integer_special: TriBool = TriBool.NO
-    special_after_transformation: bool = False
-
-
-@dataclass(frozen=True)
-class Component:
-    label: str
-    order: int
-
-
-@dataclass(frozen=True)
-class ClassificationReport:
-    equation: EquationId
-    rank: int
-    degree: int | None
-    strongly_minimal: TriBool
-    stratum: Stratum
-    components: tuple[Component, ...]
-    algebraic_solutions: int | None
-    geometrically_trivial: TriBool
-    citations: tuple[Citation, ...]
-    notes: tuple[str, ...]
-    # The statement behind each verdict; None where the verdict is unknown.
-    stratum_citation: Citation | None
-    degree_citation: Citation | None
-    count_citation: Citation | None
-    triviality_citation: Citation | None
+# ``stratum_citation`` to ``triviality_citation``: the statement behind each
+# verdict, None where the verdict is unknown.
+ClassificationReport = namedtuple(
+    "ClassificationReport",
+    "equation rank degree strongly_minimal stratum components algebraic_solutions geometrically_trivial"
+    " citations notes stratum_citation degree_citation count_citation triviality_citation",
+)
 
 
 # -- congruence helpers ----------------------------------------------------------
@@ -82,7 +64,7 @@ def _is_int(x: ParamValue) -> TriBool:
 
 
 def _pii_strata(v: Sequence[ParamValue]) -> dict[str, TriBool]:
-    return {"half-integer": decide_coset(v[0], Fraction(1, 2), 1)}
+    return {"half-integer": decide_coset(v[0], _HALF, 1)}
 
 
 def _piii_strata(v: Sequence[ParamValue]) -> dict[str, TriBool]:
@@ -152,32 +134,31 @@ _STRATA_TESTS = {
 }
 
 
+# The splits of the sixth family's coordinates into a pair {a, b} and its
+# complement {c, d}, the identity's {0, 1} | {2, 3} first.
+_PVI_SPLITS = tuple(
+    (a, b, *(i for i in range(4) if i not in (a, b))) for a, b in itertools.combinations(range(4), 2)
+)
+
+
 def _pvi_half_integer_special(v: Sequence[ParamValue]) -> tuple[TriBool, bool]:
     """Test v1 - v2 in 1/2 + Z and v3 - v4 in Z over every image of v under
     the finite transformations (signed permutations with even sign weight);
     integer translations preserve both congruences, so this makes the test
     orbit-invariant.  Returns the verdict and whether a non-identity
-    transformation was needed.  On M no test is undecided: each has the atoms
-    of a root pairing, and M leaves no root pairing undecided."""
-    identity_hit = False
-    hit = False
-    for perm in itertools.permutations(range(4)):
-        for signs in itertools.product((1, -1), repeat=4):
-            if signs.count(-1) % 2:
-                continue
-            image = [v[perm[j]] * signs[j] for j in range(4)]
-            check = tri_and(
-                [
-                    decide_coset(image[0] - image[1], Fraction(1, 2), 1),
-                    _is_int(image[2] - image[3]),
-                ]
-            )
-            if check is TriBool.YES:
-                hit = True
-                if perm == (0, 1, 2, 3) and signs == (1, 1, 1, 1):
-                    identity_hit = True
-    if hit:
-        return TriBool.YES, not identity_hit
+    transformation was needed.
+
+    An image's first two coordinates come from a pair {a, b} and its last two
+    from the complement {c, d}; even sign weight gives both differences the
+    same relative sign.  So up to negation, which keeps both cosets, the
+    images test v_a op v_b in 1/2 + Z and v_c op v_d in Z over the 6 splits
+    and op = -, +: 12 tests where the images number 192.  The identity is
+    the first split with op = -.  On M no test is undecided: each has the
+    atoms of a root pairing, and M leaves no root pairing undecided."""
+    for a, b, c, d in _PVI_SPLITS:
+        for op in (sub, add):
+            if decide_coset(op(v[a], v[b]), _HALF, 1) is TriBool.YES and _is_int(op(v[c], v[d])) is TriBool.YES:
+                return TriBool.YES, (a, b, op) != (0, 1, sub)
     return TriBool.NO, False
 
 

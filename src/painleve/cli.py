@@ -312,6 +312,8 @@ def _parse_assignment(text: str) -> NumericAssignment:
             if atom_value.const != 0 or [c for _, c in atom_value.terms] != [1]:
                 raise InputError(f"{name!r} is not a bare atom")
             atom = atom_value.terms[0][0]
+            if atom in values:
+                raise InputError(f"atom {atom.name} is assigned twice")
             values[atom] = _float(raw)
     return NumericAssignment(values)
 

@@ -12,7 +12,7 @@ an explicit three-valued Unknown.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -25,16 +25,15 @@ class AtomKind(Enum):
     ALGEBRAIC_IRRATIONAL = "alg"
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(namedtuple("Atom", "kind index")):
     """A named symbolic constant, e.g. tau1 (transcendental) or alg2."""
 
-    kind: AtomKind
-    index: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.index < 0:
+    def __new__(cls, kind: AtomKind, index: int) -> "Atom":
+        if index < 0:
             raise ValueError("atom index must be nonnegative")
+        return super().__new__(cls, kind, index)
 
     @property
     def name(self) -> str:

@@ -3,6 +3,9 @@
 - ``integer_solve`` solves integer linear systems by column reduction.
 - ``pvi_root_scan`` splits the 24 roots of D4 by how they pair with a
   sixth-family parameter.
+- ``pvi_image_scan_special`` decides the sixth family's half-integer
+  special condition over all 192 even-sign-weight signed-permutation images
+  of the parameter, as ``classify`` did before it tested the 12 pairings.
 - ``chain_stratum`` decides the stratum by one hand-written if-chain per
   family, and ``chain_pv_algebraic_solutions`` decides the fifth family's
   count from its congruences, apart from the stratum.  ``chain_classify``
@@ -45,7 +48,7 @@ from unittest import mock
 
 from painleve.catalog import EquationId, Family, family_space
 from painleve.diffpoly import DiffExpr, Poly, Var, jet
-from painleve.classify import ClassificationReport, Stratum, _pvi_half_integer_special
+from painleve.classify import ClassificationReport, Stratum
 from painleve.exactnum import ParamValue, TriBool, decide_coset, rational_rank, transcendence_degree, tri_and, tri_or
 from painleve.numint import (
     BLOWUP_THRESHOLD, NumericAssignment, ResidualReport, Trajectory, TrajectoryStatus, _companion_rhs,
@@ -159,6 +162,31 @@ def pvi_root_scan(v: Sequence[ParamValue]) -> tuple[list, list]:
     return yes, unknown
 
 
+def pvi_image_scan_special(v: Sequence[ParamValue]) -> tuple[TriBool, bool]:
+    """Test v1 - v2 in 1/2 + Z and v3 - v4 in Z on every image of v under the
+    signed permutations with even sign weight.  Returns the verdict and
+    whether only a non-identity image passed.  Each of the 48 differences
+    of two signed coordinates is tested once, and the images share them."""
+    signed = {(i, s): v[i] * s for i in range(4) for s in (1, -1)}
+    difference = {(x, y): signed[x] - signed[y] for x in signed for y in signed if x[0] != y[0]}
+    in_half = {key: decide_coset(d, Fraction(1, 2), 1) for key, d in difference.items()}
+    in_int = {key: decide_coset(d, 0, 1) for key, d in difference.items()}
+    identity_hit = False
+    hit = False
+    for perm in itertools.permutations(range(4)):
+        for signs in itertools.product((1, -1), repeat=4):
+            if signs.count(-1) % 2:
+                continue
+            image = [(perm[j], signs[j]) for j in range(4)]
+            if tri_and([in_half[image[0], image[1]], in_int[image[2], image[3]]]) is TriBool.YES:
+                hit = True
+                if perm == (0, 1, 2, 3) and signs == (1, 1, 1, 1):
+                    identity_hit = True
+    if hit:
+        return TriBool.YES, not identity_hit
+    return TriBool.NO, False
+
+
 # -- the per-family strata chains -------------------------------------------------------
 
 
@@ -246,7 +274,7 @@ def chain_stratum(eq: EquationId) -> Stratum:
     label = {0: "generic", 1: "M", 2: "P", 3: "L", 4: "D"}[rank]
     if label != "M":
         return Stratum(fam, label)
-    special, transformed = _pvi_half_integer_special(v)
+    special, transformed = pvi_image_scan_special(v)
     return Stratum(fam, label, half_integer_special=special, special_after_transformation=transformed)
 
 

@@ -12,7 +12,7 @@ from painleve.citations import CITATIONS, PVI_LDEG_AMBIGUITY
 from painleve.classify import algebraic_solution_count_P3, classify, stratum
 from painleve.exactnum import ParamValue, TriBool, alg, decide_coset, rational_rank, tau
 
-from oracles import chain_classify, chain_stratum, classify_module, pvi_root_scan
+from oracles import chain_classify, chain_stratum, classify_module, pvi_image_scan_special, pvi_root_scan
 
 PV = ParamValue
 T1, T2, T3, T4 = (PV.of_atom(tau(i)) for i in (1, 2, 3, 4))
@@ -121,6 +121,30 @@ def test_pvi_m_half_integer_special_is_decided(v):
     assume(s.label == "M")
     assert s.half_integer_special in (TriBool.YES, TriBool.NO)
     assert classify(eq(Family.PVI, v)).degree == (4 if s.half_integer_special is TriBool.YES else 2)
+
+
+def test_pvi_half_integer_special_pairings_match_image_scan():
+    # Values with tau/alg atoms, mostly tied onto the special locus: v_b is
+    # e*v_a + 1/2 and v_d is e*v_c up to integers, for a random split
+    # {a, b} | {c, d} and sign e.
+    rng = random.Random(16)
+    seen = {}
+    for _ in range(5000):
+        v = [
+            PV(Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 4, 5])),
+               {a: rng.choice([0, 0, 0, 1, -1, 2, H]) for a in _PVI_ATOMS})
+            for _ in range(4)
+        ]
+        a, b, c, d = rng.sample(range(4), 4)
+        e = rng.choice([1, -1])
+        if rng.random() < 0.8:
+            v[b] = v[a] * e + H + rng.randint(-3, 3)
+        if rng.random() < 0.8:
+            v[d] = v[c] * e + rng.randint(-3, 3)
+        expected = pvi_image_scan_special(v)
+        assert classify_module._pvi_half_integer_special(v) == expected, v
+        seen[expected] = seen.get(expected, 0) + 1
+    assert min(seen.get(k, 0) for k in [(TriBool.YES, False), (TriBool.YES, True), (TriBool.NO, False)]) > 200
 
 
 def test_stratum_unknown_on_undecided_congruence():

@@ -505,6 +505,19 @@ def test_assign_with_a_coefficient_is_not_a_bare_atom(assign, tmp_path, capsys):
     assert captured.err == f"error: {assign.partition('=')[0]!r} is not a bare atom\n" * 2
 
 
+@pytest.mark.parametrize("assign", ["tau1=0.5,tau1=3", "tau1=0.5, tau1=0.5"])
+def test_assign_repeating_an_atom_is_an_input_error(assign, tmp_path, capsys):
+    query = ["integrate", "--family", "II", "--params", "tau1", "--initial", "0.1,0.2",
+             "--t0", "0", "--t1", "0.1", "--step", "0.01", "--assign", assign]
+    assert run(query) == 2
+    batch = tmp_path / "queries.txt"
+    batch.write_text(shlex.join(query) + "\n")
+    assert run(["--batch", str(batch)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: atom tau1 is assigned twice\n" * 2
+
+
 def test_non_finite_integrate_values_in_batch(tmp_path, capsys):
     batch = tmp_path / "queries.txt"
     batch.write_text(
@@ -601,14 +614,14 @@ def test_every_strata_row_in_classify_payload(family, params, label, degree, str
 def test_orbit_query_echoes_the_parsed_values(monkeypatch, capsys):
     # orbit_decide and generator_word each validate v and w; the echo reuses
     # the parsed values instead of validating them a third time.
-    init = catalog.EquationId.__init__
+    new = catalog.EquationId.__new__
     calls = []
 
-    def counting(self, *args, **kwargs):
+    def counting(cls, *args, **kwargs):
         calls.append(args)
-        init(self, *args, **kwargs)
+        return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(catalog.EquationId, "__init__", counting)
+    monkeypatch.setattr(catalog.EquationId, "__new__", counting)
     argv = ["orbit", "--family", "VI", "--v", "1/3,1/5,2/7,3/11", "--w", "181/3,301/5,2/7,3/11"]
     payload, code = run_json(argv, capsys)
     assert code == 0
@@ -760,6 +773,9 @@ def test_batch_fuzz_exits_0_2_or_3_with_json_records(lines):
 # -- import boundary ------------------------------------------------------------------
 
 _LAZY_MODULES = ("painleve.weyl", "painleve.diffpoly", "painleve.numint")
+# Standard-library modules a classify query has no use for; ``dataclasses``
+# alone pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``.
+_UNUSED_STDLIB = ("dataclasses", "inspect")
 
 
 def _run_python(code):
@@ -776,10 +792,13 @@ def test_classify_imports_no_weyl_diffpoly_or_numint():
         "assert cli.run(['classify', '--family', 'VI', '--params', '1/2,0,1/4,1/4']) == 0\n"
         f"print([m for m in {_LAZY_MODULES!r} if m in sys.modules], file=sys.stderr)\n"
         "print('loaded', [m for m in sys.modules if m.startswith('painleve.')])\n"
+        f"print('stdlib', [m for m in {_UNUSED_STDLIB!r} if m in sys.modules])\n"
     )
-    loaded = json.loads(out.splitlines()[-1].removeprefix("loaded ").replace("'", '"'))
+    *_, painleve_line, stdlib_line = out.splitlines()
+    loaded = json.loads(painleve_line.removeprefix("loaded ").replace("'", '"'))
     assert not set(loaded) & set(_LAZY_MODULES)
     assert "painleve.classify" in loaded
+    assert stdlib_line == "stdlib []"
 
 
 @pytest.mark.parametrize("target", ["riccati", "pv-change"])
