@@ -15,7 +15,11 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    if name in ("cross_family_verdict", "generator_word", "orbit_decide"):
+    if name == "cross_family_verdict":
+        from . import ortho
+
+        return ortho.cross_family_verdict
+    if name in ("generator_word", "orbit_decide"):
         from . import weyl
 
         return getattr(weyl, name)

@@ -68,10 +68,9 @@ def _pii_strata(v: Sequence[ParamValue]) -> dict[str, TriBool]:
 
 
 def _piii_strata(v: Sequence[ParamValue]) -> dict[str, TriBool]:
-    return {
-        "D1": tri_and([_is_int(v[0]), _is_int(v[1]), decide_coset(v[0] + v[1], 0, 2)]),
-        "W1": decide_coset(v[0] - v[1], 0, 2),
-    }
+    # D1 lies inside W1, so W1's congruence joins D1's: D1 is No wherever W1 is.
+    w1 = decide_coset(v[0] - v[1], 0, 2)
+    return {"D1": tri_and([_is_int(v[0]), _is_int(v[1]), decide_coset(v[0] + v[1], 0, 2), w1]), "W1": w1}
 
 
 def _piv_strata(v: Sequence[ParamValue]) -> dict[str, TriBool]:
@@ -205,7 +204,8 @@ def _pvi_m_degree(strat: Stratum, notes: list[str]) -> int:
     return 2
 
 
-def _is_generic(eq: EquationId) -> bool:
+def is_generic(eq: EquationId) -> bool:
+    """Whether the parameters' transcendence degree is their space's dimension."""
     return transcendence_degree(eq.params) == family_space(eq.family).dimension
 
 
@@ -233,7 +233,7 @@ def _algebraic_solutions(eq: EquationId, strat: Stratum) -> tuple[int | None, li
         if count is None:
             return None, []
         keys = ["murata3"]
-        if count == 0 and _is_generic(eq):
+        if count == 0 and is_generic(eq):
             keys.append("piii_no_alg_generic")
         return count, keys
     if fam is Family.PV:
@@ -250,7 +250,7 @@ def _geometric_triviality(eq: EquationId, notes: list[str]) -> tuple[TriBool, li
     fam = eq.family
     if fam is Family.PII:
         return TriBool.YES, ["pii_trivial_all"]
-    if _is_generic(eq):
+    if is_generic(eq):
         return TriBool.YES, ["generic_sm_trivial"]
     if fam is Family.PVI:
         notes.append(

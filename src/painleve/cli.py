@@ -39,8 +39,8 @@ from .exactnum import ParamSyntaxError, ParamValue, TriBool, format_fraction, fo
 # handler binds its modules and their names into this module's globals on
 # first use, keeping any name already set here (a wrapper, say).
 _LAZY = {
-    "weyl": ("AffineMap", "HypothesisStatus", "OrbitVerdict", "Verdict", "cross_family_verdict",
-             "named_generators", "orbit_with_word", "word_map"),
+    "weyl": ("AffineMap", "HypothesisStatus", "named_generators", "orbit_with_word", "word_map"),
+    "ortho": ("Verdict", "cross_family_verdict"),
     "diffpoly": ("pv_random_point_check", "verify_group_relation", "verify_pv_change_of_variables",
                  "verify_riccati"),
     "numint": ("NumericAssignment",),
@@ -218,7 +218,7 @@ def _cmd_orbit(args) -> tuple[dict, int]:
 
 
 def _cmd_orthogonal(args) -> tuple[dict, int]:
-    _load("weyl")
+    _load("ortho")
     eq1 = _equation(args.family1, args.params1)
     eq2 = _equation(args.family2, args.params2)
     verdict = cross_family_verdict(eq1, eq2)

@@ -6,8 +6,7 @@ fibers over the same orbit are in definable bijection.  The groups' data
 (generators, orbit criteria, lattice scans, alcoves) are rows of the
 per-family table, read through ``catalog.family_space``; this module holds
 the algorithms: the affine-map algebra, the orbit criteria with
-re-verifiable witnesses, generator words read off the witnesses, and the
-orthogonality verdicts within and across families.
+re-verifiable witnesses, and generator words read off the witnesses.
 
 Every map is a signed permutation plus a translation.  Maps and orbit
 witnesses store ``perm``, ``signs`` and a translation ``t``, meaning
@@ -510,124 +509,3 @@ def orbit_with_word(
         return verdict
     result = generator_word(family, v, w, verdict=verdict)
     return replace(verdict, word=result.word, word_reason=result.reason)
-
-
-# -- orthogonality verdicts ------------------------------------------------------------------
-
-
-class Verdict(Enum):
-    ORTHOGONAL = "orthogonal"
-    NONORTHOGONAL = "nonorthogonal"
-    OPEN = "open"
-
-
-@dataclass(frozen=True)
-class OrthoVerdict:
-    verdict: Verdict
-    citation: Citation | None
-    applicability: str
-    question: Citation | None = None
-    notes: tuple[str, ...] = ()
-
-
-def cross_family_verdict(eq1: EquationId, eq2: EquationId) -> OrthoVerdict:
-    """Match a pair of equations against the hypothesis clauses of the proved
-    orthogonality statements; fall through to Open when none applies."""
-    if eq1.family is eq2.family:
-        return _same_family_verdict(eq1, eq2)
-    return _distinct_family_verdict(eq1, eq2)
-
-
-def _same_family_verdict(eq1: EquationId, eq2: EquationId) -> OrthoVerdict:
-    family = eq1.family
-    verdict = orbit_decide(family, eq1.params, eq2.params)
-    if verdict.related is TriBool.YES:
-        return OrthoVerdict(
-            verdict=Verdict.NONORTHOGONAL,
-            citation=cite(family_space(family).backlund_key),
-            applicability="parameters related by the family's transformation group",
-        )
-    if family is Family.PII and eq1.params[0].has_transcendental is not eq2.params[0].has_transcendental:
-        return OrthoVerdict(
-            verdict=Verdict.ORTHOGONAL,
-            citation=cite("kernel1"),
-            applicability="one parameter algebraic over Q, the other transcendental",
-        )
-    if verdict.related is TriBool.NO and verdict.hypothesis_status is HypothesisStatus.PROVED:
-        return OrthoVerdict(
-            verdict=Verdict.ORTHOGONAL,
-            citation=verdict.criterion_citation,
-            applicability="genericity hypotheses hold and the orbit criterion fails",
-        )
-    notes = ()
-    if verdict.related is TriBool.UNKNOWN:
-        notes = ("the orbit criterion is undecided (Unknown congruence on algebraic-irrational atoms)",)
-    return OrthoVerdict(
-        verdict=Verdict.OPEN,
-        citation=None,
-        applicability="no proved clause covers this same-family pair",
-        question=cite(family_space(family).same_family_question_key),
-        notes=notes,
-    )
-
-
-# The distinct-family pairs whose "both parameter tuples generic" clause has
-# its own statement: pair -> (citation key, applicability).  For the second
-# family's one parameter, generic means transcendental.
-_GENERIC_CLAUSES = {
-    frozenset((Family.PII, Family.PIV)): (
-        "naggy1", "second-family parameter transcendental, fourth-family parameters generic",
-    ),
-    frozenset((Family.PIII, Family.PV)): (
-        "naggy2", "third-family parameters independent transcendental, fifth-family parameters generic",
-    ),
-}
-
-
-def _distinct_family_verdict(eq1: EquationId, eq2: EquationId) -> OrthoVerdict:
-    pair = frozenset((eq1.family, eq2.family))
-
-    def by_family(fam: Family) -> EquationId:
-        return eq1 if eq1.family is fam else eq2
-
-    if pair == {Family.PII, Family.PIII}:
-        p3 = by_family(Family.PIII)
-        p2 = by_family(Family.PII)
-        if _is_generic(Family.PIII, p3.params):
-            alpha = p2.params[0]
-            half = decide_coset(alpha, Fraction(1, 2), 1)
-            if half is TriBool.YES:
-                applicability = (
-                    "third-family parameters independent transcendental; the second-family "
-                    "parameter is half-integer, so the statement covers the strongly minimal "
-                    "part X_II(alpha) \\ R(alpha) (its order-one locus R(alpha) is orthogonal "
-                    "by the dimension argument in the proof)"
-                )
-            elif half is TriBool.UNKNOWN:
-                applicability = (
-                    "third-family parameters independent transcendental; whether the "
-                    "second-family parameter is half-integer is undecided, but both clauses "
-                    "of the statement yield orthogonality"
-                )
-            else:
-                applicability = "third-family parameters independent transcendental"
-            return OrthoVerdict(
-                verdict=Verdict.ORTHOGONAL,
-                citation=cite("orthofam3"),
-                applicability=applicability,
-            )
-        return _open_distinct(question_key="q_nongen3orth")
-
-    key, applicability = _GENERIC_CLAUSES.get(pair, ("naggy", "distinct families, both parameter tuples generic"))
-    if _is_generic(eq1.family, eq1.params) and _is_generic(eq2.family, eq2.params):
-        return OrthoVerdict(verdict=Verdict.ORTHOGONAL, citation=cite(key), applicability=applicability)
-    return _open_distinct()
-
-
-def _open_distinct(question_key: str = "q_np2") -> OrthoVerdict:
-    return OrthoVerdict(
-        verdict=Verdict.OPEN,
-        citation=None,
-        applicability="no proved clause covers this distinct-family pair",
-        question=cite(question_key),
-    )

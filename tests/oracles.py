@@ -56,9 +56,9 @@ from painleve.numint import (
 )
 from painleve.odes import OdeSystem, ode_system
 from painleve.citations import cite
+from painleve.ortho import OrthoVerdict, Verdict
 from painleve.weyl import (
-    AffineMap, HypothesisStatus, OrbitWitness, OrthoVerdict, Verdict, _is_generic, _open_distinct, apply_word,
-    named_generators, resolve_token, word_map,
+    AffineMap, HypothesisStatus, OrbitWitness, _is_generic, apply_word, named_generators, resolve_token, word_map,
 )
 
 # The package exports the function ``classify`` under the module's name.
@@ -229,7 +229,7 @@ def chain_stratum(eq: EquationId) -> Stratum:
         return Stratum(fam, "half-integer" if region is TriBool.YES else "generic")
     if fam is Family.PIII:
         in_w1 = decide_coset(v[0] - v[1], 0, 2)
-        in_d1 = tri_and([_is_int(v[0]), _is_int(v[1]), decide_coset(v[0] + v[1], 0, 2)])
+        in_d1 = tri_and([_is_int(v[0]), _is_int(v[1]), decide_coset(v[0] + v[1], 0, 2), in_w1])
         if in_d1 is TriBool.YES:
             return Stratum(fam, "D1")
         if in_d1 is TriBool.UNKNOWN:
@@ -432,6 +432,15 @@ def scan_orbit_decide(family: Family, v, w) -> tuple[TriBool, OrbitWitness | Non
 
 
 # -- orthogonality ----------------------------------------------------------------------
+
+
+def _open_distinct(question_key: str = "q_np2") -> OrthoVerdict:
+    return OrthoVerdict(
+        verdict=Verdict.OPEN,
+        citation=None,
+        applicability="no proved clause covers this distinct-family pair",
+        question=cite(question_key),
+    )
 
 
 def chain_distinct_family_verdict(eq1: EquationId, eq2: EquationId) -> OrthoVerdict:

@@ -28,12 +28,11 @@ from painleve.exactnum import (
     transcendence_degree,
 )
 from painleve.numint import TrajectoryStatus, integrate, integrate_rhs
+from painleve.ortho import Verdict, cross_family_verdict
 from painleve.weyl import (
     AffineMap,
     HypothesisStatus,
-    Verdict,
     apply_word,
-    cross_family_verdict,
     generator_word,
     named_generators,
     orbit_decide,

@@ -152,6 +152,27 @@ def test_stratum_unknown_on_undecided_congruence():
     assert stratum(eq(Family.PIII, [A1 + A2, 0])).label is None
 
 
+def test_piii_d1_decided_where_w1_is_no():
+    # v1 - v2 = -alg2 is not an even integer, so the fiber is off W1 and so
+    # off D1 inside it, though D1's own congruences are undecided.
+    report = classify(eq(Family.PIII, [A1 + A2 - H, A1 + 2 * A2 - H]))
+    assert report.stratum.label == "generic"
+    assert report.degree == 1
+
+
+def test_piii_stratum_decided_whenever_w1_is_no():
+    rng = random.Random(91)
+    d1_undecided = 0
+    for _ in range(2000):
+        v = _tied_params(Family.PIII, rng)
+        if decide_coset(v[0] - v[1], 0, 2) is not TriBool.NO:
+            continue
+        own = [decide_coset(v[0], 0, 1), decide_coset(v[1], 0, 1), decide_coset(v[0] + v[1], 0, 2)]
+        d1_undecided += TriBool.NO not in own and TriBool.UNKNOWN in own
+        assert stratum(eq(Family.PIII, v)).label is not None, v
+    assert d1_undecided > 20
+
+
 def test_stratum_monotonicity_deepest_first():
     # D-type points satisfy the shallower defining conditions too.
     v = eq(Family.PIV, [1, -2, 1])

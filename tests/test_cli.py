@@ -60,6 +60,9 @@ GOLDEN_QUERIES = {
         "orthogonal", "--family1", "II", "--params1", "tau1",
         "--family2", "VI", "--params2", "tau1,tau2,tau3,tau4",
     ],
+    "orthogonal_orthofam3_half": [
+        "orthogonal", "--family1", "II", "--params1", "1/2", "--family2", "III", "--params2", "tau1,tau2",
+    ],
     "orthogonal_open": [
         "orthogonal", "--family1", "II", "--params1", "1/4", "--family2", "III", "--params2", "1/2,0",
     ],
@@ -814,14 +817,28 @@ def test_verify_imports_no_weyl_or_numint(target):
     assert "painleve.diffpoly" in loaded
 
 
+def test_orthogonal_loads_weyl_for_same_family_pairs_only():
+    out = _run_python(
+        "import sys\n"
+        "from painleve import cli\n"
+        "assert cli.run(['orthogonal', '--family1', 'II', '--params1', 'tau1',"
+        " '--family2', 'IV', '--params2', 'tau2,tau3,-1*tau2 - tau3']) == 0\n"
+        f"print('distinct', [m for m in ('painleve.weyl', *{_UNUSED_STDLIB!r}) if m in sys.modules])\n"
+        "assert cli.run(['orthogonal', '--family1', 'II', '--params1', '3', '--family2', 'II', '--params2', 'tau1']) == 0\n"
+        "print('same', 'painleve.weyl' in sys.modules)\n"
+    )
+    lines = out.splitlines()
+    assert "distinct []" in lines
+    assert "same True" in lines
+
+
 def test_tracer_names_resolve_on_cli():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", SRC_DIR.parent / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    names = [attr for module, attr, _ in tracer.WRAPPED if module == "cli"]
-    assert len(names) == 11
-    for name in names:
-        assert callable(getattr(cli, name)), name
+    assert len([module for module, _, _ in tracer.WRAPPED if module == "cli"]) == 11
+    for module, attr, _ in tracer.WRAPPED:
+        assert callable(getattr(importlib.import_module(f"painleve.{module}"), attr)), (module, attr)
     with pytest.raises(AttributeError):
         cli.no_such_name
 

@@ -17,14 +17,13 @@ from painleve.exactnum import (
     tau,
     transcendence_degree,
 )
+from painleve.ortho import Verdict, cross_family_verdict
 from painleve.weyl import (
     MAX_WORD_TOKENS,
     AffineMap,
     HypothesisStatus,
     NoGeneratorsError,
-    Verdict,
     apply_word,
-    cross_family_verdict,
     generator_word,
     named_generators,
     orbit_decide,
@@ -739,8 +738,9 @@ def test_cross_family_generic_pairs_cite_naggy():
 
 
 def test_distinct_family_verdict_agrees_with_chain():
-    # Seeded pairs over all 36 ordered family pairs: distinct families against
-    # the chain with one block per cited pair, and the second family's
+    # Seeded pairs over all 36 ordered family pairs: the verdict does not
+    # depend on the order of the pair; distinct families agree with the chain
+    # with one block per cited pair, and the second family's
     # kernel1 clause against its statement (one parameter algebraic, the
     # other transcendental, and the orbit criterion not Yes).
     rng = random.Random(53)
@@ -750,6 +750,7 @@ def test_distinct_family_verdict_agrees_with_chain():
         for f1, f2 in itertools.product(families, repeat=2):
             eq1, eq2 = (EquationId(f, rand_params(f, rng, atom_chance=0.75)) for f in (f1, f2))
             verdict = cross_family_verdict(eq1, eq2)
+            assert cross_family_verdict(eq2, eq1) == verdict, (eq1, eq2)
             if f1 is not f2:
                 assert verdict == chain_distinct_family_verdict(eq1, eq2), (eq1, eq2)
             elif f1 is Family.PII:
