@@ -23,6 +23,7 @@ import argparse
 import importlib
 import json
 import math
+import re
 import shlex
 import sys
 from typing import Sequence
@@ -387,7 +388,8 @@ def _cmd_atoms(args) -> tuple[dict, int]:
 # -- argument parsing ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple[argparse.ArgumentParser, set[str]]]]:
+    """The parser, and each subcommand's own parser with its option strings."""
     parser = argparse.ArgumentParser(
         prog="painleve",
         description="Exact classification, transformation-orbit, and verification "
@@ -395,26 +397,32 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--batch", metavar="FILE", help="run one query per line of FILE")
     sub = parser.add_subparsers(dest="subcommand")
+    subcommands = {}
 
-    p = sub.add_parser("classify", help="full classification report for one equation")
-    p.add_argument("--family", required=True, help="I, II, III, IV, V, or VI")
-    p.add_argument("--params", default="", help="comma-separated exact parameters, e.g. '1/2,tau1'")
+    def add_parser(name: str, **kwargs):
+        p, options = sub.add_parser(name, **kwargs), set()
+        subcommands[name] = p, options
+        return lambda *names, **kw: options.update(p.add_argument(*names, **kw).option_strings)
 
-    p = sub.add_parser("orbit", help="transformation-orbit relation between two parameter tuples")
-    p.add_argument("--family", required=True)
-    p.add_argument("--v", required=True, help="first parameter tuple")
-    p.add_argument("--w", required=True, help="second parameter tuple")
+    arg = add_parser("classify", help="full classification report for one equation")
+    arg("--family", required=True, help="I, II, III, IV, V, or VI")
+    arg("--params", default="", help="comma-separated exact parameters, e.g. '1/2,tau1'")
 
-    p = sub.add_parser("orthogonal", help="orthogonality verdict for two equations")
-    p.add_argument("--family1", required=True)
-    p.add_argument("--params1", default="")
-    p.add_argument("--family2", required=True)
-    p.add_argument("--params2", default="")
+    arg = add_parser("orbit", help="transformation-orbit relation between two parameter tuples")
+    arg("--family", required=True)
+    arg("--v", required=True, help="first parameter tuple")
+    arg("--w", required=True, help="second parameter tuple")
 
-    p = sub.add_parser("verify", help="machine verification of the symbolic identities")
-    p.add_argument("--target", required=True, choices=["riccati", "pv-change", "group-relations"])
+    arg = add_parser("orthogonal", help="orthogonality verdict for two equations")
+    arg("--family1", required=True)
+    arg("--params1", default="")
+    arg("--family2", required=True)
+    arg("--params2", default="")
 
-    p = sub.add_parser(
+    arg = add_parser("verify", help="machine verification of the symbolic identities")
+    arg("--target", required=True, choices=["riccati", "pv-change", "group-relations"])
+
+    arg = add_parser(
         "integrate",
         help="fixed-step RK4 integration of a cataloged equation",
         description="Fixed-step RK4 integration. The CSV written by --out has "
@@ -422,20 +430,20 @@ def _build_parser() -> argparse.ArgumentParser:
         "scalar charts, t,q,p for first-order systems); --out also writes the "
         "same trajectory as <out>.json.",
     )
-    p.add_argument("--family", required=True)
-    p.add_argument("--params", default="")
-    p.add_argument("--initial", required=True, help="comma-separated initial state")
-    p.add_argument("--t0", type=float, required=True)
-    p.add_argument("--t1", type=float, required=True)
-    p.add_argument("--step", type=float, required=True)
-    p.add_argument("--form", default=None, help="chart: system (default), scalar, or QP")
-    p.add_argument("--assign", default="", help="numeric atom values, e.g. 'tau1=3.14'")
-    p.add_argument("--out", default=None, help="write trajectory CSV here (plus .json)")
+    arg("--family", required=True)
+    arg("--params", default="")
+    arg("--initial", required=True, help="comma-separated initial state")
+    arg("--t0", type=float, required=True)
+    arg("--t1", type=float, required=True)
+    arg("--step", type=float, required=True)
+    arg("--form", default=None, help="chart: system (default), scalar, or QP")
+    arg("--assign", default="", help="numeric atom values, e.g. 'tau1=3.14'")
+    arg("--out", default=None, help="write trajectory CSV here (plus .json)")
 
-    p = sub.add_parser("atoms", help="echo the atom environment of parameter strings")
-    p.add_argument("--params", default="")
+    arg = add_parser("atoms", help="echo the atom environment of parameter strings")
+    arg("--params", default="")
 
-    return parser
+    return parser, subcommands
 
 
 _DISPATCH = {
@@ -492,8 +500,20 @@ def _bind_negative_values(argv: Sequence[str]) -> list[str]:
     return out
 
 
-def _run_single(argv: Sequence[str], parser: argparse.ArgumentParser) -> tuple[dict | None, int]:
-    args = parser.parse_args(_bind_negative_values(argv))
+def _parse_args(argv: list[str], parser: argparse.ArgumentParser, subcommands: dict):
+    """``parser.parse_args(argv)``; a subcommand given only its exact option strings goes to its own parser."""
+    if argv and argv[0] in subcommands:
+        sub, options = subcommands[argv[0]]
+        if all(tok.partition("=")[0] in options for tok in argv[1:] if tok[:1] == "-"):
+            args, extra = sub.parse_known_args(argv[1:])
+            if not extra:
+                args.subcommand = argv[0]
+                return args
+    return parser.parse_args(argv)
+
+
+def _run_single(argv: Sequence[str], parser: argparse.ArgumentParser, subcommands: dict) -> tuple[dict | None, int]:
+    args = _parse_args(_bind_negative_values(argv), parser, subcommands)
     if args.subcommand is None:
         parser.print_usage(sys.stderr)
         return None, 2
@@ -510,9 +530,18 @@ def _run_single(argv: Sequence[str], parser: argparse.ArgumentParser) -> tuple[d
         return None, 4
 
 
+_SHELL_QUOTING = re.compile(r"['\"\\]")
+_WORD = re.compile(r"[^ \t\r\n]+")
+
+
+def _split(line: str) -> list[str]:
+    r"""``shlex.split(line)``, which splits a line with no quote or escape at runs of ' \t\r\n' only."""
+    return shlex.split(line) if _SHELL_QUOTING.search(line) else _WORD.findall(line)
+
+
 def run(argv: Sequence[str]) -> int:
     """Entry point; returns the exit code and prints JSON to stdout."""
-    parser = _build_parser()
+    parser, subcommands = _build_parser()
     if argv and argv[0] == "--batch":
         ns, rest = parser.parse_known_args(argv[:2])
         if rest:
@@ -520,20 +549,20 @@ def run(argv: Sequence[str]) -> int:
             return 2
         worst = 0
         try:
-            with open(ns.batch) as fh:
+            with open(ns.batch, encoding="utf-8") as fh:
                 lines = [line.strip() for line in fh]
-        except OSError as err:
+        except (OSError, UnicodeDecodeError) as err:
             print(f"error: {err}", file=sys.stderr)
             return 2
         for line in lines:
             if not line or line.startswith("#"):
                 continue
             try:
-                tokens = shlex.split(line)
+                tokens = _split(line)
                 # Help would go to stdout, which carries only JSON records here.
                 if any(tok[:2] == "-h" or (len(tok) > 2 and "--help".startswith(tok)) for tok in tokens):
                     raise InputError("-h/--help is not accepted in a --batch line")
-                payload, code = _run_single(tokens, parser)
+                payload, code = _run_single(tokens, parser, subcommands)
             except SystemExit as exc:  # argparse rejected the line
                 payload, code = None, int(exc.code or 2)
             except ValueError as err:  # that help request, or an unclosed quote
@@ -543,7 +572,7 @@ def run(argv: Sequence[str]) -> int:
                 print(json.dumps(payload, sort_keys=True))
             worst = 2 if 2 in (worst, code) and 4 not in (worst, code) else max(worst, code)
         return worst
-    payload, code = _run_single(list(argv), parser)
+    payload, code = _run_single(list(argv), parser, subcommands)
     if payload is not None:
         print(json.dumps(payload, indent=2, sort_keys=True))
     return code

@@ -317,61 +317,50 @@ def parse_param(text: str) -> ParamValue:
     tokens = _tokenize(text)
     if not tokens:
         raise ParamSyntaxError("empty parameter expression", 0)
-    idx = 0
-
-    def peek():
-        return tokens[idx] if idx < len(tokens) else (None, "", len(text))
-
-    def parse_rational(allow_sign: bool) -> Fraction:
-        nonlocal idx
-        sign = 1
-        kind, val, pos = peek()
-        if allow_sign and kind == "op" and val == "-":
-            sign = -1
-            idx += 1
-            kind, val, pos = peek()
-        if kind != "num":
-            raise ParamSyntaxError("expected a number", pos)
-        idx += 1
-        numerator = int(val)
-        kind, val, pos = peek()
-        if kind == "op" and val == "/":
-            idx += 1
-            kind, val, pos = peek()
-            if kind != "num":
-                raise ParamSyntaxError("expected a denominator", pos)
-            idx += 1
-            if int(val) == 0:
-                raise ParamSyntaxError("zero denominator", pos)
-            return Fraction(sign * numerator, int(val))
-        return Fraction(sign * numerator)
-
-    def parse_term() -> ParamValue:
-        nonlocal idx
-        kind, val, pos = peek()
+    tokens.append((None, "", len(text)))  # end sentinel: an error at the end reports position len(text)
+    const: Rational = 0
+    coeffs: dict[Atom, Rational] = {}
+    sign, i = 1, 0
+    while True:  # one term per round, then the '+'/'-' before the next
+        kind, val, pos = tokens[i]
+        i += 1
         if kind == "atom":
-            idx += 1
-            return ParamValue.of_atom(_atom_from_name(val))
-        q = parse_rational(allow_sign=True)
-        kind, val, pos = peek()
-        if kind == "op" and val == "*":
-            idx += 1
-            kind, val, pos = peek()
-            if kind != "atom":
-                raise ParamSyntaxError("expected an atom after '*'", pos)
-            idx += 1
-            return ParamValue.of_atom(_atom_from_name(val), q)
-        return ParamValue(q)
-
-    result = parse_term()
-    while idx < len(tokens):
-        kind, val, pos = peek()
+            atom = _atom_from_name(val)
+            coeffs[atom] = coeffs.get(atom, 0) + sign
+        else:
+            if kind == "op" and val == "-":
+                sign = -sign
+                kind, val, pos = tokens[i]
+                i += 1
+            if kind != "num":
+                raise ParamSyntaxError("expected a number", pos)
+            q: Rational = sign * int(val)
+            kind, val, pos = tokens[i]
+            if kind == "op" and val == "/":
+                kind, val, pos = tokens[i + 1]
+                i += 2
+                if kind != "num":
+                    raise ParamSyntaxError("expected a denominator", pos)
+                if int(val) == 0:
+                    raise ParamSyntaxError("zero denominator", pos)
+                q = Fraction(q, int(val))
+                kind, val, pos = tokens[i]
+            if kind == "op" and val == "*":
+                kind, val, pos = tokens[i + 1]
+                i += 2
+                if kind != "atom":
+                    raise ParamSyntaxError("expected an atom after '*'", pos)
+                atom = _atom_from_name(val)
+                coeffs[atom] = coeffs.get(atom, 0) + q
+            else:
+                const += q
+        kind, val, pos = tokens[i]
+        if kind is None:
+            return ParamValue(const, coeffs)
         if kind != "op" or val not in "+-":
             raise ParamSyntaxError("expected '+' or '-'", pos)
-        idx += 1
-        term = parse_term()
-        result = result + term if val == "+" else result - term
-    return result
+        sign = 1 if val == "+" else -1
+        i += 1
 
 
 def decide_coset(x: ParamValue, offset: Rational, modulus: Rational) -> TriBool:

@@ -33,6 +33,9 @@
 - ``tuple_integrate_rhs`` and ``indexed_residual_norm`` are the RK4 and
   residual loops from before the loops generated per state dimension: they
   call ``rhs(t, state)`` on tuples and lists and index the samples.
+- ``descent_parse_param`` is ``exactnum.parse_param`` as a recursive
+  descent: one closure per grammar rule, and every term a ``ParamValue``
+  added to the running result.
 """
 
 from __future__ import annotations
@@ -49,7 +52,10 @@ from unittest import mock
 from painleve.catalog import EquationId, Family, family_space
 from painleve.diffpoly import DiffExpr, Poly, Var, jet
 from painleve.classify import ClassificationReport, Stratum
-from painleve.exactnum import ParamValue, TriBool, decide_coset, rational_rank, transcendence_degree, tri_and, tri_or
+from painleve.exactnum import (
+    MAX_DIGITS, ParamSyntaxError, ParamValue, TriBool, _LONG_DIGIT_RUN, _atom_from_name, _tokenize, decide_coset,
+    rational_rank, transcendence_degree, tri_and, tri_or,
+)
 from painleve.numint import (
     BLOWUP_THRESHOLD, NumericAssignment, ResidualReport, Trajectory, TrajectoryStatus, _companion_rhs,
     _numeric_params,
@@ -784,3 +790,70 @@ def csv_module_write_csv(traj: Trajectory, path: str) -> None:
         writer.writerow(["t", *traj.state_names])
         for t, state in traj.samples:
             writer.writerow([repr(t), *[repr(x) for x in state]])
+
+
+# -- parameter parsing ----------------------------------------------------------------
+
+
+def descent_parse_param(text: str) -> ParamValue:
+    long_run = _LONG_DIGIT_RUN.search(text)
+    if long_run:
+        raise ParamSyntaxError(f"more than {MAX_DIGITS} digits", long_run.start())
+    tokens = _tokenize(text)
+    if not tokens:
+        raise ParamSyntaxError("empty parameter expression", 0)
+    idx = 0
+
+    def peek():
+        return tokens[idx] if idx < len(tokens) else (None, "", len(text))
+
+    def parse_rational(allow_sign: bool) -> Fraction:
+        nonlocal idx
+        sign = 1
+        kind, val, pos = peek()
+        if allow_sign and kind == "op" and val == "-":
+            sign = -1
+            idx += 1
+            kind, val, pos = peek()
+        if kind != "num":
+            raise ParamSyntaxError("expected a number", pos)
+        idx += 1
+        numerator = int(val)
+        kind, val, pos = peek()
+        if kind == "op" and val == "/":
+            idx += 1
+            kind, val, pos = peek()
+            if kind != "num":
+                raise ParamSyntaxError("expected a denominator", pos)
+            idx += 1
+            if int(val) == 0:
+                raise ParamSyntaxError("zero denominator", pos)
+            return Fraction(sign * numerator, int(val))
+        return Fraction(sign * numerator)
+
+    def parse_term() -> ParamValue:
+        nonlocal idx
+        kind, val, pos = peek()
+        if kind == "atom":
+            idx += 1
+            return ParamValue.of_atom(_atom_from_name(val))
+        q = parse_rational(allow_sign=True)
+        kind, val, pos = peek()
+        if kind == "op" and val == "*":
+            idx += 1
+            kind, val, pos = peek()
+            if kind != "atom":
+                raise ParamSyntaxError("expected an atom after '*'", pos)
+            idx += 1
+            return ParamValue.of_atom(_atom_from_name(val), q)
+        return ParamValue(q)
+
+    result = parse_term()
+    while idx < len(tokens):
+        kind, val, pos = peek()
+        if kind != "op" or val not in "+-":
+            raise ParamSyntaxError("expected '+' or '-'", pos)
+        idx += 1
+        term = parse_term()
+        result = result + term if val == "+" else result - term
+    return result

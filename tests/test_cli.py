@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import importlib.util
 import io
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -389,6 +391,132 @@ def test_batch_line_with_unclosed_quote_is_input_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert [json.loads(r)["query"]["subcommand"] for r in captured.out.splitlines()] == ["atoms"]
     assert captured.err == "error: No closing quotation\n"
+
+
+def test_batch_file_not_utf8_is_input_error(tmp_path, capsys):
+    batch = tmp_path / "queries.txt"
+    batch.write_bytes(b"classify --family II --params 1/3\n\xff\n")
+    assert run(["--batch", str(batch)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+    assert "Traceback" not in captured.err
+
+
+# -- the batch front end against shlex and the top-level parser ---------------------------------
+
+_LINE_CHARS = st.sampled_from([" ", "\t", "\r", "\x0b", "\x0c", "\xa0", "#", "=", "-", "a", "1", "/", ",", "é"])
+_QUOTE_CHARS = st.sampled_from(["'", '"', "\\"])
+
+
+def _shlex_outcome(split, line):
+    try:
+        return split(line)
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+@given(st.lists(_LINE_CHARS, max_size=30).map("".join))
+@settings(max_examples=300, deadline=None)
+def test_split_matches_shlex_on_quote_free_lines(line):
+    assert cli._split(line) == shlex.split(line)
+
+
+@given(st.lists(st.one_of(_LINE_CHARS, _QUOTE_CHARS), max_size=20).map("".join))
+@settings(max_examples=200, deadline=None)
+def test_split_matches_shlex_on_any_line(line):
+    assert _shlex_outcome(cli._split, line) == _shlex_outcome(shlex.split, line)
+
+
+def test_shlex_runs_only_for_lines_with_quotes_or_escapes(tmp_path, capsys):
+    batch = tmp_path / "queries.txt"
+    batch.write_text(
+        "classify --family VI --params 1/2,0,1/4,1/4\n"
+        'classify --family VI --params "1/2,0,1/4,1/4"\n'
+        "atoms --params tau1\\ +\\ tau2\n"
+        "classify --family II --params '1/2\n"
+    )
+    with mock.patch.object(cli.shlex, "split", wraps=shlex.split) as split:
+        assert run(["--batch", str(batch)]) == 2
+    assert [c.args[0] for c in split.call_args_list] == [
+        'classify --family VI --params "1/2,0,1/4,1/4"', "atoms --params tau1\\ +\\ tau2",
+        "classify --family II --params '1/2",
+    ]
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 3 and out[0] == out[1]
+
+
+def test_plain_batch_lines_skip_the_top_level_parse(tmp_path, capsys):
+    batch = tmp_path / "queries.txt"
+    batch.write_text(
+        "classify --family II --params=1/2\norbit --family II --v -1/2 --w 3/2\n"
+        "orthogonal --family1 II --params1 tau1 --family2 III --params2 tau1,tau2\n"
+        "classify --fam I\n"
+    )
+    parse_args = argparse.ArgumentParser.parse_args
+    with mock.patch.object(argparse.ArgumentParser, "parse_args", autospec=True, side_effect=parse_args) as top:
+        assert run(["--batch", str(batch)]) == 0
+    # Only the abbreviated option needs the top-level parser.
+    assert [c.args[1] for c in top.call_args_list] == [["classify", "--fam", "I"]]
+    assert len(capsys.readouterr().out.splitlines()) == 4
+
+
+_SUBCOMMAND_OPTIONS = {
+    "classify": ["--family", "--params"],
+    "orbit": ["--family", "--v", "--w"],
+    "orthogonal": ["--family1", "--params1", "--family2", "--params2"],
+    "verify": ["--target"],
+    "integrate": ["--family", "--params", "--initial", "--t0", "--t1", "--step", "--form", "--assign", "--out"],
+    "atoms": ["--params"],
+}
+_ALL_OPTIONS = sorted({o for opts in _SUBCOMMAND_OPTIONS.values() for o in opts})
+_ODD_OPTIONS = ["--fam", "--par", "--t", "--", "-x", "--=x", "--batch", "-", "-h", "--help", "--he", "--family3"]
+_VALUES = ["II", "VI", "1/2", "-1/2", "tau1,alg1", "riccati", "bogus", "0.5", "-inf", "x y", "", "o/t.csv"]
+
+
+def _parse_outcome(parse, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = parse(argv)
+        except SystemExit as exc:
+            return "exit", exc.code, out.getvalue(), err.getvalue()
+    return "args", {k: v for k, v in vars(args).items() if k != "batch"}, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def _argv(draw):
+    subcommand = draw(st.sampled_from([*_SUBCOMMAND_OPTIONS, "nosuch", "-x", "--batch"]))
+    own = _SUBCOMMAND_OPTIONS.get(subcommand, _ALL_OPTIONS)
+    tokens = [subcommand]
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.integers(0, 15))
+        if kind < 8:  # an option of this subcommand with its value
+            tokens += [draw(st.sampled_from(own)), draw(st.sampled_from(_VALUES))]
+        elif kind < 11:
+            tokens.append(f"{draw(st.sampled_from(own))}={draw(st.sampled_from(_VALUES))}")
+        elif kind < 13:  # a value missing, or an extra positional
+            tokens.append(draw(st.sampled_from(_VALUES + own)))
+        elif kind == 13:
+            tokens.append(draw(st.sampled_from(_ALL_OPTIONS)))
+        else:
+            tokens.append(draw(st.sampled_from(_ODD_OPTIONS)))
+    return tokens
+
+
+@given(_argv())
+@settings(max_examples=400, deadline=None)
+def test_direct_dispatch_matches_top_level_parser(argv):
+    parser, subcommands = cli._build_parser()
+    direct = _parse_outcome(lambda a: cli._parse_args(a, parser, subcommands), argv)
+    assert direct == _parse_outcome(parser.parse_args, argv)
+
+
+def test_subcommand_option_strings_match_the_parsers():
+    _, subcommands = cli._build_parser()
+    assert {name: sorted(options) for name, (_, options) in subcommands.items()} == {
+        name: sorted(options) for name, options in _SUBCOMMAND_OPTIONS.items()
+    }
 
 
 SRC_DIR = Path(__file__).parent.parent / "src"

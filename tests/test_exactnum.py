@@ -22,7 +22,7 @@ from painleve.exactnum import (
     tri_or,
 )
 
-from oracles import integer_solve
+from oracles import descent_parse_param, integer_solve
 
 # -- strategies --------------------------------------------------------------
 
@@ -103,6 +103,32 @@ def test_parse_rejects_digit_runs_over_the_limit(template, pos):
     with pytest.raises(ParamSyntaxError) as err:
         parse_param(template.format("1" * 5000))
     assert err.value.position == pos
+
+
+def _parse_outcome(parse, text):
+    try:
+        value = parse(text)
+    except ParamSyntaxError as err:
+        return "error", str(err), err.position
+    return "value", value, [type(value.const)] + [type(c) for _, c in value.terms]
+
+
+# Pieces of parameter text, mostly from the grammar, with Unicode digits,
+# tabs, bare "tau"/"alg", zero denominators and digit runs on both sides of
+# the limit.
+_GRAMMAR_PIECES = ["0", "1", "7", "12", "\u0663", "/", "*", "+", "-", "--", " ", "\t", "tau1", "alg2", "alg12", "tau0"]
+_PARAM_PIECES = st.one_of(
+    st.sampled_from(_GRAMMAR_PIECES),
+    st.sampled_from(_GRAMMAR_PIECES),
+    st.sampled_from(["\U0001d7d9", "1/0", "/0", "tau", "alg", "x", ",", "1" * MAX_DIGITS, "9" * (MAX_DIGITS + 1)]),
+)
+
+
+@given(st.lists(_PARAM_PIECES, max_size=12).map("".join))
+@settings(max_examples=1000, deadline=None)
+def test_parse_matches_descent_oracle(text):
+    # Same value, or the same message and position, as the recursive descent.
+    assert _parse_outcome(parse_param, text) == _parse_outcome(descent_parse_param, text)
 
 
 @given(param_values)
