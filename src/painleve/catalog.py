@@ -297,12 +297,15 @@ class EquationId(namedtuple("EquationId", "family params")):
                 f"family {family.value} takes {space.arity} parameter(s), got {len(self.params)}"
             )
         if space.sum_zero:
-            total = ParamValue(0)
+            const: Rational = 0
+            coeffs: dict = {}
             for p in self.params:
-                total = total + p
-            if total != ParamValue(0):
+                const += p.const
+                for atom, c in p.terms:
+                    coeffs[atom] = coeffs.get(atom, 0) + c
+            if const or any(coeffs.values()):
                 raise InvalidEquationError(
-                    f"family {family.value} parameters must sum to zero exactly (got {total})"
+                    f"family {family.value} parameters must sum to zero exactly (got {ParamValue(const, coeffs)})"
                 )
 
     def __str__(self) -> str:

@@ -11,6 +11,7 @@ an explicit three-valued Unknown.
 
 from __future__ import annotations
 
+import math
 import re
 from collections import namedtuple
 from enum import Enum
@@ -247,26 +248,20 @@ def format_param(value: ParamValue) -> str:
 
     Atom terms come first (sorted by atom name), then the constant.
     """
-    pieces: list[tuple[int, str]] = []  # (sign, magnitude text)
+    pieces: list[tuple[bool, str]] = []  # (negative, magnitude text)
     for atom, c in value.terms:
-        mag = abs(c)
-        body = atom.name if mag == 1 else f"{format_fraction(mag)}*{atom.name}"
-        pieces.append((1 if c > 0 else -1, body))
-    if value.const != 0 or not pieces:
-        pieces.append((1 if value.const >= 0 else -1, format_fraction(abs(value.const))))
-    sign, body = pieces[0]
-    if sign < 0:
+        num, den = c.numerator, c.denominator
+        mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+        pieces.append((num < 0, atom.name if mag == "1" else f"{mag}*{atom.name}"))
+    num, den = value.const.numerator, value.const.denominator
+    if num or not pieces:
+        pieces.append((num < 0, str(abs(num)) if den == 1 else f"{abs(num)}/{den}"))
+    negative, out = pieces[0]
+    if negative:
         # A bare leading "-atom" is outside the grammar; emit "-1*atom" instead.
-        if body[0].isdigit():
-            out = "-" + body
-        elif "*" in body:
-            out = "-" + body
-        else:
-            out = "-1*" + body
-    else:
-        out = body
-    for sign, body in pieces[1:]:
-        out += (" + " if sign > 0 else " - ") + body
+        out = ("-" if out[0].isdigit() else "-1*") + out
+    for negative, body in pieces[1:]:
+        out += (" - " if negative else " + ") + body
     return out
 
 
@@ -294,6 +289,15 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# ``parse_param``'s grammar without whitespace, Unicode digits or a zero
+# denominator.  A text it matches in full is read term by term by
+# ``_FAST_TERM`` (operator, sign, numerator, denominator, atom, bare atom);
+# any other text goes to the tokenizer, which reports the errors.
+_FAST_TERM_TEXT = r"-?[0-9]+(?:/[0-9]*[1-9][0-9]*)?(?:\*(?:tau|alg)[0-9]+)?|(?:tau|alg)[0-9]+"
+_FAST_PARAM = re.compile(rf"(?:{_FAST_TERM_TEXT})(?:[+-](?:{_FAST_TERM_TEXT}))*")
+_FAST_TERM = re.compile(r"([+-]?)(?:(-?)([0-9]+)(?:/([0-9]+))?(?:\*((?:tau|alg)[0-9]+))?|((?:tau|alg)[0-9]+))")
+
+
 def _atom_from_name(name: str) -> Atom:
     kind = AtomKind.TRANSCENDENTAL if name.startswith("tau") else AtomKind.ALGEBRAIC_IRRATIONAL
     return Atom(kind, int(name[3:]))
@@ -309,17 +313,31 @@ def parse_param(text: str) -> ParamValue:
 
     Whitespace is insignificant.  Raises :class:`ParamSyntaxError` with the
     offending position on malformed input, a zero denominator or a digit
-    run longer than ``MAX_DIGITS``.
+    run longer than ``MAX_DIGITS``.  Text in ``_FAST_PARAM``'s grammar is
+    read by one ``findall``, the rest by the tokenizer.
     """
     long_run = _LONG_DIGIT_RUN.search(text)
     if long_run:
         raise ParamSyntaxError(f"more than {MAX_DIGITS} digits", long_run.start())
+    const: Rational = 0
+    coeffs: dict[Atom, Rational] = {}
+    if _FAST_PARAM.fullmatch(text):
+        for op, minus, num, den, name, bare in _FAST_TERM.findall(text):
+            q = int(num) if num else 1
+            if (op == "-") != (minus == "-"):
+                q = -q
+            if den:
+                q = Fraction(q, int(den))
+            if name or bare:
+                atom = _atom_from_name(name or bare)
+                coeffs[atom] = coeffs.get(atom, 0) + q
+            else:
+                const += q
+        return ParamValue(const, coeffs)
     tokens = _tokenize(text)
     if not tokens:
         raise ParamSyntaxError("empty parameter expression", 0)
     tokens.append((None, "", len(text)))  # end sentinel: an error at the end reports position len(text)
-    const: Rational = 0
-    coeffs: dict[Atom, Rational] = {}
     sign, i = 1, 0
     while True:  # one term per round, then the '+'/'-' before the next
         kind, val, pos = tokens[i]
@@ -387,20 +405,24 @@ def decide_coset(x: ParamValue, offset: Rational, modulus: Rational) -> TriBool:
 
 
 def rational_rank(rows: Sequence[Sequence[Rational]]) -> int:
-    """Rank over Q of a small dense matrix, by exact Gaussian elimination."""
-    work = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    cols = len(work[0]) if work else 0
-    for col in range(cols):
-        pivot_row = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
+    """Rank over Q of a small dense matrix: each row is scaled by its
+    denominators' lcm to integers, then reduced by fraction-free (Bareiss)
+    elimination, whose divisions by the previous pivot are exact."""
+    work = []
+    for row in rows:
+        scale = math.lcm(*(x.denominator for x in row))
+        work.append([x.numerator * (scale // x.denominator) for x in row])
+    rank, previous = 0, 1
+    for col in range(len(work[0]) if work else 0):
+        pivot_row = next((r for r in range(rank, len(work)) if work[r][col]), None)
         if pivot_row is None:
             continue
         work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        pivot = work[rank][col]
-        for r in range(len(work)):
-            if r != rank and work[r][col] != 0:
-                factor = work[r][col] / pivot
-                work[r] = [a - factor * b for a, b in zip(work[r], work[rank])]
+        top, pivot = work[rank], work[rank][col]
+        for r in range(rank + 1, len(work)):
+            factor = work[r][col]
+            work[r] = [(pivot * a - factor * b) // previous for a, b in zip(work[r], top)]
+        previous = pivot
         rank += 1
         if rank == len(work):
             break

@@ -40,7 +40,7 @@ def _same_family_verdict(eq1: EquationId, eq2: EquationId) -> OrthoVerdict:
     from . import weyl
 
     family = eq1.family
-    verdict = weyl.orbit_decide(family, eq1.params, eq2.params)
+    verdict = weyl.orbit_decide(family, eq1.params, eq2.params, checked=True)
     if verdict.related is TriBool.YES:
         return OrthoVerdict(Verdict.NONORTHOGONAL, cite(family_space(family).backlund_key),
                             "parameters related by the family's transformation group")

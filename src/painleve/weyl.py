@@ -31,6 +31,7 @@ from typing import Sequence
 from .catalog import EquationId, Family, family_space
 from .citations import Citation, cite
 from .exactnum import (
+    AtomKind,
     ParamValue,
     Rational,
     TriBool,
@@ -219,10 +220,26 @@ def _is_generic(family: Family, params: Sequence[ParamValue]) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _scan_linear(family: Family) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """The linear parts ``(perm, signs)`` of the family's lattice scan, in scan order."""
+def _scan_order(family: Family) -> tuple[dict[tuple[tuple[int, ...], tuple[int, ...]], int], tuple[int, ...]]:
+    """Each linear part ``(perm, signs)`` of the family's lattice scan mapped
+    to its rank in scan order (the dict keeps that order), and the signs the
+    scan uses, +1 first."""
     spec = family_space(family)
-    return tuple((p, s) for p in itertools.permutations(range(spec.arity)) for s in spec.scan.sign_patterns)
+    linear = [(p, s) for p in itertools.permutations(range(spec.arity)) for s in spec.scan.sign_patterns]
+    signs = sorted({s for pattern in spec.scan.sign_patterns for s in pattern}, reverse=True)
+    return {part: rank for rank, part in enumerate(linear)}, tuple(signs)
+
+
+def _residue_key(terms: tuple, const: Fraction, sign: int, offset: Rational) -> tuple:
+    """Key of the value with these atom terms and constant ``sign*const +
+    offset``: two values have equal keys exactly when their difference is
+    an integer."""
+    num, den = sign * const.numerator, const.denominator
+    if offset:
+        num, den = num * offset.denominator + offset.numerator * den, den * offset.denominator
+        g = math.gcd(num, den)
+        num, den = num // g, den // g
+    return terms, num % den, den
 
 
 def _lattice_scan(
@@ -231,57 +248,59 @@ def _lattice_scan(
     """``(related, witness)`` from the first candidate g, c of the family's
     scan (see ``catalog.FamilySpec``) with w - g(v) - c integral.
 
-    Each difference w_j - s*v_i - c and its coset verdict is computed at
-    most once per call, when a candidate first reaches it, and a candidate
-    stops at its first No coordinate.  In the sum-zero families IV and V the
-    last coordinate is integral whenever the others are, so it is tested
-    only where they leave Unknown; the even-sum test runs only where the
-    coordinates are not No.
+    w_j - s*v_i - c_k is Yes exactly when w_j and s*v_i + c_k have the same
+    residue key, so one dict of v's keys gives every Yes.  Where the atoms
+    do not cancel the difference is No, unless an algebraic atom may leave
+    it Unknown: only then does ``decide_coset`` test it, once for all k.
+    Candidates are built a coordinate at a time from the non-No
+    differences; the sixth family's even-sum test and the witness use the
+    exact differences of those candidates, earliest in scan order first.
     """
     spec = family_space(family)
     _, offsets, named, even_sum = spec.scan
-    n = len(v)
-    free = n - spec.sum_zero  # coordinates tested before the last
-    diffs: dict[tuple[int, int, int, int], ParamValue] = {}  # (j, i, s, k) -> w_j - s*v_i - c_k
-    tests: dict[tuple[int, int, int, int], TriBool] = {}
-
-    def diff(key: tuple[int, int, int, int]) -> ParamValue:
-        d = diffs.get(key)
-        if d is None:
-            j, i, s, k = key
-            d = w[j] - v[i] if s > 0 else w[j] + v[i]
-            d = diffs[key] = d - offsets[k] if offsets[k] else d
-        return d
-
-    def test(key: tuple[int, int, int, int]) -> TriBool:
-        t = tests.get(key)
-        if t is None:
-            t = tests[key] = decide_coset(diff(key), 0, 1)
-        return t
-
-    saw_unknown = False
-    for perm, signs in _scan_linear(family):
+    order, signs = _scan_order(family)
+    # (i, s) -> the atom terms of s*v_i; (residue key of s*v_i + c_k) -> [(i, s, k)]
+    scaled = {(i, s): x.terms if s > 0 else tuple((a, -c) for a, c in x.terms) for i, x in enumerate(v) for s in signs}
+    yes: dict[tuple, list[tuple[int, int, int]]] = {}
+    for (i, s), terms in scaled.items():
         for k, c in enumerate(offsets):
-            # tri_and stops at the first No, so later coordinates go untested.
-            related = tri_and(test((j, perm[j], signs[j], k)) for j in range(free))
-            if related is TriBool.NO:
-                continue
-            keys = [(j, perm[j], signs[j], k) for j in range(n)]
-            if related is TriBool.UNKNOWN and free < n:
-                related = tri_and((related, test(keys[-1])))
-            if even_sum and related is not TriBool.NO:
-                total = sum((diff(key) for key in keys[1:]), diff(keys[0]))
-                related = tri_and((related, decide_coset(total, 0, 2)))
-            if related is TriBool.YES:
-                consts = [diff(key).const for key in keys]
-                return related, OrbitWitness(
-                    perm=perm,
-                    signs=signs,
-                    shift=tuple(x + c for x in consts),
-                    quarter_shift=k if len(offsets) > 1 else None,
-                    integer_shift=tuple(int(x) for x in consts[:named]),
-                )
-            saw_unknown = saw_unknown or related is TriBool.UNKNOWN
+            yes.setdefault(_residue_key(terms, v[i].const, s, c), []).append((i, s, k))
+    has_alg = [any(a.kind is AtomKind.ALGEBRAIC_IRRATIONAL for a, _ in x.terms) for x in v]
+    partial = [((), (), None, TriBool.YES)]  # (perm, signs, k, verdict) on the coordinates so far
+    for j, y in enumerate(w):
+        options = {key: TriBool.YES for key in yes.get(_residue_key(y.terms, y.const, 1, 0), ())}
+        y_alg = any(a.kind is AtomKind.ALGEBRAIC_IRRATIONAL for a, _ in y.terms)
+        for (i, s), terms in scaled.items():
+            if (y_alg or has_alg[i]) and terms != y.terms:
+                if decide_coset(y - v[i] if s > 0 else y + v[i], 0, 1) is TriBool.UNKNOWN:
+                    options.update(((i, s, k), TriBool.UNKNOWN) for k in range(len(offsets)))
+        partial = [
+            (perm + (i,), sg + (s,), k, t if verdict is TriBool.YES else verdict)
+            for perm, sg, kk, verdict in partial
+            for (i, s, k), t in options.items()
+            if i not in perm and kk in (None, k)
+        ]
+        if not partial:
+            return TriBool.NO, None
+    found = sorted((order[c[:2]] * len(offsets) + c[2], *c) for c in partial if c[:2] in order)
+    saw_unknown = False
+    for _, perm, sg, k, related in found:
+        if related is TriBool.UNKNOWN and not even_sum:
+            saw_unknown = True
+            continue
+        diffs = [w[j] - v[i] if s > 0 else w[j] + v[i] for j, (i, s) in enumerate(zip(perm, sg))]
+        if even_sum:
+            related = tri_and((related, decide_coset(sum(diffs[1:], diffs[0]), len(v) * offsets[k], 2)))
+        if related is TriBool.YES:
+            shift = tuple(d.const for d in diffs)
+            return related, OrbitWitness(
+                perm=perm,
+                signs=sg,
+                shift=shift,
+                quarter_shift=k if len(offsets) > 1 else None,
+                integer_shift=tuple(int(x - offsets[k]) for x in shift[:named]),
+            )
+        saw_unknown = saw_unknown or related is TriBool.UNKNOWN
     return (TriBool.UNKNOWN if saw_unknown else TriBool.NO), None
 
 
@@ -315,15 +334,18 @@ def _piii_decide(v: Sequence[ParamValue], w: Sequence[ParamValue]) -> tuple[TriB
     )
 
 
-def orbit_decide(family: Family, v: Sequence[ParamValue | Rational], w: Sequence[ParamValue | Rational]) -> OrbitVerdict:
+def orbit_decide(
+    family: Family, v: Sequence[ParamValue | Rational], w: Sequence[ParamValue | Rational], *, checked: bool = False
+) -> OrbitVerdict:
     """Evaluate the family's closed-form transformation-orbit criterion.
 
     Yes always certifies nonorthogonality (the transformations realize it);
     the converse direction holds exactly when the hypothesis status is
     ``proved``, i.e. the supporting statement's genericity clauses hold.
+    ``checked`` says v and w are already ``EquationId(family, ...).params``.
     """
-    v = _coerce_params(family, v)
-    w = _coerce_params(family, w)
+    if not checked:
+        v, w = _coerce_params(family, v), _coerce_params(family, w)
 
     if family is Family.PI:
         related, hypotheses = TriBool.YES, True
@@ -445,6 +467,7 @@ def generator_word(
     v: Sequence[ParamValue | Rational],
     w: Sequence[ParamValue | Rational],
     verdict: OrbitVerdict | None = None,
+    *, checked: bool = False,
 ) -> WordResult:
     """A word in the family's generators mapping v to w exactly, read from
     the orbit witness.
@@ -458,12 +481,13 @@ def generator_word(
     first and appended as ``tminus^-1`` tokens.  NoWordFound therefore
     proves that no group element maps v to w.  A word longer than
     MAX_WORD_TOKENS is reported as WordTooLong.  ``verdict`` is
-    ``orbit_decide(family, v, w)`` when the caller has already computed it.
+    ``orbit_decide(family, v, w)`` when the caller has already computed it,
+    and ``checked`` is as there.
     """
-    v = _coerce_params(family, v)
-    w = _coerce_params(family, w)
+    if not checked:
+        v, w = _coerce_params(family, v), _coerce_params(family, w)
     if verdict is None:
-        verdict = orbit_decide(family, v, w)
+        verdict = orbit_decide(family, v, w, checked=True)
     if verdict.related is not TriBool.YES:
         raise ValueError("generator_word requires an orbit_decide verdict of Yes")
     if family is Family.PI:
@@ -503,9 +527,11 @@ def orbit_with_word(
     v: Sequence[ParamValue | Rational],
     w: Sequence[ParamValue | Rational],
 ) -> OrbitVerdict:
-    """orbit_decide plus word synthesis when the verdict is Yes."""
-    verdict = orbit_decide(family, v, w)
+    """orbit_decide plus word synthesis when the verdict is Yes; v and w
+    are validated once, here."""
+    v, w = _coerce_params(family, v), _coerce_params(family, w)
+    verdict = orbit_decide(family, v, w, checked=True)
     if verdict.related is not TriBool.YES:
         return verdict
-    result = generator_word(family, v, w, verdict=verdict)
+    result = generator_word(family, v, w, verdict=verdict, checked=True)
     return replace(verdict, word=result.word, word_reason=result.reason)

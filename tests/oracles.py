@@ -15,6 +15,10 @@
   orbit criteria by a plain scan: every candidate computes all of its coset
   tests.  ``witness_maps`` checks a witness map against v and w.
   ``SCANS`` writes out each family's lattice-scan candidates by hand.
+- ``lazy_lattice_scan`` is ``weyl._lattice_scan`` from before residue
+  keys: it walks ``SCANS`` in order, builds each difference
+  w_j - s*v_i - c as a ``ParamValue`` when a candidate first reaches it, and
+  calls ``decide_coset`` on it.
 - ``chain_distinct_family_verdict`` is the distinct-family orthogonality
   chain with one block per specially cited pair.
 - ``shortest_word`` is the bounded meet-in-the-middle search that spelled
@@ -33,6 +37,8 @@
 - ``tuple_integrate_rhs`` and ``indexed_residual_norm`` are the RK4 and
   residual loops from before the loops generated per state dimension: they
   call ``rhs(t, state)`` on tuples and lists and index the samples.
+- ``fraction_rational_rank`` is ``exactnum.rational_rank`` from before
+  integer rows: Gauss-Jordan elimination over ``Fraction``.
 - ``descent_parse_param`` is ``exactnum.parse_param`` as a recursive
   descent: one closure per grammar rule, and every term a ``ParamValue``
   added to the running result.
@@ -54,7 +60,7 @@ from painleve.diffpoly import DiffExpr, Poly, Var, jet
 from painleve.classify import ClassificationReport, Stratum
 from painleve.exactnum import (
     MAX_DIGITS, ParamSyntaxError, ParamValue, TriBool, _LONG_DIGIT_RUN, _atom_from_name, _tokenize, decide_coset,
-    rational_rank, transcendence_degree, tri_and, tri_or,
+    transcendence_degree, tri_and, tri_or,
 )
 from painleve.numint import (
     BLOWUP_THRESHOLD, NumericAssignment, ResidualReport, Trajectory, TrajectoryStatus, _companion_rhs,
@@ -216,8 +222,8 @@ def _pv_regions(v: Sequence[ParamValue]) -> tuple[TriBool, TriBool, TriBool, Tri
 
 def _pvi_rank(v: Sequence[ParamValue]) -> int | None:
     yes, unknown = pvi_root_scan(v)
-    rank_yes = rational_rank(yes)
-    if unknown and rational_rank(yes + unknown) > rank_yes:
+    rank_yes = fraction_rational_rank(yes)
+    if unknown and fraction_rational_rank(yes + unknown) > rank_yes:
         return None
     return rank_yes
 
@@ -435,6 +441,59 @@ def scan_orbit_decide(family: Family, v, w) -> tuple[TriBool, OrbitWitness | Non
     else:
         status = HypothesisStatus.OPEN
     return related, witness, status
+
+
+def lazy_lattice_scan(
+    family: Family, v: Sequence[ParamValue], w: Sequence[ParamValue]
+) -> tuple[TriBool, OrbitWitness | None]:
+    """``(related, witness)`` from the first candidate of ``SCANS[family]``
+    with w - g(v) - c integral.  Each difference and its coset test is
+    computed at most once, when a candidate first reaches it; a candidate
+    stops at its first No coordinate.  In the sum-zero families the last
+    coordinate is tested only where the others leave Unknown."""
+    linear, offsets, named, even_sum = SCANS[family]
+    n = len(v)
+    free = n - family_space(family).sum_zero
+    diffs: dict[tuple[int, int, int, int], ParamValue] = {}
+    tests: dict[tuple[int, int, int, int], TriBool] = {}
+
+    def diff(key):
+        d = diffs.get(key)
+        if d is None:
+            j, i, s, k = key
+            d = w[j] - v[i] if s > 0 else w[j] + v[i]
+            d = diffs[key] = d - offsets[k] if offsets[k] else d
+        return d
+
+    def test(key):
+        t = tests.get(key)
+        if t is None:
+            t = tests[key] = decide_coset(diff(key), 0, 1)
+        return t
+
+    saw_unknown = False
+    for perm, signs in linear:
+        for k, c in enumerate(offsets):
+            related = tri_and(test((j, perm[j], signs[j], k)) for j in range(free))
+            if related is TriBool.NO:
+                continue
+            keys = [(j, perm[j], signs[j], k) for j in range(n)]
+            if related is TriBool.UNKNOWN and free < n:
+                related = tri_and((related, test(keys[-1])))
+            if even_sum and related is not TriBool.NO:
+                total = sum((diff(key) for key in keys[1:]), diff(keys[0]))
+                related = tri_and((related, decide_coset(total, 0, 2)))
+            if related is TriBool.YES:
+                consts = [diff(key).const for key in keys]
+                return related, OrbitWitness(
+                    perm=perm,
+                    signs=signs,
+                    shift=tuple(x + c for x in consts),
+                    quarter_shift=k if len(offsets) > 1 else None,
+                    integer_shift=tuple(int(x) for x in consts[:named]),
+                )
+            saw_unknown = saw_unknown or related is TriBool.UNKNOWN
+    return (TriBool.UNKNOWN if saw_unknown else TriBool.NO), None
 
 
 # -- orthogonality ----------------------------------------------------------------------
@@ -790,6 +849,30 @@ def csv_module_write_csv(traj: Trajectory, path: str) -> None:
         writer.writerow(["t", *traj.state_names])
         for t, state in traj.samples:
             writer.writerow([repr(t), *[repr(x) for x in state]])
+
+
+# -- rank ---------------------------------------------------------------------------------
+
+
+def fraction_rational_rank(rows: Sequence[Sequence]) -> int:
+    """Rank over Q of a small dense matrix, by Gauss-Jordan elimination in ``Fraction``."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    cols = len(work[0]) if work else 0
+    for col in range(cols):
+        pivot_row = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
+        if pivot_row is None:
+            continue
+        work[rank], work[pivot_row] = work[pivot_row], work[rank]
+        pivot = work[rank][col]
+        for r in range(len(work)):
+            if r != rank and work[r][col] != 0:
+                factor = work[r][col] / pivot
+                work[r] = [a - factor * b for a, b in zip(work[r], work[rank])]
+        rank += 1
+        if rank == len(work):
+            break
+    return rank
 
 
 # -- parameter parsing ----------------------------------------------------------------

@@ -13,7 +13,7 @@ from painleve.catalog import (
     PIV_SCALAR_NOTE,
 )
 from painleve.diffpoly import DiffExpr, T_VAR, jet, sym
-from painleve.exactnum import ParamValue, tau
+from painleve.exactnum import ParamValue, alg, tau
 from painleve.odes import PI_FORM_NOTE, ode_system, riccati_rules
 
 from oracles import residual_exprs
@@ -47,6 +47,32 @@ def test_equation_id_validation():
         EquationId(Family.PII, [1, 2])
     t1 = ParamValue.of_atom(tau(1))
     EquationId(Family.PIV, [t1, -t1, 0])  # symbolic cancellation is exact
+
+
+def test_sum_zero_check_matches_parameter_sum():
+    # Accepted exactly when the ParamValue sum is zero; the message prints it.
+    rng = random.Random(1903)
+    atoms = [ParamValue.of_atom(a) for a in (tau(1), tau(2), alg(1))]
+    outcomes = set()
+    for _ in range(600):
+        family = rng.choice([Family.PIV, Family.PV])
+        params = [
+            ParamValue(Fraction(rng.randint(-6, 6), rng.randint(1, 4))) + rng.choice(atoms) * rng.randint(-1, 1)
+            for _ in range(family_space(family).arity)
+        ]
+        total = sum(params[:-1], ParamValue(0))
+        if rng.random() < 0.5:  # close the vector, then maybe break it in the atoms or the constant
+            params[-1] = -total + rng.choice([0, 0, Fraction(1, 3), atoms[0], atoms[2] - atoms[1]])
+        total = sum(params, ParamValue(0))
+        try:
+            EquationId(family, params)
+        except InvalidEquationError as err:
+            assert total != 0 and str(err).endswith(f"(got {total})")
+            outcomes.add("rejected, atoms" if total.terms else "rejected, constant")
+        else:
+            assert total == 0
+            outcomes.add("accepted")
+    assert outcomes == {"accepted", "rejected, atoms", "rejected, constant"}
 
 
 # -- right-hand sides against independent transcriptions ------------------------

@@ -743,8 +743,8 @@ def test_every_strata_row_in_classify_payload(family, params, label, degree, str
 
 
 def test_orbit_query_echoes_the_parsed_values(monkeypatch, capsys):
-    # orbit_decide and generator_word each validate v and w; the echo reuses
-    # the parsed values instead of validating them a third time.
+    # orbit_with_word validates v and w once and hands the tuples to
+    # orbit_decide and generator_word; the echo reuses the parsed values.
     new = catalog.EquationId.__new__
     calls = []
 
@@ -757,7 +757,7 @@ def test_orbit_query_echoes_the_parsed_values(monkeypatch, capsys):
     payload, code = run_json(argv, capsys)
     assert code == 0
     assert (payload["query"]["v"], payload["query"]["w"]) == (argv[4].split(","), argv[6].split(","))
-    assert len(calls) == 4
+    assert len(calls) == 2
 
 
 def test_orbit_bound_option_is_gone():

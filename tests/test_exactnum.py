@@ -1,10 +1,12 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from painleve.exactnum import (
+    _FAST_PARAM,
     MAX_DIGITS,
     Atom,
     AtomKind,
@@ -22,7 +24,7 @@ from painleve.exactnum import (
     tri_or,
 )
 
-from oracles import descent_parse_param, integer_solve
+from oracles import descent_parse_param, fraction_rational_rank, integer_solve
 
 # -- strategies --------------------------------------------------------------
 
@@ -129,6 +131,57 @@ _PARAM_PIECES = st.one_of(
 def test_parse_matches_descent_oracle(text):
     # Same value, or the same message and position, as the recursive descent.
     assert _parse_outcome(parse_param, text) == _parse_outcome(descent_parse_param, text)
+
+
+# Near misses of the whitespace-free grammar that ``parse_param`` reads by
+# one regex: each must take the tokenizer and fail or parse as it does.
+_FAST_PATH_NEAR_MISSES = [
+    "-1*tau2-35/13", "1/0", "007", "tau1+-3", "1--3", "-tau1", "+1", "tau1*2", "1/2/3", "1/00", "1/010", "-0",
+    "1 /2", " 1", "1\t", "tau1 +3", "tau1- 3", "1*tau1 ", "\u0663", "1/\u0663", "tau\u0663", "1" * (MAX_DIGITS + 1),
+    "1/" + "2" * (MAX_DIGITS + 1), "tau" + "1" * (MAX_DIGITS + 1), "1" * MAX_DIGITS + "/" + "3" * MAX_DIGITS,
+]
+
+
+def _fast_path_text(rng):
+    """A random expression over the fast path's alphabet; one in three is
+    then broken by an inserted or deleted character."""
+
+    def term():
+        if rng.random() < 0.3:
+            return rng.choice(["tau", "alg"]) + rng.choice(["0", "1", "12", "007"])
+        text = rng.choice(["", "", "-"]) + rng.choice(["0", "1", "7", "12", "007", str(rng.randint(0, 10**9))])
+        if rng.random() < 0.4:
+            text += "/" + rng.choice(["1", "3", "12", "0", "00", "010", str(rng.randint(1, 999))])
+        if rng.random() < 0.4:
+            text += "*" + rng.choice(["tau", "alg"]) + str(rng.randint(0, 12))
+        return text
+
+    text = term() + "".join(rng.choice("+-") + term() for _ in range(rng.randint(0, 3)))
+    if rng.random() < 0.02:
+        text = text.replace("1", "1" * rng.choice([MAX_DIGITS, MAX_DIGITS + 1]), 1)
+    if rng.random() < 1 / 3:
+        at = rng.randint(0, len(text))
+        if rng.random() < 0.5:
+            text = text[:at] + rng.choice([" ", "\t", "+", "-", "*", "/", "0", "\u0663", "x"]) + text[at:]
+        else:
+            text = text[:at] + text[at + 1:]
+    return text
+
+
+@pytest.mark.parametrize("text", _FAST_PATH_NEAR_MISSES)
+def test_fast_path_near_misses_match_descent_oracle(text):
+    assert _parse_outcome(parse_param, text) == _parse_outcome(descent_parse_param, text)
+
+
+def test_fast_path_matches_descent_oracle_on_seeded_texts():
+    rng = random.Random(1901)
+    taken = 0
+    for _ in range(20_000):
+        text = _fast_path_text(rng)
+        assert _parse_outcome(parse_param, text) == _parse_outcome(descent_parse_param, text), text
+        taken += _FAST_PARAM.fullmatch(text) is not None
+    # Both the regex reading and the tokenizer are exercised.
+    assert 5_000 < taken < 18_000
 
 
 @given(param_values)
@@ -410,6 +463,43 @@ def test_rational_rank_basic():
     assert rational_rank([[1, 2], [2, 4]]) == 1
     assert rational_rank([[0, 0]]) == 0
     assert rational_rank([]) == 0
+
+
+def _random_rational_matrix(rng):
+    """Up to 12 x 4, entries mostly small rationals or zero, some with
+    1,000-digit numerators or denominators; some rows zero, duplicated or
+    a rational multiple of another row."""
+    big = int("7" * MAX_DIGITS)
+
+    def entry():
+        r = rng.random()
+        if r < 0.35:
+            return 0
+        if r < 0.45:
+            return Fraction(rng.choice([big, -big, 1]), rng.choice([1, 3, int("3" * MAX_DIGITS)]))
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 12)) if r < 0.85 else rng.randint(-3, 3)
+
+    cols = rng.randint(1, 4)
+    rows = [[entry() for _ in range(cols)] for _ in range(rng.randint(0, 12))]
+    for r in range(len(rows)):
+        kind = rng.random()
+        if kind < 0.1:
+            rows[r] = [0] * cols
+        elif kind < 0.3:
+            scale = rng.choice([1, -1, Fraction(2, 3), big])
+            rows[r] = [x * scale for x in rng.choice(rows)]
+    return rows
+
+
+def test_rational_rank_matches_fraction_oracle():
+    rng = random.Random(1902)
+    ranks = set()
+    for _ in range(2_000):
+        rows = _random_rational_matrix(rng)
+        rank = rational_rank(rows)
+        assert rank == fraction_rational_rank(rows), rows
+        ranks.add(rank)
+    assert ranks == {0, 1, 2, 3, 4}
 
 
 def test_atom_names_and_kinds():

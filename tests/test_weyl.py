@@ -9,6 +9,7 @@ import pytest
 from painleve import weyl
 from painleve.catalog import EquationId, Family, InvalidEquationError, family_space
 from painleve.exactnum import (
+    AtomKind,
     ParamValue,
     TriBool,
     alg,
@@ -33,7 +34,8 @@ from painleve.weyl import (
 )
 
 from oracles import (
-    SCANS, chain_distinct_family_verdict, scan_orbit_decide, shortest_word, table_word, witness_maps,
+    SCANS, chain_distinct_family_verdict, lazy_lattice_scan, scan_orbit_decide, shortest_word, table_word,
+    witness_maps,
 )
 
 PV = ParamValue
@@ -136,7 +138,7 @@ def test_family_group_table_is_consistent(family):
         return
     if family is Family.PVI:
         assert all(s.count(-1) % 2 == 0 for s in scan.sign_patterns)
-    assert (weyl._scan_linear(family), scan.offsets, scan.named, scan.even_sum) == SCANS[family]
+    assert (tuple(weyl._scan_order(family)[0]), scan.offsets, scan.named, scan.even_sum) == SCANS[family]
 
 
 @pytest.mark.parametrize("family", [Family.PII, Family.PIII, Family.PIV, Family.PV, Family.PVI])
@@ -471,6 +473,113 @@ def test_orbit_decide_agrees_with_candidate_scan(family):
         assert (verdict.related, verdict.witness, verdict.hypothesis_status) == (related, witness, status), (v, w)
         seen.add(related)
     assert seen == {TriBool.YES, TriBool.NO, TriBool.UNKNOWN}
+
+
+def _coerced(family, v, w):
+    return EquationId(family, v).params, EquationId(family, w).params
+
+
+def quarter_pairs(count):
+    """Seeded fifth-family pairs w = g(v) + a/4*(1, 1, 1, -3) with atoms, a
+    third of them moved off the orbit by 1/8 on two coordinates."""
+    rng = random.Random(44)
+    names = family_space(Family.PV).orbit_generators
+    for i in range(count):
+        v = rand_atom_params(Family.PV, rng)
+        w = apply_word(Family.PV, [rng.choice(names) for _ in range(rng.randint(0, 4))], v)
+        q = Fraction(rng.randint(1, 3), 4) + (Fraction(1, 8) if i % 3 == 2 else 0)
+        yield v, (w[0] + q, w[1] + q, w[2] + q, w[3] - 3 * q)
+
+
+def grid_pairs(family, count):
+    """Seeded rational pairs on a coarse grid (thirds for IV, quarters for
+    V, halves otherwise), where many candidates pass and scan order alone
+    picks the witness."""
+    rng = random.Random(45)
+    den = {Family.PIV: 3, Family.PV: 4}.get(family, 2)
+    arity, sum_zero = family_space(family).arity, family_space(family).sum_zero
+
+    def point():
+        x = [Fraction(rng.randint(-2 * den, 2 * den), den) for _ in range(arity)]
+        if sum_zero:
+            x[-1] = -sum(x[:-1])
+        return tuple(PV(c) for c in x)
+
+    for _ in range(count):
+        yield point(), point()
+
+
+def two_alg_pairs():
+    """``(family, v, w, related)``: coordinate differences that keep two
+    algebraic atoms, so residue keys differ and only ``decide_coset`` can
+    say Unknown.  In the last pair the atoms cancel in the sixth family's
+    even-sum test, which then says No."""
+    yield Family.PII, (A1,), (A2 + 3,), TriBool.UNKNOWN
+    yield Family.PIV, (A1, T1, -A1 - T1), (A2 + 1, T1 - 1, -A2 - T1), TriBool.UNKNOWN
+    yield Family.PV, (A1, T1, T2, -A1 - T1 - T2), (A2, T1 + 1, T2 - 1, -A2 - T1 - T2), TriBool.UNKNOWN
+    yield Family.PVI, (A1, T1, T2, PV(Fraction(1, 3))), (A2, T1, T2 + 1, PV(Fraction(4, 3))), TriBool.UNKNOWN
+    third = PV(Fraction(1, 3))
+    yield Family.PVI, (A1 + T2, A2 + T2, T1, third), (A2 + T2, A1 + T2 + 1, T1, third), TriBool.NO
+
+
+@pytest.mark.parametrize("family", [Family.PII, Family.PIV, Family.PV, Family.PVI])
+def test_lattice_scan_matches_lazy_oracle(family):
+    # The residue-key scan against the scan that built every difference.
+    seen = set()
+    pairs = list(scan_pairs(family, 300)) + list(grid_pairs(family, 300))
+    pairs += [(v, w) for fam, v, w, _ in two_alg_pairs() if fam is family]
+    for v, w in pairs:
+        v, w = _coerced(family, v, w)
+        got = weyl._lattice_scan(family, v, w)
+        assert got == lazy_lattice_scan(family, v, w), (v, w)
+        seen.add(got[0])
+    assert seen == {TriBool.YES, TriBool.NO, TriBool.UNKNOWN}
+
+
+def test_fifth_family_quarter_offsets_match_lazy_oracle():
+    offsets = set()
+    for v, w in quarter_pairs(150):
+        v, w = _coerced(Family.PV, v, w)
+        related, witness = weyl._lattice_scan(Family.PV, v, w)
+        assert (related, witness) == lazy_lattice_scan(Family.PV, v, w), (v, w)
+        if related is TriBool.YES:
+            assert witness_maps(witness, v, w)
+            offsets.add(witness.quarter_shift)
+    assert offsets >= {1, 2, 3}
+
+
+@pytest.mark.parametrize("family, v, w, related", list(two_alg_pairs()))
+def test_two_algebraic_atoms_are_unknown_through_decide_coset(monkeypatch, family, v, w, related):
+    v, w = _coerced(family, v, w)
+    expected = lazy_lattice_scan(family, v, w)
+    assert expected[0] is related
+    moduli = []
+
+    def counting(x, offset, modulus):
+        moduli.append(modulus)
+        return decide_coset(x, offset, modulus)
+
+    monkeypatch.setattr(weyl, "decide_coset", counting)
+    assert weyl._lattice_scan(family, v, w) == expected
+    assert moduli.count(1) > 0
+
+
+def test_scan_without_algebraic_atoms_makes_no_coset_test(monkeypatch):
+    # Residue keys decide every tau-only or rational difference; only the
+    # sixth family's even-sum test calls decide_coset (modulus 2).
+    for family in (Family.PII, Family.PIV, Family.PV, Family.PVI):
+        for v, w in scan_pairs(family, 60):
+            if any(a.kind is AtomKind.ALGEBRAIC_IRRATIONAL for x in v + w for a, _ in x.terms):
+                continue
+            assert coset_moduli(monkeypatch, family, v, w).count(1) == 0, (v, w)
+
+
+@pytest.mark.parametrize("call", [orbit_decide, generator_word, orbit_with_word])
+def test_library_callers_are_still_validated(call):
+    with pytest.raises(InvalidEquationError):
+        call(Family.PV, (1, 0, 0, 0), (1, 0, 0, -1))
+    with pytest.raises(InvalidEquationError):
+        call(Family.PIV, (0, 0, 0), (0, 0))
 
 
 def coset_moduli(monkeypatch, family, v, w):
