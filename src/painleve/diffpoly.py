@@ -21,10 +21,10 @@ mostly integral arithmetic of the verifications runs on ints.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from operator import add
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 
 Rational = Fraction | int
@@ -32,11 +32,10 @@ Rational = Fraction | int
 _PLAIN = -1  # derivative order used for non-jet symbols (t, parameters)
 
 
-class Var(NamedTuple):
+class Var(namedtuple("Var", "name order", defaults=(_PLAIN,))):
     """Ring variable: a plain symbol (order -1) or a jet variable x^(k)."""
 
-    name: str
-    order: int = _PLAIN
+    __slots__ = ()
 
     @property
     def is_jet(self) -> bool:
@@ -572,13 +571,7 @@ def verify_riccati(sign: int) -> Fraction:
     return residual.constant_value()
 
 
-@dataclass(frozen=True)
-class ChangeOfVariablesReport:
-    identity_q: bool
-    identity_p: bool
-    residuals: tuple[DiffExpr, DiffExpr]
-    excluded_loci: tuple[str, ...]
-    notes: tuple[str, ...]
+ChangeOfVariablesReport = namedtuple("ChangeOfVariablesReport", "identity_q identity_p residuals excluded_loci notes")
 
 
 def pv_change_of_variables_exprs() -> tuple[DiffExpr, DiffExpr]:

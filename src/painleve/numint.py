@@ -18,8 +18,9 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
+from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 from .catalog import (
@@ -42,17 +43,17 @@ class TrajectoryStatus(Enum):
     BLOWUP = "blowup"
 
 
-@dataclass(frozen=True)
-class NumericAssignment:
+class NumericAssignment(namedtuple("NumericAssignment", "atom_values")):
     """Numeric values for symbolic atoms; the module never invents values.
     Every value must be finite."""
 
-    atom_values: Mapping[Atom, float] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for atom, value in self.atom_values.items():
+    def __new__(cls, atom_values: Mapping[Atom, float] = MappingProxyType({})) -> "NumericAssignment":
+        for atom, value in atom_values.items():
             if not math.isfinite(value):
                 raise NumericInputError(f"atom {atom.name} must be a finite number, got {value}")
+        return super().__new__(cls, atom_values)
 
     def value_of(self, p: ParamValue) -> float:
         try:
@@ -66,18 +67,11 @@ class NumericAssignment:
         return total
 
 
-@dataclass
-class Trajectory:
-    family: Family | None
-    form: str
-    params: tuple[float, ...]
-    state_names: tuple[str, ...]
-    samples: list[tuple[float, tuple[float, ...]]]
-    status: TrajectoryStatus
-    blowup_t: float | None = None
-    step: float = 0.0
-    # f(t, x0, x1, ...), the right-hand side the samples were integrated with.
-    rhs: Callable | None = field(default=None, compare=False, repr=False)
+# ``samples`` is a list of (t, state) pairs; ``rhs`` is f(t, x0, x1, ...),
+# the right-hand side the samples were integrated with.
+Trajectory = namedtuple(
+    "Trajectory", "family form params state_names samples status blowup_t step rhs", defaults=(None, 0.0, None)
+)
 
 
 # -- compilation ------------------------------------------------------------------
@@ -293,11 +287,7 @@ def integrate(
 # -- residuals ------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    value: float
-    discretization_order: int
-    warning: str | None = None
+ResidualReport = namedtuple("ResidualReport", "value discretization_order warning", defaults=(None,))
 
 
 @functools.cache

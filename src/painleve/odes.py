@@ -4,7 +4,7 @@ family."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .catalog import PIV_SCALAR_NOTE, Family, UnsupportedFamilyError, family_space
@@ -21,22 +21,17 @@ def _param(name: str) -> DiffExpr:
     return DiffExpr.var(sym(name))
 
 
-@dataclass(frozen=True, eq=False)
-class OdeSystem:
+class OdeSystem(namedtuple(
+    "OdeSystem", "family form state_vars order rhs param_names singular_t notes", defaults=((), ())
+)):
     """Exact symbolic right-hand sides for one chart of a family.
 
-    ``order == 1`` systems store one rhs per state variable (x' = rhs);
-    ``order == 2`` scalars store the single rhs for the top derivative.
+    ``form`` is "scalar", "system" or "QP".  ``order == 1`` systems store
+    one rhs per state variable (x' = rhs); ``order == 2`` scalars store the
+    single rhs for the top derivative.
     """
 
-    family: Family
-    form: str                      # "scalar", "system", or "QP"
-    state_vars: tuple[str, ...]
-    order: int
-    rhs: tuple[DiffExpr, ...]
-    param_names: tuple[str, ...]
-    singular_t: tuple[Fraction, ...] = ()
-    notes: tuple[str, ...] = ()
+    __slots__ = ()
 
     def relations(self) -> RelationSet:
         return relations_for_system(self.state_vars, self.order, self.rhs)
@@ -189,9 +184,10 @@ def ode_system(family: Family, form: str | None = None) -> OdeSystem:
     (the (q, p) chart, default) and "QP".  The sixth family is rejected:
     it is classification-only here.
     """
-    if family is Family.PVI:
+    default_form = family_space(family).default_form
+    if default_form is None:
         raise UnsupportedFamilyError("no explicit equation is cataloged for the sixth family")
-    form = form or family_space(family).default_form
+    form = form or default_form
     try:
         return _SYSTEMS[(family, form)]
     except KeyError:

@@ -22,14 +22,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
 from .catalog import EquationId, Family, family_space
-from .citations import Citation, cite
+from .citations import cite
 from .exactnum import (
     AtomKind,
     ParamValue,
@@ -49,16 +49,11 @@ class NoGeneratorsError(ValueError):
 # -- affine maps -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(namedtuple("AffineMap", "family perm signs translation")):
     """Exact affine map on a family's parameter space, stored as a signed
     permutation plus a translation (the convention in the module docstring)."""
 
-    family: Family
-    perm: tuple[int, ...]
-    signs: tuple[int, ...]
-    translation: tuple[Fraction, ...]
-    provenance: str = field(default="composite", compare=False)
+    __slots__ = ()
 
     @property
     def dim(self) -> int:
@@ -89,14 +84,14 @@ class AffineMap:
         perm, signs, translation = [0] * n, [1] * n, [Fraction(0)] * n
         for j, (p, s, t) in enumerate(zip(self.perm, self.signs, self.translation)):
             perm[p], signs[p], translation[p] = j, s, -s * t
-        return AffineMap(self.family, tuple(perm), tuple(signs), tuple(translation), f"({self.provenance})^-1")
+        return AffineMap(self.family, tuple(perm), tuple(signs), tuple(translation))
 
     def is_identity(self) -> bool:
         return self == AffineMap.identity(self.family, self.dim)
 
     @staticmethod
     def identity(family: Family, dim: int) -> "AffineMap":
-        return AffineMap.from_permutation(family, range(dim), name="id")
+        return AffineMap.from_permutation(family, range(dim))
 
     @staticmethod
     def from_permutation(
@@ -104,7 +99,6 @@ class AffineMap:
         perm: Sequence[int],
         signs: Sequence[int] | None = None,
         translation: Sequence[Rational] | None = None,
-        name: str = "composite",
     ) -> "AffineMap":
         """Signed permutation plus translation: result[j] = signs[j]*v[perm[j]] + translation[j]."""
         n = len(perm)
@@ -112,35 +106,26 @@ class AffineMap:
         translation = tuple(Fraction(x) for x in translation or [0] * n)
         if sorted(perm) != list(range(n)) or {len(signs), len(translation)} != {n} or not set(signs) <= {1, -1}:
             raise ValueError(f"not a signed permutation plus translation on {n} coordinates")
-        return AffineMap(family, tuple(perm), signs, translation, provenance=name)
-
-    def __str__(self) -> str:
-        return f"AffineMap[{self.family.value}:{self.provenance}]"
+        return AffineMap(family, tuple(perm), signs, translation)
 
 
 # -- generators -----------------------------------------------------------------------
 
 
-def _named(family: Family) -> dict[str, AffineMap]:
+def named_generators(family: Family) -> dict[str, AffineMap]:
+    """All named maps for a family, including auxiliaries such as tminus."""
     generators = family_space(family).generators
     if not generators:
         raise NoGeneratorsError(f"family {family.value} has no parameter transformations")
-    return {
-        g.name: AffineMap.from_permutation(family, g.perm, g.signs, g.translation, name=g.name) for g in generators
-    }
+    return {g.name: AffineMap.from_permutation(family, g.perm, g.signs, g.translation) for g in generators}
 
 
 @lru_cache(maxsize=None)
 def _token_table(family: Family) -> dict[str, AffineMap]:
     """Every word token of a family, ``name`` and ``name^-1``, mapped to its affine map."""
-    maps = _named(family)
+    maps = named_generators(family)
     maps.update({name + "^-1": m.inverse() for name, m in maps.items()})
     return maps
-
-
-def named_generators(family: Family) -> dict[str, AffineMap]:
-    """All named maps for a family, including auxiliaries such as tminus."""
-    return _named(family)
 
 
 def resolve_token(family: Family, token: str) -> AffineMap:
@@ -175,40 +160,25 @@ class HypothesisStatus(Enum):
     OPEN = "open"
 
 
-@dataclass(frozen=True)
-class OrbitWitness:
+class OrbitWitness(namedtuple(
+    "OrbitWitness", "perm signs shift quarter_shift integer_shift note", defaults=(None,) * 6
+)):
     """Witness data; when the map fields are set, ``perm``, ``signs`` and the
     translation ``shift`` map v to w exactly, in the module's convention."""
 
-    perm: tuple[int, ...] | None = None
-    signs: tuple[int, ...] | None = None
-    shift: tuple[Fraction, ...] | None = None
-    quarter_shift: int | None = None
-    integer_shift: tuple[int, ...] | None = None
-    note: str | None = None
+    __slots__ = ()
 
     @property
     def has_map(self) -> bool:
         return self.perm is not None and self.signs is not None and self.shift is not None
 
 
-@dataclass(frozen=True)
-class OrbitVerdict:
-    family: Family
-    related: TriBool
-    criterion: str
-    criterion_citation: Citation
-    hypothesis_status: HypothesisStatus
-    witness: OrbitWitness | None = None
-    word: tuple[str, ...] | None = None
-    word_reason: str | None = None
-    notes: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class WordResult:
-    word: tuple[str, ...] | None
-    reason: str | None = None
+OrbitVerdict = namedtuple(
+    "OrbitVerdict",
+    "family related criterion criterion_citation hypothesis_status witness word word_reason notes",
+    defaults=(None, None, None, ()),
+)
+WordResult = namedtuple("WordResult", "word reason", defaults=(None,))
 
 
 def _coerce_params(family: Family, values: Sequence[ParamValue | Rational]) -> tuple[ParamValue, ...]:
@@ -534,4 +504,4 @@ def orbit_with_word(
     if verdict.related is not TriBool.YES:
         return verdict
     result = generator_word(family, v, w, verdict=verdict, checked=True)
-    return replace(verdict, word=result.word, word_reason=result.reason)
+    return verdict._replace(word=result.word, word_reason=result.reason)

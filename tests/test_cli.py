@@ -904,7 +904,7 @@ def test_batch_fuzz_exits_0_2_or_3_with_json_records(lines):
 # -- import boundary ------------------------------------------------------------------
 
 _LAZY_MODULES = ("painleve.weyl", "painleve.diffpoly", "painleve.numint")
-# Standard-library modules a classify query has no use for; ``dataclasses``
+# Standard-library modules no subcommand has a use for; ``dataclasses``
 # alone pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``.
 _UNUSED_STDLIB = ("dataclasses", "inspect")
 
@@ -943,6 +943,42 @@ def test_verify_imports_no_weyl_or_numint(target):
     loaded = json.loads(out.splitlines()[-1].removeprefix("loaded ").replace("'", '"'))
     assert not {"painleve.weyl", "painleve.numint"} & set(loaded)
     assert "painleve.diffpoly" in loaded
+
+
+# One query per subcommand path that loads weyl, ortho, diffpoly, odes or numint.
+_FULL_SESSION = [
+    ["orbit", "--family", "II", "--v", "1/3", "--w", "4/3"],
+    ["orbit", "--family", "III", "--v", "1/3,1/5", "--w", "1/5,1/3"],
+    ["orbit", "--family", "IV", "--v", "1/3,1/5,-8/15", "--w", "4/3,-4/5,-8/15"],
+    ["orbit", "--family", "V", "--v", "1/3,1/5,1/7,-71/105", "--w", "4/3,-4/5,1/7,-71/105"],
+    ["orbit", "--family", "VI", "--v", "1/3,1/5,2/7,3/11", "--w", "4/3,6/5,2/7,3/11"],
+    ["orthogonal", "--family1", "IV", "--params1", "tau1,tau2,-1*tau1 - tau2", "--family2", "IV",
+     "--params2", "tau1 + 1,tau2 - 1,-1*tau1 - tau2"],
+    ["verify", "--target", "riccati"],
+    ["verify", "--target", "pv-change"],
+    ["verify", "--target", "group-relations"],
+    ["integrate", "--family", "II", "--params", "1/2", "--initial", "0.2,0", "--t0", "1", "--t1", "1.1",
+     "--step", "0.01"],
+]
+
+
+def test_no_subcommand_imports_dataclasses():
+    out = _run_python(
+        "import contextlib, io, json, sys\n"
+        "from painleve import cli\n"
+        "words = []\n"
+        f"for argv in {_FULL_SESSION!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as record:\n"
+        "        assert cli.run(argv) == 0, argv\n"
+        "    if argv[0] == 'orbit':\n"
+        "        words.append(json.loads(record.getvalue())['word'])\n"
+        "print(json.dumps(words))\n"
+        f"print('stdlib', [m for m in {_UNUSED_STDLIB!r} if m in sys.modules])\n"
+    )
+    words_line, stdlib_line = out.splitlines()
+    words = json.loads(words_line)
+    assert len(words) == 5 and all(words)
+    assert stdlib_line == "stdlib []"
 
 
 def test_orthogonal_loads_weyl_for_same_family_pairs_only():

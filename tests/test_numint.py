@@ -1,7 +1,6 @@
 import json
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
@@ -167,14 +166,14 @@ def test_residual_halves_with_step():
 def test_residual_of_non_solution_is_large():
     eq = EquationId(Family.PII, [H])
     real = integrate(eq, None, [0.2, 0.0], 1.0, 2.0, 1e-3)
-    fake = replace(real, samples=[(t, (1.0, 1.0)) for t, _ in real.samples])
+    fake = real._replace(samples=[(t, (1.0, 1.0)) for t, _ in real.samples])
     report = residual_norm(fake)
     assert report.value > 0.1
 
 
 def test_residual_empty_trajectory_warns():
     eq = EquationId(Family.PII, [H])
-    short = replace(integrate(eq, None, [0.2, 0.0], 1.0, 1.1, 1e-3), samples=[(1.0, (0.0, 0.0))])
+    short = integrate(eq, None, [0.2, 0.0], 1.0, 1.1, 1e-3)._replace(samples=[(1.0, (0.0, 0.0))])
     report = residual_norm(short)
     assert report.value == 0.0
     assert report.warning is not None
@@ -227,7 +226,7 @@ def test_csv_bytes_match_the_csv_module(tmp_path):
         integrate(EquationId(family, params), None, [0.25, -0.125], 1.0, 1.2, 1e-2, form=form)
         for family, form, params in CHARTS
     ]
-    trajectories.append(replace(trajectories[1], samples=[(1.0, (-0.0, 0.0)), (1e-300, (-1e300, 0.1 + 0.2))]))
+    trajectories.append(trajectories[1]._replace(samples=[(1.0, (-0.0, 0.0)), (1e-300, (-1e300, 0.1 + 0.2))]))
     assert {traj.form for traj in trajectories} == {"scalar", "system", "QP"}
     assert any("y'" in traj.state_names for traj in trajectories)
     for traj in trajectories:

@@ -1,7 +1,6 @@
 import itertools
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -87,11 +86,16 @@ def test_identity_and_inverse_laws():
             assert g.inverse().compose(g) == ident
 
 
-def test_equality_ignores_provenance():
-    a = AffineMap.from_permutation(Family.PIII, (1, 0), name="x")
-    b = AffineMap.from_permutation(Family.PIII, (1, 0), name="y")
-    assert a == b
-    assert hash(a) == hash(b)
+def test_maps_built_by_different_words_are_equal():
+    tminus, tminus_inv = resolve_token(Family.PV, "tminus"), resolve_token(Family.PV, "tminus^-1")
+    pairs = [
+        (word_map(Family.PIII, ("s1", "s1")), AffineMap.identity(Family.PIII, 2)),
+        (tminus.compose(tminus_inv), AffineMap.identity(Family.PV, 4)),
+        (word_map(Family.PIV, ("tminus", "s1", "s2", "s1", "tminus^-1")), resolve_token(Family.PIV, "s0")),
+    ]
+    for a, b in pairs:
+        assert a == b
+        assert hash(a) == hash(b)
 
 
 def test_from_permutation_rejects_non_permutations():
@@ -112,7 +116,8 @@ def test_generator_catalogs():
     }
     for family, names in catalogs.items():
         assert list(family_space(family).orbit_generators) == names
-        assert [resolve_token(family, name).provenance for name in names] == names
+        for g in family_space(family).generators:
+            assert resolve_token(family, g.name) == AffineMap.from_permutation(family, g.perm, g.signs, g.translation)
     with pytest.raises(NoGeneratorsError):
         resolve_token(Family.PI, "s1")
 
@@ -123,7 +128,7 @@ def test_family_group_table_is_consistent(family):
     names = [g.name for g in spec.generators]
     for g in spec.generators:
         assert {len(x) for x in (g.perm, g.signs or g.perm, g.translation or g.perm)} == {spec.arity}
-        AffineMap.from_permutation(family, g.perm, g.signs, g.translation, name=g.name)
+        AffineMap.from_permutation(family, g.perm, g.signs, g.translation)
     assert set(spec.orbit_generators) <= set(names)
     if spec.alcove is not None:
         point = spec.alcove.point
@@ -143,7 +148,7 @@ def test_family_group_table_is_consistent(family):
 
 @pytest.mark.parametrize("family", [Family.PII, Family.PIII, Family.PIV, Family.PV, Family.PVI])
 def test_token_table_matches_fresh_generators(family):
-    fresh = weyl._named(family)
+    fresh = named_generators(family)
     for name, m in fresh.items():
         assert resolve_token(family, name) == m
         assert resolve_token(family, name + "^-1") == m.inverse()
@@ -744,7 +749,7 @@ def test_word_too_long_keeps_the_verdict(family):
     verdict = orbit_with_word(family, v, w)
     assert time.perf_counter() - start < 1.0
     assert (verdict.word, verdict.word_reason) == (None, "WordTooLong")
-    assert verdict == replace(orbit_decide(family, v, w), word_reason="WordTooLong")
+    assert verdict == orbit_decide(family, v, w)._replace(word_reason="WordTooLong")
 
 
 def test_word_at_the_token_cap_is_returned():
