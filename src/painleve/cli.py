@@ -20,6 +20,7 @@ error there, since stdout carries only JSON records.
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib
 import json
 import math
@@ -338,8 +339,8 @@ def _cmd_integrate(args) -> tuple[dict, int]:
     residual = numint.residual_norm(traj)
     if args.out:
         try:
-            numint.write_csv(traj, args.out)
-            numint.write_json(traj, args.out + ".json")
+            rows = numint.write_csv(traj, args.out)
+            numint.write_json(traj, args.out + ".json", rows)
         except OSError as err:
             raise InputError(f"cannot write --out {args.out!r}: {err.strerror or err}") from err
     payload = {
@@ -388,8 +389,10 @@ def _cmd_atoms(args) -> tuple[dict, int]:
 # -- argument parsing ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple[argparse.ArgumentParser, set[str]]]]:
-    """The parser, and each subcommand's own parser with its option strings."""
+    """The parser, and each subcommand's own parser with its option strings;
+    built once per process (parsing leaves the parsers unchanged)."""
     parser = argparse.ArgumentParser(
         prog="painleve",
         description="Exact classification, transformation-orbit, and verification "

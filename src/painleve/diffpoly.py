@@ -15,7 +15,12 @@ terms into a running sum; and two fractions over the same denominator are
 added by adding their numerators.
 
 A coefficient is an ``int`` when integral and a ``Fraction`` otherwise, so the
-mostly integral arithmetic of the verifications runs on ints.
+mostly integral arithmetic of the verifications runs on ints.  A monomial is
+one packed int key: every variable gets a process-wide index, and its exponent
+a 16-bit field (at most MAX_EXPONENT = 65535) with a guard bit above it.  A
+product of monomials is the sum of their keys, and an exponent past the bound
+raises ExponentOverflowError.  Printing, hashing and every other order-
+dependent view go through the canonical ``Var`` order, never the index order.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from operator import add
 from typing import Mapping, Sequence
 
 
@@ -69,38 +73,82 @@ def _coefficient(c: Rational) -> Fraction | int:
     return c.numerator if c.denominator == 1 else c
 
 
+def _clean(terms: dict[int, Fraction | int]) -> dict[int, Fraction | int]:
+    """``terms`` without zero coefficients, each coefficient canonical."""
+    return {k: c if type(c) is int else _coefficient(c) for k, c in terms.items() if c}
+
+
+# -- packed monomials ------------------------------------------------------------
+#
+# Every variable gets a process-wide index on first use, and a monomial is one
+# int: the exponent of the variable with index i sits in bits 17i to 17i + 15,
+# and bit 17i + 16 is that field's guard bit.  Multiplying monomials adds their
+# keys.  While every exponent stays within MAX_EXPONENT no field carries into
+# the next; a sum that does not sets its guard bit, which is checked.
+
+_FIELD = 17
+MAX_EXPONENT = (1 << 16) - 1
+_INDEX: dict[Var, int] = {}
+_GUARDS = 0  # the guard bit of every indexed variable
+
+
+class ExponentOverflowError(ArithmeticError):
+    """A monomial exponent exceeds MAX_EXPONENT."""
+
+
+def _shift(v: Var) -> int:
+    """Bit offset of v's exponent field, indexing v on first use."""
+    i = _INDEX.get(v)
+    if i is None:
+        global _GUARDS
+        i = _INDEX[v] = len(_INDEX)
+        _GUARDS |= 1 << (_FIELD * i + 16)
+    return _FIELD * i
+
+
+def _check_guards(keys) -> None:
+    if any(k & _GUARDS for k in keys):
+        raise ExponentOverflowError(f"a monomial exponent exceeds {MAX_EXPONENT}")
+
+
+def _support(terms: Mapping[int, object]) -> int:
+    """Bitwise or of the keys: a field is nonzero iff its variable occurs."""
+    acc = 0
+    for k in terms:
+        acc |= k
+    return acc
+
+
 class Poly:
-    """Multivariate polynomial: dense exponent tuples over a sorted tuple of
-    the variables it uses, mapped to nonzero rational coefficients, each an
-    ``int`` when integral and a ``Fraction`` otherwise."""
+    """Multivariate polynomial: packed monomial keys mapped to nonzero rational
+    coefficients, each an ``int`` when integral and a ``Fraction`` otherwise.
 
-    __slots__ = ("vars", "terms", "_plan")
+    ``vars`` (the variables used, sorted) and ``dense_terms`` (exponent tuples
+    over ``vars``) give the canonical view; printing, hashing and anything
+    else that depends on term order reads that view, never the key order."""
 
-    vars: tuple[Var, ...]
-    terms: dict[tuple[int, ...], Fraction | int]
+    __slots__ = ("terms", "_vars", "_plan")
+
+    terms: dict[int, Fraction | int]
 
     def __init__(self, vars: Sequence[Var], terms: Mapping[tuple[int, ...], Rational]):
-        # Canonicalize: drop zero coefficients, prune unused variables,
-        # keep the variable tuple sorted.
-        vars = tuple(vars)
-        clean = {exps: c if type(c) is int else _coefficient(c) for exps, c in terms.items() if c}
-        used = [i for i in range(len(vars)) if any(e[i] for e in clean)]
-        if len(used) != len(vars):
-            vars = tuple(vars[i] for i in used)
-            clean = {tuple(e[i] for i in used): c for e, c in clean.items()}
-        if vars and list(vars) != sorted(vars):
-            order = sorted(range(len(vars)), key=vars.__getitem__)
-            vars = tuple(vars[i] for i in order)
-            clean = {tuple(e[i] for i in order): c for e, c in clean.items()}
-        self.vars = vars
-        self.terms = clean
-        self._plan = None
+        shifts = [_shift(v) for v in vars]
+        packed: dict[int, Fraction | int] = {}
+        for exps, c in terms.items():
+            if not c:
+                continue
+            if any(e < 0 or e > MAX_EXPONENT for e in exps):
+                raise ExponentOverflowError(f"exponents must lie in 0..{MAX_EXPONENT}, got {exps}")
+            key = sum(e << s for e, s in zip(exps, shifts))
+            packed[key] = packed[key] + c if key in packed else c
+        self.terms = _clean(packed)
+        self._vars = self._plan = None
 
     @staticmethod
-    def _canonical(vars: tuple[Var, ...], terms: dict[tuple[int, ...], Fraction | int]) -> "Poly":
-        """A Poly from parts already in canonical form, without ``__init__``."""
+    def _canonical(terms: dict[int, Fraction | int]) -> "Poly":
+        """A Poly from terms already in canonical form, without ``__init__``."""
         p = object.__new__(Poly)
-        p.vars, p.terms, p._plan = vars, terms, None
+        p.terms, p._vars, p._plan = terms, None, None
         return p
 
     # -- constructors ------------------------------------------------------
@@ -108,11 +156,11 @@ class Poly:
     @staticmethod
     def const(value: Rational) -> "Poly":
         value = _coefficient(value)
-        return Poly._canonical((), {(): value} if value else {})
+        return Poly._canonical({0: value} if value else {})
 
     @staticmethod
     def var(v: Var) -> "Poly":
-        return Poly._canonical((v,), {(1,): 1})
+        return Poly._canonical({1 << _shift(v): 1})
 
     # -- basic queries ------------------------------------------------------
 
@@ -122,37 +170,33 @@ class Poly:
 
     @property
     def is_constant(self) -> bool:
-        return not self.vars
+        terms = self.terms
+        return not terms or (len(terms) == 1 and 0 in terms)
+
+    @property
+    def vars(self) -> tuple[Var, ...]:
+        """The variables that occur, in the canonical ``Var`` order."""
+        if self._vars is None:
+            support = _support(self.terms)
+            self._vars = tuple(sorted(v for v, i in _INDEX.items() if support >> (_FIELD * i) & MAX_EXPONENT))
+        return self._vars
 
     def constant_value(self) -> Fraction:
         if not self.is_constant:
             raise ValueError("polynomial is not constant")
-        return Fraction(self.terms.get((), 0))
+        return Fraction(self.terms.get(0, 0))
 
     def degree_in(self, v: Var) -> int:
-        if v not in self.vars:
-            return 0
-        i = self.vars.index(v)
-        return max((e[i] for e in self.terms), default=0)
+        s = _shift(v)
+        return max((k >> s & MAX_EXPONENT for k in self.terms), default=0)
 
     def variables(self) -> tuple[Var, ...]:
         return self.vars
 
-    # -- alignment -----------------------------------------------------------
-
-    def _aligned(self, target: tuple[Var, ...]) -> dict[tuple[int, ...], Fraction | int]:
-        # Read-only for the caller: the result may be this polynomial's terms.
-        if target == self.vars:
-            return self.terms
-        pos = {v: i for i, v in enumerate(target)}
-        idx = [pos[v] for v in self.vars]
-        out: dict[tuple[int, ...], Fraction | int] = {}
-        for exps, c in self.terms.items():
-            key = [0] * len(target)
-            for i, e in zip(idx, exps):
-                key[i] = e
-            out[tuple(key)] = c
-        return out
+    def dense_terms(self) -> dict[tuple[int, ...], Fraction | int]:
+        """The terms keyed by exponent tuples over ``vars``."""
+        shifts = [_shift(v) for v in self.vars]
+        return {tuple(k >> s & MAX_EXPONENT for s in shifts): c for k, c in self.terms.items()}
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -162,37 +206,36 @@ class Poly:
     @staticmethod
     def sum(polys: Sequence["Poly"]) -> "Poly":
         """Sum of polynomials, collected in one pass."""
-        vars = tuple(sorted({v for p in polys for v in p.vars}))
-        terms: dict[tuple[int, ...], Fraction | int] = {}
+        terms: dict[int, Fraction | int] = {}
         for p in polys:
-            for exps, c in p._aligned(vars).items():
-                terms[exps] = terms[exps] + c if exps in terms else c
-        return Poly(vars, terms)
+            for k, c in p.terms.items():
+                terms[k] = terms[k] + c if k in terms else c
+        return Poly._canonical(_clean(terms))
 
     def __neg__(self) -> "Poly":
-        return Poly._canonical(self.vars, {e: -c for e, c in self.terms.items()})
+        return Poly._canonical({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        if self.is_zero or other.is_zero:
+        a, b = self.terms, other.terms
+        if not a or not b:
             return Poly.const(0)
-        vars = self.vars if self.vars == other.vars else tuple(sorted(set(self.vars) | set(other.vars)))
-        a = self._aligned(vars)
-        b = other._aligned(vars)
-        terms: dict[tuple[int, ...], Fraction | int] = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                key = tuple(map(add, e1, e2))
-                terms[key] = terms[key] + c1 * c2 if key in terms else c1 * c2
-        # A product of nonzero polynomials uses every variable of its factors
-        # (degrees add), so only cancelled coefficients are dropped.
-        return Poly._canonical(vars, {e: c if type(c) is int else _coefficient(c) for e, c in terms.items() if c})
+        terms: dict[int, Fraction | int] = {}
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
+                k = k1 + k2
+                terms[k] = terms[k] + c1 * c2 if k in terms else c1 * c2
+        # The keys' field-wise maxima add up to at most the supports' sum, so
+        # a product key can only overflow a field where that sum does.
+        if (_support(a) + _support(b)) & _GUARDS:
+            _check_guards(terms)
+        return Poly._canonical(_clean(terms))
 
     def scale(self, q: Rational) -> "Poly":
         q = Fraction(q)
-        return Poly(self.vars, {e: c * q for e, c in self.terms.items()})
+        return Poly._canonical(_clean({k: c * q for k, c in self.terms.items()}))
 
     def power(self, k: int) -> "Poly":
         if k < 0:
@@ -205,33 +248,33 @@ class Poly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.vars, tuple(sorted(self.terms.items()))))
+        return hash((self.vars, tuple(sorted(self.dense_terms().items()))))
 
     # -- calculus ----------------------------------------------------------------
 
-    def _var_derivative(self, v: Var) -> "Poly | None":
-        if v.is_jet:
-            return Poly.var(Var(v.name, v.order + 1))
-        if v == T_VAR:
-            return Poly.const(1)
-        return None  # parameter: derivative 0
-
     def total_derivative(self) -> "Poly":
-        parts = []
-        for exps, c in self.terms.items():
-            for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                dv = self._var_derivative(self.vars[i])
-                if dv is None:
-                    continue
-                rest = list(exps)
-                rest[i] = e - 1
-                parts.append(Poly(self.vars, {tuple(rest): c * e}) * dv)
-        return Poly.sum(parts)
+        """D by the Leibniz rule: each factor v^e of a term gives e * v^(e-1) * D(v),
+        with D(x^(k)) = x^(k+1), D(t) = 1 and D(parameter) = 0, so a term's key
+        moves by a fixed offset per variable."""
+        moves = []
+        for v in self.vars:
+            s = _shift(v)
+            if v.is_jet:
+                moves.append((s, (1 << _shift(Var(v.name, v.order + 1))) - (1 << s)))
+            elif v == T_VAR:
+                moves.append((s, -(1 << s)))
+        terms: dict[int, Fraction | int] = {}
+        for k, c in self.terms.items():
+            for s, move in moves:
+                e = k >> s & MAX_EXPONENT
+                if e:
+                    key = k + move
+                    terms[key] = terms[key] + c * e if key in terms else c * e
+        _check_guards(terms)
+        return Poly._canonical(_clean(terms))
 
     # -- substitution and evaluation ------------------------------------------------
 
@@ -256,21 +299,31 @@ class Poly:
         Terms that share their exponents in the tabled variables are
         multiplied by the table factors once.
         """
-        pos = {v: i for i, v in enumerate(self.vars)}
-        mapped = [pos.get(v) for v in tables]
-        kept = [i for i, v in enumerate(self.vars) if v not in tables]
-        kept_vars = tuple(self.vars[i] for i in kept)
-        groups: dict[tuple[int, ...], dict[tuple[int, ...], Fraction | int]] = {}
-        for exps, c in self.terms.items():
-            key = tuple(0 if i is None else exps[i] for i in mapped)
-            groups.setdefault(key, {})[tuple(exps[i] for i in kept)] = c
+        rows = [(_shift(v), row) for v, row in tables.items()]
+        mask = sum(MAX_EXPONENT << s for s, _ in rows)
+        groups: dict[int, dict[int, Fraction | int]] = {}
+        for k, c in self.terms.items():
+            tabled = k & mask
+            groups.setdefault(tabled, {})[k - tabled] = c
         parts = []
-        for key, terms in groups.items():
-            part = Poly(kept_vars, terms)
-            for row, e in zip(tables.values(), key):
-                part = part * row[e]
+        for tabled, terms in groups.items():
+            part = Poly._canonical(terms)
+            for s, row in rows:
+                part = part * row[tabled >> s & MAX_EXPONENT]
             parts.append(part)
         return Poly.sum(parts)
+
+    def _integer_terms(self, vars: Sequence[Var]) -> tuple[list[tuple[int, tuple[int, ...]]], int]:
+        """([(coefficient * lcm, exponents over vars)], lcm) for the lcm of the
+        coefficient denominators; ``vars`` must include every variable here."""
+        shifts = [_shift(v) for v in vars]
+        if _support(self.terms) & ~sum(MAX_EXPONENT << s for s in shifts):
+            raise ValueError(f"{self} has variables outside {[str(v) for v in vars]}")
+        coeff_den = math.lcm(*(c.denominator for c in self.terms.values()))
+        return [
+            (c.numerator * (coeff_den // c.denominator), tuple(k >> s & MAX_EXPONENT for s in shifts))
+            for k, c in self.terms.items()
+        ], coeff_den
 
     def evaluate(self, point: Mapping[Var, Rational]) -> Fraction:
         """Exact value at a rational point, summed over one common denominator.
@@ -281,9 +334,8 @@ class Poly:
         and the coefficients as integers over their lcm are kept as a plan.
         """
         if self._plan is None:
-            coeff_den = math.lcm(*(c.denominator for c in self.terms.values()))
-            coeffs = [(exps, c.numerator * (coeff_den // c.denominator)) for exps, c in self.terms.items()]
-            self._plan = (tuple(map(max, zip(*self.terms))), coeffs, coeff_den)
+            coeffs, coeff_den = self._integer_terms(self.vars)
+            self._plan = (tuple(map(max, zip(*(e for _, e in coeffs)))), coeffs, coeff_den)
         tops, coeffs, coeff_den = self._plan
         scaled = []  # scaled[i][e] = n_i^e * d_i^(m_i - e)
         den = 1
@@ -292,24 +344,15 @@ class Poly:
             n, d = x.numerator, x.denominator
             scaled.append([n**e * d ** (top - e) for e in range(top + 1)])
             den *= d**top
-        total = 0
-        for exps, term in coeffs:
-            for row, e in zip(scaled, exps):
-                term *= row[e]
-            total += term
-        return Fraction(total, den * coeff_den)
+        return Fraction(_cleared_sum(coeffs, scaled), den * coeff_den)
 
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
+        vars = self.vars
         chunks = []
-        for exps in sorted(self.terms):
-            c = self.terms[exps]
-            factors = [
-                (str(self.vars[i]) if e == 1 else f"{self.vars[i]}^{e}")
-                for i, e in enumerate(exps)
-                if e
-            ]
+        for exps, c in sorted(self.dense_terms().items()):
+            factors = [(str(vars[i]) if e == 1 else f"{vars[i]}^{e}") for i, e in enumerate(exps) if e]
             if not factors:
                 chunks.append(str(c))
             elif c == 1:
@@ -324,6 +367,16 @@ class Poly:
         return out
 
     __repr__ = __str__
+
+
+def _cleared_sum(coeffs: Sequence[tuple[int, tuple[int, ...]]], scaled: Sequence[Sequence[int]]) -> int:
+    """sum(c * prod(scaled[i][e_i])) over the integer terms (c, e)."""
+    total = 0
+    for term, exps in coeffs:
+        for row, e in zip(scaled, exps):
+            term *= row[e]
+        total += term
+    return total
 
 
 def _powers(p: Poly, k: int) -> list[Poly]:
@@ -629,6 +682,10 @@ def verify_pv_change_of_variables() -> ChangeOfVariablesReport:
     )
 
 
+class RedrawBudgetError(ArithmeticError):
+    """A random-point check redrew more points than its budget allows."""
+
+
 def pv_random_point_check(
     points: int = 25,
     seed: int = 0,
@@ -638,34 +695,43 @@ def pv_random_point_check(
     random rational points on the parameter hyperplane (redrawing any point
     on an excluded locus).  Returns (points evaluated, all residuals zero).
     ``residuals`` defaults to deriving them afresh, as
-    ``verify_pv_change_of_variables`` does."""
+    ``verify_pv_change_of_variables`` does.
+
+    A point is a numerator and a denominator per variable; each point's power
+    tables serve all four polynomials, and "denominator != 0" and "numerator
+    = 0" are decided on the cleared integer sums (a positive multiple of the
+    value).  More than 100 * points redraws raise RedrawBudgetError.
+    """
     import random
 
     rng = random.Random(seed)
     res_q, res_p = residuals if residuals is not None else _pv_residuals()
-
-    def rand_frac() -> Fraction:
-        return Fraction(rng.randint(-12, 12), rng.randint(1, 5))
+    v1, v2, v3, v4, q, p = sym("v1"), sym("v2"), sym("v3"), sym("v4"), jet("Q", 0), jet("P", 0)
+    names = (v1, v2, v3, T_VAR, q, p, v4)  # the draw order, v4 last
+    # Denominators first: a point where one vanishes is redrawn.
+    plans = [poly._integer_terms(names)[0] for poly in (res_q.den, res_p.den, res_q.num, res_p.num)]
+    tops = [max((e[i] for plan in plans for _, e in plan), default=0) for i in range(len(names))]
 
     checked = 0
+    redraws = 0
     all_zero = True
     while checked < points:
-        v = [rand_frac() for _ in range(3)]
-        point = {
-            T_VAR: rand_frac(),
-            jet("Q", 0): rand_frac(),
-            jet("P", 0): rand_frac(),
-            sym("v1"): v[0],
-            sym("v2"): v[1],
-            sym("v3"): v[2],
-            sym("v4"): -(v[0] + v[1] + v[2]),
-        }
-        try:
-            values = (res_q.evaluate(point), res_p.evaluate(point))
-        except ZeroDivisionError:
+        # (numerator, denominator) of Fraction(randint(-12, 12), randint(1, 5)),
+        # unreduced: the zero tests are invariant under the scaling.
+        drawn = [(rng.randint(-12, 12), rng.randint(1, 5)) for _ in range(6)]
+        (n1, d1), (n2, d2), (n3, d3) = drawn[:3]
+        drawn.append((-(n1 * d2 * d3 + n2 * d1 * d3 + n3 * d1 * d2), d1 * d2 * d3))
+        scaled = [[n**e * d ** (top - e) for e in range(top + 1)] for (n, d), top in zip(drawn, tops)]
+        if _cleared_sum(plans[0], scaled) == 0 or _cleared_sum(plans[1], scaled) == 0:
+            redraws += 1
+            if redraws > 100 * points:
+                raise RedrawBudgetError(
+                    f"{redraws} points redrawn for a {points}-point check: a residual denominator"
+                    " vanishes on the draw grid"
+                )
             continue
         checked += 1
-        if any(x != 0 for x in values):
+        if _cleared_sum(plans[2], scaled) or _cleared_sum(plans[3], scaled):
             all_zero = False
     return checked, all_zero
 

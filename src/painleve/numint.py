@@ -5,17 +5,20 @@ Deliberately simple: fixed step (no adaptive controller), a hard blow-up
 threshold of 1e8 (the solutions have movable poles), and real-valued states
 only.  Identical inputs produce bit-identical trajectories.
 
-Right-hand sides are compiled once per integration into plain Python
-functions f(t, x0, x1, ...) with the numeric parameter values folded in as
-literals; the trajectory carries f, and its residual reuses it.  The RK4
-loop and the residual loop are generated once per state dimension (memoised
-by the dimension alone); they keep the components in locals and call f
-positionally, an opaque rhs(t, state) through an adapter.
+Each cataloged chart compiles once per process into a kernel: the
+right-hand side f(k..., t, x0, x1, ...), and an RK4 loop and a residual loop
+with that right-hand side inlined into their stages.  The coefficients that
+depend on the parameters are folded per integration and passed as the
+leading arguments k....  Any other right-hand side runs loops generated
+once per state dimension, which call it.  Both kinds of loop keep the state
+components in locals and evaluate the same float operations in the same
+order, so a chart's trajectory is the same whichever loop ran it.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from collections import namedtuple
@@ -67,126 +70,282 @@ class NumericAssignment(namedtuple("NumericAssignment", "atom_values")):
         return total
 
 
-# ``samples`` is a list of (t, state) pairs; ``rhs`` is f(t, x0, x1, ...),
-# the right-hand side the samples were integrated with.
+# ``samples`` is a list of (t, state) pairs; ``rhs`` is the right-hand side
+# the samples were integrated with.
 Trajectory = namedtuple(
     "Trajectory", "family form params state_names samples status blowup_t step rhs", defaults=(None, 0.0, None)
 )
 
 
 # -- compilation ------------------------------------------------------------------
+#
+# An expression compiles to Python source over t, x0, x1, ... .  A term with
+# parameter factors reads its coefficient from an argument k<i>; its value,
+# float(coefficient) times each parameter power in var order, is folded per
+# integration (``_folded``).  Other coefficients are float literals.
 
 
-def _poly_source(poly: Poly, names: Mapping[Var, str], consts: Mapping[Var, float]) -> str:
+def _poly_source(poly: Poly, names: Mapping[Var, str], coeffs: list) -> str:
+    """Source of ``poly``; each parameter-dependent term appends its fold,
+    (float coefficient, ((parameter, exponent), ...)), to ``coeffs``."""
     if poly.is_zero:
         return "0.0"
     chunks = []
-    for exps in sorted(poly.terms):
-        constant = float(poly.terms[exps])
-        factors = []
-        for i, e in enumerate(exps):
+    for exps, c in sorted(poly.dense_terms().items()):
+        factors, folded = [], []
+        for v, e in zip(poly.vars, exps):
             if not e:
                 continue
-            v = poly.vars[i]
-            if v in consts:
-                try:
-                    constant *= consts[v] ** e
-                except OverflowError:
-                    constant = math.inf
-            else:
+            if v in names:
                 factors.extend([names[v]] * e)
-        if not math.isfinite(constant):
-            raise NumericInputError("a coefficient of the right-hand side overflows at these parameter values")
-        chunks.append("*".join([repr(constant), *factors]))
+            else:
+                folded.append((v.name, e))
+        if folded:
+            chunks.append("*".join([f"k{len(coeffs)}", *factors]))
+            coeffs.append((float(c), tuple(folded)))
+        else:
+            chunks.append("*".join([repr(float(c)), *factors]))
     return "(" + " + ".join(chunks) + ")"
 
 
-def _expr_source(expr: DiffExpr, names: Mapping[Var, str], consts: Mapping[Var, float]) -> str:
-    num = _poly_source(expr.num, names, consts)
+def _expr_source(expr: DiffExpr, names: Mapping[Var, str], coeffs: list) -> str:
+    num = _poly_source(expr.num, names, coeffs)
     if expr.den.is_constant and expr.den.constant_value() == 1:
         return num
-    return f"({num}) / ({_poly_source(expr.den, names, consts)})"
+    return f"({num}) / ({_poly_source(expr.den, names, coeffs)})"
 
 
-def _compiled(source: str, name: str) -> Callable:
-    namespace: dict = {}
+def _folded(coeffs: Sequence[tuple[float, tuple]], values: Mapping[str, float]) -> list[float]:
+    """The coefficient arguments at these parameter values."""
+    out = []
+    for constant, factors in coeffs:
+        for name, e in factors:
+            try:
+                constant *= values[name] ** e
+            except OverflowError:
+                constant = math.inf
+        if not math.isfinite(constant):
+            raise NumericInputError("a coefficient of the right-hand side overflows at these parameter values")
+        out.append(constant)
+    return out
+
+
+def _sources(exprs: Sequence[DiffExpr], state_vars: Sequence[Var]) -> tuple[list[str], list]:
+    """Each expression's source, with {t} and {x0}, {x1}, ... for the time and
+    state, and the folds of its coefficient arguments."""
+    names = {sym("t"): "{t}", **{v: "{x%d}" % i for i, v in enumerate(state_vars)}}
+    coeffs: list = []
+    return [_expr_source(e, names, coeffs) for e in exprs], coeffs
+
+
+def _compiled(source: str, *names: str) -> tuple[Callable, ...]:
+    namespace: dict = {"itertools": itertools}
     exec(source, namespace)  # generated from catalog data or a state dimension only
-    return namespace[name]
+    return tuple(namespace[name] for name in names)
+
+
+class CompiledRhs:
+    """A compiled right-hand side at given parameter values: ``self(t, state)``
+    is the derivative, and ``positional(t, x0, x1, ...)`` the same with the
+    components as arguments.  ``kernel`` is the chart's kernel, with its RK4
+    and residual loops, or None."""
+
+    __slots__ = ("positional", "kernel", "coeffs")
+
+    def __init__(self, fn: Callable, coeffs: Sequence[float], kernel: "ChartKernel | None" = None):
+        self.positional = functools.partial(fn, *coeffs)
+        self.kernel = kernel
+        self.coeffs = coeffs
+
+    def __call__(self, t: float, state: Sequence[float]) -> tuple[float, ...]:
+        return self.positional(t, *state)
 
 
 def compile_rhs(
     exprs: Sequence[DiffExpr],
     state_vars: Sequence[str | Var],
     param_values: Mapping[str, float],
-) -> Callable[[float, Sequence[float]], tuple[float, ...]]:
+) -> CompiledRhs:
     """Compile first-order right-hand sides into f(t, state) -> state'.
 
     A state variable given by name is its jet of order 0; a jet ``Var``
     stands for itself, so a scalar order-2 equation compiles as its (x, x')
-    companion system.  Parameter symbols are folded in as numeric literals.
+    companion system.  Parameter symbols are folded into coefficients.
     """
-    names: dict[Var, str] = {sym("t"): "t"}
-    for i, s in enumerate(state_vars):
-        names[s if isinstance(s, Var) else jet(s, 0)] = f"x{i}"
-    consts = {sym(k): float(v) for k, v in param_values.items()}
-    args = ", ".join(["t"] + [f"x{i}" for i in range(len(state_vars))])
-    body = ", ".join(_expr_source(e, names, consts) for e in exprs)
-    fn = _compiled(f"def rhs({args}):\n    return ({body}{',' if len(exprs) == 1 else ''})\n", "rhs")
-
-    def rhs(t: float, state: Sequence[float]) -> tuple[float, ...]:
-        return fn(t, *state)
-
-    rhs.positional = fn
-    return rhs
+    state_vars = [s if isinstance(s, Var) else jet(s, 0) for s in state_vars]
+    bodies, coeffs = _sources(exprs, state_vars)
+    n = len(state_vars)
+    (fn,) = _compiled(_rhs_source(n, bodies, len(coeffs)), "rhs")
+    return CompiledRhs(fn, _folded(coeffs, {k: float(v) for k, v in param_values.items()}))
 
 
-def _companion_rhs(system: OdeSystem, param_values: Mapping[str, float]) -> tuple[Callable, tuple[str, ...]]:
-    """First-order form of a cataloged system: scalar order-2 equations become
-    (x, x') companion systems."""
+def _companion(system: OdeSystem) -> tuple[tuple[DiffExpr, ...], tuple[Var, ...], tuple[str, ...]]:
+    """First-order form of a cataloged system, (expressions, state variables,
+    state names): scalar order-2 equations become (x, x') companion systems."""
     if system.order == 1:
-        return compile_rhs(system.rhs, system.state_vars, param_values), system.state_vars
+        return system.rhs, tuple(jet(s, 0) for s in system.state_vars), system.state_vars
     base = system.state_vars[0]
     slope = jet(base, 1)
-    rhs = compile_rhs((DiffExpr.var(slope), system.rhs[0]), (base, slope), param_values)
-    return rhs, (base, base + "'")
+    return (DiffExpr.var(slope), system.rhs[0]), (jet(base, 0), slope), (base, base + "'")
 
 
-# -- integration --------------------------------------------------------------------
+# The compiled functions of one chart; each takes the coefficient arguments
+# first: rhs(k..., t, x...), rk4(k..., t0, h, n_steps, x...) and
+# residual(k..., samples, h), the last two with the right-hand side inlined.
+ChartKernel = namedtuple("ChartKernel", "coeffs state_names rhs rk4 residual")
+
+
+@functools.cache
+def _chart_kernel(family: Family, form: str) -> ChartKernel:
+    """Compiled once per chart and process."""
+    exprs, state_vars, state_names = _companion(ode_system(family, form))
+    bodies, coeffs = _sources(exprs, state_vars)
+    n, k = len(state_vars), len(coeffs)
+    lead = _components(k, "k{j}")
+    stage = _inline_stage(bodies)
+    source = "\n".join([_rhs_source(n, bodies, k), _rk4_source(n, stage, lead), _residual_source(n, stage, lead)])
+    return ChartKernel(tuple(coeffs), state_names, *_compiled(source, "rhs", "rk4", "residual"))
+
+
+def _companion_rhs(system: OdeSystem, param_values: Mapping[str, float]) -> tuple[CompiledRhs, tuple[str, ...]]:
+    """The chart's compiled right-hand side at these parameter values, and its state names."""
+    kernel = _chart_kernel(system.family, system.form)
+    return CompiledRhs(kernel.rhs, _folded(kernel.coeffs, param_values), kernel), kernel.state_names
+
+
+# -- generated loops ------------------------------------------------------------------
+#
+# A stage emitter gives the lines that set dest0, dest1, ... to the right-hand
+# side at a time and state given as source: either a call to an opaque f, or
+# the chart's expressions inlined, with non-trivial arguments bound to locals
+# first.  Both evaluate the same float operations in the same order.
 
 
 def _components(n: int, pattern: str) -> str:
     return "".join(pattern.format(j=j) + ", " for j in range(n))
 
 
-@functools.cache
-def _rk4_loop(n: int) -> Callable:
-    """rk4(f, t0, h, n_steps, x0, ..., x{n-1}) -> (samples, blowup_t), blowup_t
-    None when every step was taken.  h2, h6 and tm are the very floats
-    h / 2, h / 6 and t + h / 2 of the formulas, so the results are too."""
+def _rhs_source(n: int, bodies: Sequence[str], k: int) -> str:
+    x = {f"x{j}": f"x{j}" for j in range(n)}
+    values = "".join(body.format(t="t", **x) + ", " for body in bodies)
+    return f"def rhs({_components(k, 'k{j}')}t, {_components(n, 'x{j}')}):\n    return ({values})\n"
+
+
+def _call_stage(dest: str, t: str, args: Sequence[str]) -> list[str]:
+    return [f"{_components(len(args), dest + '{j}')}= f({t}, {''.join(a + ', ' for a in args)})"]
+
+
+def _inline_stage(bodies: Sequence[str]) -> Callable[[str, str, Sequence[str]], list[str]]:
+    def stage(dest: str, t: str, args: Sequence[str]) -> list[str]:
+        lines = []
+        if not t.isidentifier():
+            lines.append(f"te = {t}")
+            t = "te"
+        x = {}
+        for j, arg in enumerate(args):
+            if arg.isidentifier():
+                x[f"x{j}"] = arg
+            else:
+                lines.append(f"y{j} = {arg}")
+                x[f"x{j}"] = f"y{j}"
+        return lines + [f"{dest}{j} = {body.format(t=t, **x)}" for j, body in enumerate(bodies)]
+
+    return stage
+
+
+def _indented(lines: Sequence[str], depth: int) -> list[str]:
+    return [" " * depth + line for line in lines]
+
+
+def _rk4_source(n: int, stage: Callable, lead: str) -> str:
+    """rk4(<lead>t0, h, n_steps, x0, ..., x{n-1}) -> (samples, blowup_t),
+    blowup_t None when every step was taken.  h2, h6 and tm are the very
+    floats h / 2, h / 6 and t + h / 2 of the formulas, so the results are too."""
     x = _components(n, "x{j}")
-    return _compiled("\n".join([
-        f"def rk4(f, t0, h, n_steps, {x}):",
+
+    def at(pattern: str) -> list[str]:
+        return [pattern.format(j=j) for j in range(n)]
+
+    return "\n".join([
+        f"def rk4({lead}t0, h, n_steps, {x}):",
         f"    samples = [(t0, ({x}))]",
         "    append = samples.append",
         "    h2, h6 = h / 2, h / 6",
         "    for i in range(n_steps):",
         "        t = t0 + i * h",
         "        try:",
-        f"            {_components(n, 'a{j}')}= f(t, {x})",
+        *_indented(stage("a", "t", at("x{j}")), 12),
         "            tm = t + h2",
-        f"            {_components(n, 'b{j}')}= f(tm, {_components(n, 'x{j} + h2 * a{j}')})",
-        f"            {_components(n, 'c{j}')}= f(tm, {_components(n, 'x{j} + h2 * b{j}')})",
-        f"            {_components(n, 'd{j}')}= f(t + h, {_components(n, 'x{j} + h * c{j}')})",
+        *_indented(stage("b", "tm", at("x{j} + h2 * a{j}")), 12),
+        *_indented(stage("c", "tm", at("x{j} + h2 * b{j}")), 12),
+        *_indented(stage("d", "t + h", at("x{j} + h * c{j}")), 12),
         *(f"            x{j} = x{j} + h6 * (a{j} + 2 * b{j} + 2 * c{j} + d{j})" for j in range(n)),
         "        except (ZeroDivisionError, OverflowError):",
         "            return samples, t",
         "        t = t0 + (i + 1) * h",
-        # abs(x) <= threshold is False for inf and nan too.
-        f"        if not ({' and '.join(f'abs(x{j}) <= {BLOWUP_THRESHOLD!r}' for j in range(n))}):",
+        # -threshold <= x <= threshold is False for inf and nan too.
+        f"        if not ({' and '.join(f'-{BLOWUP_THRESHOLD!r} <= x{j} <= {BLOWUP_THRESHOLD!r}' for j in range(n))}):",
         "            return samples, t",
         f"        append((t, ({x})))",
         "    return samples, None",
-    ]), "rk4")
+        "",
+    ])
+
+
+def _residual_source(n: int, stage: Callable, lead: str) -> str:
+    """residual(<lead>samples, h) -> the running max, from 0.0, of
+    |five-point derivative - f| over interior samples and components.
+
+    The window p, q, r, s, u of five samples slides along in locals, and the
+    max is taken as ``max`` does: a value replaces the running max when it
+    compares greater."""
+    def shifted(k: str, into: str) -> list[str]:
+        return [f"{into}{j} = {k}{j}" for j in range(n)]
+
+    def worst(j: int) -> list[str]:
+        return [f"e = abs((-u{j} + 8 * s{j} - 8 * q{j} + p{j}) / h12 - f{j})", "if e > worst:", "    worst = e"]
+
+    window = ", ".join(f"({'t' if k == 'r' else 'ts' if k == 's' else '_'}, ({_components(n, k + '{j}')}))"
+                       for k in "pqrs")
+    return "\n".join([
+        f"def residual({lead}samples, h):",
+        "    worst = 0.0",
+        "    h12 = 12 * h",
+        f"    {window} = samples[:4]",
+        f"    for tu, ({_components(n, 'u{j}')}) in itertools.islice(samples, 4, None):",
+        *_indented(stage("f", "t", [f"r{j}" for j in range(n)]), 8),
+        *_indented([line for j in range(n) for line in worst(j)], 8),
+        *_indented(shifted("q", "p") + shifted("r", "q") + shifted("s", "r") + shifted("u", "s"), 8),
+        "        t, ts = ts, tu",
+        "    return worst",
+        "",
+    ])
+
+
+@functools.cache
+def _rk4_loop(n: int) -> Callable:
+    """rk4(f, t0, h, n_steps, x0, ...) calling an opaque f(t, x0, ...)."""
+    return _compiled(_rk4_source(n, _call_stage, "f, "), "rk4")[0]
+
+
+@functools.cache
+def _residual_loop(n: int) -> Callable:
+    """residual(f, samples, h) calling an opaque f(t, x0, ...)."""
+    return _compiled(_residual_source(n, _call_stage, "f, "), "residual")[0]
+
+
+def _bound(rhs: Callable, n: int, kind: str) -> Callable:
+    """The "rk4" or "residual" loop for rhs and n state components, with its
+    leading arguments bound: the chart's coefficients for a chart's kernel,
+    or else f for the loop generated for n components, which calls it."""
+    kernel = getattr(rhs, "kernel", None)
+    if kernel is not None and n == len(kernel.state_names):
+        return functools.partial(getattr(kernel, kind), *rhs.coeffs)
+    f = getattr(rhs, "positional", None) or (lambda t, *state: rhs(t, state))
+    return functools.partial({"rk4": _rk4_loop, "residual": _residual_loop}[kind](n), f)
+
+
+# -- integration --------------------------------------------------------------------
 
 
 def integrate_rhs(
@@ -206,7 +365,10 @@ def integrate_rhs(
     non-finite t0, t1 or step, an empty or non-finite initial state, a step
     that is not positive or t1 <= t0, and StepBudgetError, before any step
     is taken, when the interval needs more than MAX_STEPS steps; ValueError
-    when rhs returns a state of another length."""
+    when rhs returns a state of another length.
+
+    A chart's compiled right-hand side runs its kernel's loop, with the
+    right-hand side inlined; any other callable runs the loop that calls it."""
     for name, value in (("t0", t0), ("t1", t1), ("step", step)):
         if not math.isfinite(value):
             raise NumericInputError(f"{name} must be a finite number, got {value}")
@@ -222,8 +384,8 @@ def integrate_rhs(
         raise StepBudgetError(f"interval [{t0}, {t1}] at step {step} needs more than {MAX_STEPS} steps")
     n_steps = max(1, round((t1 - t0) / step))
     h = (t1 - t0) / n_steps
-    f = getattr(rhs, "positional", None) or (lambda t, *state: rhs(t, state))
-    samples, blowup_t = _rk4_loop(len(initial))(f, t0, h, n_steps, *[float(x) for x in initial])
+    start = [float(x) for x in initial]
+    samples, blowup_t = _bound(rhs, len(start), "rk4")(t0, h, n_steps, *start)
     return Trajectory(
         family=family,
         form=form,
@@ -233,7 +395,7 @@ def integrate_rhs(
         status=TrajectoryStatus.COMPLETED if blowup_t is None else TrajectoryStatus.BLOWUP,
         blowup_t=blowup_t,
         step=h,
-        rhs=f,
+        rhs=rhs,
     )
 
 
@@ -290,22 +452,6 @@ def integrate(
 ResidualReport = namedtuple("ResidualReport", "value discretization_order warning", defaults=(None,))
 
 
-@functools.cache
-def _residual_loop(n: int) -> Callable:
-    """residual(f, samples, h) -> the running max, from 0.0, of
-    |five-point derivative - f| over interior samples and components."""
-    window = ", ".join(f"({'t' if k == 'r' else '_'}, ({_components(n, k + '{j}')}))" for k in "pqrsu")
-    return _compiled("\n".join([
-        "def residual(f, samples, h):",
-        "    worst = 0.0",
-        "    h12 = 12 * h",
-        f"    for {window} in zip(samples, samples[1:], samples[2:], samples[3:], samples[4:]):",
-        f"        {_components(n, 'f{j}')}= f(t, {_components(n, 'r{j}')})",
-        f"        worst = max(worst, {_components(n, 'abs((-u{j} + 8 * s{j} - 8 * q{j} + p{j}) / h12 - f{j})')})",
-        "    return worst",
-    ]), "residual")
-
-
 def residual_norm(traj: Trajectory) -> ResidualReport:
     """Max deviation between a five-point fourth-order finite-difference
     derivative of the trajectory and the right-hand side it was integrated
@@ -316,24 +462,30 @@ def residual_norm(traj: Trajectory) -> ResidualReport:
     """
     if len(traj.samples) < 5:
         return ResidualReport(value=0.0, discretization_order=4, warning="trajectory too short for a residual")
-    worst = _residual_loop(len(traj.samples[0][1]))(traj.rhs, traj.samples, traj.step)
+    worst = _bound(traj.rhs, len(traj.samples[0][1]), "residual")(traj.samples, traj.step)
     return ResidualReport(value=worst, discretization_order=4)
 
 
 # -- export -----------------------------------------------------------------------------
 
 
-def write_csv(traj: Trajectory, path: str) -> None:
+def _sample_rows(traj: Trajectory) -> str:
+    """One CSV row per sample, the reprs of t and the state components joined
+    by commas, the rows joined by CRLFs."""
+    return "\r\n".join([",".join(map(repr, (t, *state))) for t, state in traj.samples])
+
+
+def write_csv(traj: Trajectory, path: str) -> str:
     """Columns: t, then one column per state component; lines end in CRLF.
     No field needs quoting: state names come from the catalog and values
-    are float reprs."""
-    lines = [",".join(("t", *traj.state_names))]
-    lines += [",".join(map(repr, (t, *state))) for t, state in traj.samples]
+    are float reprs.  Returns the sample rows, for ``write_json``."""
+    rows = _sample_rows(traj)
     with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(lines) + "\r\n")
+        fh.write(",".join(("t", *traj.state_names)) + "\r\n" + (rows + "\r\n" if rows else ""))
+    return rows
 
 
-def trajectory_json(traj: Trajectory) -> dict:
+def _trajectory_head(traj: Trajectory) -> dict:
     return {
         "family": traj.family.value if traj.family else None,
         "form": traj.form,
@@ -342,10 +494,23 @@ def trajectory_json(traj: Trajectory) -> dict:
         "status": traj.status.value,
         "blowup_t": traj.blowup_t,
         "step": traj.step,
-        "samples": [[t, *state] for t, state in traj.samples],
     }
 
 
-def write_json(traj: Trajectory, path: str) -> None:
+def trajectory_json(traj: Trajectory) -> dict:
+    return {**_trajectory_head(traj), "samples": [[t, *state] for t, state in traj.samples]}
+
+
+def write_json(traj: Trajectory, path: str, rows: str | None = None) -> None:
+    """``json.dumps(trajectory_json(traj))``.  The samples are spliced in from
+    their CSV rows (``rows`` as ``write_csv`` returned them, or formatted
+    here): json writes an int or a finite float as its repr.  Rows holding
+    an "n" (nan, inf or anything else) go through ``json.dumps``."""
+    rows = _sample_rows(traj) if rows is None else rows
+    if "n" in rows:
+        text = json.dumps(trajectory_json(traj))
+    else:
+        samples = "[[" + rows.replace(",", ", ").replace("\r\n", "], [") + "]]" if rows else "[]"
+        text = json.dumps(_trajectory_head(traj))[:-1] + ', "samples": ' + samples + "}"
     with open(path, "w") as fh:
-        fh.write(json.dumps(trajectory_json(traj)))
+        fh.write(text)

@@ -26,10 +26,15 @@
   word.  ``table_word`` is the fourth and fifth families' former
   construction: a permutation word from a breadth-first search, then the
   translation as copies of conjugated elementary translation words.
-- ``FractionPoly`` is ``diffpoly.Poly``'s kernel from before integer
-  coefficients: every coefficient a ``Fraction``, every product
+- ``TuplePoly`` is ``diffpoly.Poly`` from before packed monomial keys:
+  exponent tuples over a sorted variable tuple, remapped onto a common tuple
+  for every sum and product.  ``FractionPoly`` is that kernel from before
+  integer coefficients: every coefficient a ``Fraction``, every product
   re-canonicalised by ``__init__``, and ``evaluate`` deriving its top
   degrees and coefficient lcm on each call.
+- ``evaluating_pv_random_point_check`` is ``diffpoly.pv_random_point_check``
+  from before cleared integer sums: a ``Fraction`` per draw and per value,
+  and no bound on the redraws.
 - ``residual_exprs`` writes each equation of an ODE system as its left
   side minus its right side.
 - ``csv_module_write_csv`` is ``numint.write_csv`` as it was before it
@@ -50,13 +55,15 @@ import csv
 import importlib
 import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 from unittest import mock
 
 from painleve.catalog import EquationId, Family, family_space
-from painleve.diffpoly import DiffExpr, Poly, Var, jet
+from painleve import diffpoly
+from painleve.diffpoly import T_VAR, DiffExpr, Var, _coefficient, jet, sym
 from painleve.classify import ClassificationReport, Stratum
 from painleve.exactnum import (
     MAX_DIGITS, ParamSyntaxError, ParamValue, TriBool, _LONG_DIGIT_RUN, _atom_from_name, _tokenize, decide_coset,
@@ -691,15 +698,237 @@ def table_word(family: Family, witness: OrbitWitness) -> tuple[str, ...]:
 # -- the polynomial kernel ----------------------------------------------------------------
 
 
-class FractionPoly:
-    """``diffpoly.Poly`` with ``Fraction`` coefficients only; the parts that
-    never looked at the coefficient type are ``Poly``'s own."""
+class TuplePoly:
+    """``diffpoly.Poly`` before packed monomial keys: dense exponent tuples
+    over a sorted tuple of the variables it uses, mapped to nonzero rational
+    coefficients, each an ``int`` when integral and a ``Fraction`` otherwise.
+    Operands are remapped onto a common variable tuple (``_aligned``)."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "terms", "_plan")
 
     def __init__(self, vars: Sequence[Var], terms) -> None:
         # Canonicalize: drop zero coefficients, prune unused variables,
         # keep the variable tuple sorted.
+        vars = tuple(vars)
+        clean = {exps: c if type(c) is int else _coefficient(c) for exps, c in terms.items() if c}
+        used = [i for i in range(len(vars)) if any(e[i] for e in clean)]
+        if len(used) != len(vars):
+            vars = tuple(vars[i] for i in used)
+            clean = {tuple(e[i] for i in used): c for e, c in clean.items()}
+        if vars and list(vars) != sorted(vars):
+            order = sorted(range(len(vars)), key=vars.__getitem__)
+            vars = tuple(vars[i] for i in order)
+            clean = {tuple(e[i] for i in order): c for e, c in clean.items()}
+        self.vars = vars
+        self.terms = clean
+        self._plan = None
+
+    @classmethod
+    def _canonical(cls, vars, terms):
+        p = object.__new__(cls)
+        p.vars, p.terms, p._plan = vars, terms, None
+        return p
+
+    @classmethod
+    def const(cls, value):
+        value = _coefficient(value)
+        return cls._canonical((), {(): value} if value else {})
+
+    @classmethod
+    def var(cls, v: Var):
+        return cls._canonical((v,), {(1,): 1})
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    @property
+    def is_constant(self) -> bool:
+        return not self.vars
+
+    def constant_value(self) -> Fraction:
+        if not self.is_constant:
+            raise ValueError("polynomial is not constant")
+        return Fraction(self.terms.get((), 0))
+
+    def degree_in(self, v: Var) -> int:
+        if v not in self.vars:
+            return 0
+        i = self.vars.index(v)
+        return max((e[i] for e in self.terms), default=0)
+
+    def dense_terms(self):
+        return self.terms
+
+    def _aligned(self, target):
+        if target == self.vars:
+            return self.terms
+        pos = {v: i for i, v in enumerate(target)}
+        idx = [pos[v] for v in self.vars]
+        out = {}
+        for exps, c in self.terms.items():
+            key = [0] * len(target)
+            for i, e in zip(idx, exps):
+                key[i] = e
+            out[tuple(key)] = c
+        return out
+
+    def __add__(self, other):
+        return type(self).sum((self, other))
+
+    @classmethod
+    def sum(cls, polys):
+        vars = tuple(sorted({v for p in polys for v in p.vars}))
+        terms = {}
+        for p in polys:
+            for exps, c in p._aligned(vars).items():
+                terms[exps] = terms[exps] + c if exps in terms else c
+        return cls(vars, terms)
+
+    def __neg__(self):
+        return self._canonical(self.vars, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if self.is_zero or other.is_zero:
+            return self.const(0)
+        vars = self.vars if self.vars == other.vars else tuple(sorted(set(self.vars) | set(other.vars)))
+        a = self._aligned(vars)
+        b = other._aligned(vars)
+        terms = {}
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                key = tuple(map(operator.add, e1, e2))
+                terms[key] = terms[key] + c1 * c2 if key in terms else c1 * c2
+        return self._canonical(vars, {e: c if type(c) is int else _coefficient(c) for e, c in terms.items() if c})
+
+    def power(self, k: int):
+        out = self.const(1)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def __eq__(self, other) -> bool:
+        return self.vars == other.vars and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.vars, tuple(sorted(self.terms.items()))))
+
+    def _var_derivative(self, v: Var):
+        if v.is_jet:
+            return self.var(Var(v.name, v.order + 1))
+        if v == T_VAR:
+            return self.const(1)
+        return None  # parameter: derivative 0
+
+    def total_derivative(self):
+        parts = []
+        for exps, c in self.terms.items():
+            for i, e in enumerate(exps):
+                if e == 0:
+                    continue
+                dv = self._var_derivative(self.vars[i])
+                if dv is None:
+                    continue
+                rest = list(exps)
+                rest[i] = e - 1
+                parts.append(type(self)(self.vars, {tuple(rest): c * e}) * dv)
+        return type(self).sum(parts)
+
+    def substitute(self, mapping):
+        """(numerator, denominator) of ``DiffExpr(self).substitute(mapping)``
+        for ``mapping`` v -> (n_v, d_v): every term is brought to the common
+        denominator prod(d_v^m_v), which is divided out when constant."""
+        tops = {v: self.degree_in(v) for v in self.vars if v in mapping}
+        if not tops:
+            return self, self.const(1)
+        tables = {}
+        for v, m in tops.items():
+            n, d = mapping[v]
+            nums, dens = [n.power(e) for e in range(m + 1)], [d.power(e) for e in range(m + 1)]
+            tables[v] = [nums[e] * dens[m - e] for e in range(m + 1)]
+        num, den = self._cleared(tables), self.const(1)._cleared(tables)
+        if den.is_constant:
+            c = den.constant_value()
+            num = type(self)(num.vars, {e: x / c for e, x in num.terms.items()})
+            den = self.const(1)
+        return num, den
+
+    def _cleared(self, tables):
+        pos = {v: i for i, v in enumerate(self.vars)}
+        mapped = [pos.get(v) for v in tables]
+        kept = [i for i, v in enumerate(self.vars) if v not in tables]
+        kept_vars = tuple(self.vars[i] for i in kept)
+        groups = {}
+        for exps, c in self.terms.items():
+            key = tuple(0 if i is None else exps[i] for i in mapped)
+            groups.setdefault(key, {})[tuple(exps[i] for i in kept)] = c
+        parts = []
+        for key, terms in groups.items():
+            part = type(self)(kept_vars, terms)
+            for row, e in zip(tables.values(), key):
+                part = part * row[e]
+            parts.append(part)
+        return type(self).sum(parts)
+
+    def evaluate(self, point) -> Fraction:
+        if self._plan is None:
+            coeff_den = math.lcm(*(c.denominator for c in self.terms.values()))
+            coeffs = [(exps, c.numerator * (coeff_den // c.denominator)) for exps, c in self.terms.items()]
+            self._plan = (tuple(map(max, zip(*self.terms))), coeffs, coeff_den)
+        tops, coeffs, coeff_den = self._plan
+        scaled = []  # scaled[i][e] = n_i^e * d_i^(m_i - e)
+        den = 1
+        for v, top in zip(self.vars, tops):
+            x = point[v]
+            n, d = x.numerator, x.denominator
+            scaled.append([n**e * d ** (top - e) for e in range(top + 1)])
+            den *= d**top
+        total = 0
+        for exps, term in coeffs:
+            for row, e in zip(scaled, exps):
+                term *= row[e]
+            total += term
+        return Fraction(total, den * coeff_den)
+
+    def __str__(self) -> str:
+        if self.is_zero:
+            return "0"
+        chunks = []
+        for exps in sorted(self.terms):
+            c = self.terms[exps]
+            factors = [
+                (str(self.vars[i]) if e == 1 else f"{self.vars[i]}^{e}")
+                for i, e in enumerate(exps)
+                if e
+            ]
+            if not factors:
+                chunks.append(str(c))
+            elif c == 1:
+                chunks.append("*".join(factors))
+            elif c == -1:
+                chunks.append("-" + "*".join(factors))
+            else:
+                chunks.append(str(c) + "*" + "*".join(factors))
+        out = chunks[0]
+        for ch in chunks[1:]:
+            out += " - " + ch[1:] if ch.startswith("-") else " + " + ch
+        return out
+
+    __repr__ = __str__
+
+
+class FractionPoly(TuplePoly):
+    """The polynomial kernel from before integer coefficients: every
+    coefficient a ``Fraction``, every product re-canonicalised by
+    ``__init__``, and ``evaluate`` deriving its top degrees and coefficient
+    lcm on each call."""
+
+    __slots__ = ()
+
+    def __init__(self, vars: Sequence[Var], terms) -> None:
         vars = tuple(vars)
         clean = {exps: c if type(c) is Fraction else Fraction(c) for exps, c in terms.items() if c}
         used = [i for i in range(len(vars)) if any(e[i] for e in clean)]
@@ -712,12 +941,6 @@ class FractionPoly:
             clean = {tuple(e[i] for i in order): c for e, c in clean.items()}
         self.vars = vars
         self.terms = clean
-
-    is_zero = Poly.is_zero
-    is_constant = Poly.is_constant
-    _aligned = Poly._aligned
-    __str__ = Poly.__str__
-    __hash__ = Poly.__hash__
 
     def constant_value(self) -> Fraction:
         if not self.is_constant:
@@ -762,6 +985,41 @@ class FractionPoly:
                 term *= row[e]
             total += term
         return Fraction(total, den * coeff_den)
+
+
+def evaluating_pv_random_point_check(points=25, seed=0, residuals=None) -> tuple[int, bool]:
+    """``diffpoly.pv_random_point_check`` from before cleared integer sums:
+    each residual evaluated as a ``Fraction`` at a point of ``Fraction``
+    coordinates, and no bound on the redraws."""
+    import random
+
+    rng = random.Random(seed)
+    res_q, res_p = residuals if residuals is not None else diffpoly._pv_residuals()
+
+    def rand_frac() -> Fraction:
+        return Fraction(rng.randint(-12, 12), rng.randint(1, 5))
+
+    checked = 0
+    all_zero = True
+    while checked < points:
+        v = [rand_frac() for _ in range(3)]
+        point = {
+            T_VAR: rand_frac(),
+            jet("Q", 0): rand_frac(),
+            jet("P", 0): rand_frac(),
+            sym("v1"): v[0],
+            sym("v2"): v[1],
+            sym("v3"): v[2],
+            sym("v4"): -(v[0] + v[1] + v[2]),
+        }
+        try:
+            values = (res_q.evaluate(point), res_p.evaluate(point))
+        except ZeroDivisionError:
+            continue
+        checked += 1
+        if any(x != 0 for x in values):
+            all_zero = False
+    return checked, all_zero
 
 
 # -- ODE systems --------------------------------------------------------------------------

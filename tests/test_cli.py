@@ -529,6 +529,21 @@ def run_subprocess(argv, hash_seed="0"):
     )
 
 
+def test_parser_is_built_once_and_answers_like_a_fresh_process(monkeypatch, capsys):
+    # A rejected line, then a valid one, from the parser every call shares.
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli._build_parser() is cli._build_parser()
+    rejected = ["classify", "--family"]
+    valid = ["orbit", "--family", "V", "--v", "0,0,0,0", "--w", "1/4,1/4,1/4,-3/4"]
+    with pytest.raises(SystemExit) as exc:
+        cli.run(rejected)
+    outcomes = [(exc.value.code, *capsys.readouterr())]
+    outcomes.append((cli.run(valid), *capsys.readouterr()))
+    fresh = [run_subprocess(argv) for argv in (rejected, valid)]
+    assert outcomes == [(p.returncode, p.stdout.decode(), p.stderr.decode()) for p in fresh]
+    assert outcomes[0][0] == 2 and outcomes[1][0] == 0
+
+
 # Each query with its leading negative value written as a separate argument;
 # the "--opt=value" form of the same query is the reference.
 SEPARATE_NEGATIVE_VALUES = {

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,8 +10,11 @@ from hypothesis import given, settings, strategies as st
 from painleve import catalog, diffpoly, odes
 from painleve.citations import RICCATI_SIGN_NOTE
 from painleve.diffpoly import (
+    MAX_EXPONENT,
     DiffExpr,
+    ExponentOverflowError,
     Poly,
+    RedrawBudgetError,
     RelationSet,
     T_VAR,
     jet,
@@ -22,7 +28,7 @@ from painleve.diffpoly import (
     verify_riccati,
 )
 
-from oracles import FractionPoly, residual_exprs
+from oracles import FractionPoly, TuplePoly, evaluating_pv_random_point_check, residual_exprs
 
 Y0, Y1, Y2 = jet("y", 0), jet("y", 1), jet("y", 2)
 T = DiffExpr.t()
@@ -109,7 +115,7 @@ def raw_polys(draw):
 
 
 def assert_agrees(p, f, rng):
-    assert (p.vars, p.terms) == (f.vars, f.terms)
+    assert (p.vars, p.dense_terms()) == (f.vars, f.terms)
     assert all(type(c) is int or (type(c) is Fraction and c.denominator > 1) for c in p.terms.values())
     assert str(p) == str(f)
     assert hash(p) == hash(f)
@@ -148,6 +154,92 @@ def test_kernel_agrees_with_fraction_oracle(raws, c, rng):
         FractionPoly.sum([fracs[0], frac_minus_t]) * FractionPoly.sum([fracs[0], frac_t]),
         rng,
     )
+
+
+# -- packed keys against the tuple-exponent oracle ----------------------------------------
+
+
+def assert_same_poly(p, tp):
+    assert (p.vars, p.dense_terms()) == (tp.vars, tp.terms)
+    assert str(p) == str(tp)
+    assert hash(p) == hash(tp)
+
+
+@st.composite
+def tuple_mappings(draw):
+    """Images n_v/d_v for a subset of the base variables, as raw polynomials."""
+    out = {}
+    for v in draw(st.lists(base_vars, unique=True, max_size=3)):
+        num, den = draw(raw_polys()), draw(raw_polys())
+        if not any(den[1].values()):
+            den = ((), {(): 1})
+        out[v] = num, den
+    return out
+
+
+@given(st.lists(raw_polys(), min_size=2, max_size=3), tuple_mappings(), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_packed_kernel_agrees_with_tuple_oracle(raws, mapping, rng):
+    polys = [Poly(vars, terms) for vars, terms in raws]
+    tuples = [TuplePoly(vars, terms) for vars, terms in raws]
+    for p, tp in zip(polys, tuples):
+        assert_same_poly(p, tp)
+        assert_same_poly(p.total_derivative(), tp.total_derivative())
+        assert_same_poly(p.total_derivative().total_derivative(), tp.total_derivative().total_derivative())
+        point = {v: Fraction(rng.randint(-20, 20), rng.randint(1, 6)) for v in p.vars}
+        assert p.evaluate(point) == tp.evaluate(point)
+    assert_same_poly(polys[0] + polys[1], tuples[0] + tuples[1])
+    assert_same_poly(polys[0] - polys[1], tuples[0] - tuples[1])
+    assert_same_poly(polys[0] * polys[1], tuples[0] * tuples[1])
+    assert_same_poly(Poly.sum(polys) * polys[-1], TuplePoly.sum(tuples) * tuples[-1])
+    packed_map = {v: DiffExpr(Poly(*num), Poly(*den)) for v, (num, den) in mapping.items()}
+    tuple_map = {v: tuple(TuplePoly(q.vars, q.dense_terms()) for q in (e.num, e.den)) for v, e in packed_map.items()}
+    for p, tp in zip(polys, tuples):
+        got = p.substitute(packed_map)
+        num, den = tp.substitute(tuple_map)
+        assert_same_poly(got.num, num)
+        assert_same_poly(got.den, den)
+
+
+def test_printing_follows_the_var_order_not_the_index_order():
+    # Two fresh interpreters index the variables in opposite orders, so their
+    # packed keys differ; the canonical view, printed and hashed, does not.
+    script = (
+        "import sys\n"
+        "from painleve.diffpoly import DiffExpr, jet, sym, _INDEX, _pv_residuals\n"
+        "names = [jet('P', 0), jet('Q', 0), sym('t'), sym('v1'), sym('v2'), sym('v3'), sym('v4')]\n"
+        "for v in names[::int(sys.argv[1])]:\n"
+        "    DiffExpr.var(v)\n"
+        "r = _pv_residuals()\n"
+        "print(list(_INDEX)[0]); print(r[0]); print(r[1]); print(hash(r[0].num), hash(r[1].den))\n"
+    )
+    env = {**os.environ, "PYTHONHASHSEED": "0", "PYTHONPATH": os.pathsep.join(sys.path)}
+    runs = [
+        subprocess.run([sys.executable, "-c", script, step], env=env, capture_output=True, text=True, check=True)
+        .stdout.splitlines()
+        for step in ("1", "-1")
+    ]
+    assert [run[0] for run in runs] == ["P", "v4"]
+    assert runs[0][1:] == runs[1][1:]
+    assert runs[0][1:3] == [str(r) for r in diffpoly._pv_residuals()]
+
+
+def test_exponents_past_the_field_raise():
+    y = Poly.var(Y0)
+    top = Poly((Y0, T_VAR), {(MAX_EXPONENT, 1): 1})
+    assert top.degree_in(Y0) == MAX_EXPONENT
+    assert (top * Poly.var(T_VAR)).degree_in(T_VAR) == 2
+    with pytest.raises(ExponentOverflowError):
+        top * y
+    with pytest.raises(ExponentOverflowError):
+        Poly((Y0,), {(MAX_EXPONENT + 1,): 1})
+    half = Poly((Y0,), {(MAX_EXPONENT // 2 + 1,): 1})
+    with pytest.raises(ExponentOverflowError):
+        half * half
+    # D(y * y'^MAX) has the term y'^(MAX + 1).
+    with pytest.raises(ExponentOverflowError):
+        Poly((Y0, Y1), {(1, MAX_EXPONENT): 1}).total_derivative()
+    assert Poly((Y0, Y1), {(0, MAX_EXPONENT): 1}).total_derivative().degree_in(Y2) == 1
 
 
 def test_zero_denominator_rejected():
@@ -256,7 +348,7 @@ def evaluate_term_by_term(p, point):
     """Poly.evaluate as it was before its power table: one Fraction power per
     factor of every term."""
     total = Fraction(0)
-    for exps, c in p.terms.items():
+    for exps, c in p.dense_terms().items():
         value = Fraction(c)
         for i, e in enumerate(exps):
             if e:
@@ -294,7 +386,7 @@ def substitute_term_by_term(p, mapping):
     if not relevant:
         return DiffExpr(p, Poly.const(1))
     out = DiffExpr.const(0)
-    for exps, c in p.terms.items():
+    for exps, c in p.dense_terms().items():
         term = DiffExpr.const(c)
         for i, e in enumerate(exps):
             if e == 0:
@@ -393,6 +485,45 @@ def test_random_point_check_reuses_report_residuals():
     assert pv_random_point_check(points=25, seed=3, residuals=report.residuals) == pv_random_point_check(
         points=25, seed=3
     )
+
+
+def test_random_point_check_agrees_with_evaluating_oracle():
+    v1, v2, v3, v4 = (DiffExpr.var(sym(f"v{i}")) for i in range(1, 5))
+    Q, P = DiffExpr.var(jet("Q", 0)), DiffExpr.var(jet("P", 0))
+    residuals = diffpoly._pv_residuals()
+    bump = v4.power(3) * Q - 3 * v4 * T + v1 * v4
+    # Zero exactly where the drawn t is nonnegative, over denominators that
+    # vanish on part of the grid (t = 1, Q = 1/2 or P = -v2): the outcome
+    # depends on which points are drawn and which are redrawn.
+    rare = DiffExpr.const(1)
+    for g in {Fraction(n, d) for n in range(13) for d in range(1, 6)}:
+        rare = rare * (T - g)
+    cases = [
+        residuals,
+        tuple(r + bump for r in residuals),
+        (rare / ((T - 1) * (2 * Q - 1)), DiffExpr.const(0)),
+        (rare, DiffExpr.const(0) / (P * Q * (P + v2))),
+        (DiffExpr.const(0), rare * v3 / (P + v2)),
+    ]
+    for case in cases:
+        for seed in range(40):
+            for points in (1, 3, 25):
+                assert pv_random_point_check(points, seed, case) == evaluating_pv_random_point_check(points, seed, case)
+    assert pv_random_point_check(25, 0, cases[1]) == (25, False)
+
+
+def test_random_point_check_bounds_its_redraws():
+    # v1 + v2 + v3 + v4 vanishes at every drawn point, which lies on the
+    # hyperplane; the unbounded check never returned.
+    v = [DiffExpr.var(sym(f"v{i}")) for i in range(1, 5)]
+    on_plane = v[0] + v[1] + v[2] + v[3]
+    stuck = (DiffExpr.const(1) / on_plane, DiffExpr.const(0))
+    for points in (1, 25):
+        with pytest.raises(RedrawBudgetError, match=f"{100 * points + 1} points redrawn"):
+            pv_random_point_check(points, 0, stuck)
+    assert pv_random_point_check(0, 0, stuck) == (0, True)
+    with pytest.raises(ValueError, match="outside"):
+        pv_random_point_check(3, 0, (DiffExpr.var(sym("alpha")), DiffExpr.const(0)))
 
 
 # -- verifications ---------------------------------------------------------------------------

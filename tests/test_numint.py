@@ -6,6 +6,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import FractionPoly, csv_module_write_csv, indexed_residual_norm, tuple_integrate_rhs
 from painleve import numint
@@ -180,17 +181,24 @@ def test_residual_empty_trajectory_warns():
 
 
 def test_integrate_and_residual_compile_the_rhs_once(monkeypatch):
+    # One compiled kernel per chart and process: a second integration of the
+    # chart, at other parameters, compiles nothing, nor does its residual.
     sources = []
     compiled = numint._compiled
 
-    def counting(source, name):
-        sources.append(name)
-        return compiled(source, name)
+    def counting(source, *names):
+        sources.append(names)
+        return compiled(source, *names)
 
     monkeypatch.setattr(numint, "_compiled", counting)
-    eq = EquationId(Family.PIV, [Fraction(1, 3), Fraction(1, 5), Fraction(-8, 15)])
-    residual_norm(integrate(eq, None, [0.2, 0.1], 1.0, 1.5, 1e-2))
-    assert sources.count("rhs") == 1
+    numint._chart_kernel.cache_clear()
+    for params in ([Fraction(1, 3), Fraction(1, 5), Fraction(-8, 15)], [0, Fraction(1, 2), Fraction(-1, 2)]):
+        eq = EquationId(Family.PIV, params)
+        residual_norm(integrate(eq, None, [0.2, 0.1], 1.0, 1.5, 1e-2))
+    assert sources == [("rhs", "rk4", "residual")]
+    residual_norm(integrate(EquationId(Family.PV, [0, 0, 0, 0]), None, [0.2, 0.1], 1.0, 1.5, 1e-2, form="QP"))
+    assert len(sources) == 2
+    assert numint._chart_kernel.cache_info().currsize == 2
 
 
 # -- export -------------------------------------------------------------------------
@@ -246,6 +254,27 @@ def test_json_export_is_the_dumped_payload(tmp_path):
         assert path.read_text() == json.dumps(trajectory_json(traj))
 
 
+def test_json_export_splices_the_csv_rows(tmp_path):
+    # write_json reuses the reprs write_csv made; samples json would not
+    # write as reprs (nan, inf) and an empty trajectory go through json.dumps.
+    eq = EquationId(Family.PIV, [Fraction(1, 3), Fraction(1, 6), Fraction(-1, 2)])
+    traj = integrate(eq, None, [0.2, -0.0], 1.0, 1.5, 1e-2)
+    trajectories = [
+        traj,
+        integrate_rhs(exp_rhs, [1], 0, 1, 0.25),  # int t0 and state
+        traj._replace(samples=[(1.0, (1e-300, -1e300)), (2.5, (0.1 + 0.2, 5e-324))]),
+        traj._replace(samples=[(1.0, (math.nan, 0.0)), (2.0, (math.inf, -math.inf))]),
+        traj._replace(samples=[]),
+    ]
+    for traj in trajectories:
+        rows = write_csv(traj, str(tmp_path / "traj.csv"))
+        csv_module_write_csv(traj, str(tmp_path / "old.csv"))
+        assert (tmp_path / "traj.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        for given in (rows, None):
+            write_json(traj, str(tmp_path / "traj.json"), given)
+            assert (tmp_path / "traj.json").read_text() == json.dumps(trajectory_json(traj))
+
+
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 @pytest.mark.parametrize("which", ["t0", "t1", "step"])
 def test_integrate_rejects_non_finite_times(which, bad):
@@ -278,9 +307,10 @@ def test_parameter_overflow_rejected():
     t1 = ParamValue.of_atom(tau(1))
     with pytest.raises(ValueError, match="overflows"):
         integrate(EquationId(Family.PII, [t1 * 2]), NumericAssignment({tau(1): 1e308}), [0.1, 0.1], 0.0, 1.0, 1e-2)
-    eq = EquationId(Family.PV, [t1, 0, 0, -t1])
-    with pytest.raises(ValueError, match="overflows"):
-        integrate(eq, NumericAssignment({tau(1): 1e200}), [0.5, 0.5], 1.0, 1.1, 1e-2, form="QP")
+    # v1 * v4 overflows to inf; v1^2 alone raises OverflowError in the power.
+    for eq in (EquationId(Family.PV, [t1, 0, 0, -t1]), EquationId(Family.PV, [t1, -t1, 0, 0])):
+        with pytest.raises(ValueError, match="overflows"):
+            integrate(eq, NumericAssignment({tau(1): 1e200}), [0.5, 0.5], 1.0, 1.1, 1e-2, form="QP")
 
 
 def test_integrate_rejects_bad_arguments():
@@ -357,23 +387,72 @@ def test_generated_loops_match_oracle_on_charts(chart, seed):
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("chart", ["I", "II", "II riccati", "III", "IV", "V", "V QP"])
 def test_rhs_source_matches_fraction_coefficients(chart, seed):
+    # The chart's kernel reads its sources and coefficient folds from the
+    # packed polynomials; from the Fraction-coefficient kernel they are the same.
     eq, form, _, _ = _chart_case(chart, random.Random(f"{chart}:{seed}"))
     system = ode_system(eq.family, form)
     params = numint._numeric_params(eq, None, system)
-    expr_source = numint._expr_source
+    exprs, state_vars, _ = numint._companion(system)
+    as_fractions = [
+        SimpleNamespace(**{part: FractionPoly(p.vars, p.dense_terms()) for part, p in (("num", e.num), ("den", e.den))})
+        for e in exprs
+    ]
+    bodies, coeffs = numint._sources(exprs, state_vars)
+    assert (bodies, coeffs) == numint._sources(as_fractions, state_vars)
+    rhs, _ = numint._companion_rhs(system, params)
+    assert rhs.kernel.coeffs == tuple(coeffs)
+    assert repr(rhs.coeffs) == repr(numint._folded(coeffs, params))
 
-    def fraction_expr_source(expr, names, consts):
-        as_fractions = SimpleNamespace(num=FractionPoly(expr.num.vars, expr.num.terms),
-                                       den=FractionPoly(expr.den.vars, expr.den.terms))
-        return expr_source(as_fractions, names, consts)
 
-    sources = []
-    for source in (expr_source, fraction_expr_source):
-        with mock.patch.object(numint, "_compiled", wraps=numint._compiled) as compiled, \
-                mock.patch.object(numint, "_expr_source", source):
-            numint._companion_rhs(system, params)
-        sources.append(compiled.call_args.args[0])
-    assert sources[0] == sources[1]
+# The seven cataloged charts, as (family, form).
+KERNEL_CHARTS = {
+    "I": (Family.PI, "scalar"),
+    "II": (Family.PII, "scalar"),
+    "III": (Family.PIII, "system"),
+    "IV": (Family.PIV, "system"),
+    "IV scalar": (Family.PIV, "scalar"),
+    "V": (Family.PV, "system"),
+    "V QP": (Family.PV, "QP"),
+}
+_state_values = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, -0.0, 1.0, 3.0]))
+
+
+@given(
+    chart=st.sampled_from(sorted(KERNEL_CHARTS)),
+    values=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+    initial=st.lists(_state_values, min_size=2, max_size=2),
+    t0=st.sampled_from([-0.5, 0.25, 1.0]),
+    span=st.sampled_from([0.5, 1.0, 5.0]),
+    step=st.sampled_from([0.125, 0.04, 0.01]),
+)
+@example(chart="III", values=[0.5, -0.25, 0.0, 0.0], initial=[0.3, -0.2], t0=-0.5, span=1.0, step=0.125)  # t = 0
+@example(chart="V QP", values=[0.1, 0.2, -0.05, -0.25], initial=[0.25, 0.1], t0=-0.5, span=1.0, step=0.125)
+@example(chart="IV scalar", values=[0.5, -0.25, 0.0, 0.0], initial=[0.0, 1.0], t0=1.0, span=0.5, step=0.01)  # y = 0
+@example(chart="I", values=[0.0, 0.0, 0.0, 0.0], initial=[3.0, 3.0], t0=1.0, span=5.0, step=0.01)  # a pole
+@settings(max_examples=80, deadline=None)
+def test_chart_kernel_matches_the_called_rhs(chart, values, initial, t0, span, step):
+    # The kernel's loops, with the right-hand side inlined, against the loops
+    # that call the same right-hand side compiled on its own: bit-identical
+    # trajectories and residuals, blow-ups and divisions by zero included.
+    family, form = KERNEL_CHARTS[chart]
+    system = ode_system(family, form)
+    params = dict(zip(system.param_names, values))
+    kernel_rhs, names = numint._companion_rhs(system, params)
+    exprs, state_vars, _ = numint._companion(system)
+    called_rhs = compile_rhs(exprs, state_vars, params)
+    assert called_rhs.kernel is None and kernel_rhs.kernel is numint._chart_kernel(family, form)
+    with mock.patch.object(numint, "_rk4_loop", side_effect=AssertionError), \
+            mock.patch.object(numint, "_residual_loop", side_effect=AssertionError):
+        new = integrate_rhs(kernel_rhs, initial, t0, t0 + span, step, state_names=names)
+        new_residual = residual_norm(new)
+    old = integrate_rhs(called_rhs, initial, t0, t0 + span, step, state_names=names)
+    _assert_same_trajectory(new, old)
+    assert repr(new_residual) == repr(residual_norm(old))
+    # A step onto t = 0, or y = 0 in the fourth family's scalar chart, divides by zero.
+    if system.singular_t and (t0, step) == (-0.5, 0.125):
+        assert new.status is TrajectoryStatus.BLOWUP and new.blowup_t <= -0.125
+    if chart == "IV scalar" and initial[0] == 0.0:
+        assert (new.status, new.blowup_t) == (TrajectoryStatus.BLOWUP, t0)
 
 
 def test_generated_loops_match_oracle_with_atoms():
