@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .citations import PVI_LDEG_AMBIGUITY, RICCATI_SIGN_NOTE, Ambiguity
-from .exactnum import ParamValue, Rational
+from .exactnum import InputError, ParamValue, Rational
 
 
 class Family(Enum):
@@ -36,20 +36,20 @@ class Family(Enum):
         raise UnknownFamilyError(f"unknown family {name!r}; expected one of I, II, III, IV, V, VI")
 
 
-class UnknownFamilyError(ValueError):
+class UnknownFamilyError(InputError):
     pass
 
 
-class UnsupportedFamilyError(ValueError):
+class UnsupportedFamilyError(InputError):
     """Raised for operations the sixth family does not support (it is
     classification-only: no explicit equation is cataloged for it)."""
 
 
-class InvalidEquationError(ValueError):
+class InvalidEquationError(InputError):
     pass
 
 
-class NumericInputError(ValueError):
+class NumericInputError(InputError):
     """A number, step, interval or initial state that integration rejects."""
 
 
@@ -264,6 +264,18 @@ _SPECS = {
         ),
     )
 }
+
+
+# The relations ``verify --target group-relations`` checks, in its output
+# order: ``word``, applied left to right, is the map of ``expected``.
+GroupRelation = namedtuple("GroupRelation", "name family word expected key")
+GROUP_RELATIONS = (
+    GroupRelation("piv-s0-composite", Family.PIV, ("tminus", "s1", "s2", "s1", "tminus^-1"),
+                  next(g for g in _SPECS[Family.PIV].generators if g.name == "s0"), "piv_s0_display"),
+    GroupRelation("pv-composite", Family.PV, PV_AFFINE_REFLECTION,
+                  Generator("s0", (0, 3, 2, 1), translation=(0, 1, 0, -1)), "pv_composite_display"),
+    GroupRelation("piii-s1-involution", Family.PIII, ("s1", "s1"), Generator("identity", (0, 1)), "piii_backlund"),
+)
 
 
 def family_space(family: Family) -> FamilySpec:

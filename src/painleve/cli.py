@@ -10,11 +10,12 @@ statement) or the literal tag "open-question".  Exact values are emitted as
 "p/q" strings; classify/orbit/orthogonal responses contain no floats.
 
 Exit codes: 0 success, 2 input error, 3 verdict dominated by Unknown/Open
-(distinguishable for scripting), 4 internal error (a bug, reported as
-"error: internal error: ..." rather than as an input error).  ``--batch``
-goes on past a failed line and exits with the worst code of its lines,
-ranked 4, then 2, then 3, then 0; a line asking for -h/--help is an input
-error there, since stdout carries only JSON records.
+(distinguishable for scripting; ``verify`` exits 3 when any of its checks
+fails), 4 internal error (a bug, reported as "error: internal error: ..."
+rather than as an input error).  ``--batch`` goes on past a failed line and
+exits with the worst code of its lines, ranked 4, then 2, then 3, then 0; a
+line asking for -h/--help is an input error there, since stdout carries
+only JSON records.
 """
 
 from __future__ import annotations
@@ -29,19 +30,18 @@ import shlex
 import sys
 from typing import Sequence
 
-from .catalog import (
-    PV_AFFINE_REFLECTION, EquationId, Family, InvalidEquationError, NumericInputError, UnknownFamilyError,
-    UnsupportedFamilyError,
-)
+from .catalog import GROUP_RELATIONS, EquationId, Family
 from .citations import RICCATI_SIGN_NOTE, Ambiguity, Citation, cite
 from .classify import ClassificationReport, classify
-from .exactnum import ParamSyntaxError, ParamValue, TriBool, format_fraction, format_param, parse_param
+from .exactnum import AtomKind, InputError, ParamValue, TriBool, format_fraction, format_param, parse_param
 
 # What the handlers use from the modules a classify query never needs.  A
 # handler binds its modules and their names into this module's globals on
-# first use, keeping any name already set here (a wrapper, say).
+# first use, keeping any name already set here (a wrapper, say).  No handler
+# calls named_generators or word_map; they stay because perfbench/tracer.py
+# wraps them on this module (ROADMAP item 1b).
 _LAZY = {
-    "weyl": ("AffineMap", "HypothesisStatus", "named_generators", "orbit_with_word", "word_map"),
+    "weyl": ("HypothesisStatus", "named_generators", "orbit_with_word", "word_map"),
     "ortho": ("Verdict", "cross_family_verdict"),
     "diffpoly": ("pv_random_point_check", "verify_group_relation", "verify_pv_change_of_variables",
                  "verify_riccati"),
@@ -67,10 +67,6 @@ def __getattr__(name: str):
 
 
 OPEN_TAG = "open-question"
-
-class InputError(ValueError):
-    pass
-
 
 # -- serialization helpers ---------------------------------------------------------
 
@@ -244,59 +240,41 @@ def _cmd_orthogonal(args) -> tuple[dict, int]:
 # -- verify -----------------------------------------------------------------------------
 
 
+def _riccati_rows():
+    rows = [(f"riccati-matched-alpha-{name}", format_fraction(verify_riccati(sign)), "pii_riccati", True)
+            for name, sign in (("plus", 1), ("minus", -1))]
+    return rows, [RICCATI_SIGN_NOTE]
+
+
+def _pv_change_rows():
+    report = verify_pv_change_of_variables()
+    points, all_zero = pv_random_point_check(residuals=report.residuals)
+    rows = [
+        ("chart-identity-q", report.identity_q, "pv_backlund", report.identity_q),
+        ("chart-identity-p", report.identity_p, "pv_backlund", report.identity_p),
+        ("random-point-check", {"points": points, "all_zero": all_zero}, "pv_backlund", all_zero),
+    ]
+    return rows, [*report.notes, f"excluded loci: {', '.join(report.excluded_loci)}"]
+
+
+def _group_relation_rows():
+    holds = [verify_group_relation(r.family, r.word, r.expected) for r in GROUP_RELATIONS]
+    return [(r.name, ok, r.key, ok) for r, ok in zip(GROUP_RELATIONS, holds)], []
+
+
+# Each target's checks: rows of (verdict kind, value, citation key, whether
+# the check holds), and notes.  The computed Riccati alphas are reported,
+# not compared (RICCATI_SIGN_NOTE), so those rows always hold.
+VERIFY_TARGETS = {"riccati": _riccati_rows, "pv-change": _pv_change_rows, "group-relations": _group_relation_rows}
+
+
 def _cmd_verify(args) -> tuple[dict, int]:
     _load("diffpoly")
-    target = args.target
-    query = {"subcommand": "verify", "target": target}
-    if target == "riccati":
-        plus = verify_riccati(1)
-        minus = verify_riccati(-1)
-        verdicts = [
-            _verdict("riccati-matched-alpha-plus", format_fraction(plus), cite("pii_riccati")),
-            _verdict("riccati-matched-alpha-minus", format_fraction(minus), cite("pii_riccati")),
-        ]
-        return _response(query, verdicts, [cite("pii_riccati")], [RICCATI_SIGN_NOTE]), 0
-    if target == "pv-change":
-        report = verify_pv_change_of_variables()
-        points, all_zero = pv_random_point_check(residuals=report.residuals)
-        verdicts = [
-            _verdict("chart-identity-q", report.identity_q, cite("pv_backlund")),
-            _verdict("chart-identity-p", report.identity_p, cite("pv_backlund")),
-            _verdict("random-point-check", {"points": points, "all_zero": all_zero}, cite("pv_backlund")),
-        ]
-        notes = list(report.notes) + [f"excluded loci: {', '.join(report.excluded_loci)}"]
-        return _response(query, verdicts, [cite("pv_backlund")], notes), 0
-    if target == "group-relations":
-        _load("weyl")
-        checks = []
-        named4 = named_generators(Family.PIV)
-        checks.append(
-            (
-                "piv-s0-composite",
-                verify_group_relation(Family.PIV, ("tminus", "s1", "s2", "s1", "tminus^-1"), named4["s0"]),
-                cite("piv_s0_display"),
-            )
-        )
-        expected5 = AffineMap.from_permutation(Family.PV, (0, 3, 2, 1), translation=(0, 1, 0, -1))
-        checks.append(
-            (
-                "pv-composite",
-                verify_group_relation(Family.PV, PV_AFFINE_REFLECTION, expected5),
-                cite("pv_composite_display"),
-            )
-        )
-        checks.append(
-            (
-                "piii-s1-involution",
-                word_map(Family.PIII, ("s1", "s1")).is_identity(),
-                cite("piii_backlund"),
-            )
-        )
-        verdicts = [_verdict(name, ok, c) for name, ok, c in checks]
-        citations = [c for _, _, c in checks]
-        code = 0 if all(ok for _, ok, _ in checks) else 3
-        return _response(query, verdicts, citations), code
-    raise InputError(f"unknown verify target {target!r}")
+    rows, notes = VERIFY_TARGETS[args.target]()
+    verdicts = [_verdict(kind, value, cite(key)) for kind, value, key, _ in rows]
+    citations = [cite(key) for _, _, key, _ in rows]
+    payload = _response({"subcommand": "verify", "target": args.target}, verdicts, citations, notes)
+    return payload, (0 if all(holds for *_, holds in rows) else 3)
 
 
 # -- integrate -------------------------------------------------------------------------------
@@ -371,14 +349,14 @@ def _cmd_integrate(args) -> tuple[dict, int]:
 # -- atoms ------------------------------------------------------------------------------------
 
 
+_ATOM_KINDS = {AtomKind.TRANSCENDENTAL: "transcendental", AtomKind.ALGEBRAIC_IRRATIONAL: "algebraic-irrational"}
+
+
 def _cmd_atoms(args) -> tuple[dict, int]:
     atoms = {}
     for p in _parse_params(args.params):
         for atom, _ in p.terms:
-            atoms[atom.name] = {
-                "name": atom.name,
-                "kind": "transcendental" if atom.name.startswith("tau") else "algebraic-irrational",
-            }
+            atoms[atom.name] = {"name": atom.name, "kind": _ATOM_KINDS[atom.kind]}
     payload = {
         "query": {"subcommand": "atoms", "params": args.params},
         "atoms": [atoms[k] for k in sorted(atoms)],
@@ -423,7 +401,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple[argparse.A
     arg("--params2", default="")
 
     arg = add_parser("verify", help="machine verification of the symbolic identities")
-    arg("--target", required=True, choices=["riccati", "pv-change", "group-relations"])
+    arg("--target", required=True, choices=list(VERIFY_TARGETS))
 
     arg = add_parser(
         "integrate",
@@ -457,10 +435,6 @@ _DISPATCH = {
     "integrate": _cmd_integrate,
     "atoms": _cmd_atoms,
 }
-
-_INPUT_ERRORS = (
-    InputError, InvalidEquationError, UnknownFamilyError, UnsupportedFamilyError, ParamSyntaxError, NumericInputError,
-)
 
 
 # Options whose value may start with a minus sign ("--params -1/2,...").
@@ -522,7 +496,7 @@ def _run_single(argv: Sequence[str], parser: argparse.ArgumentParser, subcommand
         return None, 2
     try:
         return _DISPATCH[args.subcommand](args)
-    except _INPUT_ERRORS as err:
+    except InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return None, 2
     except Exception as err:  # a bug, not bad input: report it with its traceback and go on

@@ -737,7 +737,9 @@ def pv_random_point_check(
 
 
 def verify_group_relation(family, word: Sequence[str], expected) -> bool:
-    """Exact equality between the composed generator word and an affine map."""
+    """Exact equality between the composed generator word and the map of
+    ``expected``, a ``catalog.Generator``."""
     from . import weyl
 
-    return weyl.word_map(family, tuple(word)) == expected
+    expected_map = weyl.AffineMap.from_permutation(family, expected.perm, expected.signs, expected.translation)
+    return weyl.word_map(family, tuple(word)) == expected_map

@@ -92,7 +92,11 @@ def tri_or(values: Iterable[TriBool]) -> TriBool:
     return out
 
 
-class ParamSyntaxError(ValueError):
+class InputError(ValueError):
+    """Bad input to the toolkit; the CLI reports every subclass as exit 2."""
+
+
+class ParamSyntaxError(InputError):
     """Malformed parameter text; carries the 0-based offending position."""
 
     def __init__(self, message: str, position: int):

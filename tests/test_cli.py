@@ -226,6 +226,58 @@ def test_verify_pv_change_json(capsys):
     assert values["random-point-check"] == {"points": 25, "all_zero": True}
 
 
+def test_verify_pv_change_failed_random_point_check_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "pv_random_point_check", lambda residuals: (25, False))
+    payload, code = run_json(GOLDEN_QUERIES["verify_pv_change"], capsys)
+    assert code == 3
+    values = {v["kind"]: v["value"] for v in payload["verdicts"]}
+    assert values["random-point-check"] == {"points": 25, "all_zero": False}
+    assert values["chart-identity-q"] is True
+
+
+def test_verify_pv_change_failed_chart_identity_exits_3(monkeypatch, capsys):
+    verify = cli.verify_pv_change_of_variables
+    monkeypatch.setattr(cli, "verify_pv_change_of_variables", lambda: verify()._replace(identity_q=False))
+    payload, code = run_json(GOLDEN_QUERIES["verify_pv_change"], capsys)
+    assert code == 3
+    values = {v["kind"]: v["value"] for v in payload["verdicts"]}
+    assert values["chart-identity-q"] is False
+    assert values["chart-identity-p"] is True
+
+
+def test_verify_group_relations_failed_relation_exits_3(monkeypatch, capsys):
+    last = catalog.GROUP_RELATIONS[-1]
+    monkeypatch.setattr(cli, "verify_group_relation", lambda family, word, expected: word != last.word)
+    payload, code = run_json(GOLDEN_QUERIES["verify_group_relations"], capsys)
+    assert code == 3
+    assert [v["value"] for v in payload["verdicts"]] == [True, True, False]
+
+
+def test_verify_targets_are_the_parser_choices_and_have_goldens():
+    _, subcommands = cli._build_parser()
+    (target,) = [a for a in subcommands["verify"][0]._actions if "--target" in a.option_strings]
+    assert list(target.choices) == list(cli.VERIFY_TARGETS)
+    for name in cli.VERIFY_TARGETS:
+        assert GOLDEN_QUERIES[f"verify_{name.replace('-', '_')}"] == ["verify", "--target", name]
+
+
+def test_input_errors_share_one_base_class():
+    from painleve import diffpoly, exactnum, weyl
+
+    for error in (exactnum.ParamSyntaxError, catalog.UnknownFamilyError, catalog.UnsupportedFamilyError,
+                  catalog.InvalidEquationError, catalog.NumericInputError, catalog.SingularIntervalError,
+                  catalog.StepBudgetError, catalog.MissingAtomError):
+        assert issubclass(error, exactnum.InputError), error
+    for error in (diffpoly.ExponentOverflowError, diffpoly.RedrawBudgetError, weyl.NoGeneratorsError):
+        assert not issubclass(error, exactnum.InputError), error
+
+
+def test_every_atom_kind_has_an_atoms_label():
+    from painleve.exactnum import AtomKind
+
+    assert set(cli._ATOM_KINDS) == set(AtomKind)
+
+
 def test_integrate_cli(tmp_path, capsys):
     out = tmp_path / "traj.csv"
     code = run(
@@ -969,9 +1021,7 @@ _FULL_SESSION = [
     ["orbit", "--family", "VI", "--v", "1/3,1/5,2/7,3/11", "--w", "4/3,6/5,2/7,3/11"],
     ["orthogonal", "--family1", "IV", "--params1", "tau1,tau2,-1*tau1 - tau2", "--family2", "IV",
      "--params2", "tau1 + 1,tau2 - 1,-1*tau1 - tau2"],
-    ["verify", "--target", "riccati"],
-    ["verify", "--target", "pv-change"],
-    ["verify", "--target", "group-relations"],
+    *(["verify", "--target", target] for target in cli.VERIFY_TARGETS),
     ["integrate", "--family", "II", "--params", "1/2", "--initial", "0.2,0", "--t0", "1", "--t1", "1.1",
      "--step", "0.01"],
 ]

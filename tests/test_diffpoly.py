@@ -570,18 +570,14 @@ def test_pv_random_point_secondary_oracle():
 
 
 def test_verify_group_relation_fixtures():
-    from painleve import weyl
+    for relation in catalog.GROUP_RELATIONS:
+        assert verify_group_relation(relation.family, relation.word, relation.expected), relation.name
 
-    named = weyl.named_generators(catalog.Family.PIV)
-    assert verify_group_relation(
-        catalog.Family.PIV, ("tminus", "s1", "s2", "s1", "tminus^-1"), named["s0"]
-    )
-    expected = weyl.AffineMap.from_permutation(
-        catalog.Family.PV, (0, 3, 2, 1), translation=(0, 1, 0, -1)
-    )
-    assert verify_group_relation(
-        catalog.Family.PV, ("tminus", "s3", "s1", "s2", "s1", "s3", "tminus^-1"), expected
-    )
-    ident = weyl.AffineMap.identity(catalog.Family.PIII, 2)
-    assert verify_group_relation(catalog.Family.PIII, ("s1", "s1"), ident)
-    assert not verify_group_relation(catalog.Family.PIII, ("s1",), ident)
+
+@pytest.mark.parametrize("relation", catalog.GROUP_RELATIONS, ids=lambda r: r.name)
+def test_verify_group_relation_detects_a_wrong_map_or_word(relation):
+    translation = relation.expected.translation or (0,) * len(relation.expected.perm)
+    for j in range(len(translation)):
+        moved = tuple(t + (i == j) for i, t in enumerate(translation))
+        assert not verify_group_relation(relation.family, relation.word, relation.expected._replace(translation=moved))
+    assert not verify_group_relation(relation.family, relation.word[:-1], relation.expected)
