@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .citations import PVI_LDEG_AMBIGUITY, RICCATI_SIGN_NOTE, Ambiguity
-from .exactnum import InputError, ParamValue, Rational
+from .exactnum import InputError, ParamValue, Rational, scale
 
 
 class Family(Enum):
@@ -309,16 +309,11 @@ class EquationId(namedtuple("EquationId", "family params")):
                 f"family {family.value} takes {space.arity} parameter(s), got {len(self.params)}"
             )
         if space.sum_zero:
-            const: Rational = 0
-            coeffs: dict = {}
-            for p in self.params:
-                const += p.const
-                for atom, c in p.terms:
-                    coeffs[atom] = coeffs.get(atom, 0) + c
-            if const or any(coeffs.values()):
-                raise InvalidEquationError(
-                    f"family {family.value} parameters must sum to zero exactly (got {ParamValue(const, coeffs)})"
-                )
+            form = scale(self.params)
+            const, coeffs = sum(form.consts), [sum(column) for column in zip(*form.rows)]
+            if const or any(coeffs):
+                total = ParamValue(const, dict(zip(form.atoms, coeffs))) / form.den
+                raise InvalidEquationError(f"family {family.value} parameters must sum to zero exactly (got {total})")
 
     def __str__(self) -> str:
         inner = ", ".join(str(p) for p in self.params)

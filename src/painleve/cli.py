@@ -33,7 +33,9 @@ from typing import Sequence
 from .catalog import GROUP_RELATIONS, EquationId, Family
 from .citations import RICCATI_SIGN_NOTE, Ambiguity, Citation, cite
 from .classify import ClassificationReport, classify
-from .exactnum import AtomKind, InputError, ParamValue, TriBool, format_fraction, format_param, parse_param
+from .exactnum import (
+    AtomKind, InputError, ParamSyntaxError, ParamValue, TriBool, format_fraction, format_param, parse_param,
+)
 
 # What the handlers use from the modules a classify query never needs.  A
 # handler binds its modules and their names into this module's globals on
@@ -98,11 +100,17 @@ def _response(query: dict, verdicts: list, citations: list[Citation], notes: Seq
     }
 
 
-def _parse_params(text: str) -> list[ParamValue]:
-    text = text.strip()
-    if not text:
-        return []
-    return [parse_param(chunk) for chunk in text.split(",")]
+def _parse_params(text: str, start: int = 0) -> list[ParamValue]:
+    """Comma-separated values found at ``start`` in an option value; a
+    syntax error's position counts from the start of the value."""
+    values = []
+    for chunk in text.split(",") if text.strip() else ():
+        try:
+            values.append(parse_param(chunk))
+        except ParamSyntaxError as err:
+            raise ParamSyntaxError(err.message, start + err.position) from None
+        start += len(chunk) + 1
+    return values
 
 
 def _equation(family: str, params: str) -> EquationId:
@@ -281,14 +289,16 @@ def _cmd_verify(args) -> tuple[dict, int]:
 
 
 def _parse_assignment(text: str) -> NumericAssignment:
-    values = {}
+    values, start = {}, 0
     if text:
         for chunk in text.split(","):
             name, _, raw = chunk.partition("=")
+            at = start + len(name) - len(name.lstrip())
+            start += len(chunk) + 1
             name = name.strip()
             if not _ or not name:
                 raise InputError(f"bad atom assignment {chunk!r}; expected name=value")
-            atom_value = parse_param(name)
+            (atom_value,) = _parse_params(name, at)
             if atom_value.const != 0 or [c for _, c in atom_value.terms] != [1]:
                 raise InputError(f"{name!r} is not a bare atom")
             atom = atom_value.terms[0][0]

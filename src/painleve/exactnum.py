@@ -101,7 +101,7 @@ class ParamSyntaxError(InputError):
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
-        self.position = position
+        self.message, self.position = message, position
 
 
 class ParamValue:
@@ -128,7 +128,8 @@ class ParamValue:
             for atom, c in coeffs.items():
                 if c != 0:
                     items.append((atom, c if type(c) is Fraction else Fraction(c)))
-        items.sort(key=lambda it: it[0].sort_key())
+            if len(items) > 1:
+                items.sort(key=lambda it: _intern(it[0].name)[1])
         object.__setattr__(self, "terms", tuple(items))
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
@@ -302,9 +303,21 @@ _FAST_PARAM = re.compile(rf"(?:{_FAST_TERM_TEXT})(?:[+-](?:{_FAST_TERM_TEXT}))*"
 _FAST_TERM = re.compile(r"([+-]?)(?:(-?)([0-9]+)(?:/([0-9]+))?(?:\*((?:tau|alg)[0-9]+))?|((?:tau|alg)[0-9]+))")
 
 
-def _atom_from_name(name: str) -> Atom:
-    kind = AtomKind.TRANSCENDENTAL if name.startswith("tau") else AtomKind.ALGEBRAIC_IRRATIONAL
-    return Atom(kind, int(name[3:]))
+# Atom names already read, each with its atom and sort key; names past the
+# bound are read afresh every time.
+MAX_INTERNED_ATOMS = 1024
+_ATOMS: dict[str, tuple[Atom, tuple[str, int]]] = {}
+
+
+def _intern(name: str) -> tuple[Atom, tuple[str, int]]:
+    entry = _ATOMS.get(name)
+    if entry is None:
+        kind = AtomKind.TRANSCENDENTAL if name.startswith("tau") else AtomKind.ALGEBRAIC_IRRATIONAL
+        atom = Atom(kind, int(name[3:]))
+        entry = atom, atom.sort_key()
+        if len(_ATOMS) < MAX_INTERNED_ATOMS:
+            _ATOMS[name] = entry
+    return entry
 
 
 def parse_param(text: str) -> ParamValue:
@@ -318,26 +331,30 @@ def parse_param(text: str) -> ParamValue:
     Whitespace is insignificant.  Raises :class:`ParamSyntaxError` with the
     offending position on malformed input, a zero denominator or a digit
     run longer than ``MAX_DIGITS``.  Text in ``_FAST_PARAM``'s grammar is
-    read by one ``findall``, the rest by the tokenizer.
+    read by one ``findall`` into integer sums, the rest by the tokenizer.
     """
     long_run = _LONG_DIGIT_RUN.search(text)
     if long_run:
         raise ParamSyntaxError(f"more than {MAX_DIGITS} digits", long_run.start())
+    if _FAST_PARAM.fullmatch(text):
+        sums: dict = {}  # None (the constant) or an atom -> [numerator, denominator, sort key]
+        for op, minus, num, den, name, bare in _FAST_TERM.findall(text):
+            n = int(num) if num else 1
+            if (op == "-") != (minus == "-"):
+                n = -n
+            d = int(den) if den else 1
+            atom, key = _intern(name or bare) if name or bare else (None, None)
+            acc = sums.get(atom)
+            if acc is None:
+                sums[atom] = [n, d, key]
+            else:
+                m = math.lcm(acc[1], d)
+                acc[0], acc[1] = acc[0] * (m // acc[1]) + n * (m // d), m
+        num, den, _ = sums.pop(None, (0, 1, None))
+        terms = sorted((key, atom, n, d) for atom, (n, d, key) in sums.items() if n) if sums else ()
+        return ParamValue._canonical(Fraction(num, den), tuple((atom, Fraction(n, d)) for _, atom, n, d in terms))
     const: Rational = 0
     coeffs: dict[Atom, Rational] = {}
-    if _FAST_PARAM.fullmatch(text):
-        for op, minus, num, den, name, bare in _FAST_TERM.findall(text):
-            q = int(num) if num else 1
-            if (op == "-") != (minus == "-"):
-                q = -q
-            if den:
-                q = Fraction(q, int(den))
-            if name or bare:
-                atom = _atom_from_name(name or bare)
-                coeffs[atom] = coeffs.get(atom, 0) + q
-            else:
-                const += q
-        return ParamValue(const, coeffs)
     tokens = _tokenize(text)
     if not tokens:
         raise ParamSyntaxError("empty parameter expression", 0)
@@ -347,7 +364,7 @@ def parse_param(text: str) -> ParamValue:
         kind, val, pos = tokens[i]
         i += 1
         if kind == "atom":
-            atom = _atom_from_name(val)
+            atom = _intern(val)[0]
             coeffs[atom] = coeffs.get(atom, 0) + sign
         else:
             if kind == "op" and val == "-":
@@ -372,7 +389,7 @@ def parse_param(text: str) -> ParamValue:
                 i += 2
                 if kind != "atom":
                     raise ParamSyntaxError("expected an atom after '*'", pos)
-                atom = _atom_from_name(val)
+                atom = _intern(val)[0]
                 coeffs[atom] = coeffs.get(atom, 0) + q
             else:
                 const += q
@@ -408,14 +425,47 @@ def decide_coset(x: ParamValue, offset: Rational, modulus: Rational) -> TriBool:
     return TriBool.NO if len(x.terms) == 1 else TriBool.UNKNOWN
 
 
+# Values in integer form: value i is (consts[i] + sum over k of rows[i][k] *
+# atoms[k]) / den, over one positive common denominator, with ``atoms`` those
+# of all the values in sort order.
+Scaled = namedtuple("Scaled", "den consts rows atoms")
+
+
+def scale(values: Sequence[ParamValue], den: int = 1) -> Scaled:
+    """The integer form of ``values`` over the least common denominator
+    that is a multiple of ``den``.  The orbit path, the sum-zero test and
+    the transcendence degree read values in this form."""
+    ratios = [v.const.as_integer_ratio() for v in values]
+    atoms, dens = [], [d for _, d in ratios]
+    for v in values:
+        for a, c in v.terms:
+            if a not in atoms:
+                atoms.append(a)
+            dens.append(c.denominator)
+    den = math.lcm(den, *dens)
+    consts = tuple([n * (den // d) for n, d in ratios])
+    if not atoms:
+        return Scaled(den, consts, ((),) * len(values), ())
+    atoms.sort(key=Atom.sort_key)
+    rows = []
+    for v in values:
+        row = [0] * len(atoms)
+        for a, c in v.terms:
+            n, d = c.as_integer_ratio()
+            row[atoms.index(a)] = n * (den // d)
+        rows.append(tuple(row))
+    return Scaled(den, consts, tuple(rows), tuple(atoms))
+
+
 def rational_rank(rows: Sequence[Sequence[Rational]]) -> int:
     """Rank over Q of a small dense matrix: each row is scaled by its
-    denominators' lcm to integers, then reduced by fraction-free (Bareiss)
-    elimination, whose divisions by the previous pivot are exact."""
+    denominators' lcm to integers (a no-op on integer rows), then reduced by
+    fraction-free (Bareiss) elimination, whose divisions by the previous
+    pivot are exact."""
     work = []
     for row in rows:
-        scale = math.lcm(*(x.denominator for x in row))
-        work.append([x.numerator * (scale // x.denominator) for x in row])
+        den = math.lcm(*(x.denominator for x in row))
+        work.append([x.numerator * (den // x.denominator) for x in row])
     rank, previous = 0, 1
     for col in range(len(work[0]) if work else 0):
         pivot_row = next((r for r in range(rank, len(work)) if work[r][col]), None)
@@ -437,13 +487,12 @@ def transcendence_degree(values: Sequence[ParamValue]) -> int:
     """Transcendence degree over Q contributed by a tuple of values.
 
     Equals the Q-rank of the matrix of transcendental-atom coefficient
-    vectors; algebraic-irrational atoms and constants contribute nothing.
+    vectors, taken on their integer form; algebraic-irrational atoms and
+    constants contribute nothing.
     """
-    atoms = sorted(
-        {a for v in values for a, _ in v.terms if a.kind is AtomKind.TRANSCENDENTAL},
-        key=Atom.sort_key,
-    )
-    if not atoms:
-        return 0
-    rows = [[v.coeff(a) for a in atoms] for v in values]
-    return rational_rank(rows)
+    atoms = {a for v in values for a, _ in v.terms if a.kind is AtomKind.TRANSCENDENTAL}
+    if len(atoms) < 2:  # a canonical coefficient is nonzero
+        return len(atoms)
+    form = scale(values)
+    columns = [k for k, a in enumerate(form.atoms) if a.kind is AtomKind.TRANSCENDENTAL]
+    return rational_rank([[row[k] for k in columns] for row in form.rows])

@@ -34,8 +34,10 @@ from .exactnum import (
     AtomKind,
     ParamValue,
     Rational,
+    Scaled,
     TriBool,
     decide_coset,
+    scale,
     transcendence_degree,
     tri_and,
     tri_or,
@@ -190,6 +192,25 @@ def _is_generic(family: Family, params: Sequence[ParamValue]) -> bool:
 
 
 @lru_cache(maxsize=None)
+def _int_tokens(family: Family) -> tuple[int, dict[str, tuple[tuple[int, ...], ...]]]:
+    """The family's token denominator (the lcm of its translations'
+    denominators), and each word token's perm, signs and translation times it."""
+    generators = family_space(family).generators
+    den = math.lcm(*(Fraction(x).denominator for g in generators for x in g.translation or ()))
+    tokens = _token_table(family) if generators else {}
+    return den, {name: (m.perm, m.signs, tuple(int(x * den) for x in m.translation)) for name, m in tokens.items()}
+
+
+def _scaled(family: Family, v: Sequence[ParamValue], w: Sequence[ParamValue]) -> Scaled:
+    """v then w in integer form, over a multiple of the family's token denominator."""
+    return scale((*v, *w), _int_tokens(family)[0])
+
+
+def _signed(row: tuple[int, ...], sign: int) -> tuple[int, ...]:
+    return row if sign > 0 else tuple(-x for x in row)
+
+
+@lru_cache(maxsize=None)
 def _scan_order(family: Family) -> tuple[dict[tuple[tuple[int, ...], tuple[int, ...]], int], tuple[int, ...]]:
     """Each linear part ``(perm, signs)`` of the family's lattice scan mapped
     to its rank in scan order (the dict keeps that order), and the signs the
@@ -200,48 +221,42 @@ def _scan_order(family: Family) -> tuple[dict[tuple[tuple[int, ...], tuple[int, 
     return {part: rank for rank, part in enumerate(linear)}, tuple(signs)
 
 
-def _residue_key(terms: tuple, const: Fraction, sign: int, offset: Rational) -> tuple:
-    """Key of the value with these atom terms and constant ``sign*const +
-    offset``: two values have equal keys exactly when their difference is
-    an integer."""
-    num, den = sign * const.numerator, const.denominator
-    if offset:
-        num, den = num * offset.denominator + offset.numerator * den, den * offset.denominator
-        g = math.gcd(num, den)
-        num, den = num // g, den // g
-    return terms, num % den, den
-
-
 def _lattice_scan(
-    family: Family, v: Sequence[ParamValue], w: Sequence[ParamValue]
+    family: Family, v: Sequence[ParamValue], w: Sequence[ParamValue], form: Scaled
 ) -> tuple[TriBool, OrbitWitness | None]:
     """``(related, witness)`` from the first candidate g, c of the family's
-    scan (see ``catalog.FamilySpec``) with w - g(v) - c integral.
+    scan (see ``catalog.FamilySpec``) with w - g(v) - c integral; ``form``
+    is ``_scaled(family, v, w)``.
 
-    w_j - s*v_i - c_k is Yes exactly when w_j and s*v_i + c_k have the same
-    residue key, so one dict of v's keys gives every Yes.  Where the atoms
-    do not cancel the difference is No, unless an algebraic atom may leave
-    it Unknown: only then does ``decide_coset`` test it, once for all k.
-    Candidates are built a coordinate at a time from the non-No
-    differences; the sixth family's even-sum test and the witness use the
-    exact differences of those candidates, earliest in scan order first.
+    A value's residue key is its atom row and its constant mod the common
+    denominator, so w_j - s*v_i - c_k is Yes exactly when w_j and
+    s*v_i + c_k have the same key, and one dict of v's keys gives every
+    Yes.  Where the atoms do not cancel the difference is No, unless an
+    algebraic atom may leave it Unknown: only then does ``decide_coset``
+    test it, once for all k.  Candidates are built a coordinate at a time
+    from the non-No differences; the witness and the sixth family's
+    even-sum test read the integer constants of the candidates, earliest
+    in scan order first.
     """
     spec = family_space(family)
     _, offsets, named, even_sum = spec.scan
     order, signs = _scan_order(family)
-    # (i, s) -> the atom terms of s*v_i; (residue key of s*v_i + c_k) -> [(i, s, k)]
-    scaled = {(i, s): x.terms if s > 0 else tuple((a, -c) for a, c in x.terms) for i, x in enumerate(v) for s in signs}
+    n, den, consts, rows = len(v), form.den, form.consts, form.rows
+    offs = [c.numerator * (den // c.denominator) for c in offsets]
+    # (i, s) -> the atom row of s*v_i; (residue key of s*v_i + c_k) -> [(i, s, k)]
+    scaled = {(i, s): _signed(rows[i], s) for i in range(n) for s in signs}
     yes: dict[tuple, list[tuple[int, int, int]]] = {}
-    for (i, s), terms in scaled.items():
-        for k, c in enumerate(offsets):
-            yes.setdefault(_residue_key(terms, v[i].const, s, c), []).append((i, s, k))
-    has_alg = [any(a.kind is AtomKind.ALGEBRAIC_IRRATIONAL for a, _ in x.terms) for x in v]
+    for (i, s), row in scaled.items():
+        for k, c in enumerate(offs):
+            yes.setdefault((row, (s * consts[i] + c) % den), []).append((i, s, k))
+    alg = [k for k, a in enumerate(form.atoms) if a.kind is AtomKind.ALGEBRAIC_IRRATIONAL]
+    has_alg = [any(row[k] for k in alg) for row in rows] if alg else ()
     partial = [((), (), None, TriBool.YES)]  # (perm, signs, k, verdict) on the coordinates so far
     for j, y in enumerate(w):
-        options = {key: TriBool.YES for key in yes.get(_residue_key(y.terms, y.const, 1, 0), ())}
-        y_alg = any(a.kind is AtomKind.ALGEBRAIC_IRRATIONAL for a, _ in y.terms)
-        for (i, s), terms in scaled.items():
-            if (y_alg or has_alg[i]) and terms != y.terms:
+        row = rows[n + j]
+        options = {key: TriBool.YES for key in yes.get((row, consts[n + j] % den), ())}
+        for (i, s), terms in scaled.items() if alg else ():
+            if (has_alg[n + j] or has_alg[i]) and terms != row:
                 if decide_coset(y - v[i] if s > 0 else y + v[i], 0, 1) is TriBool.UNKNOWN:
                     options.update(((i, s, k), TriBool.UNKNOWN) for k in range(len(offsets)))
         partial = [
@@ -255,64 +270,77 @@ def _lattice_scan(
     found = sorted((order[c[:2]] * len(offsets) + c[2], *c) for c in partial if c[:2] in order)
     saw_unknown = False
     for _, perm, sg, k, related in found:
-        if related is TriBool.UNKNOWN and not even_sum:
-            saw_unknown = True
-            continue
-        diffs = [w[j] - v[i] if s > 0 else w[j] + v[i] for j, (i, s) in enumerate(zip(perm, sg))]
-        if even_sum:
-            related = tri_and((related, decide_coset(sum(diffs[1:], diffs[0]), len(v) * offsets[k], 2)))
         if related is TriBool.YES:
-            shift = tuple(d.const for d in diffs)
-            return related, OrbitWitness(
-                perm=perm,
-                signs=sg,
-                shift=shift,
-                quarter_shift=k if len(offsets) > 1 else None,
-                integer_shift=tuple(int(x - offsets[k]) for x in shift[:named]),
-            )
-        saw_unknown = saw_unknown or related is TriBool.UNKNOWN
+            nums = [consts[n + j] - s * consts[i] for j, (i, s) in enumerate(zip(perm, sg))]
+            if not even_sum or (sum(nums) - n * offs[k]) % (2 * den) == 0:
+                return related, OrbitWitness(
+                    perm=perm,
+                    signs=sg,
+                    shift=tuple(Fraction(x, den) for x in nums),
+                    quarter_shift=k if len(offsets) > 1 else None,
+                    integer_shift=tuple((x - offs[k]) // den for x in nums[:named]),
+                )
+        elif even_sum:  # an algebraic atom survives: the exact sum may still decide No
+            diffs = [w[j] - v[i] if s > 0 else w[j] + v[i] for j, (i, s) in enumerate(zip(perm, sg))]
+            related = tri_and((related, decide_coset(sum(diffs[1:], diffs[0]), n * offsets[k], 2)))
+            saw_unknown = saw_unknown or related is TriBool.UNKNOWN
+        else:
+            saw_unknown = True
     return (TriBool.UNKNOWN if saw_unknown else TriBool.NO), None
 
 
-def _piii_decide(v: Sequence[ParamValue], w: Sequence[ParamValue]) -> tuple[TriBool, OrbitWitness | None]:
-    """The third family's criterion on differences mod 2Z, as ``(related, witness)``."""
-    dv = v[1] - v[0]
-    dw = w[1] - w[0]
-    t_plus = decide_coset(dw - dv, 0, 2)
-    t_minus = decide_coset(dw + dv, 0, 2)
+def _piii_decide(v: Sequence[ParamValue], w: Sequence[ParamValue], form: Scaled) -> tuple[TriBool, OrbitWitness | None]:
+    """The third family's criterion on differences mod 2Z, as ``(related,
+    witness)``; ``form`` is ``_scaled(Family.PIII, v, w)``."""
+    den, consts, rows = form.den, form.consts, form.rows
+    tau = [k for k, a in enumerate(form.atoms) if a.kind is AtomKind.TRANSCENDENTAL]
+
+    def test(sign: int) -> tuple[TriBool, int]:
+        # Is dw - sign*dv in 2Z, for dv = v1 - v0 and dw = w1 - w0?
+        row = [w1 - w0 - sign * (v1 - v0) for v0, v1, w0, w1 in zip(*rows)]
+        num = consts[3] - consts[2] - sign * (consts[1] - consts[0])
+        if not any(row):
+            return TriBool.of(num % (2 * den) == 0), num
+        if any(row[k] for k in tau):
+            return TriBool.NO, num
+        return decide_coset(w[1] - w[0] - (v[1] - v[0]) * sign, 0, 2), num
+
+    (t_plus, plus), (t_minus, minus) = test(1), test(-1)
     related = tri_or([t_plus, t_minus])
     if related is not TriBool.YES:
         return related, None
     # The group's elements are exactly these four linear parts with an
     # integral shift of even sum, so a candidate in that lattice is
     # preferred; the note marks a witness that is not a group element.
-    rational = []
-    for eps, perm in itertools.product((1, -1), ((0, 1), (1, 0))):
-        shifts = [w[j] - v[perm[j]] * eps for j in range(2)]
-        if all(s.is_rational for s in shifts):
-            rational.append((perm, eps, tuple(s.const for s in shifts)))
-    in_lattice = [c for c in rational if _in_lattice(c[2])]
+    rational = [
+        (perm, eps, tuple(consts[2 + j] - eps * consts[p] for j, p in enumerate(perm)))
+        for eps, perm in itertools.product((1, -1), ((0, 1), (1, 0)))
+        if all(rows[2 + j] == _signed(rows[p], eps) for j, p in enumerate(perm))
+    ]
+    in_lattice = [c for c in rational if _in_lattice(c[2], den)]
     if rational:
         perm, eps, shift = (in_lattice or rational)[0]
         note = None if in_lattice else "affine witness lies outside the generator lattice"
+        shift = tuple(Fraction(x, den) for x in shift)
         return related, OrbitWitness(perm=perm, signs=(eps, eps), shift=shift, note=note)
     branch = "+" if t_plus is TriBool.YES else "-"
-    shift = (dw - dv) if t_plus is TriBool.YES else (dw + dv)
     return related, OrbitWitness(
-        integer_shift=(int(shift.const),),
+        integer_shift=((plus if t_plus is TriBool.YES else minus) // den,),
         note=f"difference criterion only (branch {branch}); no affine witness with rational shift",
     )
 
 
 def orbit_decide(
-    family: Family, v: Sequence[ParamValue | Rational], w: Sequence[ParamValue | Rational], *, checked: bool = False
+    family: Family, v: Sequence[ParamValue | Rational], w: Sequence[ParamValue | Rational], *,
+    checked: bool = False, form: Scaled | None = None,
 ) -> OrbitVerdict:
     """Evaluate the family's closed-form transformation-orbit criterion.
 
     Yes always certifies nonorthogonality (the transformations realize it);
     the converse direction holds exactly when the hypothesis status is
     ``proved``, i.e. the supporting statement's genericity clauses hold.
-    ``checked`` says v and w are already ``EquationId(family, ...).params``.
+    ``checked`` says v and w are already ``EquationId(family, ...).params``,
+    and ``form`` is their ``_scaled`` form when the caller has built it.
     """
     if not checked:
         v, w = _coerce_params(family, v), _coerce_params(family, w)
@@ -321,10 +349,10 @@ def orbit_decide(
         related, hypotheses = TriBool.YES, True
         witness = OrbitWitness(perm=(), signs=(), shift=(), note="parameter-free family")
     elif family is Family.PIII:
-        related, witness = _piii_decide(v, w)
+        related, witness = _piii_decide(v, w, form or _scaled(family, v, w))
         hypotheses = _is_generic(family, v) and _is_generic(family, w)
     else:
-        related, witness = _lattice_scan(family, v, w)
+        related, witness = _lattice_scan(family, v, w, form or _scaled(family, v, w))
         # The sixth family's converse is open: its hypotheses never hold.
         hypotheses = family is not Family.PVI and (_is_generic(family, v) or _is_generic(family, w))
     criterion = family_space(family).criterion
@@ -353,42 +381,62 @@ def _status(related: TriBool, hypotheses_hold: bool) -> HypothesisStatus:
 MAX_WORD_TOKENS = 10_000
 
 
-def _in_lattice(shift: Sequence[Fraction]) -> bool:
-    """Integral with even sum: the translations of the III-VI orbit groups
-    (for IV/V, whose shifts sum to zero, just integral)."""
-    return all(t.denominator == 1 for t in shift) and sum(shift) % 2 == 0
+class WordCheckError(RuntimeError):
+    """A spelled word does not map v to w: a bug in the walk, not a fact about the input."""
+
+
+def _in_lattice(shift: Sequence[int], den: int) -> bool:
+    """``shift / den`` is integral with even sum: the translations of the
+    III-VI orbit groups (for IV/V, whose shifts sum to zero, just integral)."""
+    return all(t % den == 0 for t in shift) and sum(shift) % (2 * den) == 0
 
 
 @lru_cache(maxsize=None)
 def _alcove(family: Family):
     """The family's alcove, scaled by the common denominator of its point:
-    ``(scale, point, walls, roots)``.  Each wall is ``(i, a, j, b, k, block)``:
+    ``(size, point, walls, roots)``.  Each wall is ``(i, a, j, b, k, block)``:
     inside the alcove a*x_i + b*x_j > k, and ``block`` spells the reflection
     x -> x - c*(a*e_i + b*e_j) with c = a*x_i + b*x_j - k.  ``roots`` lists
     the positive roots x_i + b*x_j (i < j) of the finite group; each has a
     reflecting wall at every integer level."""
     blocks, point = family_space(family).alcove
-    scale = math.lcm(*(x.denominator for x in point))
-    point = tuple(int(x * scale) for x in point)
+    size = math.lcm(*(x.denominator for x in point))
+    point = tuple(int(x * size) for x in point)
     walls = []
     for block in blocks:
         # The block is the reflection in a root e_i + b*e_j at level k.
         m = word_map(family, block)
         i = next(i for i in range(m.dim) if (m.perm[i], m.signs[i]) != (i, 1))
-        j, b, k = m.perm[i], -m.signs[i], int(m.translation[i]) * scale
+        j, b, k = m.perm[i], -m.signs[i], int(m.translation[i]) * size
         a = 1 if point[i] + b * point[j] > k else -1
         walls.append((i, a, j, a * b, a * k, block))
     signs = (-1,) if family_space(family).sum_zero else (-1, 1)
     roots = tuple((i, j, b) for i, j in itertools.combinations(range(len(point)), 2) for b in signs)
-    return scale, point, tuple(walls), roots
+    return size, point, tuple(walls), roots
+
+
+def _walls_through(family: Family, target: Sequence[int], form: Scaled) -> list[tuple[int, int, int, int]]:
+    """The reflecting walls x_i + b*x_j = k through the point with integer
+    constants ``target`` and w's atom rows in ``form``, as ``(i, j, b, k)``
+    with k scaled as the alcove's point."""
+    size, point, _, roots = _alcove(family)
+    den, rows = form.den, form.rows[len(point):]
+    through = []
+    for i, j, b in roots:
+        level = target[i] + b * target[j]
+        if level % den == 0 and rows[i] == _signed(rows[j], -b):
+            through.append((i, j, b, level // den * size))
+    return through
 
 
 def _alcove_word(
-    family: Family, witness: OrbitWitness, shift: Sequence[Fraction], w: Sequence[ParamValue], budget: int
+    family: Family, witness: OrbitWitness, shift: Sequence[int], target: Sequence[int], form: Scaled, budget: int
 ) -> tuple[str, ...] | None:
     """Reduced word of the shortest group element h with h(v) = w, given the
-    witness map g (with translation ``shift``, a group element) that maps v
-    to w; None when that word has more than ``budget`` tokens.
+    witness map g (with translation ``shift / form.den``, a group element)
+    that maps v to w; None when that word has more than ``budget`` tokens.
+    ``target`` holds w's integer constants in ``form`` (the fifth family's
+    less its quarter translations).
 
     Every such h is u*g with u in the stabilizer of w, which the reflections
     in walls through w generate.  Reflecting g(point) across those walls
@@ -399,13 +447,9 @@ def _alcove_word(
     rational, so the walk is integer arithmetic on the scaled point even when
     v and w carry atoms.
     """
-    scale, point, walls, roots = _alcove(family)
-    q = [s * point[p] + int(t) * scale for p, s, t in zip(witness.perm, witness.signs, shift)]
-    through_w = []
-    for i, j, b in roots:
-        level = w[i] + w[j] * b
-        if level.is_rational and level.const.denominator == 1:
-            through_w.append((i, j, b, int(level.const) * scale))
+    size, point, walls, _ = _alcove(family)
+    q = [s * point[p] + t // form.den * size for p, s, t in zip(witness.perm, witness.signs, shift)]
+    through_w = _walls_through(family, target, form)
     moved = True
     while moved:
         moved = False
@@ -432,12 +476,24 @@ def _alcove_word(
             return tuple(token for block in reversed(taken) for token in block)
 
 
+def _word_maps(family: Family, word: Sequence[str], form: Scaled) -> bool:
+    """Whether ``word`` maps v to w, for ``form = _scaled(family, v, w)``: the
+    word is composed once, on integer translations over the family's token
+    denominator, and its one image of v compared with w."""
+    token_den, tokens = _int_tokens(family)
+    n, c, rows, k = len(form.consts) // 2, form.consts, form.rows, form.den // token_den
+    perm, sg, t = range(n), (1,) * n, (0,) * n
+    for p, s, u in map(tokens.__getitem__, word):
+        perm, sg = [perm[i] for i in p], [a * sg[i] for a, i in zip(s, p)]
+        t = [a * t[i] + b for a, i, b in zip(s, p, u)]
+    return all(
+        c[n + j] == sg[j] * c[perm[j]] + t[j] * k and rows[n + j] == _signed(rows[perm[j]], sg[j]) for j in range(n)
+    )
+
+
 def generator_word(
-    family: Family,
-    v: Sequence[ParamValue | Rational],
-    w: Sequence[ParamValue | Rational],
-    verdict: OrbitVerdict | None = None,
-    *, checked: bool = False,
+    family: Family, v: Sequence[ParamValue | Rational], w: Sequence[ParamValue | Rational],
+    verdict: OrbitVerdict | None = None, *, checked: bool = False, form: Scaled | None = None,
 ) -> WordResult:
     """A word in the family's generators mapping v to w exactly, read from
     the orbit witness.
@@ -450,14 +506,16 @@ def generator_word(
     an alcove walk; the fifth family's quarter translation is split off
     first and appended as ``tminus^-1`` tokens.  NoWordFound therefore
     proves that no group element maps v to w.  A word longer than
-    MAX_WORD_TOKENS is reported as WordTooLong.  ``verdict`` is
-    ``orbit_decide(family, v, w)`` when the caller has already computed it,
-    and ``checked`` is as there.
+    MAX_WORD_TOKENS is reported as WordTooLong.  Every word returned passes
+    one exact check (``_word_maps``); a word that fails it raises
+    WordCheckError.  ``verdict`` is ``orbit_decide(family, v, w)`` when the
+    caller has already computed it, and ``checked`` and ``form`` are as there.
     """
     if not checked:
         v, w = _coerce_params(family, v), _coerce_params(family, w)
+    form = form or _scaled(family, v, w)
     if verdict is None:
-        verdict = orbit_decide(family, v, w, checked=True)
+        verdict = orbit_decide(family, v, w, checked=True, form=form)
     if verdict.related is not TriBool.YES:
         raise ValueError("generator_word requires an orbit_decide verdict of Yes")
     if family is Family.PI:
@@ -474,22 +532,25 @@ def generator_word(
             return WordResult(word=None, reason="WordTooLong")
         word = ("reflect",) * reflect + (("shift_up",) * n if n >= 0 else ("shift_down",) * -n)
     else:
-        shift, target, tail = witness.shift, w, ()
+        n, den, consts = len(v), form.den, form.consts
+        shift = [consts[n + j] - s * consts[p] for j, (p, s) in enumerate(zip(witness.perm, witness.signs))]
+        target, tail = consts[n:], ()
         if family is Family.PV:
             a = witness.quarter_shift
-            quarter = resolve_token(family, "tminus^-1").translation
-            shift = tuple(t - a * x for t, x in zip(shift, quarter))
-            target = tuple(y - a * x for y, x in zip(w, quarter))
+            token_den, tokens = _int_tokens(family)
+            quarter = [x * (den // token_den) for x in tokens["tminus^-1"][2]]
+            shift = [t - a * x for t, x in zip(shift, quarter)]
+            target = [y - a * x for y, x in zip(target, quarter)]
             tail = ("tminus^-1",) * a
-        if not _in_lattice(shift):
+        if not _in_lattice(shift, den):
             return WordResult(word=None, reason="NoWordFound")
-        word = _alcove_word(family, witness, shift, target, MAX_WORD_TOKENS - len(tail))
+        word = _alcove_word(family, witness, shift, target, form, MAX_WORD_TOKENS - len(tail))
         if word is None:
             return WordResult(word=None, reason="WordTooLong")
         word += tail
-    if apply_word(family, word, v) == w:
-        return WordResult(word=word)
-    return WordResult(word=None, reason="NoWordFound")
+    if not _word_maps(family, word, form):
+        raise WordCheckError(f"the word spelled for family {family.value} does not map v to w")
+    return WordResult(word=word)
 
 
 def orbit_with_word(
@@ -498,10 +559,11 @@ def orbit_with_word(
     w: Sequence[ParamValue | Rational],
 ) -> OrbitVerdict:
     """orbit_decide plus word synthesis when the verdict is Yes; v and w
-    are validated once, here."""
+    are validated and scaled once, here."""
     v, w = _coerce_params(family, v), _coerce_params(family, w)
-    verdict = orbit_decide(family, v, w, checked=True)
+    form = _scaled(family, v, w)
+    verdict = orbit_decide(family, v, w, checked=True, form=form)
     if verdict.related is not TriBool.YES:
         return verdict
-    result = generator_word(family, v, w, verdict=verdict, checked=True)
+    result = generator_word(family, v, w, verdict=verdict, checked=True, form=form)
     return verdict._replace(word=result.word, word_reason=result.reason)

@@ -46,7 +46,17 @@
   integer rows: Gauss-Jordan elimination over ``Fraction``.
 - ``descent_parse_param`` is ``exactnum.parse_param`` as a recursive
   descent: one closure per grammar rule, and every term a ``ParamValue``
-  added to the running result.
+  added to the running result.  ``fraction_fast_parse_param`` is the
+  whitespace-free fast path from before integer sums and interned atoms.
+- The orbit path from before the integer form, on ``Fraction`` and
+  ``ParamValue`` arithmetic: ``fraction_piii_decide`` (the third family's
+  criterion), ``fraction_in_lattice``, ``fraction_walls_through`` (the
+  walls through w, from ``ParamValue`` levels), ``fraction_alcove_word``,
+  and ``fraction_generator_word``, which splits off the fifth family's
+  quarter translation on ``AffineMap`` translations and checks each word
+  with ``apply_word``.  ``fraction_transcendence_degree`` ranks ``Fraction``
+  rows, and ``fraction_sum_zero_error`` is ``EquationId``'s sum-zero test on
+  ``Fraction`` sums.
 """
 
 from __future__ import annotations
@@ -66,8 +76,8 @@ from painleve import diffpoly
 from painleve.diffpoly import T_VAR, DiffExpr, Var, _coefficient, jet, sym
 from painleve.classify import ClassificationReport, Stratum
 from painleve.exactnum import (
-    MAX_DIGITS, ParamSyntaxError, ParamValue, TriBool, _LONG_DIGIT_RUN, _atom_from_name, _tokenize, decide_coset,
-    transcendence_degree, tri_and, tri_or,
+    MAX_DIGITS, AtomKind, ParamSyntaxError, ParamValue, TriBool, _FAST_PARAM, _FAST_TERM, _LONG_DIGIT_RUN,
+    _intern, _tokenize, decide_coset, transcendence_degree, tri_and, tri_or,
 )
 from painleve.numint import (
     BLOWUP_THRESHOLD, NumericAssignment, ResidualReport, Trajectory, TrajectoryStatus, _companion_rhs,
@@ -76,8 +86,10 @@ from painleve.numint import (
 from painleve.odes import OdeSystem, ode_system
 from painleve.citations import cite
 from painleve.ortho import OrthoVerdict, Verdict
+from painleve import weyl
 from painleve.weyl import (
-    AffineMap, HypothesisStatus, OrbitWitness, _is_generic, apply_word, named_generators, resolve_token, word_map,
+    MAX_WORD_TOKENS, AffineMap, HypothesisStatus, OrbitWitness, WordResult, _is_generic, apply_word, named_generators,
+    orbit_decide, resolve_token, word_map,
 )
 
 # The package exports the function ``classify`` under the module's name.
@@ -503,6 +515,33 @@ def lazy_lattice_scan(
     return (TriBool.UNKNOWN if saw_unknown else TriBool.NO), None
 
 
+def fraction_piii_decide(v: Sequence[ParamValue], w: Sequence[ParamValue]) -> tuple[TriBool, OrbitWitness | None]:
+    """The third family's criterion on ``ParamValue`` differences mod 2Z."""
+    dv = v[1] - v[0]
+    dw = w[1] - w[0]
+    t_plus = decide_coset(dw - dv, 0, 2)
+    t_minus = decide_coset(dw + dv, 0, 2)
+    related = tri_or([t_plus, t_minus])
+    if related is not TriBool.YES:
+        return related, None
+    rational = []
+    for eps, perm in itertools.product((1, -1), ((0, 1), (1, 0))):
+        shifts = [w[j] - v[perm[j]] * eps for j in range(2)]
+        if all(s.is_rational for s in shifts):
+            rational.append((perm, eps, tuple(s.const for s in shifts)))
+    in_lattice = [c for c in rational if fraction_in_lattice(c[2])]
+    if rational:
+        perm, eps, shift = (in_lattice or rational)[0]
+        note = None if in_lattice else "affine witness lies outside the generator lattice"
+        return related, OrbitWitness(perm=perm, signs=(eps, eps), shift=shift, note=note)
+    branch = "+" if t_plus is TriBool.YES else "-"
+    shift = (dw - dv) if t_plus is TriBool.YES else (dw + dv)
+    return related, OrbitWitness(
+        integer_shift=(int(shift.const),),
+        note=f"difference criterion only (branch {branch}); no affine witness with rational shift",
+    )
+
+
 # -- orthogonality ----------------------------------------------------------------------
 
 
@@ -693,6 +732,95 @@ def table_word(family: Family, witness: OrbitWitness) -> tuple[str, ...]:
         vec = tuple(Fraction(1 if i == k else (-1 if i == k + 1 else 0)) for i in range(n))
         word += (moves[vec] if c >= 0 else invert_word(family, moves[vec])) * abs(c)
     return word
+
+
+def fraction_in_lattice(shift: Sequence[Fraction]) -> bool:
+    """``weyl._in_lattice`` on ``Fraction`` shifts."""
+    return all(t.denominator == 1 for t in shift) and sum(shift) % 2 == 0
+
+
+def fraction_walls_through(family: Family, w: Sequence[ParamValue]) -> list[tuple[int, int, int, int]]:
+    """``weyl._walls_through`` from ``ParamValue`` levels w_i + b*w_j."""
+    size, _, _, roots = weyl._alcove(family)
+    through = []
+    for i, j, b in roots:
+        level = w[i] + w[j] * b
+        if level.is_rational and level.const.denominator == 1:
+            through.append((i, j, b, int(level.const) * size))
+    return through
+
+
+def fraction_alcove_word(
+    family: Family, witness: OrbitWitness, shift: Sequence[Fraction], w: Sequence[ParamValue], budget: int
+) -> tuple[str, ...] | None:
+    """``weyl._alcove_word`` with a ``Fraction`` shift and the walls of
+    ``fraction_walls_through``."""
+    size, point, walls, _ = weyl._alcove(family)
+    q = [s * point[p] + int(t) * size for p, s, t in zip(witness.perm, witness.signs, shift)]
+    through_w = fraction_walls_through(family, w)
+    moved = True
+    while moved:
+        moved = False
+        for i, j, b, k in through_w:
+            c = q[i] + b * q[j] - k
+            if c * (point[i] + b * point[j] - k) < 0:
+                q[i] -= c
+                q[j] -= b * c
+                moved = True
+    taken: list[tuple[str, ...]] = []
+    tokens = 0
+    while True:
+        for i, a, j, b, k, block in walls:
+            c = a * q[i] + b * q[j] - k
+            if c < 0:
+                q[i] -= a * c
+                q[j] -= b * c
+                taken.append(block)
+                tokens += len(block)
+                if tokens > budget:
+                    return None
+                break
+        else:
+            return tuple(token for block in reversed(taken) for token in block)
+
+
+def fraction_generator_word(family: Family, v, w) -> WordResult:
+    """``weyl.generator_word`` on ``Fraction`` shifts and ``ParamValue``
+    targets: the fifth family's quarter split by ``AffineMap`` translations,
+    and every word re-checked by ``apply_word``, token by token; a word that
+    fails the check is NoWordFound."""
+    v, w = EquationId(family, v).params, EquationId(family, w).params
+    verdict = orbit_decide(family, v, w, checked=True)
+    if verdict.related is not TriBool.YES:
+        raise ValueError("generator_word requires an orbit_decide verdict of Yes")
+    if family is Family.PI:
+        return WordResult(word=())
+    witness = verdict.witness
+    if not witness.has_map:
+        return WordResult(word=None, reason="NoWordFound")
+    if family is Family.PII:
+        reflect = witness.signs[0] < 0
+        n = int(witness.shift[0]) + reflect
+        if abs(n) + reflect > MAX_WORD_TOKENS:
+            return WordResult(word=None, reason="WordTooLong")
+        word = ("reflect",) * reflect + (("shift_up",) * n if n >= 0 else ("shift_down",) * -n)
+    else:
+        shift, target, tail = witness.shift, w, ()
+        if family is Family.PV:
+            a = witness.quarter_shift
+            quarter = resolve_token(family, "tminus^-1").translation
+            shift = tuple(t - a * x for t, x in zip(shift, quarter))
+            target = tuple(y - a * x for y, x in zip(w, quarter))
+            tail = ("tminus^-1",) * a
+        if not fraction_in_lattice(shift):
+            return WordResult(word=None, reason="NoWordFound")
+        word = fraction_alcove_word(family, witness, shift, target, MAX_WORD_TOKENS - len(tail))
+        if word is None:
+            return WordResult(word=None, reason="WordTooLong")
+        word += tail
+    if apply_word(family, word, v) == w:
+        return WordResult(word=word)
+    return WordResult(word=None, reason="NoWordFound")
 
 
 # -- the polynomial kernel ----------------------------------------------------------------
@@ -1133,6 +1261,30 @@ def fraction_rational_rank(rows: Sequence[Sequence]) -> int:
     return rank
 
 
+def fraction_transcendence_degree(values: Sequence[ParamValue]) -> int:
+    """``exactnum.transcendence_degree`` on ``Fraction`` rows, by ``fraction_rational_rank``."""
+    atoms = sorted(
+        {a for v in values for a, _ in v.terms if a.kind is AtomKind.TRANSCENDENTAL}, key=lambda a: a.sort_key()
+    )
+    if not atoms:
+        return 0
+    return fraction_rational_rank([[v.coeff(a) for a in atoms] for v in values])
+
+
+def fraction_sum_zero_error(family: Family, params: Sequence[ParamValue]) -> str | None:
+    """The message of ``EquationId``'s sum-zero test, from sums of
+    ``Fraction``s; None when the parameters sum to zero."""
+    const: Fraction | int = 0
+    coeffs: dict = {}
+    for p in params:
+        const += p.const
+        for atom, c in p.terms:
+            coeffs[atom] = coeffs.get(atom, 0) + c
+    if const or any(coeffs.values()):
+        return f"family {family.value} parameters must sum to zero exactly (got {ParamValue(const, coeffs)})"
+    return None
+
+
 # -- parameter parsing ----------------------------------------------------------------
 
 
@@ -1177,7 +1329,7 @@ def descent_parse_param(text: str) -> ParamValue:
         kind, val, pos = peek()
         if kind == "atom":
             idx += 1
-            return ParamValue.of_atom(_atom_from_name(val))
+            return ParamValue.of_atom(_intern(val)[0])
         q = parse_rational(allow_sign=True)
         kind, val, pos = peek()
         if kind == "op" and val == "*":
@@ -1186,7 +1338,7 @@ def descent_parse_param(text: str) -> ParamValue:
             if kind != "atom":
                 raise ParamSyntaxError("expected an atom after '*'", pos)
             idx += 1
-            return ParamValue.of_atom(_atom_from_name(val), q)
+            return ParamValue.of_atom(_intern(val)[0], q)
         return ParamValue(q)
 
     result = parse_term()
@@ -1198,3 +1350,25 @@ def descent_parse_param(text: str) -> ParamValue:
         term = parse_term()
         result = result + term if val == "+" else result - term
     return result
+
+
+def fraction_fast_parse_param(text: str) -> ParamValue:
+    """``exactnum.parse_param``'s fast path as it read whitespace-free text
+    before integer sums: a ``Fraction`` per term, added up, and the value
+    built by ``ParamValue.__init__``."""
+    if not _FAST_PARAM.fullmatch(text) or _LONG_DIGIT_RUN.search(text):
+        raise ValueError(f"{text!r} is not fast-path text")
+    const: Fraction | int = 0
+    coeffs: dict = {}
+    for op, minus, num, den, name, bare in _FAST_TERM.findall(text):
+        q: Fraction | int = int(num) if num else 1
+        if (op == "-") != (minus == "-"):
+            q = -q
+        if den:
+            q = Fraction(q, int(den))
+        if name or bare:
+            atom = _intern(name or bare)[0]
+            coeffs[atom] = coeffs.get(atom, 0) + q
+        else:
+            const += q
+    return ParamValue(const, coeffs)

@@ -1,7 +1,9 @@
+import operator
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from painleve.catalog import (
     EquationId,
@@ -16,7 +18,7 @@ from painleve.diffpoly import DiffExpr, T_VAR, jet, sym
 from painleve.exactnum import ParamValue, alg, tau
 from painleve.odes import PI_FORM_NOTE, ode_system, riccati_rules
 
-from oracles import residual_exprs
+from oracles import fraction_sum_zero_error, residual_exprs
 
 
 def test_family_names():
@@ -73,6 +75,33 @@ def test_sum_zero_check_matches_parameter_sum():
             assert total == 0
             outcomes.add("accepted")
     assert outcomes == {"accepted", "rejected, atoms", "rejected, constant"}
+
+
+_HUGE = st.builds(operator.mul, st.sampled_from([1, -1]), st.integers(min_value=10**199, max_value=10**200 - 1))
+_BIG = st.builds(
+    Fraction,
+    st.one_of(st.integers(min_value=-9, max_value=9), _HUGE),
+    st.one_of(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=10**12)),
+)
+_VALUES = st.builds(
+    ParamValue, _BIG, st.dictionaries(st.sampled_from([tau(1), tau(2), alg(1)]), _BIG, max_size=2)
+)
+
+
+@given(st.sampled_from([Family.PIV, Family.PV]), st.data())
+@settings(max_examples=300, deadline=None)
+def test_integer_sum_zero_test_matches_fraction_sums(family, data):
+    params = data.draw(st.lists(_VALUES, min_size=family_space(family).arity, max_size=family_space(family).arity))
+    if data.draw(st.booleans()):  # close the vector, then maybe break it
+        nudge = data.draw(st.sampled_from([0, 0, Fraction(1, 10**12), ParamValue.of_atom(tau(2))]))
+        params[-1] = -sum(params[:-1], ParamValue(0)) + nudge
+    expected = fraction_sum_zero_error(family, params)
+    try:
+        EquationId(family, params)
+    except InvalidEquationError as err:
+        assert str(err) == expected
+    else:
+        assert expected is None
 
 
 # -- right-hand sides against independent transcriptions ------------------------

@@ -157,6 +157,43 @@ def test_exit_code_syntax_error_position(capsys):
     assert "position" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["classify", "--family", "IV", "--params", "1/2,1/3,x"], "unexpected character 'x' (at position 8)"),
+        (["classify", "--family", "IV", "--params", " 1/2, x,0"], "unexpected character 'x' (at position 6)"),
+        (["orbit", "--family", "II", "--v", "1/3", "--w", "1//2"], "expected a denominator (at position 2)"),
+        (["classify", "--family", "IV", "--params", "1/2,1/3,"], "empty parameter expression (at position 8)"),
+        (["integrate", "--family", "II", "--params", "tau1", "--assign", "tau1=1, x2=3", "--initial", "0.1,0.2",
+          "--t0", "1", "--t1", "1.1", "--step", "0.05"], "unexpected character 'x' (at position 8)"),
+    ],
+)
+def test_syntax_error_position_counts_from_the_option_value(argv, message, capsys):
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_syntax_error_position_in_a_batch_line(tmp_path, capsys):
+    batch = tmp_path / "queries.txt"
+    batch.write_text('classify --family IV --params "1/2,1/3,x"\norbit --family II --v=1/3 --w=tau1+y\n')
+    assert run(["--batch", str(batch)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: unexpected character 'x' (at position 8)",
+        "error: unexpected character 'y' (at position 5)",
+    ]
+
+
+def test_failed_word_check_is_an_internal_error(monkeypatch, capsys):
+    # A walk that spells a wrong word is a bug, not a proof that no word exists.
+    from painleve import weyl
+
+    monkeypatch.setattr(weyl, "_alcove_word", lambda *args: ("s1",))
+    assert run(["orbit", "--family", "IV", "--v", "0,0,0", "--w", "0,1,-1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal error: WordCheckError: ")
+
+
 def test_exit_code_unknown_dominated(capsys):
     _, code = run_json(["classify", "--family", "II", "--params", "alg1 + alg2"], capsys)
     assert code == 3

@@ -1,13 +1,17 @@
 import itertools
+import math
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from painleve import exactnum
 from painleve.exactnum import (
     _FAST_PARAM,
     MAX_DIGITS,
+    MAX_INTERNED_ATOMS,
     Atom,
     AtomKind,
     ParamSyntaxError,
@@ -18,13 +22,17 @@ from painleve.exactnum import (
     format_param,
     parse_param,
     rational_rank,
+    scale,
     tau,
     transcendence_degree,
     tri_and,
     tri_or,
 )
 
-from oracles import descent_parse_param, fraction_rational_rank, integer_solve
+from oracles import (
+    descent_parse_param, fraction_fast_parse_param, fraction_rational_rank, fraction_transcendence_degree,
+    integer_solve,
+)
 
 # -- strategies --------------------------------------------------------------
 
@@ -42,6 +50,15 @@ param_values = st.builds(
     rationals,
     st.dictionaries(atoms, rationals, max_size=4),
 )
+# As the integer form meets them: denominators up to 10^12 and numerators
+# of 200 digits.
+huge_integers = st.builds(operator.mul, st.sampled_from([1, -1]), st.integers(min_value=10**199, max_value=10**200 - 1))
+big_rationals = st.builds(
+    Fraction,
+    st.one_of(st.integers(min_value=-60, max_value=60), huge_integers),
+    st.one_of(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=10**12)),
+)
+big_values = st.builds(ParamValue, big_rationals, st.dictionaries(atoms, big_rationals, max_size=3))
 
 
 # -- parsing and printing ----------------------------------------------------
@@ -151,7 +168,7 @@ def _fast_path_text(rng):
             return rng.choice(["tau", "alg"]) + rng.choice(["0", "1", "12", "007"])
         text = rng.choice(["", "", "-"]) + rng.choice(["0", "1", "7", "12", "007", str(rng.randint(0, 10**9))])
         if rng.random() < 0.4:
-            text += "/" + rng.choice(["1", "3", "12", "0", "00", "010", str(rng.randint(1, 999))])
+            text += "/" + rng.choice(["1", "3", "12", "0", "00", "010", str(rng.randint(1, 999)), str(rng.randint(1, 10**12))])
         if rng.random() < 0.4:
             text += "*" + rng.choice(["tau", "alg"]) + str(rng.randint(0, 12))
         return text
@@ -178,10 +195,24 @@ def test_fast_path_matches_descent_oracle_on_seeded_texts():
     taken = 0
     for _ in range(20_000):
         text = _fast_path_text(rng)
-        assert _parse_outcome(parse_param, text) == _parse_outcome(descent_parse_param, text), text
-        taken += _FAST_PARAM.fullmatch(text) is not None
+        outcome = _parse_outcome(parse_param, text)
+        assert outcome == _parse_outcome(descent_parse_param, text), text
+        if _FAST_PARAM.fullmatch(text) and outcome[0] == "value":
+            # The integer sums give the value the Fraction sums gave.
+            assert outcome == _parse_outcome(fraction_fast_parse_param, text), text
+            taken += 1
     # Both the regex reading and the tokenizer are exercised.
     assert 5_000 < taken < 18_000
+
+
+def test_atom_intern_table_stays_at_its_bound(monkeypatch):
+    monkeypatch.setattr(exactnum, "_ATOMS", {})
+    for i in range(10_000):
+        assert parse_param(f"2*tau{10**6 + i}+alg3") == ParamValue(0, {tau(10**6 + i): 2, alg(3): 1})
+    assert len(exactnum._ATOMS) == MAX_INTERNED_ATOMS
+    # Past the bound a name is read afresh, to an equal atom.
+    assert parse_param("tau1010000").terms == ((tau(1010000), 1),)
+    assert len(exactnum._ATOMS) == MAX_INTERNED_ATOMS
 
 
 @given(param_values)
@@ -500,6 +531,19 @@ def test_rational_rank_matches_fraction_oracle():
         assert rank == fraction_rational_rank(rows), rows
         ranks.add(rank)
     assert ranks == {0, 1, 2, 3, 4}
+
+
+@given(st.lists(big_values, max_size=5), st.integers(min_value=1, max_value=12), big_rationals)
+@settings(max_examples=300, deadline=None)
+def test_integer_form_and_rank_match_fraction_oracles(values, den, q):
+    if len(values) > 1:  # a dependent row
+        values.append(values[0] * q - values[-1])
+    form = scale(values, den)
+    assert form.den == math.lcm(den, *(x.const.denominator for x in values), *(c.denominator for x in values for _, c in x.terms))
+    assert list(form.atoms) == sorted({a for x in values for a, _ in x.terms}, key=Atom.sort_key)
+    for x, c, row in zip(values, form.consts, form.rows):
+        assert ParamValue(Fraction(c, form.den), {a: Fraction(k, form.den) for a, k in zip(form.atoms, row)}) == x
+    assert transcendence_degree(values) == fraction_transcendence_degree(values)
 
 
 def test_atom_names_and_kinds():

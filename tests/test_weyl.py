@@ -1,9 +1,11 @@
 import itertools
+import operator
 import random
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from painleve import weyl
 from painleve.catalog import EquationId, Family, InvalidEquationError, family_space
@@ -33,8 +35,8 @@ from painleve.weyl import (
 )
 
 from oracles import (
-    SCANS, chain_distinct_family_verdict, lazy_lattice_scan, scan_orbit_decide, shortest_word, table_word,
-    witness_maps,
+    SCANS, chain_distinct_family_verdict, fraction_generator_word, fraction_piii_decide, fraction_walls_through,
+    lazy_lattice_scan, scan_orbit_decide, shortest_word, table_word, witness_maps,
 )
 
 PV = ParamValue
@@ -484,6 +486,11 @@ def _coerced(family, v, w):
     return EquationId(family, v).params, EquationId(family, w).params
 
 
+def lattice_scan(family, v, w):
+    """``weyl._lattice_scan`` on the query's integer form, as ``orbit_decide`` runs it."""
+    return weyl._lattice_scan(family, v, w, weyl._scaled(family, v, w))
+
+
 def quarter_pairs(count):
     """Seeded fifth-family pairs w = g(v) + a/4*(1, 1, 1, -3) with atoms, a
     third of them moved off the orbit by 1/8 on two coordinates."""
@@ -535,7 +542,7 @@ def test_lattice_scan_matches_lazy_oracle(family):
     pairs += [(v, w) for fam, v, w, _ in two_alg_pairs() if fam is family]
     for v, w in pairs:
         v, w = _coerced(family, v, w)
-        got = weyl._lattice_scan(family, v, w)
+        got = lattice_scan(family, v, w)
         assert got == lazy_lattice_scan(family, v, w), (v, w)
         seen.add(got[0])
     assert seen == {TriBool.YES, TriBool.NO, TriBool.UNKNOWN}
@@ -545,7 +552,7 @@ def test_fifth_family_quarter_offsets_match_lazy_oracle():
     offsets = set()
     for v, w in quarter_pairs(150):
         v, w = _coerced(Family.PV, v, w)
-        related, witness = weyl._lattice_scan(Family.PV, v, w)
+        related, witness = lattice_scan(Family.PV, v, w)
         assert (related, witness) == lazy_lattice_scan(Family.PV, v, w), (v, w)
         if related is TriBool.YES:
             assert witness_maps(witness, v, w)
@@ -565,7 +572,7 @@ def test_two_algebraic_atoms_are_unknown_through_decide_coset(monkeypatch, famil
         return decide_coset(x, offset, modulus)
 
     monkeypatch.setattr(weyl, "decide_coset", counting)
-    assert weyl._lattice_scan(family, v, w) == expected
+    assert lattice_scan(family, v, w) == expected
     assert moduli.count(1) > 0
 
 
@@ -813,6 +820,81 @@ def test_piii_no_word_found_is_a_proof():
             assert len(verdict.word) == len(oracle) if len(verdict.word) <= 12 else oracle is None, (v, w)
         reasons.add(verdict.word_reason)
     assert reasons == {None, "NoWordFound"}
+
+
+_HUGE = st.builds(operator.mul, st.sampled_from([1, -1]), st.integers(min_value=10**199, max_value=10**200 - 1))
+_BIG = st.builds(
+    Fraction,
+    st.one_of(st.integers(min_value=-9, max_value=9), _HUGE, _HUGE),
+    st.one_of(st.sampled_from([1, 2, 3, 4, 6, 8]), st.integers(min_value=1, max_value=10**12)),
+)
+_ATOMS = (T1, T2, A1, A2)
+
+
+@st.composite
+def orbit_queries(draw):
+    """``(family, v, w)``: w the image of v under a word of up to six
+    generators, or that image moved by a half or a quarter off the orbit
+    (for the third family both coordinates by a half, where the criterion
+    holds but no word may exist).
+    Coordinates carry tau and alg atoms, denominators up to 10^12 and
+    numerators of up to 200 digits, and some are tied to an earlier one, so
+    that walls pass through the points."""
+    family = draw(st.sampled_from([Family.PII, Family.PIII, Family.PIV, Family.PV, Family.PVI]))
+    spec = family_space(family)
+    v = []
+    for i in range(spec.arity):
+        if i and draw(st.integers(0, 3)) == 0:
+            x = v[draw(st.integers(0, i - 1))] * draw(st.sampled_from([1, -1])) + draw(st.sampled_from([0, 1, -1, H]))
+        else:
+            x = PV(draw(_BIG))
+            for atom in draw(st.lists(st.sampled_from(_ATOMS), max_size=2, unique=True)):
+                x = x + atom * draw(st.sampled_from([1, -1, 2, H]))
+        v.append(x)
+    if spec.sum_zero:
+        v[-1] = -sum(v[:-1], PV(0))
+    word = draw(st.lists(st.sampled_from(spec.orbit_generators), max_size=6))
+    w = list(apply_word(family, word, v))
+    off = draw(st.sampled_from([0, 0, 0, H, Fraction(1, 4)]))
+    w[0] = w[0] + off
+    if spec.sum_zero:
+        w[-1] = w[-1] - off
+    elif family is Family.PIII and off == H:
+        w[1] = w[1] + off
+    return family, tuple(v), tuple(w)
+
+
+def _corrupted(word, at):
+    """The word with token ``at`` dropped, with it inverted, and with it
+    swapped with the next token."""
+    token = word[at]
+    inverse = token[:-3] if token.endswith("^-1") else token + "^-1"
+    out = [word[:at] + word[at + 1:], word[:at] + (inverse,) + word[at + 1:]]
+    if at + 1 < len(word):
+        out.append(word[:at] + (word[at + 1], token) + word[at + 2:])
+    return out
+
+
+@given(orbit_queries(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_integer_orbit_path_matches_fraction_oracles(query, data):
+    family, v, w = query
+    form = weyl._scaled(family, v, w)
+    if family is Family.PIII:
+        assert weyl._piii_decide(v, w, form) == fraction_piii_decide(v, w)
+    else:
+        assert weyl._lattice_scan(family, v, w, form) == lazy_lattice_scan(family, v, w)
+    if family is not Family.PII:
+        assert weyl._walls_through(family, form.consts[len(v):], form) == fraction_walls_through(family, w)
+    verdict = orbit_with_word(family, v, w)
+    if verdict.related is not TriBool.YES:
+        return
+    expected = fraction_generator_word(family, v, w)
+    assert (verdict.word, verdict.word_reason) == (expected.word, expected.reason)
+    if verdict.word:
+        words = [verdict.word, *_corrupted(verdict.word, data.draw(st.integers(0, len(verdict.word) - 1)))]
+        for word in words:
+            assert weyl._word_maps(family, word, form) == (apply_word(family, word, v) == w), word
 
 
 # -- cross-family verdicts ----------------------------------------------------------------------
