@@ -27,13 +27,21 @@ class Family(Enum):
     PV = "V"
     PVI = "VI"
 
+    # Members are singletons, so identity hashing keeps every dict and
+    # lru_cache keyed by a family in C, where Enum's hash is a Python call.
+    __hash__ = object.__hash__
+
     @staticmethod
     def from_name(name: str) -> "Family":
         name = name.strip().upper()
-        for fam in Family:
-            if name in (fam.value, fam.name, f"P{fam.value}"):
-                return fam
-        raise UnknownFamilyError(f"unknown family {name!r}; expected one of I, II, III, IV, V, VI")
+        try:
+            return _FAMILY_NAMES[name]
+        except KeyError:
+            raise UnknownFamilyError(f"unknown family {name!r}; expected one of I, II, III, IV, V, VI") from None
+
+
+# Each family's spellings: its numeral and its member name, e.g. "II" and "PII".
+_FAMILY_NAMES = {spelling: fam for fam in Family for spelling in (fam.value, fam.name)}
 
 
 class UnknownFamilyError(InputError):

@@ -14,22 +14,22 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from fractions import Fraction
-from operator import add, sub
 from typing import Sequence
 
 from .catalog import EquationId, Family, family_space
 from .citations import cite
 from .exactnum import (
-    ParamValue,
+    Scaled,
     TriBool,
+    coset,
     decide_coset,
     rational_rank,
+    scale,
     transcendence_degree,
     tri_and,
     tri_or,
 )
 
-_INT = 1  # modulus for plain integer-coset tests
 _HALF = Fraction(1, 2)
 
 
@@ -50,42 +50,30 @@ ClassificationReport = namedtuple(
 )
 
 
-# -- congruence helpers ----------------------------------------------------------
-
-
-def _is_int(x: ParamValue) -> TriBool:
-    return decide_coset(x, 0, _INT)
-
-
 # -- strata ----------------------------------------------------------------------
 #
-# Each family maps the labels of its non-generic strata to membership
-# verdicts; ``stratum`` walks ``FamilySpec.strata`` over that map.
+# Each congruence is a row (coefficients, offset, modulus) that
+# ``exactnum.coset`` decides on the fiber's integer form.  Each family maps
+# its rows' verdicts to the membership verdicts of its non-generic strata;
+# ``stratum`` walks ``FamilySpec.strata`` over that map.
 
 
-def _pii_strata(v: Sequence[ParamValue]) -> dict[str, TriBool]:
-    return {"half-integer": decide_coset(v[0], _HALF, 1)}
+def _pair(arity: int, i: int, j: int, sign: int = -1) -> tuple[int, ...]:
+    """The coefficients of v_i + sign*v_j."""
+    return tuple(1 if k == i else sign if k == j else 0 for k in range(arity))
 
 
-def _piii_strata(v: Sequence[ParamValue]) -> dict[str, TriBool]:
-    # D1 lies inside W1, so W1's congruence joins D1's: D1 is No wherever W1 is.
-    w1 = decide_coset(v[0] - v[1], 0, 2)
-    return {"D1": tri_and([_is_int(v[0]), _is_int(v[1]), decide_coset(v[0] + v[1], 0, 2), w1]), "W1": w1}
+_PV_PAIRS = tuple(itertools.combinations(range(4), 2))
 
 
-def _piv_strata(v: Sequence[ParamValue]) -> dict[str, TriBool]:
-    tests = [_is_int(v[0] - v[1]), _is_int(v[2] - v[1]), _is_int(v[0] - v[2])]
-    return {"D": tri_and(tests), "W": tri_or(tests)}
-
-
-def _pv_strata(v: Sequence[ParamValue]) -> dict[str, TriBool]:
-    pair = {(i, j): _is_int(v[i] - v[j]) for i, j in itertools.combinations(range(4), 2)}
+def _pv_strata(t: Sequence[TriBool]) -> dict[str, TriBool]:
+    pair = dict(zip(_PV_PAIRS, t))
 
     def two_pairs(covered: int) -> TriBool:
         """Two integral pairs that together cover ``covered`` coordinates."""
         return tri_or(
             tri_and([pair[p], pair[q]])
-            for p, q in itertools.combinations(pair, 2)
+            for p, q in itertools.combinations(_PV_PAIRS, 2)
             if len(set(p + q)) == covered
         )
 
@@ -94,27 +82,22 @@ def _pv_strata(v: Sequence[ParamValue]) -> dict[str, TriBool]:
         "D": tri_and([pair[0, 1], pair[0, 2], pair[0, 3]]),
         "S1": two_pairs(4),
         "S2": two_pairs(3),
-        "W": tri_or(pair.values()),
+        "W": tri_or(t),
     }
 
 
-# Least rank of the integrally pairing D4 roots on each sixth-family stratum.
+# The sixth family's 12 pairings v_i + sign*v_j (i < j), each with its D4
+# root e_i + sign*e_j; a root and its negative pair alike.  Least rank of the
+# integrally pairing roots on each stratum.
+_PVI_PAIRINGS = tuple(_pair(4, i, j, sign) for i, j in _PV_PAIRS for sign in (1, -1))
 _PVI_MIN_RANK = {"D": 4, "L": 3, "P": 2, "M": 1}
 
 
-def _pvi_strata(v: Sequence[ParamValue]) -> dict[str, TriBool]:
-    """Strata by the rank of the D4 roots ±e_i±e_j that pair integrally with
-    v.  A root and its negative pair alike, so the 12 pairings v_i ± v_j
-    (i < j) decide it; a stratum is Unknown when only the undecided
-    pairings reach its rank."""
-    yes, undecided = [], []
-    for i, j in itertools.combinations(range(4), 2):
-        for sign, value in ((1, v[i] + v[j]), (-1, v[i] - v[j])):
-            verdict = _is_int(value)
-            if verdict is not TriBool.NO:
-                row = [0, 0, 0, 0]
-                row[i], row[j] = 1, sign
-                (yes if verdict is TriBool.YES else undecided).append(row)
+def _pvi_strata(t: Sequence[TriBool]) -> dict[str, TriBool]:
+    """Strata by the rank of the D4 roots that pair integrally with v; a
+    stratum is Unknown when only the undecided pairings reach its rank."""
+    yes = [root for root, verdict in zip(_PVI_PAIRINGS, t) if verdict is TriBool.YES]
+    undecided = [root for root, verdict in zip(_PVI_PAIRINGS, t) if verdict is TriBool.UNKNOWN]
     rank_yes = rational_rank(yes)
     rank_all = rational_rank(yes + undecided) if undecided else rank_yes
     return {
@@ -123,50 +106,62 @@ def _pvi_strata(v: Sequence[ParamValue]) -> dict[str, TriBool]:
     }
 
 
+# family -> (denominator of its integer form, 2 where an offset is 1/2;
+# congruence rows; strata from the rows' verdicts).  The third family's D1
+# lies inside W1, so W1's congruence (the last row) joins D1's: D1 is No
+# wherever W1 is.
 _STRATA_TESTS = {
-    Family.PI: lambda v: {},
-    Family.PII: _pii_strata,
-    Family.PIII: _piii_strata,
-    Family.PIV: _piv_strata,
-    Family.PV: _pv_strata,
-    Family.PVI: _pvi_strata,
+    Family.PI: (1, (), lambda t: {}),
+    Family.PII: (2, (((1,), _HALF, 1),), lambda t: {"half-integer": t[0]}),
+    Family.PIII: (1, (((1, 0), 0, 1), ((0, 1), 0, 1), ((1, 1), 0, 2), ((1, -1), 0, 2)),
+                  lambda t: {"D1": tri_and(t), "W1": t[3]}),
+    Family.PIV: (1, tuple((_pair(3, i, j), 0, 1) for i, j in ((0, 1), (2, 1), (0, 2))),
+                 lambda t: {"D": tri_and(t), "W": tri_or(t)}),
+    Family.PV: (1, tuple((_pair(4, i, j), 0, 1) for i, j in _PV_PAIRS), _pv_strata),
+    Family.PVI: (2, tuple((root, 0, 1) for root in _PVI_PAIRINGS), _pvi_strata),
 }
 
 
-# The splits of the sixth family's coordinates into a pair {a, b} and its
-# complement {c, d}, the identity's {0, 1} | {2, 3} first.
-_PVI_SPLITS = tuple(
-    (a, b, *(i for i in range(4) if i not in (a, b))) for a, b in itertools.combinations(range(4), 2)
+# ``_pvi_half_integer_special``'s rows v_a op v_b and v_c op v_d, and whether each needs a transformation.
+_PVI_HALF_TESTS = tuple(
+    (_pair(4, a, b, sign), _pair(4, c, d, sign), (a, b, sign) != (0, 1, -1))
+    for a, b in _PV_PAIRS
+    for c, d in [tuple(i for i in range(4) if i not in (a, b))]
+    for sign in (-1, 1)
 )
 
 
-def _pvi_half_integer_special(v: Sequence[ParamValue]) -> tuple[TriBool, bool]:
+def _pvi_half_integer_special(form: Scaled) -> tuple[TriBool, bool]:
     """Test v1 - v2 in 1/2 + Z and v3 - v4 in Z over every image of v under
     the finite transformations (signed permutations with even sign weight);
     integer translations preserve both congruences, so this makes the test
     orbit-invariant.  Returns the verdict and whether a non-identity
-    transformation was needed.
+    transformation was needed.  ``form`` is the fiber's integer form.
 
     An image's first two coordinates come from a pair {a, b} and its last two
     from the complement {c, d}; even sign weight gives both differences the
     same relative sign.  So up to negation, which keeps both cosets, the
     images test v_a op v_b in 1/2 + Z and v_c op v_d in Z over the 6 splits
-    and op = -, +: 12 tests where the images number 192.  The identity is
-    the first split with op = -.  On M no test is undecided: each has the
-    atoms of a root pairing, and M leaves no root pairing undecided."""
-    for a, b, c, d in _PVI_SPLITS:
-        for op in (sub, add):
-            if decide_coset(op(v[a], v[b]), _HALF, 1) is TriBool.YES and _is_int(op(v[c], v[d])) is TriBool.YES:
-                return TriBool.YES, (a, b, op) != (0, 1, sub)
+    and op = -, +: 12 tests where the images number 192, the identity's
+    {0, 1} | {2, 3} with op = - first.  On M no test is undecided: each has
+    the atoms of a root pairing, and M leaves no root pairing undecided."""
+    for half, whole, transformed in _PVI_HALF_TESTS:
+        half_holds = coset(form, half, _HALF, 1, decide_coset) is TriBool.YES
+        if half_holds and coset(form, whole, 0, 1, decide_coset) is TriBool.YES:
+            return TriBool.YES, transformed
     return TriBool.NO, False
 
 
-def stratum(eq: EquationId) -> Stratum:
+def stratum(eq: EquationId, form: Scaled | None = None) -> Stratum:
     """Walk ``FamilySpec.strata`` deepest first: the first stratum whose
     membership decides Yes, or Unknown (label None) at the first undecided
-    one.  The generic row has no test and always holds."""
+    one.  The generic row has no test and always holds.  ``form`` is the
+    fiber's integer form over its family's denominator, when the caller has
+    built it."""
     fam = eq.family
-    membership = _STRATA_TESTS[fam](eq.params)
+    den, rows, strata = _STRATA_TESTS[fam]
+    form = form or scale(eq.params, den)
+    membership = strata([coset(form, *row, decide_coset) for row in rows])
     for row in family_space(fam).strata:
         verdict = membership.get(row.label, TriBool.YES)
         if verdict is TriBool.UNKNOWN:
@@ -174,7 +169,7 @@ def stratum(eq: EquationId) -> Stratum:
         if verdict is TriBool.YES:
             break
     if fam is Family.PVI and row.label == "M":
-        special, transformed = _pvi_half_integer_special(eq.params)
+        special, transformed = _pvi_half_integer_special(form)
         return Stratum(fam, row.label, half_integer_special=special, special_after_transformation=transformed)
     return Stratum(fam, row.label)
 
@@ -209,31 +204,32 @@ def is_generic(eq: EquationId) -> bool:
     return transcendence_degree(eq.params) == family_space(eq.family).dimension
 
 
-def algebraic_solution_count_P3(v1: ParamValue, v2: ParamValue) -> int | None:
-    """Counts by the two fixed congruences: 4 when both v2-v1-1 and v2+v1+1
-    are even integers, 2 when exactly one is, 0 when neither; None (Unknown)
-    when an undecided congruence leaves the count unforced."""
-    first = decide_coset(v2 - v1 - 1, 0, 2)
-    second = decide_coset(v2 + v1 + 1, 0, 2)
+def algebraic_solution_count_P3(form: Scaled) -> int | None:
+    """Counts by the two fixed congruences, on the third family's integer
+    form ``form``: 4 when both v2-v1-1 and v2+v1+1 are even integers, 2 when
+    exactly one is, 0 when neither; None (Unknown) when an undecided
+    congruence leaves the count unforced."""
+    first = coset(form, (-1, 1), 1, 2, decide_coset)
+    second = coset(form, (1, 1), -1, 2, decide_coset)
     if TriBool.UNKNOWN in (first, second):
         return None
     yes = [first, second].count(TriBool.YES)
     return {2: 4, 1: 2, 0: 0}[yes]
 
 
-def _algebraic_solutions(eq: EquationId, strat: Stratum) -> tuple[int | None, list[str]]:
+def _algebraic_solutions(eq: EquationId, strat: Stratum, form: Scaled, generic: bool) -> tuple[int | None, list[str]]:
     fam = eq.family
     if fam is Family.PII:
-        verdict = _is_int(eq.params[0])
+        verdict = coset(form, (1,), 0, 1, decide_coset)
         if verdict is TriBool.UNKNOWN:
             return None, []
         return (1 if verdict is TriBool.YES else 0), ["murata_pii"]
     if fam is Family.PIII:
-        count = algebraic_solution_count_P3(eq.params[0], eq.params[1])
+        count = algebraic_solution_count_P3(form)
         if count is None:
             return None, []
         keys = ["murata3"]
-        if count == 0 and is_generic(eq):
+        if count == 0 and generic:
             keys.append("piii_no_alg_generic")
         return count, keys
     if fam is Family.PV:
@@ -246,11 +242,11 @@ def _algebraic_solutions(eq: EquationId, strat: Stratum) -> tuple[int | None, li
     return None, []
 
 
-def _geometric_triviality(eq: EquationId, notes: list[str]) -> tuple[TriBool, list[str]]:
+def _geometric_triviality(eq: EquationId, generic: bool, notes: list[str]) -> tuple[TriBool, list[str]]:
     fam = eq.family
     if fam is Family.PII:
         return TriBool.YES, ["pii_trivial_all"]
-    if is_generic(eq):
+    if generic:
         return TriBool.YES, ["generic_sm_trivial"]
     if fam is Family.PVI:
         notes.append(
@@ -264,7 +260,8 @@ def classify(eq: EquationId) -> ClassificationReport:
     """Full classification report for one equation, with citations."""
     spec = family_space(eq.family)
     notes: list[str] = []
-    strat = stratum(eq)
+    form = scale(eq.params, _STRATA_TESTS[eq.family][0])
+    strat = stratum(eq, form)
     citation_keys: list[str] = ["rank_one"]
     stratum_citation = degree_citation = None
     components: tuple[Component, ...] = ()
@@ -286,8 +283,9 @@ def classify(eq: EquationId) -> ClassificationReport:
         degree_citation = cite(row.degree_keys[0])
 
     strongly_minimal = TriBool.UNKNOWN if degree is None else TriBool.of(degree == 1)
-    count, count_keys = _algebraic_solutions(eq, strat)
-    trivial, trivial_keys = _geometric_triviality(eq, notes)
+    generic = is_generic(eq)
+    count, count_keys = _algebraic_solutions(eq, strat, form, generic)
+    trivial, trivial_keys = _geometric_triviality(eq, generic, notes)
     citation_keys += count_keys + trivial_keys
     notes.extend(spec.notes)
 

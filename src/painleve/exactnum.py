@@ -16,6 +16,7 @@ import re
 from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 Rational = Fraction | int
@@ -455,6 +456,25 @@ def scale(values: Sequence[ParamValue], den: int = 1) -> Scaled:
             row[atoms.index(a)] = n * (den // d)
         rows.append(tuple(row))
     return Scaled(den, consts, tuple(rows), tuple(atoms))
+
+
+def coset(form: Scaled, coeffs: Sequence[int], offset: Rational, modulus: int, decide=decide_coset) -> TriBool:
+    """``decide_coset`` on integer rows: is sum_i coeffs[i]*v_i - offset in
+    ``modulus * Z``, for the values v of ``form`` (whose ``den`` clears
+    ``offset``)?  One integer ``%`` decides where no atom survives, and a
+    surviving transcendental or lone algebraic atom decides No; only two or
+    more surviving algebraic atoms reach ``decide`` (``decide_coset``, or a
+    caller's binding of it) on the exact difference."""
+    den = form.den
+    num = sum(map(mul, coeffs, form.consts)) - offset.numerator * (den // offset.denominator)
+    if form.atoms:
+        live = [(a, n) for a, column in zip(form.atoms, zip(*form.rows)) if (n := sum(map(mul, coeffs, column)))]
+        if live:
+            if len(live) == 1 or any(a.kind is AtomKind.TRANSCENDENTAL for a, _ in live):
+                return TriBool.NO
+            terms = tuple((a, Fraction(n, den)) for a, n in live)  # in sort order, as ``form.atoms``
+            return decide(ParamValue._canonical(Fraction(num, den), terms), 0, modulus)
+    return TriBool.YES if num % (modulus * den) == 0 else TriBool.NO
 
 
 def rational_rank(rows: Sequence[Sequence[Rational]]) -> int:

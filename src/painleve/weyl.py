@@ -36,6 +36,7 @@ from .exactnum import (
     Rational,
     Scaled,
     TriBool,
+    coset,
     decide_coset,
     scale,
     transcendence_degree,
@@ -289,23 +290,12 @@ def _lattice_scan(
     return (TriBool.UNKNOWN if saw_unknown else TriBool.NO), None
 
 
-def _piii_decide(v: Sequence[ParamValue], w: Sequence[ParamValue], form: Scaled) -> tuple[TriBool, OrbitWitness | None]:
+def _piii_decide(form: Scaled) -> tuple[TriBool, OrbitWitness | None]:
     """The third family's criterion on differences mod 2Z, as ``(related,
-    witness)``; ``form`` is ``_scaled(Family.PIII, v, w)``."""
+    witness)``, on ``form``, which is ``_scaled(Family.PIII, v, w)``."""
     den, consts, rows = form.den, form.consts, form.rows
-    tau = [k for k, a in enumerate(form.atoms) if a.kind is AtomKind.TRANSCENDENTAL]
-
-    def test(sign: int) -> tuple[TriBool, int]:
-        # Is dw - sign*dv in 2Z, for dv = v1 - v0 and dw = w1 - w0?
-        row = [w1 - w0 - sign * (v1 - v0) for v0, v1, w0, w1 in zip(*rows)]
-        num = consts[3] - consts[2] - sign * (consts[1] - consts[0])
-        if not any(row):
-            return TriBool.of(num % (2 * den) == 0), num
-        if any(row[k] for k in tau):
-            return TriBool.NO, num
-        return decide_coset(w[1] - w[0] - (v[1] - v[0]) * sign, 0, 2), num
-
-    (t_plus, plus), (t_minus, minus) = test(1), test(-1)
+    # Is dw - sign*dv in 2Z, for dv = v1 - v0 and dw = w1 - w0?
+    t_plus, t_minus = (coset(form, (sign, -sign, -1, 1), 0, 2, decide_coset) for sign in (1, -1))
     related = tri_or([t_plus, t_minus])
     if related is not TriBool.YES:
         return related, None
@@ -323,10 +313,10 @@ def _piii_decide(v: Sequence[ParamValue], w: Sequence[ParamValue], form: Scaled)
         note = None if in_lattice else "affine witness lies outside the generator lattice"
         shift = tuple(Fraction(x, den) for x in shift)
         return related, OrbitWitness(perm=perm, signs=(eps, eps), shift=shift, note=note)
-    branch = "+" if t_plus is TriBool.YES else "-"
+    sign = 1 if t_plus is TriBool.YES else -1
     return related, OrbitWitness(
-        integer_shift=((plus if t_plus is TriBool.YES else minus) // den,),
-        note=f"difference criterion only (branch {branch}); no affine witness with rational shift",
+        integer_shift=((consts[3] - consts[2] - sign * (consts[1] - consts[0])) // den,),
+        note=f"difference criterion only (branch {'+' if sign > 0 else '-'}); no affine witness with rational shift",
     )
 
 
@@ -349,7 +339,7 @@ def orbit_decide(
         related, hypotheses = TriBool.YES, True
         witness = OrbitWitness(perm=(), signs=(), shift=(), note="parameter-free family")
     elif family is Family.PIII:
-        related, witness = _piii_decide(v, w, form or _scaled(family, v, w))
+        related, witness = _piii_decide(form or _scaled(family, v, w))
         hypotheses = _is_generic(family, v) and _is_generic(family, w)
     else:
         related, witness = _lattice_scan(family, v, w, form or _scaled(family, v, w))

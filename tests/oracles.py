@@ -6,11 +6,18 @@
 - ``pvi_image_scan_special`` decides the sixth family's half-integer
   special condition over all 192 even-sign-weight signed-permutation images
   of the parameter, as ``classify`` did before it tested the 12 pairings.
+- ``loop_family_from_name`` is ``Family.from_name`` from before its
+  spelling table: a loop over the members.
 - ``chain_stratum`` decides the stratum by one hand-written if-chain per
   family, and ``chain_pv_algebraic_solutions`` decides the fifth family's
   count from its congruences, apart from the stratum.  ``chain_classify``
   runs ``classify`` on both, for comparison with the walk over
   ``FamilySpec.strata``.
+- ``coset_strata`` is ``classify.stratum`` from before the integer form:
+  the same walk, with every congruence a ``ParamValue`` difference given to
+  ``decide_coset``, and the sixth family's half-integer test over the 12
+  pairings likewise.  ``coset_classify`` runs ``classify`` on it and on the
+  second and third families' counts decided the same way.
 - ``scan_orbit_decide`` decides the second and fourth to sixth families'
   orbit criteria by a plain scan: every candidate computes all of its coset
   tests.  ``witness_maps`` checks a witness map against v and w.
@@ -71,10 +78,10 @@ from functools import lru_cache
 from typing import Sequence
 from unittest import mock
 
-from painleve.catalog import EquationId, Family, family_space
+from painleve.catalog import EquationId, Family, UnknownFamilyError, family_space
 from painleve import diffpoly
 from painleve.diffpoly import T_VAR, DiffExpr, Var, _coefficient, jet, sym
-from painleve.classify import ClassificationReport, Stratum
+from painleve.classify import ClassificationReport, Stratum, is_generic
 from painleve.exactnum import (
     MAX_DIGITS, AtomKind, ParamSyntaxError, ParamValue, TriBool, _FAST_PARAM, _FAST_TERM, _LONG_DIGIT_RUN,
     _intern, _tokenize, decide_coset, transcendence_degree, tri_and, tri_or,
@@ -218,6 +225,18 @@ def pvi_image_scan_special(v: Sequence[ParamValue]) -> tuple[TriBool, bool]:
     return TriBool.NO, False
 
 
+# -- family names -----------------------------------------------------------------------
+
+
+def loop_family_from_name(name: str) -> Family:
+    """``Family.from_name`` as a loop over the members' value and name."""
+    name = name.strip().upper()
+    for fam in Family:
+        if name in (fam.value, fam.name, f"P{fam.value}"):
+            return fam
+    raise UnknownFamilyError(f"unknown family {name!r}; expected one of I, II, III, IV, V, VI")
+
+
 # -- the per-family strata chains -------------------------------------------------------
 
 
@@ -323,9 +342,9 @@ def chain_pv_algebraic_solutions(v: Sequence[ParamValue]) -> int | None:
 _walk_algebraic_solutions = classify_module._algebraic_solutions
 
 
-def _chain_algebraic_solutions(eq: EquationId, strat: Stratum) -> tuple[int | None, list[str]]:
+def _chain_algebraic_solutions(eq: EquationId, strat: Stratum, *form_and_generic) -> tuple[int | None, list[str]]:
     if eq.family is not Family.PV:
-        return _walk_algebraic_solutions(eq, strat)
+        return _walk_algebraic_solutions(eq, strat, *form_and_generic)
     count = chain_pv_algebraic_solutions(eq.params)
     return count, [] if count is None else [{2: "pv_count2", 1: "pv_count1"}[count]]
 
@@ -333,8 +352,128 @@ def _chain_algebraic_solutions(eq: EquationId, strat: Stratum) -> tuple[int | No
 def chain_classify(eq: EquationId) -> ClassificationReport:
     """``classify`` with the stratum and the fifth family's count decided by
     the chains above."""
-    with mock.patch.object(classify_module, "stratum", chain_stratum), mock.patch.object(
+    with mock.patch.object(classify_module, "stratum", lambda eq, form=None: chain_stratum(eq)), mock.patch.object(
         classify_module, "_algebraic_solutions", _chain_algebraic_solutions
+    ):
+        return classify_module.classify(eq)
+
+
+# -- the strata on ParamValue differences ------------------------------------------------
+
+
+def _coset_pii(v: Sequence[ParamValue]) -> dict[str, TriBool]:
+    return {"half-integer": decide_coset(v[0], Fraction(1, 2), 1)}
+
+
+def _coset_piii(v: Sequence[ParamValue]) -> dict[str, TriBool]:
+    w1 = decide_coset(v[0] - v[1], 0, 2)
+    return {"D1": tri_and([_is_int(v[0]), _is_int(v[1]), decide_coset(v[0] + v[1], 0, 2), w1]), "W1": w1}
+
+
+def _coset_piv(v: Sequence[ParamValue]) -> dict[str, TriBool]:
+    tests = [_is_int(v[0] - v[1]), _is_int(v[2] - v[1]), _is_int(v[0] - v[2])]
+    return {"D": tri_and(tests), "W": tri_or(tests)}
+
+
+def _coset_pv(v: Sequence[ParamValue]) -> dict[str, TriBool]:
+    pair = {(i, j): _is_int(v[i] - v[j]) for i, j in itertools.combinations(range(4), 2)}
+
+    def two_pairs(covered: int) -> TriBool:
+        return tri_or(
+            tri_and([pair[p], pair[q]])
+            for p, q in itertools.combinations(pair, 2)
+            if len(set(p + q)) == covered
+        )
+
+    return {
+        "D": tri_and([pair[0, 1], pair[0, 2], pair[0, 3]]),
+        "S1": two_pairs(4),
+        "S2": two_pairs(3),
+        "W": tri_or(pair.values()),
+    }
+
+
+def _coset_pvi(v: Sequence[ParamValue]) -> dict[str, TriBool]:
+    yes, undecided = [], []
+    for i, j in itertools.combinations(range(4), 2):
+        for sign, value in ((1, v[i] + v[j]), (-1, v[i] - v[j])):
+            verdict = _is_int(value)
+            if verdict is not TriBool.NO:
+                row = [0, 0, 0, 0]
+                row[i], row[j] = 1, sign
+                (yes if verdict is TriBool.YES else undecided).append(row)
+    rank_yes = fraction_rational_rank(yes)
+    rank_all = fraction_rational_rank(yes + undecided)
+    return {
+        label: TriBool.YES if rank_yes >= r else TriBool.UNKNOWN if rank_all >= r else TriBool.NO
+        for label, r in {"D": 4, "L": 3, "P": 2, "M": 1}.items()
+    }
+
+
+_COSET_TESTS = {
+    Family.PI: lambda v: {},
+    Family.PII: _coset_pii,
+    Family.PIII: _coset_piii,
+    Family.PIV: _coset_piv,
+    Family.PV: _coset_pv,
+    Family.PVI: _coset_pvi,
+}
+
+
+def coset_pvi_half_integer_special(v: Sequence[ParamValue]) -> tuple[TriBool, bool]:
+    """The sixth family's half-integer test over the 12 pairings, each a
+    ``ParamValue`` difference given to ``decide_coset``."""
+    splits = [(a, b, *(i for i in range(4) if i not in (a, b))) for a, b in itertools.combinations(range(4), 2)]
+    for a, b, c, d in splits:
+        for op in (operator.sub, operator.add):
+            if decide_coset(op(v[a], v[b]), Fraction(1, 2), 1) is TriBool.YES and _is_int(op(v[c], v[d])) is TriBool.YES:
+                return TriBool.YES, (a, b, op) != (0, 1, operator.sub)
+    return TriBool.NO, False
+
+
+def coset_strata(eq: EquationId) -> Stratum:
+    """The stratum by the walk over ``FamilySpec.strata``, each congruence
+    decided by ``decide_coset`` on a ``ParamValue`` difference."""
+    fam = eq.family
+    membership = _COSET_TESTS[fam](eq.params)
+    for row in family_space(fam).strata:
+        verdict = membership.get(row.label, TriBool.YES)
+        if verdict is TriBool.UNKNOWN:
+            return Stratum(fam, None)
+        if verdict is TriBool.YES:
+            break
+    if fam is Family.PVI and row.label == "M":
+        special, transformed = coset_pvi_half_integer_special(eq.params)
+        return Stratum(fam, row.label, half_integer_special=special, special_after_transformation=transformed)
+    return Stratum(fam, row.label)
+
+
+def coset_piii_count(v1: ParamValue, v2: ParamValue) -> int | None:
+    """The third family's algebraic-solution count on ``ParamValue`` differences."""
+    verdicts = [decide_coset(v2 - v1 - 1, 0, 2), decide_coset(v2 + v1 + 1, 0, 2)]
+    if TriBool.UNKNOWN in verdicts:
+        return None
+    return {2: 4, 1: 2, 0: 0}[verdicts.count(TriBool.YES)]
+
+
+def _coset_algebraic_solutions(eq: EquationId, strat: Stratum, form, generic: bool) -> tuple[int | None, list[str]]:
+    v = eq.params
+    if eq.family is Family.PII:
+        verdict = _is_int(v[0])
+        return (None, []) if verdict is TriBool.UNKNOWN else (int(verdict is TriBool.YES), ["murata_pii"])
+    if eq.family is Family.PIII:
+        count = coset_piii_count(v[0], v[1])
+        if count is None:
+            return None, []
+        return count, ["murata3", "piii_no_alg_generic"] if count == 0 and is_generic(eq) else ["murata3"]
+    return _walk_algebraic_solutions(eq, strat, form, generic)
+
+
+def coset_classify(eq: EquationId) -> ClassificationReport:
+    """``classify`` with the stratum and the second and third families'
+    counts decided on ``ParamValue`` differences."""
+    with mock.patch.object(classify_module, "stratum", lambda eq, form=None: coset_strata(eq)), mock.patch.object(
+        classify_module, "_algebraic_solutions", _coset_algebraic_solutions
     ):
         return classify_module.classify(eq)
 

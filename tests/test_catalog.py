@@ -18,7 +18,7 @@ from painleve.diffpoly import DiffExpr, T_VAR, jet, sym
 from painleve.exactnum import ParamValue, alg, tau
 from painleve.odes import PI_FORM_NOTE, ode_system, riccati_rules
 
-from oracles import fraction_sum_zero_error, residual_exprs
+from oracles import fraction_sum_zero_error, loop_family_from_name, residual_exprs
 
 
 def test_family_names():
@@ -27,6 +27,25 @@ def test_family_names():
     assert Family.from_name("PIV") is Family.PIV
     with pytest.raises(UnknownFamilyError):
         Family.from_name("VII")
+
+
+def _named(call, text):
+    try:
+        return call(text)
+    except UnknownFamilyError as error:
+        return str(error)
+
+
+@given(st.one_of(
+    st.sampled_from([f.value for f in Family] + [f.name for f in Family]).flatmap(
+        lambda name: st.tuples(st.just(name), st.sampled_from(["", " ", "\t", "\n "]), st.booleans())
+    ).map(lambda t: t[1] + (t[0].lower() if t[2] else t[0]) + t[1]),
+    st.text(alphabet="PpIiVvXı \t", max_size=6),
+))
+def test_from_name_matches_member_loop(text):
+    # Every spelling, in any case and with surrounding whitespace, names the
+    # same family as the loop did, or fails with the same message.
+    assert _named(Family.from_name, text) == _named(loop_family_from_name, text)
 
 
 def test_family_space_shapes():

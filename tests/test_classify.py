@@ -10,9 +10,12 @@ from hypothesis import assume, given, settings, strategies as st
 from painleve.catalog import EquationId, Family, family_space
 from painleve.citations import CITATIONS, PVI_LDEG_AMBIGUITY
 from painleve.classify import algebraic_solution_count_P3, classify, stratum
-from painleve.exactnum import ParamValue, TriBool, alg, decide_coset, rational_rank, tau
+from painleve.exactnum import AtomKind, ParamValue, TriBool, alg, coset, decide_coset, rational_rank, scale, tau
 
-from oracles import chain_classify, chain_stratum, classify_module, pvi_image_scan_special, pvi_root_scan
+from oracles import (
+    chain_classify, chain_stratum, classify_module, coset_classify, coset_strata, pvi_image_scan_special,
+    pvi_root_scan,
+)
 
 PV = ParamValue
 T1, T2, T3, T4 = (PV.of_atom(tau(i)) for i in (1, 2, 3, 4))
@@ -142,7 +145,7 @@ def test_pvi_half_integer_special_pairings_match_image_scan():
         if rng.random() < 0.8:
             v[d] = v[c] * e + rng.randint(-3, 3)
         expected = pvi_image_scan_special(v)
-        assert classify_module._pvi_half_integer_special(v) == expected, v
+        assert classify_module._pvi_half_integer_special(scale(v, 2)) == expected, v
         seen[expected] = seen.get(expected, 0) + 1
     assert min(seen.get(k, 0) for k in [(TriBool.YES, False), (TriBool.YES, True), (TriBool.NO, False)]) > 200
 
@@ -251,21 +254,25 @@ def test_unknown_stratum_propagates_to_degree():
 
 # -- algebraic solutions --------------------------------------------------------------
 
+def p3_count(v1, v2):
+    return algebraic_solution_count_P3(scale((PV(0) + v1, PV(0) + v2)))
+
+
 def test_p3_count_fixtures():
-    assert algebraic_solution_count_P3(PV(1), PV(0)) == 4
-    assert algebraic_solution_count_P3(PV(0), PV(0)) == 0
-    assert algebraic_solution_count_P3(T1, T2) == 0
+    assert p3_count(1, 0) == 4
+    assert p3_count(0, 0) == 0
+    assert p3_count(T1, T2) == 0
 
 
 def test_p3_count_parity_details():
     # v = (0,1): v2-v1-1 = 0 in 2Z, v2+v1+1 = 2 in 2Z -> 4
-    assert algebraic_solution_count_P3(PV(0), PV(1)) == 4
+    assert p3_count(0, 1) == 4
     # v = (0,2): v2-v1-1 = 1 odd, v2+v1+1 = 3 odd -> 0
-    assert algebraic_solution_count_P3(PV(0), PV(2)) == 0
+    assert p3_count(0, 2) == 0
     # v = (1/2, 3/2): v2-v1-1 = 0 in 2Z; v2+v1+1 = 3 odd -> 2
-    assert algebraic_solution_count_P3(PV(H), PV(Fraction(3, 2))) == 2
+    assert p3_count(H, Fraction(3, 2)) == 2
     # undecided congruence -> None
-    assert algebraic_solution_count_P3(A1 + A2, PV(0)) is None
+    assert p3_count(A1 + A2, 0) is None
 
 
 def test_algebraic_solution_fixtures():
@@ -437,8 +444,9 @@ def test_strata_tests_name_every_non_generic_row():
     for family in Family:
         labels = [row.label for row in family_space(family).strata]
         assert labels[-1] == "generic"
-        tests = classify_module._STRATA_TESTS[family]([PV(0)] * family_space(family).arity)
-        assert list(tests) == labels[:-1]
+        _, rows, strata = classify_module._STRATA_TESTS[family]
+        assert all(len(coeffs) == family_space(family).arity for coeffs, _, _ in rows)
+        assert list(strata([TriBool.YES] * len(rows))) == labels[:-1]
 
 
 @st.composite
@@ -472,12 +480,81 @@ def test_classify_matches_per_family_chains(equation):
     assert classify(equation) == chain_classify(equation)
 
 
+@st.composite
+def coset_fibers(draw):
+    """Fibers of the second to sixth families with tau/alg atoms whose
+    rationals lie on, or a small step off, the cosets the strata test:
+    integers of both parities, half-integers, and coordinates tied to others
+    up to sign by such shifts.  Sixth-family fibers take the M-special shape
+    (v_b = e*v_a + 1/2, v_d = e*v_c up to integers) half the time."""
+    family = draw(st.sampled_from([Family.PII, Family.PIII, Family.PIV, Family.PV, Family.PVI]))
+    spec = family_space(family)
+    parts = [PV(0), PV(0), T1, T2, A1, A2, A1 + A2, T1 - A1, A1 - 2 * A2]
+
+    def near():
+        step = draw(st.sampled_from([0, 0, 0, Fraction(1, 4), Fraction(-1, 3), Fraction(1, 12)]))
+        return draw(st.sampled_from([0, H])) + draw(st.integers(-3, 3)) + step
+
+    def sign():
+        return draw(st.sampled_from([1, -1]))
+
+    v = [draw(st.sampled_from(parts)) + near() for _ in range(spec.arity)]
+    for _ in range(draw(st.integers(0, spec.arity))):
+        i, j = draw(st.integers(0, spec.arity - 1)), draw(st.integers(0, spec.arity - 1))
+        v[j] = v[i] * sign() + near()
+    if family is Family.PVI and draw(st.booleans()):
+        a, b, c, d = draw(st.permutations(range(4)))
+        e = sign()
+        v[b] = v[a] * e + H + draw(st.integers(-3, 3))
+        v[d] = v[c] * e + draw(st.integers(-3, 3))
+    if spec.sum_zero:
+        mean = sum(v, PV(0)) / spec.arity
+        v = [x - mean for x in v]
+    return eq(family, v)
+
+
+@given(coset_fibers())
+@settings(max_examples=500, deadline=None)
+def test_integer_strata_match_coset_oracles(equation):
+    s = stratum(equation)
+    assert s == coset_strata(equation) == chain_stratum(equation)
+    assert classify(equation) == coset_classify(equation) == chain_classify(equation)
+    if s.label == "M":
+        assert (s.half_integer_special, s.special_after_transformation) == pvi_image_scan_special(equation.params)
+
+
+def test_fiber_without_algebraic_atoms_makes_no_coset_test(monkeypatch):
+    # The integer form decides every rational or tau-only congruence; only
+    # two surviving algebraic atoms reach decide_coset.
+    calls = []
+
+    def counting(x, offset, modulus):
+        calls.append(modulus)
+        return decide_coset(x, offset, modulus)
+
+    monkeypatch.setattr(classify_module, "decide_coset", counting)
+    rng = random.Random(24)
+    labels = set()
+    for _ in range(400):
+        family = rng.choice([Family.PII, Family.PIII, Family.PIV, Family.PV, Family.PVI])
+        v = _tied_params(family, rng)
+        if any(a.kind is AtomKind.ALGEBRAIC_IRRATIONAL for x in v for a, _ in x.terms):
+            continue
+        report = classify(eq(family, v))
+        assert calls == [], v
+        labels.add((family, report.stratum.label))
+    assert len(labels) >= 12
+    classify(eq(Family.PIII, [A1 + A2, 0]))
+    assert calls
+
+
 def test_pvi_pairings_match_root_scan_rank():
     rng = random.Random(34)
     for _ in range(300):
         v = _tied_params(Family.PVI, rng)
         yes, unknown = pvi_root_scan(v)
-        tests = classify_module._pvi_strata(v)
+        form = scale(eq(Family.PVI, v).params, 2)
+        tests = classify_module._pvi_strata([coset(form, *row) for row in classify_module._STRATA_TESTS[Family.PVI][1]])
         rank_yes, rank_all = rational_rank(yes), rational_rank(yes + unknown)
         for label, least in [("D", 4), ("L", 3), ("P", 2), ("M", 1)]:
             expected = (

@@ -18,6 +18,7 @@ from painleve.exactnum import (
     ParamValue,
     TriBool,
     alg,
+    coset,
     decide_coset,
     format_param,
     parse_param,
@@ -381,6 +382,27 @@ moduli = st.sampled_from([1, 2, Fraction(1), Fraction(1, 2)])
 @given(operands, offsets, moduli)
 def test_decide_coset_matches_reference(x, offset, modulus):
     assert decide_coset(x, offset, modulus) is reference_decide_coset(x, offset, modulus)
+
+
+@given(st.lists(operands, min_size=1, max_size=4), st.data())
+def test_coset_matches_decide_coset(values, data):
+    # The integer-row kernel against decide_coset on the exact combination;
+    # only two or more surviving algebraic atoms and no transcendental one
+    # reach the fallback.
+    coeffs = [data.draw(st.integers(-2, 2)) for _ in values]
+    offset = data.draw(st.sampled_from([0, 1, -1, Fraction(1, 2), Fraction(-3, 2)]))
+    modulus = data.draw(st.sampled_from([1, 2]))
+    x = sum((v * c for v, c in zip(values, coeffs)), ParamValue(0))
+    calls = []
+
+    def counting(y, off, mod):
+        calls.append(y - off)
+        return decide_coset(y, off, mod)
+
+    assert coset(scale(values, 2), coeffs, offset, modulus, counting) is decide_coset(x, offset, modulus)
+    kinds = [a.kind for a, _ in x.terms]
+    fallback = AtomKind.TRANSCENDENTAL not in kinds and len(kinds) >= 2
+    assert calls == ([x - offset] if fallback else [])
 
 
 # -- tri-valued logic ----------------------------------------------------------

@@ -881,7 +881,7 @@ def test_integer_orbit_path_matches_fraction_oracles(query, data):
     family, v, w = query
     form = weyl._scaled(family, v, w)
     if family is Family.PIII:
-        assert weyl._piii_decide(v, w, form) == fraction_piii_decide(v, w)
+        assert weyl._piii_decide(form) == fraction_piii_decide(v, w)
     else:
         assert weyl._lattice_scan(family, v, w, form) == lazy_lattice_scan(family, v, w)
     if family is not Family.PII:
