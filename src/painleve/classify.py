@@ -22,7 +22,7 @@ from .exactnum import (
     Scaled,
     TriBool,
     coset,
-    decide_coset,
+    decide_coset,  # uncalled; perfbench/tracer.py wraps it here (ROADMAP item 1b)
     rational_rank,
     scale,
     transcendence_degree,
@@ -146,8 +146,8 @@ def _pvi_half_integer_special(form: Scaled) -> tuple[TriBool, bool]:
     {0, 1} | {2, 3} with op = - first.  On M no test is undecided: each has
     the atoms of a root pairing, and M leaves no root pairing undecided."""
     for half, whole, transformed in _PVI_HALF_TESTS:
-        half_holds = coset(form, half, _HALF, 1, decide_coset) is TriBool.YES
-        if half_holds and coset(form, whole, 0, 1, decide_coset) is TriBool.YES:
+        half_holds = coset(form, half, _HALF, 1) is TriBool.YES
+        if half_holds and coset(form, whole, 0, 1) is TriBool.YES:
             return TriBool.YES, transformed
     return TriBool.NO, False
 
@@ -161,7 +161,7 @@ def stratum(eq: EquationId, form: Scaled | None = None) -> Stratum:
     fam = eq.family
     den, rows, strata = _STRATA_TESTS[fam]
     form = form or scale(eq.params, den)
-    membership = strata([coset(form, *row, decide_coset) for row in rows])
+    membership = strata([coset(form, *row) for row in rows])
     for row in family_space(fam).strata:
         verdict = membership.get(row.label, TriBool.YES)
         if verdict is TriBool.UNKNOWN:
@@ -209,8 +209,8 @@ def algebraic_solution_count_P3(form: Scaled) -> int | None:
     form ``form``: 4 when both v2-v1-1 and v2+v1+1 are even integers, 2 when
     exactly one is, 0 when neither; None (Unknown) when an undecided
     congruence leaves the count unforced."""
-    first = coset(form, (-1, 1), 1, 2, decide_coset)
-    second = coset(form, (1, 1), -1, 2, decide_coset)
+    first = coset(form, (-1, 1), 1, 2)
+    second = coset(form, (1, 1), -1, 2)
     if TriBool.UNKNOWN in (first, second):
         return None
     yes = [first, second].count(TriBool.YES)
@@ -220,7 +220,7 @@ def algebraic_solution_count_P3(form: Scaled) -> int | None:
 def _algebraic_solutions(eq: EquationId, strat: Stratum, form: Scaled, generic: bool) -> tuple[int | None, list[str]]:
     fam = eq.family
     if fam is Family.PII:
-        verdict = coset(form, (1,), 0, 1, decide_coset)
+        verdict = coset(form, (1,), 0, 1)
         if verdict is TriBool.UNKNOWN:
             return None, []
         return (1 if verdict is TriBool.YES else 0), ["murata_pii"]

@@ -127,7 +127,7 @@ class Poly:
     over ``vars``) give the canonical view; printing, hashing and anything
     else that depends on term order reads that view, never the key order."""
 
-    __slots__ = ("terms", "_vars", "_plan")
+    __slots__ = ("terms", "_vars")
 
     terms: dict[int, Fraction | int]
 
@@ -142,13 +142,13 @@ class Poly:
             key = sum(e << s for e, s in zip(exps, shifts))
             packed[key] = packed[key] + c if key in packed else c
         self.terms = _clean(packed)
-        self._vars = self._plan = None
+        self._vars = None
 
     @staticmethod
     def _canonical(terms: dict[int, Fraction | int]) -> "Poly":
         """A Poly from terms already in canonical form, without ``__init__``."""
         p = object.__new__(Poly)
-        p.terms, p._vars, p._plan = terms, None, None
+        p.terms, p._vars = terms, None
         return p
 
     # -- constructors ------------------------------------------------------
@@ -330,13 +330,10 @@ class Poly:
 
         With vars[i] = n_i/d_i of top degree m_i, a monomial is
         prod(n_i^e_i * d_i^(m_i - e_i)) / prod(d_i^m_i); a per-point table of
-        those integer factors leaves only integer products in the sum.  The m_i
-        and the coefficients as integers over their lcm are kept as a plan.
+        those integer factors leaves only integer products in the sum.
         """
-        if self._plan is None:
-            coeffs, coeff_den = self._integer_terms(self.vars)
-            self._plan = (tuple(map(max, zip(*(e for _, e in coeffs)))), coeffs, coeff_den)
-        tops, coeffs, coeff_den = self._plan
+        coeffs, coeff_den = self._integer_terms(self.vars)
+        tops = tuple(map(max, zip(*(e for _, e in coeffs))))
         scaled = []  # scaled[i][e] = n_i^e * d_i^(m_i - e)
         den = 1
         for v, top in zip(self.vars, tops):

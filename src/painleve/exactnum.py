@@ -26,6 +26,10 @@ class AtomKind(Enum):
     TRANSCENDENTAL = "tau"
     ALGEBRAIC_IRRATIONAL = "alg"
 
+    # Members are singletons, so identity hashing keeps every dict and set
+    # keyed by an atom in C, where Enum's hash is a Python call.
+    __hash__ = object.__hash__
+
 
 class Atom(namedtuple("Atom", "kind index")):
     """A named symbolic constant, e.g. tau1 (transcendental) or alg2."""
@@ -404,26 +408,13 @@ def parse_param(text: str) -> ParamValue:
 
 
 def decide_coset(x: ParamValue, offset: Rational, modulus: Rational) -> TriBool:
-    """Decide whether ``x - offset`` lies in ``modulus * Z``.
-
-    Atom-free values are settled by rational arithmetic.  A surviving
-    transcendental coefficient decides No (membership would make the atom
-    algebraic); a single surviving algebraic-irrational atom decides No
-    (membership would force it into Q); two or more distinct surviving
-    algebraic-irrational atoms leave the question Unknown.
-    """
-    modulus = Fraction(modulus)
+    """Decide whether ``x - offset`` lies in ``modulus * Z``: ``coset`` on
+    x's integer form, where a modulus a/b is the test b*x - b*offset in aZ."""
+    modulus, offset = Fraction(modulus), Fraction(offset)
     if modulus <= 0:
         raise ValueError("modulus must be positive")
-    if not x.terms:
-        q = x.const - offset if offset else x.const
-        if modulus != 1:
-            q = q / modulus
-        return TriBool.of(q.denominator == 1)
-    # A rational offset leaves the atom terms of x - offset unchanged.
-    if x.has_transcendental:
-        return TriBool.NO
-    return TriBool.NO if len(x.terms) == 1 else TriBool.UNKNOWN
+    a, b = modulus.numerator, modulus.denominator
+    return coset(scale((x,), (b * offset).denominator), (b,), b * offset, a)
 
 
 # Values in integer form: value i is (consts[i] + sum over k of rows[i][k] *
@@ -437,43 +428,43 @@ def scale(values: Sequence[ParamValue], den: int = 1) -> Scaled:
     that is a multiple of ``den``.  The orbit path, the sum-zero test and
     the transcendence degree read values in this form."""
     ratios = [v.const.as_integer_ratio() for v in values]
-    atoms, dens = [], [d for _, d in ratios]
+    atoms, dens = set(), [d for _, d in ratios]
     for v in values:
         for a, c in v.terms:
-            if a not in atoms:
-                atoms.append(a)
+            atoms.add(a)
             dens.append(c.denominator)
     den = math.lcm(den, *dens)
     consts = tuple([n * (den // d) for n, d in ratios])
     if not atoms:
         return Scaled(den, consts, ((),) * len(values), ())
-    atoms.sort(key=Atom.sort_key)
+    atoms = sorted(atoms, key=Atom.sort_key)
+    column = {a: k for k, a in enumerate(atoms)}
     rows = []
     for v in values:
         row = [0] * len(atoms)
         for a, c in v.terms:
             n, d = c.as_integer_ratio()
-            row[atoms.index(a)] = n * (den // d)
+            row[column[a]] = n * (den // d)
         rows.append(tuple(row))
     return Scaled(den, consts, tuple(rows), tuple(atoms))
 
 
-def coset(form: Scaled, coeffs: Sequence[int], offset: Rational, modulus: int, decide=decide_coset) -> TriBool:
-    """``decide_coset`` on integer rows: is sum_i coeffs[i]*v_i - offset in
-    ``modulus * Z``, for the values v of ``form`` (whose ``den`` clears
-    ``offset``)?  One integer ``%`` decides where no atom survives, and a
-    surviving transcendental or lone algebraic atom decides No; only two or
-    more surviving algebraic atoms reach ``decide`` (``decide_coset``, or a
-    caller's binding of it) on the exact difference."""
+def coset(form: Scaled, coeffs: Sequence[int], offset: Rational, modulus: int) -> TriBool:
+    """Is sum_i coeffs[i]*v_i - offset in ``modulus * Z``, for the values v
+    of ``form`` (whose ``den`` clears ``offset``)?  The one integrality rule:
+    with no surviving atom one integer ``%`` decides; a surviving
+    transcendental atom, or a lone algebraic one, decides No (membership
+    would make it algebraic, or rational); two or more surviving algebraic
+    atoms, and no transcendental one, leave it Unknown, since their mutual
+    relations are not known."""
+    if form.atoms:
+        kinds = [a.kind for a, column in zip(form.atoms, zip(*form.rows)) if sum(map(mul, coeffs, column))]
+        if kinds:
+            if len(kinds) == 1 or AtomKind.TRANSCENDENTAL in kinds:
+                return TriBool.NO
+            return TriBool.UNKNOWN
     den = form.den
     num = sum(map(mul, coeffs, form.consts)) - offset.numerator * (den // offset.denominator)
-    if form.atoms:
-        live = [(a, n) for a, column in zip(form.atoms, zip(*form.rows)) if (n := sum(map(mul, coeffs, column)))]
-        if live:
-            if len(live) == 1 or any(a.kind is AtomKind.TRANSCENDENTAL for a, _ in live):
-                return TriBool.NO
-            terms = tuple((a, Fraction(n, den)) for a, n in live)  # in sort order, as ``form.atoms``
-            return decide(ParamValue._canonical(Fraction(num, den), terms), 0, modulus)
     return TriBool.YES if num % (modulus * den) == 0 else TriBool.NO
 
 

@@ -37,7 +37,7 @@ from .exactnum import (
     Scaled,
     TriBool,
     coset,
-    decide_coset,
+    decide_coset,  # uncalled; perfbench/tracer.py wraps it here (ROADMAP item 1b)
     scale,
     transcendence_degree,
     tri_and,
@@ -222,9 +222,7 @@ def _scan_order(family: Family) -> tuple[dict[tuple[tuple[int, ...], tuple[int, 
     return {part: rank for rank, part in enumerate(linear)}, tuple(signs)
 
 
-def _lattice_scan(
-    family: Family, v: Sequence[ParamValue], w: Sequence[ParamValue], form: Scaled
-) -> tuple[TriBool, OrbitWitness | None]:
+def _lattice_scan(family: Family, form: Scaled) -> tuple[TriBool, OrbitWitness | None]:
     """``(related, witness)`` from the first candidate g, c of the family's
     scan (see ``catalog.FamilySpec``) with w - g(v) - c integral; ``form``
     is ``_scaled(family, v, w)``.
@@ -232,17 +230,17 @@ def _lattice_scan(
     A value's residue key is its atom row and its constant mod the common
     denominator, so w_j - s*v_i - c_k is Yes exactly when w_j and
     s*v_i + c_k have the same key, and one dict of v's keys gives every
-    Yes.  Where the atoms do not cancel the difference is No, unless an
-    algebraic atom may leave it Unknown: only then does ``decide_coset``
-    test it, once for all k.  Candidates are built a coordinate at a time
-    from the non-No differences; the witness and the sixth family's
-    even-sum test read the integer constants of the candidates, earliest
-    in scan order first.
+    Yes.  Where the atoms do not cancel the difference is No unless
+    ``coset`` leaves it Unknown, which only algebraic atoms can; so only a
+    form with an algebraic atom tests it, once for all k.  Candidates are
+    built a coordinate at a time from the non-No differences; the witness
+    and the sixth family's even-sum test read the integer constants of the
+    candidates, earliest in scan order first.
     """
     spec = family_space(family)
     _, offsets, named, even_sum = spec.scan
     order, signs = _scan_order(family)
-    n, den, consts, rows = len(v), form.den, form.consts, form.rows
+    n, den, consts, rows = len(form.consts) // 2, form.den, form.consts, form.rows
     offs = [c.numerator * (den // c.denominator) for c in offsets]
     # (i, s) -> the atom row of s*v_i; (residue key of s*v_i + c_k) -> [(i, s, k)]
     scaled = {(i, s): _signed(rows[i], s) for i in range(n) for s in signs}
@@ -250,15 +248,15 @@ def _lattice_scan(
     for (i, s), row in scaled.items():
         for k, c in enumerate(offs):
             yes.setdefault((row, (s * consts[i] + c) % den), []).append((i, s, k))
-    alg = [k for k, a in enumerate(form.atoms) if a.kind is AtomKind.ALGEBRAIC_IRRATIONAL]
-    has_alg = [any(row[k] for k in alg) for row in rows] if alg else ()
+    alg = any(a.kind is AtomKind.ALGEBRAIC_IRRATIONAL for a in form.atoms)
     partial = [((), (), None, TriBool.YES)]  # (perm, signs, k, verdict) on the coordinates so far
-    for j, y in enumerate(w):
+    for j in range(n):
         row = rows[n + j]
         options = {key: TriBool.YES for key in yes.get((row, consts[n + j] % den), ())}
         for (i, s), terms in scaled.items() if alg else ():
-            if (has_alg[n + j] or has_alg[i]) and terms != row:
-                if decide_coset(y - v[i] if s > 0 else y + v[i], 0, 1) is TriBool.UNKNOWN:
+            if terms != row:  # test w_j - s*v_i, a row over v then w
+                diff = [(x == n + j) - s * (x == i) for x in range(2 * n)]
+                if coset(form, diff, 0, 1) is TriBool.UNKNOWN:
                     options.update(((i, s, k), TriBool.UNKNOWN) for k in range(len(offsets)))
         partial = [
             (perm + (i,), sg + (s,), k, t if verdict is TriBool.YES else verdict)
@@ -281,9 +279,10 @@ def _lattice_scan(
                     quarter_shift=k if len(offsets) > 1 else None,
                     integer_shift=tuple((x - offs[k]) // den for x in nums[:named]),
                 )
-        elif even_sum:  # an algebraic atom survives: the exact sum may still decide No
-            diffs = [w[j] - v[i] if s > 0 else w[j] + v[i] for j, (i, s) in enumerate(zip(perm, sg))]
-            related = tri_and((related, decide_coset(sum(diffs[1:], diffs[0]), n * offsets[k], 2)))
+        elif even_sum:  # an algebraic atom survives: the sum may still decide No
+            # The row of the sum of the w_j - s*v_i over v then w; perm is a permutation.
+            total = [-s for _, s in sorted(zip(perm, sg))] + [1] * n
+            related = tri_and((related, coset(form, total, n * offsets[k], 2)))
             saw_unknown = saw_unknown or related is TriBool.UNKNOWN
         else:
             saw_unknown = True
@@ -295,7 +294,7 @@ def _piii_decide(form: Scaled) -> tuple[TriBool, OrbitWitness | None]:
     witness)``, on ``form``, which is ``_scaled(Family.PIII, v, w)``."""
     den, consts, rows = form.den, form.consts, form.rows
     # Is dw - sign*dv in 2Z, for dv = v1 - v0 and dw = w1 - w0?
-    t_plus, t_minus = (coset(form, (sign, -sign, -1, 1), 0, 2, decide_coset) for sign in (1, -1))
+    t_plus, t_minus = (coset(form, (sign, -sign, -1, 1), 0, 2) for sign in (1, -1))
     related = tri_or([t_plus, t_minus])
     if related is not TriBool.YES:
         return related, None
@@ -342,7 +341,7 @@ def orbit_decide(
         related, witness = _piii_decide(form or _scaled(family, v, w))
         hypotheses = _is_generic(family, v) and _is_generic(family, w)
     else:
-        related, witness = _lattice_scan(family, v, w, form or _scaled(family, v, w))
+        related, witness = _lattice_scan(family, form or _scaled(family, v, w))
         # The sixth family's converse is open: its hypotheses never hold.
         hypotheses = family is not Family.PVI and (_is_generic(family, v) or _is_generic(family, w))
     criterion = family_space(family).criterion

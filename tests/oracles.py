@@ -1,6 +1,10 @@
 """Reference implementations kept as test oracles.
 
 - ``integer_solve`` solves integer linear systems by column reduction.
+- ``fraction_decide_coset`` is ``exactnum.decide_coset`` from before the
+  integer form: the three-valued integrality rule on a ``ParamValue``,
+  with ``Fraction`` arithmetic.  Every oracle below decides its
+  congruences with it.
 - ``pvi_root_scan`` splits the 24 roots of D4 by how they pair with a
   sixth-family parameter.
 - ``pvi_image_scan_special`` decides the sixth family's half-integer
@@ -15,7 +19,7 @@
   ``FamilySpec.strata``.
 - ``coset_strata`` is ``classify.stratum`` from before the integer form:
   the same walk, with every congruence a ``ParamValue`` difference given to
-  ``decide_coset``, and the sixth family's half-integer test over the 12
+  ``fraction_decide_coset``, and the sixth family's half-integer test over the 12
   pairings likewise.  ``coset_classify`` runs ``classify`` on it and on the
   second and third families' counts decided the same way.
 - ``scan_orbit_decide`` decides the second and fourth to sixth families'
@@ -25,7 +29,7 @@
 - ``lazy_lattice_scan`` is ``weyl._lattice_scan`` from before residue
   keys: it walks ``SCANS`` in order, builds each difference
   w_j - s*v_i - c as a ``ParamValue`` when a candidate first reaches it, and
-  calls ``decide_coset`` on it.
+  calls ``fraction_decide_coset`` on it.
 - ``chain_distinct_family_verdict`` is the distinct-family orthogonality
   chain with one block per specially cited pair.
 - ``shortest_word`` is the bounded meet-in-the-middle search that spelled
@@ -84,7 +88,7 @@ from painleve.diffpoly import T_VAR, DiffExpr, Var, _coefficient, jet, sym
 from painleve.classify import ClassificationReport, Stratum, is_generic
 from painleve.exactnum import (
     MAX_DIGITS, AtomKind, ParamSyntaxError, ParamValue, TriBool, _FAST_PARAM, _FAST_TERM, _LONG_DIGIT_RUN,
-    _intern, _tokenize, decide_coset, transcendence_degree, tri_and, tri_or,
+    _intern, _tokenize, transcendence_degree, tri_and, tri_or,
 )
 from painleve.numint import (
     BLOWUP_THRESHOLD, NumericAssignment, ResidualReport, Trajectory, TrajectoryStatus, _companion_rhs,
@@ -101,6 +105,31 @@ from painleve.weyl import (
 
 # The package exports the function ``classify`` under the module's name.
 classify_module = importlib.import_module("painleve.classify")
+
+# -- the integrality rule -------------------------------------------------------------
+
+
+def fraction_decide_coset(x: ParamValue, offset, modulus) -> TriBool:
+    """Decide whether ``x - offset`` lies in ``modulus * Z``.
+
+    Atom-free values are settled by rational arithmetic.  A surviving
+    transcendental coefficient decides No; a single surviving
+    algebraic-irrational atom decides No; two or more distinct surviving
+    algebraic-irrational atoms leave the question Unknown.
+    """
+    modulus = Fraction(modulus)
+    if modulus <= 0:
+        raise ValueError("modulus must be positive")
+    if not x.terms:
+        q = x.const - offset if offset else x.const
+        if modulus != 1:
+            q = q / modulus
+        return TriBool.of(q.denominator == 1)
+    # A rational offset leaves the atom terms of x - offset unchanged.
+    if x.has_transcendental:
+        return TriBool.NO
+    return TriBool.NO if len(x.terms) == 1 else TriBool.UNKNOWN
+
 
 # -- integer linear systems -----------------------------------------------------------
 
@@ -192,7 +221,7 @@ def pvi_root_scan(v: Sequence[ParamValue]) -> tuple[list, list]:
     and undecided."""
     yes, unknown = [], []
     for root in D4_ROOTS:
-        verdict = decide_coset(sum((x * a for x, a in zip(v, root)), ParamValue(0)), 0, 1)
+        verdict = fraction_decide_coset(sum((x * a for x, a in zip(v, root)), ParamValue(0)), 0, 1)
         if verdict is TriBool.YES:
             yes.append(root)
         elif verdict is TriBool.UNKNOWN:
@@ -207,8 +236,8 @@ def pvi_image_scan_special(v: Sequence[ParamValue]) -> tuple[TriBool, bool]:
     of two signed coordinates is tested once, and the images share them."""
     signed = {(i, s): v[i] * s for i in range(4) for s in (1, -1)}
     difference = {(x, y): signed[x] - signed[y] for x in signed for y in signed if x[0] != y[0]}
-    in_half = {key: decide_coset(d, Fraction(1, 2), 1) for key, d in difference.items()}
-    in_int = {key: decide_coset(d, 0, 1) for key, d in difference.items()}
+    in_half = {key: fraction_decide_coset(d, Fraction(1, 2), 1) for key, d in difference.items()}
+    in_int = {key: fraction_decide_coset(d, 0, 1) for key, d in difference.items()}
     identity_hit = False
     hit = False
     for perm in itertools.permutations(range(4)):
@@ -241,7 +270,7 @@ def loop_family_from_name(name: str) -> Family:
 
 
 def _is_int(x: ParamValue) -> TriBool:
-    return decide_coset(x, 0, 1)
+    return fraction_decide_coset(x, 0, 1)
 
 
 def _pv_regions(v: Sequence[ParamValue]) -> tuple[TriBool, TriBool, TriBool, TriBool]:
@@ -273,13 +302,13 @@ def chain_stratum(eq: EquationId) -> Stratum:
     if fam is Family.PI:
         return Stratum(fam, "generic")
     if fam is Family.PII:
-        region = decide_coset(v[0], Fraction(1, 2), 1)
+        region = fraction_decide_coset(v[0], Fraction(1, 2), 1)
         if region is TriBool.UNKNOWN:
             return Stratum(fam, None)
         return Stratum(fam, "half-integer" if region is TriBool.YES else "generic")
     if fam is Family.PIII:
-        in_w1 = decide_coset(v[0] - v[1], 0, 2)
-        in_d1 = tri_and([_is_int(v[0]), _is_int(v[1]), decide_coset(v[0] + v[1], 0, 2), in_w1])
+        in_w1 = fraction_decide_coset(v[0] - v[1], 0, 2)
+        in_d1 = tri_and([_is_int(v[0]), _is_int(v[1]), fraction_decide_coset(v[0] + v[1], 0, 2), in_w1])
         if in_d1 is TriBool.YES:
             return Stratum(fam, "D1")
         if in_d1 is TriBool.UNKNOWN:
@@ -362,12 +391,12 @@ def chain_classify(eq: EquationId) -> ClassificationReport:
 
 
 def _coset_pii(v: Sequence[ParamValue]) -> dict[str, TriBool]:
-    return {"half-integer": decide_coset(v[0], Fraction(1, 2), 1)}
+    return {"half-integer": fraction_decide_coset(v[0], Fraction(1, 2), 1)}
 
 
 def _coset_piii(v: Sequence[ParamValue]) -> dict[str, TriBool]:
-    w1 = decide_coset(v[0] - v[1], 0, 2)
-    return {"D1": tri_and([_is_int(v[0]), _is_int(v[1]), decide_coset(v[0] + v[1], 0, 2), w1]), "W1": w1}
+    w1 = fraction_decide_coset(v[0] - v[1], 0, 2)
+    return {"D1": tri_and([_is_int(v[0]), _is_int(v[1]), fraction_decide_coset(v[0] + v[1], 0, 2), w1]), "W1": w1}
 
 
 def _coset_piv(v: Sequence[ParamValue]) -> dict[str, TriBool]:
@@ -422,18 +451,19 @@ _COSET_TESTS = {
 
 def coset_pvi_half_integer_special(v: Sequence[ParamValue]) -> tuple[TriBool, bool]:
     """The sixth family's half-integer test over the 12 pairings, each a
-    ``ParamValue`` difference given to ``decide_coset``."""
+    ``ParamValue`` difference given to ``fraction_decide_coset``."""
     splits = [(a, b, *(i for i in range(4) if i not in (a, b))) for a, b in itertools.combinations(range(4), 2)]
     for a, b, c, d in splits:
         for op in (operator.sub, operator.add):
-            if decide_coset(op(v[a], v[b]), Fraction(1, 2), 1) is TriBool.YES and _is_int(op(v[c], v[d])) is TriBool.YES:
+            half = fraction_decide_coset(op(v[a], v[b]), Fraction(1, 2), 1)
+            if half is TriBool.YES and _is_int(op(v[c], v[d])) is TriBool.YES:
                 return TriBool.YES, (a, b, op) != (0, 1, operator.sub)
     return TriBool.NO, False
 
 
 def coset_strata(eq: EquationId) -> Stratum:
     """The stratum by the walk over ``FamilySpec.strata``, each congruence
-    decided by ``decide_coset`` on a ``ParamValue`` difference."""
+    decided by ``fraction_decide_coset`` on a ``ParamValue`` difference."""
     fam = eq.family
     membership = _COSET_TESTS[fam](eq.params)
     for row in family_space(fam).strata:
@@ -450,7 +480,7 @@ def coset_strata(eq: EquationId) -> Stratum:
 
 def coset_piii_count(v1: ParamValue, v2: ParamValue) -> int | None:
     """The third family's algebraic-solution count on ``ParamValue`` differences."""
-    verdicts = [decide_coset(v2 - v1 - 1, 0, 2), decide_coset(v2 + v1 + 1, 0, 2)]
+    verdicts = [fraction_decide_coset(v2 - v1 - 1, 0, 2), fraction_decide_coset(v2 + v1 + 1, 0, 2)]
     if TriBool.UNKNOWN in verdicts:
         return None
     return {2: 4, 1: 2, 0: 0}[verdicts.count(TriBool.YES)]
@@ -517,8 +547,8 @@ def scan_orbit_decide(family: Family, v, w) -> tuple[TriBool, OrbitWitness | Non
     if family is Family.PII:
         diff = w[0] - v[0]
         summ = w[0] + v[0]
-        t_diff = decide_coset(diff, 0, 1)
-        t_sum = decide_coset(summ, 0, 1)
+        t_diff = fraction_decide_coset(diff, 0, 1)
+        t_sum = fraction_decide_coset(summ, 0, 1)
         related = tri_or([t_diff, t_sum])
         witness = None
         if t_diff is TriBool.YES:
@@ -537,7 +567,7 @@ def scan_orbit_decide(family: Family, v, w) -> tuple[TriBool, OrbitWitness | Non
         if family is Family.PIV:
             for perm in itertools.permutations(range(3)):
                 diffs = [w[j] - v[perm[j]] for j in range(3)]
-                tests = [decide_coset(d, 0, 1) for d in diffs]
+                tests = [fraction_decide_coset(d, 0, 1) for d in diffs]
                 witness = None
                 if tri_and(tests) is TriBool.YES:
                     witness = OrbitWitness(
@@ -551,8 +581,8 @@ def scan_orbit_decide(family: Family, v, w) -> tuple[TriBool, OrbitWitness | Non
             for perm in itertools.permutations(range(4)):
                 for a in range(4):
                     diffs = [w[j] - v[perm[j]] - Fraction(a, 4) for j in range(3)]
-                    tests = [decide_coset(d, 0, 1) for d in diffs]
-                    tests.append(decide_coset(w[3] - v[perm[3]] - Fraction(a, 4), 0, 1))
+                    tests = [fraction_decide_coset(d, 0, 1) for d in diffs]
+                    tests.append(fraction_decide_coset(w[3] - v[perm[3]] - Fraction(a, 4), 0, 1))
                     witness = None
                     if tri_and(tests) is TriBool.YES:
                         witness = OrbitWitness(
@@ -569,8 +599,8 @@ def scan_orbit_decide(family: Family, v, w) -> tuple[TriBool, OrbitWitness | Non
                     if signs.count(-1) % 2:
                         continue
                     diffs = [w[j] - v[perm[j]] * signs[j] for j in range(4)]
-                    tests = [decide_coset(d, 0, 1) for d in diffs]
-                    tests.append(decide_coset(diffs[0] + diffs[1] + diffs[2] + diffs[3], 0, 2))
+                    tests = [fraction_decide_coset(d, 0, 1) for d in diffs]
+                    tests.append(fraction_decide_coset(diffs[0] + diffs[1] + diffs[2] + diffs[3], 0, 2))
                     witness = None
                     if tri_and(tests) is TriBool.YES:
                         witness = OrbitWitness(
@@ -626,7 +656,7 @@ def lazy_lattice_scan(
     def test(key):
         t = tests.get(key)
         if t is None:
-            t = tests[key] = decide_coset(diff(key), 0, 1)
+            t = tests[key] = fraction_decide_coset(diff(key), 0, 1)
         return t
 
     saw_unknown = False
@@ -640,7 +670,7 @@ def lazy_lattice_scan(
                 related = tri_and((related, test(keys[-1])))
             if even_sum and related is not TriBool.NO:
                 total = sum((diff(key) for key in keys[1:]), diff(keys[0]))
-                related = tri_and((related, decide_coset(total, 0, 2)))
+                related = tri_and((related, fraction_decide_coset(total, 0, 2)))
             if related is TriBool.YES:
                 consts = [diff(key).const for key in keys]
                 return related, OrbitWitness(
@@ -658,8 +688,8 @@ def fraction_piii_decide(v: Sequence[ParamValue], w: Sequence[ParamValue]) -> tu
     """The third family's criterion on ``ParamValue`` differences mod 2Z."""
     dv = v[1] - v[0]
     dw = w[1] - w[0]
-    t_plus = decide_coset(dw - dv, 0, 2)
-    t_minus = decide_coset(dw + dv, 0, 2)
+    t_plus = fraction_decide_coset(dw - dv, 0, 2)
+    t_minus = fraction_decide_coset(dw + dv, 0, 2)
     related = tri_or([t_plus, t_minus])
     if related is not TriBool.YES:
         return related, None
@@ -706,7 +736,7 @@ def chain_distinct_family_verdict(eq1: EquationId, eq2: EquationId) -> OrthoVerd
         p2 = by_family(Family.PII)
         if _is_generic(Family.PIII, p3.params):
             alpha = p2.params[0]
-            half = decide_coset(alpha, Fraction(1, 2), 1)
+            half = fraction_decide_coset(alpha, Fraction(1, 2), 1)
             if half is TriBool.YES:
                 applicability = (
                     "third-family parameters independent transcendental; the second-family "

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from painleve.catalog import EquationId, Family, family_space
 from painleve.citations import CITATIONS, PVI_LDEG_AMBIGUITY
 from painleve.classify import algebraic_solution_count_P3, classify, stratum
-from painleve.exactnum import AtomKind, ParamValue, TriBool, alg, coset, decide_coset, rational_rank, scale, tau
+from painleve.exactnum import ParamValue, TriBool, alg, coset, decide_coset, rational_rank, scale, tau
 
 from oracles import (
     chain_classify, chain_stratum, classify_module, coset_classify, coset_strata, pvi_image_scan_special,
@@ -523,29 +523,22 @@ def test_integer_strata_match_coset_oracles(equation):
         assert (s.half_integer_special, s.special_after_transformation) == pvi_image_scan_special(equation.params)
 
 
-def test_fiber_without_algebraic_atoms_makes_no_coset_test(monkeypatch):
-    # The integer form decides every rational or tau-only congruence; only
-    # two surviving algebraic atoms reach decide_coset.
-    calls = []
-
-    def counting(x, offset, modulus):
-        calls.append(modulus)
-        return decide_coset(x, offset, modulus)
-
-    monkeypatch.setattr(classify_module, "decide_coset", counting)
+def test_tied_fibers_match_coset_oracle():
+    # Fibers whose coordinates are tied by rational shifts and signs, with
+    # and without algebraic atoms, against the strata and counts decided on
+    # ParamValue differences.
     rng = random.Random(24)
     labels = set()
     for _ in range(400):
         family = rng.choice([Family.PII, Family.PIII, Family.PIV, Family.PV, Family.PVI])
-        v = _tied_params(family, rng)
-        if any(a.kind is AtomKind.ALGEBRAIC_IRRATIONAL for x in v for a, _ in x.terms):
-            continue
-        report = classify(eq(family, v))
-        assert calls == [], v
+        equation = eq(family, _tied_params(family, rng))
+        report = classify(equation)
+        assert report == coset_classify(equation), equation
         labels.add((family, report.stratum.label))
     assert len(labels) >= 12
-    classify(eq(Family.PIII, [A1 + A2, 0]))
-    assert calls
+    two_alg = eq(Family.PIII, [A1 + A2, 0])
+    assert classify(two_alg) == coset_classify(two_alg)
+    assert stratum(two_alg).label is None
 
 
 def test_pvi_pairings_match_root_scan_rank():

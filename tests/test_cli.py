@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -448,6 +449,23 @@ def test_long_numeral_in_batch_is_input_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert [json.loads(r)["query"]["subcommand"] for r in captured.out.splitlines()] == ["atoms"]
     assert captured.err == "error: more than 1000 digits (at position 0)\n"
+
+
+def test_many_atoms_answer_in_bounded_time(capsys):
+    # Scaling values into integer rows is linear in their distinct atoms;
+    # with a list lookup per atom these two queries took most of a minute.
+    start = time.perf_counter()
+    params = " + ".join(f"tau{k}" for k in range(1, 20_001))
+    payload, code = run_json(["classify", "--family", "II", "--params", params], capsys)
+    assert code == 0
+    assert {v["kind"]: v["value"] for v in payload["verdicts"]}["stratum"] == "generic"
+    taus = " + ".join(f"tau{k}" for k in range(1, 8_001))
+    rest = "-1*alg1 - " + taus.replace(" + ", " - ")
+    payload, code = run_json(["orbit", "--family", "IV", "--v", f"{taus},alg1,{rest}",
+                              "--w", f"{taus} + 1,alg1 - 1,{rest}"], capsys)
+    assert code == 0
+    assert payload["witness"]["integer_shift"] == [1, -1, 0]
+    assert time.perf_counter() - start < 10.0
 
 
 def test_batch_missing_file(capsys):

@@ -31,8 +31,8 @@ from painleve.exactnum import (
 )
 
 from oracles import (
-    descent_parse_param, fraction_fast_parse_param, fraction_rational_rank, fraction_transcendence_degree,
-    integer_solve,
+    descent_parse_param, fraction_decide_coset, fraction_fast_parse_param, fraction_rational_rank,
+    fraction_transcendence_degree, integer_solve,
 )
 
 # -- strategies --------------------------------------------------------------
@@ -376,33 +376,35 @@ offsets = st.one_of(
     st.sampled_from([0, Fraction(0), Fraction(1, 2)]),
     st.integers(min_value=-9, max_value=9).map(lambda a: Fraction(a, 4)),
 )
-moduli = st.sampled_from([1, 2, Fraction(1), Fraction(1, 2)])
+moduli = st.sampled_from([1, 2, Fraction(1), Fraction(1, 2), Fraction(3, 2)])
 
 
 @given(operands, offsets, moduli)
 def test_decide_coset_matches_reference(x, offset, modulus):
-    assert decide_coset(x, offset, modulus) is reference_decide_coset(x, offset, modulus)
+    expected = reference_decide_coset(x, offset, modulus)
+    assert decide_coset(x, offset, modulus) is expected
+    assert fraction_decide_coset(x, offset, modulus) is expected
 
 
-@given(st.lists(operands, min_size=1, max_size=4), st.data())
+# Values with one or several algebraic atoms and no transcendental one, the
+# only shape the rule can leave Unknown.
+algebraic_values = st.builds(
+    ParamValue, rationals, st.dictionaries(st.integers(0, 2).map(alg), rationals, min_size=1, max_size=3)
+)
+
+
+@given(st.lists(st.one_of(operands, algebraic_values), min_size=1, max_size=4), st.data())
 def test_coset_matches_decide_coset(values, data):
-    # The integer-row kernel against decide_coset on the exact combination;
-    # only two or more surviving algebraic atoms and no transcendental one
-    # reach the fallback.
+    # The integer-row kernel against the Fraction rule on the exact
+    # combination, and decide_coset, which runs on the kernel, against the
+    # same rule with fractional moduli.
     coeffs = [data.draw(st.integers(-2, 2)) for _ in values]
     offset = data.draw(st.sampled_from([0, 1, -1, Fraction(1, 2), Fraction(-3, 2)]))
     modulus = data.draw(st.sampled_from([1, 2]))
     x = sum((v * c for v, c in zip(values, coeffs)), ParamValue(0))
-    calls = []
-
-    def counting(y, off, mod):
-        calls.append(y - off)
-        return decide_coset(y, off, mod)
-
-    assert coset(scale(values, 2), coeffs, offset, modulus, counting) is decide_coset(x, offset, modulus)
-    kinds = [a.kind for a, _ in x.terms]
-    fallback = AtomKind.TRANSCENDENTAL not in kinds and len(kinds) >= 2
-    assert calls == ([x - offset] if fallback else [])
+    assert coset(scale(values, 2), coeffs, offset, modulus) is fraction_decide_coset(x, offset, modulus)
+    for fractional in (Fraction(1, 2), Fraction(3, 2)):
+        assert decide_coset(x, offset, fractional) is fraction_decide_coset(x, offset, fractional)
 
 
 # -- tri-valued logic ----------------------------------------------------------

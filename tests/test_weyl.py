@@ -14,6 +14,7 @@ from painleve.exactnum import (
     ParamValue,
     TriBool,
     alg,
+    coset,
     decide_coset,
     parse_param,
     tau,
@@ -488,7 +489,7 @@ def _coerced(family, v, w):
 
 def lattice_scan(family, v, w):
     """``weyl._lattice_scan`` on the query's integer form, as ``orbit_decide`` runs it."""
-    return weyl._lattice_scan(family, v, w, weyl._scaled(family, v, w))
+    return weyl._lattice_scan(family, weyl._scaled(family, v, w))
 
 
 def quarter_pairs(count):
@@ -523,8 +524,8 @@ def grid_pairs(family, count):
 
 def two_alg_pairs():
     """``(family, v, w, related)``: coordinate differences that keep two
-    algebraic atoms, so residue keys differ and only ``decide_coset`` can
-    say Unknown.  In the last pair the atoms cancel in the sixth family's
+    algebraic atoms, so residue keys differ and only ``coset`` can say
+    Unknown.  In the last pair the atoms cancel in the sixth family's
     even-sum test, which then says No."""
     yield Family.PII, (A1,), (A2 + 3,), TriBool.UNKNOWN
     yield Family.PIV, (A1, T1, -A1 - T1), (A2 + 1, T1 - 1, -A2 - T1), TriBool.UNKNOWN
@@ -562,28 +563,26 @@ def test_fifth_family_quarter_offsets_match_lazy_oracle():
 
 @pytest.mark.parametrize("family, v, w, related", list(two_alg_pairs()))
 def test_two_algebraic_atoms_are_unknown_through_decide_coset(monkeypatch, family, v, w, related):
+    # decide_coset leaves a coordinate difference Unknown, and the scan's
+    # coset tests reach it and agree with the lazy oracle.
     v, w = _coerced(family, v, w)
     expected = lazy_lattice_scan(family, v, w)
     assert expected[0] is related
-    moduli = []
-
-    def counting(x, offset, modulus):
-        moduli.append(modulus)
-        return decide_coset(x, offset, modulus)
-
-    monkeypatch.setattr(weyl, "decide_coset", counting)
+    assert TriBool.UNKNOWN in {decide_coset(y - x, 0, 1) for y in w for x in v}
+    assert coset_moduli(monkeypatch, family, v, w).count(1) > 0
     assert lattice_scan(family, v, w) == expected
-    assert moduli.count(1) > 0
 
 
 def test_scan_without_algebraic_atoms_makes_no_coset_test(monkeypatch):
-    # Residue keys decide every tau-only or rational difference; only the
-    # sixth family's even-sum test calls decide_coset (modulus 2).
+    # Residue keys decide every tau-only or rational difference, so the
+    # scan calls coset for neither a difference nor the sixth family's sum.
     for family in (Family.PII, Family.PIV, Family.PV, Family.PVI):
         for v, w in scan_pairs(family, 60):
             if any(a.kind is AtomKind.ALGEBRAIC_IRRATIONAL for x in v + w for a, _ in x.terms):
                 continue
-            assert coset_moduli(monkeypatch, family, v, w).count(1) == 0, (v, w)
+            v, w = _coerced(family, v, w)
+            assert coset_moduli(monkeypatch, family, v, w) == [], (v, w)
+            assert lattice_scan(family, v, w) == lazy_lattice_scan(family, v, w), (v, w)
 
 
 @pytest.mark.parametrize("call", [orbit_decide, generator_word, orbit_with_word])
@@ -595,15 +594,15 @@ def test_library_callers_are_still_validated(call):
 
 
 def coset_moduli(monkeypatch, family, v, w):
-    """The modulus of every ``decide_coset`` call one ``orbit_decide`` makes."""
+    """The modulus of every ``coset`` test one ``orbit_decide`` makes."""
     moduli = []
 
-    def counting(x, offset, modulus):
+    def counting(form, coeffs, offset, modulus):
         moduli.append(modulus)
-        return decide_coset(x, offset, modulus)
+        return coset(form, coeffs, offset, modulus)
 
     with monkeypatch.context() as m:
-        m.setattr(weyl, "decide_coset", counting)
+        m.setattr(weyl, "coset", counting)
         orbit_decide(family, v, w)
     return moduli
 
@@ -883,7 +882,7 @@ def test_integer_orbit_path_matches_fraction_oracles(query, data):
     if family is Family.PIII:
         assert weyl._piii_decide(form) == fraction_piii_decide(v, w)
     else:
-        assert weyl._lattice_scan(family, v, w, form) == lazy_lattice_scan(family, v, w)
+        assert weyl._lattice_scan(family, form) == lazy_lattice_scan(family, v, w)
     if family is not Family.PII:
         assert weyl._walls_through(family, form.consts[len(v):], form) == fraction_walls_through(family, w)
     verdict = orbit_with_word(family, v, w)
