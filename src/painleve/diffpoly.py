@@ -190,9 +190,6 @@ class Poly:
         s = _shift(v)
         return max((k >> s & MAX_EXPONENT for k in self.terms), default=0)
 
-    def variables(self) -> tuple[Var, ...]:
-        return self.vars
-
     def dense_terms(self) -> dict[tuple[int, ...], Fraction | int]:
         """The terms keyed by exponent tuples over ``vars``."""
         shifts = [_shift(v) for v in self.vars]
@@ -276,7 +273,7 @@ class Poly:
         _check_guards(terms)
         return Poly._canonical(_clean(terms))
 
-    # -- substitution and evaluation ------------------------------------------------
+    # -- substitution ------------------------------------------------------------------
 
     def substitute(self, mapping: Mapping[Var, "DiffExpr"]) -> "DiffExpr":
         """Replace each mapped variable v by n_v/d_v over one common denominator.
@@ -324,24 +321,6 @@ class Poly:
             (c.numerator * (coeff_den // c.denominator), tuple(k >> s & MAX_EXPONENT for s in shifts))
             for k, c in self.terms.items()
         ], coeff_den
-
-    def evaluate(self, point: Mapping[Var, Rational]) -> Fraction:
-        """Exact value at a rational point, summed over one common denominator.
-
-        With vars[i] = n_i/d_i of top degree m_i, a monomial is
-        prod(n_i^e_i * d_i^(m_i - e_i)) / prod(d_i^m_i); a per-point table of
-        those integer factors leaves only integer products in the sum.
-        """
-        coeffs, coeff_den = self._integer_terms(self.vars)
-        tops = tuple(map(max, zip(*(e for _, e in coeffs))))
-        scaled = []  # scaled[i][e] = n_i^e * d_i^(m_i - e)
-        den = 1
-        for v, top in zip(self.vars, tops):
-            x = point[v]
-            n, d = x.numerator, x.denominator
-            scaled.append([n**e * d ** (top - e) for e in range(top + 1)])
-            den *= d**top
-        return Fraction(_cleared_sum(coeffs, scaled), den * coeff_den)
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -518,12 +497,6 @@ class DiffExpr:
         if den.is_zero:
             raise ZeroDivisionError("denominator vanished identically after substitution")
         return DiffExpr(self.num._cleared(tables), den)
-
-    def evaluate(self, point: Mapping[Var, Rational]) -> Fraction:
-        den = self.den.evaluate(point)
-        if den == 0:
-            raise ZeroDivisionError("denominator vanished at the evaluation point")
-        return self.num.evaluate(point) / den
 
     def __eq__(self, other):
         if isinstance(other, (DiffExpr, int, Fraction)):

@@ -277,10 +277,13 @@ def format_param(value: ParamValue) -> str:
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<atom>(?:tau|alg)\d+)|(?P<num>\d+)|(?P<op>[+\-*/]))")
 
-# Longest digit run accepted (a numerator, denominator or atom index), so
-# every printed value stays under CPython's 4,300-digit int-to-str limit.
+# Most digits accepted in a digit run (a numerator, denominator or atom
+# index) and in a parsed value's reduced numerators and denominators, so that
+# every printed value, a sum of four parameters included, stays under
+# CPython's 4,300-digit int-to-str limit.
 MAX_DIGITS = 1000
 _LONG_DIGIT_RUN = re.compile(r"\d{%d}" % (MAX_DIGITS + 1))
+_TOO_MANY_DIGITS = 10**MAX_DIGITS  # the least integer with more than MAX_DIGITS digits
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -335,7 +338,9 @@ def parse_param(text: str) -> ParamValue:
 
     Whitespace is insignificant.  Raises :class:`ParamSyntaxError` with the
     offending position on malformed input, a zero denominator or a digit
-    run longer than ``MAX_DIGITS``.  Text in ``_FAST_PARAM``'s grammar is
+    run longer than ``MAX_DIGITS``, and at position 0 for a value whose
+    reduced constant or atom coefficient has a numerator or denominator of
+    more than ``MAX_DIGITS`` digits.  Text in ``_FAST_PARAM``'s grammar is
     read by one ``findall`` into integer sums, the rest by the tokenizer.
     """
     long_run = _LONG_DIGIT_RUN.search(text)
@@ -343,6 +348,7 @@ def parse_param(text: str) -> ParamValue:
         raise ParamSyntaxError(f"more than {MAX_DIGITS} digits", long_run.start())
     if _FAST_PARAM.fullmatch(text):
         sums: dict = {}  # None (the constant) or an atom -> [numerator, denominator, sort key]
+        summed = False  # parts read from single digit runs need no digit bound
         for op, minus, num, den, name, bare in _FAST_TERM.findall(text):
             n = int(num) if num else 1
             if (op == "-") != (minus == "-"):
@@ -355,9 +361,11 @@ def parse_param(text: str) -> ParamValue:
             else:
                 m = math.lcm(acc[1], d)
                 acc[0], acc[1] = acc[0] * (m // acc[1]) + n * (m // d), m
+                summed = True
         num, den, _ = sums.pop(None, (0, 1, None))
         terms = sorted((key, atom, n, d) for atom, (n, d, key) in sums.items() if n) if sums else ()
-        return ParamValue._canonical(Fraction(num, den), tuple((atom, Fraction(n, d)) for _, atom, n, d in terms))
+        value = ParamValue._canonical(Fraction(num, den), tuple((atom, Fraction(n, d)) for _, atom, n, d in terms))
+        return _bounded(value) if summed else value
     const: Rational = 0
     coeffs: dict[Atom, Rational] = {}
     tokens = _tokenize(text)
@@ -400,11 +408,19 @@ def parse_param(text: str) -> ParamValue:
                 const += q
         kind, val, pos = tokens[i]
         if kind is None:
-            return ParamValue(const, coeffs)
+            return _bounded(ParamValue(const, coeffs))
         if kind != "op" or val not in "+-":
             raise ParamSyntaxError("expected '+' or '-'", pos)
         sign = 1 if val == "+" else -1
         i += 1
+
+
+def _bounded(value: ParamValue) -> ParamValue:
+    """``value``, unless a reduced numerator or denominator in it has more than ``MAX_DIGITS`` digits."""
+    for q in (value.const, *[c for _, c in value.terms]):
+        if abs(q.numerator) >= _TOO_MANY_DIGITS or q.denominator >= _TOO_MANY_DIGITS:
+            raise ParamSyntaxError(f"more than {MAX_DIGITS} digits", 0)
+    return value
 
 
 def decide_coset(x: ParamValue, offset: Rational, modulus: Rational) -> TriBool:

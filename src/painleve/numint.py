@@ -9,10 +9,7 @@ Each cataloged chart compiles once per process into a kernel: the
 right-hand side f(k..., t, x0, x1, ...), and an RK4 loop and a residual loop
 with that right-hand side inlined into their stages.  The coefficients that
 depend on the parameters are folded per integration and passed as the
-leading arguments k....  Any other right-hand side runs loops generated
-once per state dimension, which call it.  Both kinds of loop keep the state
-components in locals and evaluate the same float operations in the same
-order, so a chart's trajectory is the same whichever loop ran it.
+leading arguments k....  The loops keep the state components in locals.
 """
 
 from __future__ import annotations
@@ -70,11 +67,9 @@ class NumericAssignment(namedtuple("NumericAssignment", "atom_values")):
         return total
 
 
-# ``samples`` is a list of (t, state) pairs; ``rhs`` is the right-hand side
-# the samples were integrated with.
-Trajectory = namedtuple(
-    "Trajectory", "family form params state_names samples status blowup_t step rhs", defaults=(None, 0.0, None)
-)
+# ``samples`` is a list of (t, state) pairs; ``rhs`` is the chart's compiled
+# right-hand side the samples were integrated with.
+Trajectory = namedtuple("Trajectory", "family form params state_names samples status blowup_t step rhs")
 
 
 # -- compilation ------------------------------------------------------------------
@@ -140,43 +135,8 @@ def _sources(exprs: Sequence[DiffExpr], state_vars: Sequence[Var]) -> tuple[list
 
 def _compiled(source: str, *names: str) -> tuple[Callable, ...]:
     namespace: dict = {"itertools": itertools}
-    exec(source, namespace)  # generated from catalog data or a state dimension only
+    exec(source, namespace)  # generated from catalog data only
     return tuple(namespace[name] for name in names)
-
-
-class CompiledRhs:
-    """A compiled right-hand side at given parameter values: ``self(t, state)``
-    is the derivative, and ``positional(t, x0, x1, ...)`` the same with the
-    components as arguments.  ``kernel`` is the chart's kernel, with its RK4
-    and residual loops, or None."""
-
-    __slots__ = ("positional", "kernel", "coeffs")
-
-    def __init__(self, fn: Callable, coeffs: Sequence[float], kernel: "ChartKernel | None" = None):
-        self.positional = functools.partial(fn, *coeffs)
-        self.kernel = kernel
-        self.coeffs = coeffs
-
-    def __call__(self, t: float, state: Sequence[float]) -> tuple[float, ...]:
-        return self.positional(t, *state)
-
-
-def compile_rhs(
-    exprs: Sequence[DiffExpr],
-    state_vars: Sequence[str | Var],
-    param_values: Mapping[str, float],
-) -> CompiledRhs:
-    """Compile first-order right-hand sides into f(t, state) -> state'.
-
-    A state variable given by name is its jet of order 0; a jet ``Var``
-    stands for itself, so a scalar order-2 equation compiles as its (x, x')
-    companion system.  Parameter symbols are folded into coefficients.
-    """
-    state_vars = [s if isinstance(s, Var) else jet(s, 0) for s in state_vars]
-    bodies, coeffs = _sources(exprs, state_vars)
-    n = len(state_vars)
-    (fn,) = _compiled(_rhs_source(n, bodies, len(coeffs)), "rhs")
-    return CompiledRhs(fn, _folded(coeffs, {k: float(v) for k, v in param_values.items()}))
 
 
 def _companion(system: OdeSystem) -> tuple[tuple[DiffExpr, ...], tuple[Var, ...], tuple[str, ...]]:
@@ -189,10 +149,11 @@ def _companion(system: OdeSystem) -> tuple[tuple[DiffExpr, ...], tuple[Var, ...]
     return (DiffExpr.var(slope), system.rhs[0]), (jet(base, 0), slope), (base, base + "'")
 
 
-# The compiled functions of one chart; each takes the coefficient arguments
-# first: rhs(k..., t, x...), rk4(k..., t0, h, n_steps, x...) and
+# One chart, (family, form), with the folds of its coefficient arguments, its
+# state names and its compiled functions; each function takes the coefficient
+# arguments first: rhs(k..., t, x...), rk4(k..., t0, h, n_steps, x...) and
 # residual(k..., samples, h), the last two with the right-hand side inlined.
-ChartKernel = namedtuple("ChartKernel", "coeffs state_names rhs rk4 residual")
+ChartKernel = namedtuple("ChartKernel", "family form coeffs state_names rhs rk4 residual")
 
 
 @functools.cache
@@ -204,21 +165,33 @@ def _chart_kernel(family: Family, form: str) -> ChartKernel:
     lead = _components(k, "k{j}")
     stage = _inline_stage(bodies)
     source = "\n".join([_rhs_source(n, bodies, k), _rk4_source(n, stage, lead), _residual_source(n, stage, lead)])
-    return ChartKernel(tuple(coeffs), state_names, *_compiled(source, "rhs", "rk4", "residual"))
+    return ChartKernel(family, form, tuple(coeffs), state_names, *_compiled(source, "rhs", "rk4", "residual"))
 
 
-def _companion_rhs(system: OdeSystem, param_values: Mapping[str, float]) -> tuple[CompiledRhs, tuple[str, ...]]:
-    """The chart's compiled right-hand side at these parameter values, and its state names."""
+class CompiledRhs(namedtuple("CompiledRhs", "kernel coeffs params")):
+    """A chart's right-hand side at given parameter values: ``kernel`` is the
+    chart's kernel, ``coeffs`` the coefficient arguments its functions take
+    first, and ``params`` the parameter values in the system's order.
+    ``self(t, state)`` is the derivative."""
+
+    __slots__ = ()
+
+    def __call__(self, t: float, state: Sequence[float]) -> tuple[float, ...]:
+        return self.kernel.rhs(*self.coeffs, t, *state)
+
+
+def _companion_rhs(system: OdeSystem, param_values: Mapping[str, float]) -> CompiledRhs:
+    """The chart's compiled right-hand side at these parameter values."""
     kernel = _chart_kernel(system.family, system.form)
-    return CompiledRhs(kernel.rhs, _folded(kernel.coeffs, param_values), kernel), kernel.state_names
+    params = tuple(param_values[name] for name in system.param_names)
+    return CompiledRhs(kernel, _folded(kernel.coeffs, param_values), params)
 
 
 # -- generated loops ------------------------------------------------------------------
 #
 # A stage emitter gives the lines that set dest0, dest1, ... to the right-hand
-# side at a time and state given as source: either a call to an opaque f, or
-# the chart's expressions inlined, with non-trivial arguments bound to locals
-# first.  Both evaluate the same float operations in the same order.
+# side at a time and state given as source: the chart's expressions inlined,
+# with non-trivial arguments bound to locals first.
 
 
 def _components(n: int, pattern: str) -> str:
@@ -229,10 +202,6 @@ def _rhs_source(n: int, bodies: Sequence[str], k: int) -> str:
     x = {f"x{j}": f"x{j}" for j in range(n)}
     values = "".join(body.format(t="t", **x) + ", " for body in bodies)
     return f"def rhs({_components(k, 'k{j}')}t, {_components(n, 'x{j}')}):\n    return ({values})\n"
-
-
-def _call_stage(dest: str, t: str, args: Sequence[str]) -> list[str]:
-    return [f"{_components(len(args), dest + '{j}')}= f({t}, {''.join(a + ', ' for a in args)})"]
 
 
 def _inline_stage(bodies: Sequence[str]) -> Callable[[str, str, Sequence[str]], list[str]]:
@@ -322,75 +291,44 @@ def _residual_source(n: int, stage: Callable, lead: str) -> str:
     ])
 
 
-@functools.cache
-def _rk4_loop(n: int) -> Callable:
-    """rk4(f, t0, h, n_steps, x0, ...) calling an opaque f(t, x0, ...)."""
-    return _compiled(_rk4_source(n, _call_stage, "f, "), "rk4")[0]
-
-
-@functools.cache
-def _residual_loop(n: int) -> Callable:
-    """residual(f, samples, h) calling an opaque f(t, x0, ...)."""
-    return _compiled(_residual_source(n, _call_stage, "f, "), "residual")[0]
-
-
-def _bound(rhs: Callable, n: int, kind: str) -> Callable:
-    """The "rk4" or "residual" loop for rhs and n state components, with its
-    leading arguments bound: the chart's coefficients for a chart's kernel,
-    or else f for the loop generated for n components, which calls it."""
-    kernel = getattr(rhs, "kernel", None)
-    if kernel is not None and n == len(kernel.state_names):
-        return functools.partial(getattr(kernel, kind), *rhs.coeffs)
-    f = getattr(rhs, "positional", None) or (lambda t, *state: rhs(t, state))
-    return functools.partial({"rk4": _rk4_loop, "residual": _residual_loop}[kind](n), f)
-
-
 # -- integration --------------------------------------------------------------------
 
 
-def integrate_rhs(
-    rhs: Callable[[float, Sequence[float]], Sequence[float]],
-    initial: Sequence[float],
-    t0: float,
-    t1: float,
-    step: float,
-    state_names: Sequence[str] = (),
-    family: Family | None = None,
-    form: str = "custom",
-    params: Sequence[float] = (),
-) -> Trajectory:
+def integrate_rhs(rhs: CompiledRhs, initial: Sequence[float], t0: float, t1: float, step: float) -> Trajectory:
     """Classical RK4 with a fixed step (the step is snapped so that the span
-    divides evenly).  Aborts with Blowup when any state component leaves
-    [-1e8, 1e8] or stops being finite.  Raises NumericInputError for a
-    non-finite t0, t1 or step, an empty or non-finite initial state, a step
-    that is not positive or t1 <= t0, and StepBudgetError, before any step
-    is taken, when the interval needs more than MAX_STEPS steps; ValueError
-    when rhs returns a state of another length.
-
-    A chart's compiled right-hand side runs its kernel's loop, with the
-    right-hand side inlined; any other callable runs the loop that calls it."""
+    divides evenly), by the loop of the chart's kernel, with the right-hand
+    side inlined.  Aborts with Blowup when any state component leaves
+    [-1e8, 1e8] or stops being finite.  Raises NumericInputError for an
+    initial state whose length is not the chart's, a non-finite t0, t1 or
+    step, a non-finite initial state, a step that is not positive, t1 <= t0
+    or a span t1 - t0 that is not a finite float, and StepBudgetError,
+    before any step is taken, when the interval needs more than MAX_STEPS
+    steps."""
+    kernel = rhs.kernel
+    if len(initial) != len(kernel.state_names):
+        raise NumericInputError(f"initial state needs {len(kernel.state_names)} components {kernel.state_names}")
     for name, value in (("t0", t0), ("t1", t1), ("step", step)):
         if not math.isfinite(value):
             raise NumericInputError(f"{name} must be a finite number, got {value}")
-    if not initial:
-        raise NumericInputError("initial state needs at least one component")
     if not all(math.isfinite(x) for x in initial):
         raise NumericInputError(f"initial state must be finite, got {list(initial)}")
     if step <= 0:
         raise NumericInputError("step must be positive")
     if t1 <= t0:
         raise NumericInputError("t1 must exceed t0")
-    if (t1 - t0) / step > MAX_STEPS:
+    span = t1 - t0
+    if not math.isfinite(span):
+        raise NumericInputError(f"span t1 - t0 of [{t0}, {t1}] is not a finite float")
+    if span / step > MAX_STEPS:
         raise StepBudgetError(f"interval [{t0}, {t1}] at step {step} needs more than {MAX_STEPS} steps")
-    n_steps = max(1, round((t1 - t0) / step))
-    h = (t1 - t0) / n_steps
-    start = [float(x) for x in initial]
-    samples, blowup_t = _bound(rhs, len(start), "rk4")(t0, h, n_steps, *start)
+    n_steps = max(1, round(span / step))
+    h = span / n_steps
+    samples, blowup_t = kernel.rk4(*rhs.coeffs, t0, h, n_steps, *[float(x) for x in initial])
     return Trajectory(
-        family=family,
-        form=form,
-        params=tuple(params),
-        state_names=tuple(state_names),
+        family=kernel.family,
+        form=kernel.form,
+        params=rhs.params,
+        state_names=kernel.state_names,
         samples=samples,
         status=TrajectoryStatus.COMPLETED if blowup_t is None else TrajectoryStatus.BLOWUP,
         blowup_t=blowup_t,
@@ -428,22 +366,7 @@ def integrate(
         raise UnsupportedFamilyError(
             "numeric integration of the fourth family uses the first-order system chart"
         )
-    params = _numeric_params(eq, assign, system)
-    rhs, state_names = _companion_rhs(system, params)
-    expected = len(state_names)
-    if len(initial) != expected:
-        raise NumericInputError(f"initial state needs {expected} components {state_names}")
-    return integrate_rhs(
-        rhs,
-        initial,
-        t0,
-        t1,
-        step,
-        state_names=state_names,
-        family=eq.family,
-        form=system.form,
-        params=[params[name] for name in system.param_names],
-    )
+    return integrate_rhs(_companion_rhs(system, _numeric_params(eq, assign, system)), initial, t0, t1, step)
 
 
 # -- residuals ------------------------------------------------------------------------
@@ -462,7 +385,7 @@ def residual_norm(traj: Trajectory) -> ResidualReport:
     """
     if len(traj.samples) < 5:
         return ResidualReport(value=0.0, discretization_order=4, warning="trajectory too short for a residual")
-    worst = _bound(traj.rhs, len(traj.samples[0][1]), "residual")(traj.samples, traj.step)
+    worst = traj.rhs.kernel.residual(*traj.rhs.coeffs, traj.samples, traj.step)
     return ResidualReport(value=worst, discretization_order=4)
 
 
@@ -487,7 +410,7 @@ def write_csv(traj: Trajectory, path: str) -> str:
 
 def _trajectory_head(traj: Trajectory) -> dict:
     return {
-        "family": traj.family.value if traj.family else None,
+        "family": traj.family.value,
         "form": traj.form,
         "params": list(traj.params),
         "state": list(traj.state_names),

@@ -89,9 +89,6 @@ class AffineMap(namedtuple("AffineMap", "family perm signs translation")):
             perm[p], signs[p], translation[p] = j, s, -s * t
         return AffineMap(self.family, tuple(perm), tuple(signs), tuple(translation))
 
-    def is_identity(self) -> bool:
-        return self == AffineMap.identity(self.family, self.dim)
-
     @staticmethod
     def identity(family: Family, dim: int) -> "AffineMap":
         return AffineMap.from_permutation(family, range(dim))

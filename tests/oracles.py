@@ -42,7 +42,9 @@
   for every sum and product.  ``FractionPoly`` is that kernel from before
   integer coefficients: every coefficient a ``Fraction``, every product
   re-canonicalised by ``__init__``, and ``evaluate`` deriving its top
-  degrees and coefficient lcm on each call.
+  degrees and coefficient lcm on each call.  ``diffpoly`` has no exact
+  evaluator of its own: ``TuplePoly.evaluate`` is the only copy, and
+  ``exact_value`` evaluates a ``DiffExpr`` by it.
 - ``evaluating_pv_random_point_check`` is ``diffpoly.pv_random_point_check``
   from before cleared integer sums: a ``Fraction`` per draw and per value,
   and no bound on the redraws.
@@ -51,8 +53,10 @@
 - ``csv_module_write_csv`` is ``numint.write_csv`` as it was before it
   joined its lines itself: ``csv.writer`` with a list of reprs per row.
 - ``tuple_integrate_rhs`` and ``indexed_residual_norm`` are the RK4 and
-  residual loops from before the loops generated per state dimension: they
-  call ``rhs(t, state)`` on tuples and lists and index the samples.
+  residual loops from before the generated loops: they call a chart's
+  compiled ``rhs(t, state)`` on tuples and lists and index the samples.
+  ``numint`` runs only its chart kernels, so these are the only integrator
+  and residual loops that call a right-hand side.
 - ``fraction_rational_rank`` is ``exactnum.rational_rank`` from before
   integer rows: Gauss-Jordan elimination over ``Fraction``.
 - ``descent_parse_param`` is ``exactnum.parse_param`` as a recursive
@@ -90,11 +94,8 @@ from painleve.exactnum import (
     MAX_DIGITS, AtomKind, ParamSyntaxError, ParamValue, TriBool, _FAST_PARAM, _FAST_TERM, _LONG_DIGIT_RUN,
     _intern, _tokenize, transcendence_degree, tri_and, tri_or,
 )
-from painleve.numint import (
-    BLOWUP_THRESHOLD, NumericAssignment, ResidualReport, Trajectory, TrajectoryStatus, _companion_rhs,
-    _numeric_params,
-)
-from painleve.odes import OdeSystem, ode_system
+from painleve.numint import BLOWUP_THRESHOLD, ResidualReport, Trajectory, TrajectoryStatus
+from painleve.odes import OdeSystem
 from painleve.citations import cite
 from painleve.ortho import OrthoVerdict, Verdict
 from painleve import weyl
@@ -1217,6 +1218,12 @@ class TuplePoly:
     __repr__ = __str__
 
 
+def exact_value(expr: DiffExpr, point) -> Fraction:
+    """``expr`` at a rational point: its numerator over its denominator, each by ``TuplePoly.evaluate``."""
+    num, den = (TuplePoly(p.vars, p.dense_terms()).evaluate(point) for p in (expr.num, expr.den))
+    return num / den
+
+
 class FractionPoly(TuplePoly):
     """The polynomial kernel from before integer coefficients: every
     coefficient a ``Fraction``, every product re-canonicalised by
@@ -1310,7 +1317,7 @@ def evaluating_pv_random_point_check(points=25, seed=0, residuals=None) -> tuple
             sym("v4"): -(v[0] + v[1] + v[2]),
         }
         try:
-            values = (res_q.evaluate(point), res_p.evaluate(point))
+            values = (exact_value(res_q, point), exact_value(res_p, point))
         except ZeroDivisionError:
             continue
         checked += 1
@@ -1332,7 +1339,7 @@ def residual_exprs(system: OdeSystem) -> tuple[DiffExpr, ...]:
 # -- the RK4 and residual loops ---------------------------------------------------------
 
 
-def tuple_integrate_rhs(rhs, initial, t0, t1, step, state_names=(), family=None, form="custom", params=()):
+def tuple_integrate_rhs(rhs, initial, t0, t1, step):
     """``numint.integrate_rhs`` for valid arguments, stepping tuples through
     ``rhs(t, state)``."""
     n_steps = max(1, round((t1 - t0) / step))
@@ -1363,22 +1370,21 @@ def tuple_integrate_rhs(rhs, initial, t0, t1, step, state_names=(), family=None,
             break
         samples.append((t_next, state))
     return Trajectory(
-        family=family,
-        form=form,
-        params=tuple(params),
-        state_names=tuple(state_names),
+        family=rhs.kernel.family,
+        form=rhs.kernel.form,
+        params=rhs.params,
+        state_names=rhs.kernel.state_names,
         samples=samples,
         status=status,
         blowup_t=blowup_t,
         step=h,
+        rhs=rhs,
     )
 
 
-def indexed_residual_norm(traj: Trajectory, eq: EquationId, assign: NumericAssignment | None = None) -> ResidualReport:
+def indexed_residual_norm(traj: Trajectory) -> ResidualReport:
     """``numint.residual_norm``, indexing ``traj.samples`` per component."""
-    system = ode_system(eq.family, traj.form if traj.form != "custom" else None)
-    params = _numeric_params(eq, assign, system)
-    rhs, _ = _companion_rhs(system, params)
+    rhs = traj.rhs
     if len(traj.samples) < 5:
         return ResidualReport(value=0.0, discretization_order=4, warning="trajectory too short for a residual")
     h = traj.step
@@ -1518,6 +1524,9 @@ def descent_parse_param(text: str) -> ParamValue:
         idx += 1
         term = parse_term()
         result = result + term if val == "+" else result - term
+    for q in (result.const, *(c for _, c in result.terms)):
+        if max(abs(q.numerator), q.denominator) >= 10**MAX_DIGITS:
+            raise ParamSyntaxError(f"more than {MAX_DIGITS} digits", 0)
     return result
 
 

@@ -424,6 +424,8 @@ def test_batch_mode_reports_input_errors(tmp_path, capsys):
 
 
 LONG_NUMERAL = "1" * 5000
+# Five runs of 1,000 digits whose sum has a 5,000-digit reduced denominator.
+LONG_SUM = " + ".join(f"1/{10**999 + k}" for k in (1, 3, 7, 9, 13))
 
 
 @pytest.mark.parametrize(
@@ -433,6 +435,8 @@ LONG_NUMERAL = "1" * 5000
         ["atoms", "--params", "tau" + LONG_NUMERAL],
         ["integrate", "--family", "II", "--params", "tau1", "--assign", f"tau{LONG_NUMERAL}=1",
          "--initial", "0.1,0.2", "--t0", "1", "--t1", "1.1", "--step", "0.05"],
+        ["classify", "--family", "II", "--params", LONG_SUM],
+        ["orbit", "--family", "II", "--v", LONG_SUM, "--w", "0"],
     ],
 )
 def test_long_numeral_is_input_error(argv, capsys):
@@ -444,11 +448,12 @@ def test_long_numeral_is_input_error(argv, capsys):
 
 def test_long_numeral_in_batch_is_input_error(tmp_path, capsys):
     batch = tmp_path / "queries.txt"
-    batch.write_text(f"classify --family II --params {LONG_NUMERAL}\natoms --params tau1\n")
-    assert run(["--batch", str(batch)]) == 2
-    captured = capsys.readouterr()
-    assert [json.loads(r)["query"]["subcommand"] for r in captured.out.splitlines()] == ["atoms"]
-    assert captured.err == "error: more than 1000 digits (at position 0)\n"
+    for params in (LONG_NUMERAL, f"'{LONG_SUM}'"):
+        batch.write_text(f"classify --family II --params {params}\natoms --params tau1\n")
+        assert run(["--batch", str(batch)]) == 2
+        captured = capsys.readouterr()
+        assert [json.loads(r)["query"]["subcommand"] for r in captured.out.splitlines()] == ["atoms"]
+        assert captured.err == "error: more than 1000 digits (at position 0)\n"
 
 
 def test_many_atoms_answer_in_bounded_time(capsys):
