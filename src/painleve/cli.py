@@ -16,11 +16,18 @@ rather than as an input error).  ``--batch`` goes on past a failed line and
 exits with the worst code of its lines, ranked 4, then 2, then 3, then 0; a
 line asking for -h/--help is an input error there, since stdout carries
 only JSON records.
+
+The command line is stated once, in the table ``_COMMANDS``: per
+subcommand its handler, help and options.  Every query, single or in a
+``--batch`` file, is read from that table when it is a subcommand followed
+by exact ``--opt value``/``--opt=value`` pairs.  argparse, built from the
+same table on first need, prints help and usage, and answers every other
+argv (abbreviations, repeats, unknown or missing options, bad values), so
+its messages and exit codes are the command line's.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import importlib
 import json
@@ -28,6 +35,7 @@ import math
 import re
 import shlex
 import sys
+from types import SimpleNamespace
 from typing import Sequence
 
 from .catalog import GROUP_RELATIONS, EquationId, Family
@@ -374,13 +382,70 @@ def _cmd_atoms(args) -> tuple[dict, int]:
     return payload, 0
 
 
-# -- argument parsing ---------------------------------------------------------------------------
+# -- the command line ---------------------------------------------------------------------------
+
+
+def _option(option: str, help: str | None = None, *, required=False, default=None, type=None, choices=None):
+    return option, option[2:], required, default, type, choices, help
+
+
+# Per subcommand: (handler, help, description, options), each option a row
+# of (option string, dest, required, default, type, choices, help).
+_COMMANDS = {
+    "classify": (_cmd_classify, "full classification report for one equation", None, (
+        _option("--family", "I, II, III, IV, V, or VI", required=True),
+        _option("--params", "comma-separated exact parameters, e.g. '1/2,tau1'", default=""),
+    )),
+    "orbit": (_cmd_orbit, "transformation-orbit relation between two parameter tuples", None, (
+        _option("--family", required=True),
+        _option("--v", "first parameter tuple", required=True),
+        _option("--w", "second parameter tuple", required=True),
+    )),
+    "orthogonal": (_cmd_orthogonal, "orthogonality verdict for two equations", None, (
+        _option("--family1", required=True), _option("--params1", default=""),
+        _option("--family2", required=True), _option("--params2", default=""),
+    )),
+    "verify": (_cmd_verify, "machine verification of the symbolic identities", None, (
+        _option("--target", required=True, choices=tuple(VERIFY_TARGETS)),
+    )),
+    "integrate": (
+        _cmd_integrate, "fixed-step RK4 integration of a cataloged equation",
+        "Fixed-step RK4 integration. The CSV written by --out has columns: t, then one column per state "
+        "component (e.g. t,y,y' for scalar charts, t,q,p for first-order systems); --out also writes the "
+        "same trajectory as <out>.json.",
+        (
+            _option("--family", required=True),
+            _option("--params", default=""),
+            _option("--initial", "comma-separated initial state", required=True),
+            _option("--t0", type=float, required=True),
+            _option("--t1", type=float, required=True),
+            _option("--step", type=float, required=True),
+            _option("--form", "chart: system (default), scalar, or QP"),
+            _option("--assign", "numeric atom values, e.g. 'tau1=3.14'", default=""),
+            _option("--out", "write trajectory CSV here (plus .json)"),
+        ),
+    ),
+    "atoms": (_cmd_atoms, "echo the atom environment of parameter strings", None, (_option("--params", default=""),)),
+}
+
+# Per subcommand, as the reader looks it up: option string -> row, the
+# namespace of defaults argparse would give, and the required option strings.
+_READER = {
+    name: (
+        {row[0]: row for row in options},
+        {"batch": None, "subcommand": name, **{dest: default for _, dest, _, default, *_ in options}},
+        {option for option, _, required, *_ in options if required},
+    )
+    for name, (*_, options) in _COMMANDS.items()
+}
 
 
 @functools.cache
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple[argparse.ArgumentParser, set[str]]]]:
-    """The parser, and each subcommand's own parser with its option strings;
-    built once per process (parsing leaves the parsers unchanged)."""
+def _build_parser():
+    """The argparse parser of ``_COMMANDS``; built once per process, on the
+    first help request or argv that ``_read_args`` declines."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="painleve",
         description="Exact classification, transformation-orbit, and verification "
@@ -388,63 +453,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple[argparse.A
     )
     parser.add_argument("--batch", metavar="FILE", help="run one query per line of FILE")
     sub = parser.add_subparsers(dest="subcommand")
-    subcommands = {}
-
-    def add_parser(name: str, **kwargs):
-        p, options = sub.add_parser(name, **kwargs), set()
-        subcommands[name] = p, options
-        return lambda *names, **kw: options.update(p.add_argument(*names, **kw).option_strings)
-
-    arg = add_parser("classify", help="full classification report for one equation")
-    arg("--family", required=True, help="I, II, III, IV, V, or VI")
-    arg("--params", default="", help="comma-separated exact parameters, e.g. '1/2,tau1'")
-
-    arg = add_parser("orbit", help="transformation-orbit relation between two parameter tuples")
-    arg("--family", required=True)
-    arg("--v", required=True, help="first parameter tuple")
-    arg("--w", required=True, help="second parameter tuple")
-
-    arg = add_parser("orthogonal", help="orthogonality verdict for two equations")
-    arg("--family1", required=True)
-    arg("--params1", default="")
-    arg("--family2", required=True)
-    arg("--params2", default="")
-
-    arg = add_parser("verify", help="machine verification of the symbolic identities")
-    arg("--target", required=True, choices=list(VERIFY_TARGETS))
-
-    arg = add_parser(
-        "integrate",
-        help="fixed-step RK4 integration of a cataloged equation",
-        description="Fixed-step RK4 integration. The CSV written by --out has "
-        "columns: t, then one column per state component (e.g. t,y,y' for "
-        "scalar charts, t,q,p for first-order systems); --out also writes the "
-        "same trajectory as <out>.json.",
-    )
-    arg("--family", required=True)
-    arg("--params", default="")
-    arg("--initial", required=True, help="comma-separated initial state")
-    arg("--t0", type=float, required=True)
-    arg("--t1", type=float, required=True)
-    arg("--step", type=float, required=True)
-    arg("--form", default=None, help="chart: system (default), scalar, or QP")
-    arg("--assign", default="", help="numeric atom values, e.g. 'tau1=3.14'")
-    arg("--out", default=None, help="write trajectory CSV here (plus .json)")
-
-    arg = add_parser("atoms", help="echo the atom environment of parameter strings")
-    arg("--params", default="")
-
-    return parser, subcommands
-
-
-_DISPATCH = {
-    "classify": _cmd_classify,
-    "orbit": _cmd_orbit,
-    "orthogonal": _cmd_orthogonal,
-    "verify": _cmd_verify,
-    "integrate": _cmd_integrate,
-    "atoms": _cmd_atoms,
-}
+    for name, (_, help, description, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help, description=description)
+        for option, dest, required, default, type, choices, text in options:
+            p.add_argument(option, dest=dest, required=required, default=default, type=type, choices=choices, help=text)
+    return parser
 
 
 # Options whose value may start with a minus sign ("--params -1/2,...").
@@ -474,38 +487,58 @@ def _bind_negative_values(argv: Sequence[str]) -> list[str]:
     leading negative value or ``-inf`` would otherwise be rejected.
     """
     out: list[str] = []
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        nxt = argv[i + 1] if i + 1 < len(argv) else ""
-        if arg in _SIGNED_VALUE_OPTIONS and _is_negative_value(nxt):
-            out.append(f"{arg}={nxt}")
-            i += 2
+    for arg in argv:
+        if out and out[-1] in _SIGNED_VALUE_OPTIONS and _is_negative_value(arg):
+            out[-1] += "=" + arg
         else:
             out.append(arg)
-            i += 1
     return out
 
 
-def _parse_args(argv: list[str], parser: argparse.ArgumentParser, subcommands: dict):
-    """``parser.parse_args(argv)``; a subcommand given only its exact option strings goes to its own parser."""
-    if argv and argv[0] in subcommands:
-        sub, options = subcommands[argv[0]]
-        if all(tok.partition("=")[0] in options for tok in argv[1:] if tok[:1] == "-"):
-            args, extra = sub.parse_known_args(argv[1:])
-            if not extra:
-                args.subcommand = argv[0]
-                return args
-    return parser.parse_args(argv)
+def _read_args(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives ``argv``, read from ``_COMMANDS`` for a
+    subcommand and exact ``--opt value``/``--opt=value`` pairs that argparse
+    takes as they are; None leaves any other argv to argparse."""
+    options, defaults, required = _READER.get(argv[0] if argv else None, (None, None, None))
+    if options is None:
+        return None
+    args, given, tokens = dict(defaults), set(), iter(argv[1:])
+    for token in tokens:
+        option, eq, value = token.partition("=")
+        row = options.get(option)
+        if row is None or option in given:
+            return None
+        if not eq:
+            value = next(tokens, "-")  # a missing value declines like a '-' one
+            if value[:1] == "-" and not (option in _SIGNED_VALUE_OPTIONS and _is_negative_value(value)):
+                return None
+        elif value == "--":  # argparse before 3.13 reads "--opt=--" as an empty list
+            return None
+        _, dest, _, _, type, choices, _ = row
+        if type is not None:
+            try:
+                value = type(value)
+            except ValueError:
+                return None
+        if choices is not None and value not in choices:
+            return None
+        given.add(option)
+        args[dest] = value
+    return SimpleNamespace(**args) if required <= given else None
 
 
-def _run_single(argv: Sequence[str], parser: argparse.ArgumentParser, subcommands: dict) -> tuple[dict | None, int]:
-    args = _parse_args(_bind_negative_values(argv), parser, subcommands)
+def _parse_args(argv: Sequence[str]):
+    """``parse_args`` of the top-level parser, on ``argv`` with its negative values bound."""
+    return _read_args(argv) or _build_parser().parse_args(_bind_negative_values(argv))
+
+
+def _run_single(argv: Sequence[str]) -> tuple[dict | None, int]:
+    args = _parse_args(argv)
     if args.subcommand is None:
-        parser.print_usage(sys.stderr)
+        _build_parser().print_usage(sys.stderr)
         return None, 2
     try:
-        return _DISPATCH[args.subcommand](args)
+        return _COMMANDS[args.subcommand][0](args)
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return None, 2
@@ -528,41 +561,44 @@ def _split(line: str) -> list[str]:
 
 def run(argv: Sequence[str]) -> int:
     """Entry point; returns the exit code and prints JSON to stdout."""
-    parser, subcommands = _build_parser()
-    if argv and argv[0] == "--batch":
-        ns, rest = parser.parse_known_args(argv[:2])
-        if rest:
-            print("error: --batch takes no further arguments", file=sys.stderr)
-            return 2
-        worst = 0
+    argv = list(argv)
+    if argv and argv[0].startswith("--batch="):
+        path, rest = argv[0][len("--batch="):], argv[1:]
+    elif argv[:1] == ["--batch"] and argv[1:2] and argv[1][:1] != "-":
+        path, rest = argv[1], argv[2:]
+    else:  # a query, or a --batch without its FILE, which argparse reports
+        payload, code = _run_single(argv)
+        if payload is not None:
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        return code
+    if rest:
+        print("error: --batch takes no further arguments", file=sys.stderr)
+        return 2
+    worst = 0
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [line.strip() for line in fh]
+    except (OSError, UnicodeDecodeError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+    for line in lines:
+        if not line or line.startswith("#"):
+            continue
         try:
-            with open(ns.batch, encoding="utf-8") as fh:
-                lines = [line.strip() for line in fh]
-        except (OSError, UnicodeDecodeError) as err:
+            tokens = _split(line)
+            # Help would go to stdout, which carries only JSON records here.
+            if any(tok[:2] == "-h" or (len(tok) > 2 and "--help".startswith(tok)) for tok in tokens):
+                raise InputError("-h/--help is not accepted in a --batch line")
+            payload, code = _run_single(tokens)
+        except SystemExit as exc:  # argparse rejected the line
+            payload, code = None, int(exc.code or 2)
+        except ValueError as err:  # that help request, or an unclosed quote
             print(f"error: {err}", file=sys.stderr)
-            return 2
-        for line in lines:
-            if not line or line.startswith("#"):
-                continue
-            try:
-                tokens = _split(line)
-                # Help would go to stdout, which carries only JSON records here.
-                if any(tok[:2] == "-h" or (len(tok) > 2 and "--help".startswith(tok)) for tok in tokens):
-                    raise InputError("-h/--help is not accepted in a --batch line")
-                payload, code = _run_single(tokens, parser, subcommands)
-            except SystemExit as exc:  # argparse rejected the line
-                payload, code = None, int(exc.code or 2)
-            except ValueError as err:  # that help request, or an unclosed quote
-                print(f"error: {err}", file=sys.stderr)
-                payload, code = None, 2
-            if payload is not None:
-                print(json.dumps(payload, sort_keys=True))
-            worst = 2 if 2 in (worst, code) and 4 not in (worst, code) else max(worst, code)
-        return worst
-    payload, code = _run_single(list(argv), parser, subcommands)
-    if payload is not None:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    return code
+            payload, code = None, 2
+        if payload is not None:
+            print(json.dumps(payload, sort_keys=True))
+        worst = 2 if 2 in (worst, code) and 4 not in (worst, code) else max(worst, code)
+    return worst
 
 
 def main() -> None:

@@ -291,9 +291,14 @@ def test_verify_group_relations_failed_relation_exits_3(monkeypatch, capsys):
     assert [v["value"] for v in payload["verdicts"]] == [True, True, False]
 
 
+def _subparsers():
+    """Each subcommand's argparse parser, from the parser built off the table."""
+    (action,) = [a for a in cli._build_parser()._actions if a.dest == "subcommand"]
+    return action.choices
+
+
 def test_verify_targets_are_the_parser_choices_and_have_goldens():
-    _, subcommands = cli._build_parser()
-    (target,) = [a for a in subcommands["verify"][0]._actions if "--target" in a.option_strings]
+    (target,) = [a for a in _subparsers()["verify"]._actions if "--target" in a.option_strings]
     assert list(target.choices) == list(cli.VERIFY_TARGETS)
     for name in cli.VERIFY_TARGETS:
         assert GOLDEN_QUERIES[f"verify_{name.replace('-', '_')}"] == ["verify", "--target", name]
@@ -477,6 +482,50 @@ def test_batch_missing_file(capsys):
     assert run(["--batch", "/nonexistent/queries.txt"]) == 2
 
 
+@pytest.mark.parametrize("extra", [["extra"], ["classify", "--family", "II"], ["--batch", "other.txt"]])
+def test_batch_takes_no_further_arguments(extra, tmp_path, capsys):
+    batch = tmp_path / "queries.txt"
+    batch.write_text("atoms --params tau1\n")
+    for argv in (["--batch", str(batch), *extra], [f"--batch={batch}", *extra]):
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", "error: --batch takes no further arguments\n")
+
+
+def test_batch_equals_file_runs_like_batch_file(tmp_path, capsys):
+    batch = tmp_path / "queries.txt"
+    batch.write_text("classify --family II --params 1/2\norbit --family II --v 1/4 --w 7/4\n")
+    assert run(["--batch", str(batch)]) == 0
+    separate = capsys.readouterr()
+    assert run([f"--batch={batch}"]) == 0
+    assert capsys.readouterr() == separate
+    assert len(separate.out.splitlines()) == 2
+
+
+def test_valid_queries_do_not_import_argparse(tmp_path):
+    batch = tmp_path / "queries.txt"
+    batch.write_text(
+        "classify --family II --params 1/2\norbit --family II --v -1/4 --w=7/4\n"
+        "orthogonal --family1 II --params1 tau1 --family2 IV --params2 'tau2,tau3,-1*tau2 - tau3'\n"
+        "verify --target riccati\natoms --params tau1\n"
+        f"integrate --family II --params 1/2 --initial 0.2,0.1 --t0 1 --t1 1.1 --step 0.01 --out {tmp_path / 't.csv'}\n"
+    )
+    out = _run_python(
+        "import contextlib, io, sys\n"
+        "from painleve import cli\n"
+        "records = io.StringIO()\n"
+        "with contextlib.redirect_stdout(records):\n"
+        f"    assert cli.run(['--batch', {str(batch)!r}]) == 0\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.run(['classify', '--family', 'VI', '--params', '1/2,0,1/4,1/4']) == 0\n"
+        "print(len(records.getvalue().splitlines()), 'argparse' in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.run(['classify', '--fam', 'II', '--par', '1/2']) == 0\n"
+        "print('argparse' in sys.modules)\n"
+    )
+    # An abbreviated option still works, through argparse.
+    assert out.splitlines()[-2:] == ["6 False", "True"]
+
+
 @pytest.mark.parametrize("line", ["classify --help", "orbit -h", "--help", "integrate --he",
                                   "classify --family II --params 1/2 -h"])
 def test_batch_help_line_is_input_error(line, tmp_path, capsys):
@@ -582,8 +631,19 @@ _SUBCOMMAND_OPTIONS = {
     "atoms": ["--params"],
 }
 _ALL_OPTIONS = sorted({o for opts in _SUBCOMMAND_OPTIONS.values() for o in opts})
-_ODD_OPTIONS = ["--fam", "--par", "--t", "--", "-x", "--=x", "--batch", "-", "-h", "--help", "--he", "--family3"]
-_VALUES = ["II", "VI", "1/2", "-1/2", "tau1,alg1", "riccati", "bogus", "0.5", "-inf", "x y", "", "o/t.csv"]
+_ODD_OPTIONS = ["--fam", "--par", "--t", "--", "-x", "--=x", "--batch", "--batch=x", "-", "-h", "--help", "--he",
+                "--family3"]
+# "--" as a value: argparse before 3.13 reads "--opt=--" as an empty list.
+_VALUES = ["II", "VI", "1/2", "-1/2", "tau1,alg1", "riccati", "bogus", "0.5", "-inf", "x y", "", "o/t.csv", "--"]
+_REQUIRED = {name: [row[0] for row in rows if row[2]] for name, (*_, rows) in cli._COMMANDS.items()}
+# Values the reader must take or leave exactly as argparse does: floats that
+# overflow, are not a number or carry an underscore, and a value outside the
+# choices.
+_PAIRS = [["--t0", "1e400"], ["--t0", "nan"], ["--t0", "1_0"], ["--t0=1_0"], ["--target", "bogus"]]
+_WHOLE_QUERY_VALUES = {
+    "--target": ["riccati", "bogus"],
+    **dict.fromkeys(["--t0", "--t1", "--step"], ["0.5", "1e400", "nan", "1_0", "-1e-3", "x"]),
+}
 
 
 def _parse_outcome(parse, argv):
@@ -593,16 +653,22 @@ def _parse_outcome(parse, argv):
             args = parse(argv)
         except SystemExit as exc:
             return "exit", exc.code, out.getvalue(), err.getvalue()
-    return "args", {k: v for k, v in vars(args).items() if k != "batch"}, out.getvalue(), err.getvalue()
+    # repr, so that a nan value equals itself
+    return "args", {k: repr(v) for k, v in vars(args).items() if k != "batch"}, out.getvalue(), err.getvalue()
 
 
 @st.composite
 def _argv(draw):
-    subcommand = draw(st.sampled_from([*_SUBCOMMAND_OPTIONS, "nosuch", "-x", "--batch"]))
+    subcommand = draw(st.sampled_from([*_SUBCOMMAND_OPTIONS, "nosuch", "-x", "--batch", "--batch=x"]))
     own = _SUBCOMMAND_OPTIONS.get(subcommand, _ALL_OPTIONS)
-    tokens = [subcommand]
-    for _ in range(draw(st.integers(0, 8))):
-        kind = draw(st.integers(0, 15))
+    tokens, extra = [subcommand], 8
+    if subcommand in _REQUIRED and draw(st.booleans()):  # a whole query, then a few more tokens
+        for option in draw(st.permutations(_REQUIRED[subcommand])):
+            value = draw(st.sampled_from(_WHOLE_QUERY_VALUES.get(option, ["II", "-1/2", "tau1,alg1", "--"])))
+            tokens += draw(st.sampled_from([[option, value], [f"{option}={value}"]]))
+        extra = 2
+    for _ in range(draw(st.integers(0, extra))):
+        kind = draw(st.integers(0, 17))
         if kind < 8:  # an option of this subcommand with its value
             tokens += [draw(st.sampled_from(own)), draw(st.sampled_from(_VALUES))]
         elif kind < 11:
@@ -611,6 +677,11 @@ def _argv(draw):
             tokens.append(draw(st.sampled_from(_VALUES + own)))
         elif kind == 13:
             tokens.append(draw(st.sampled_from(_ALL_OPTIONS)))
+        elif kind == 14 and len(tokens) > 1:  # a repeated option
+            option = draw(st.sampled_from([t for t in tokens[1:] if t in own] or own))
+            tokens += [option, draw(st.sampled_from(_VALUES))]
+        elif kind == 15:
+            tokens += draw(st.sampled_from(_PAIRS))
         else:
             tokens.append(draw(st.sampled_from(_ODD_OPTIONS)))
     return tokens
@@ -619,16 +690,21 @@ def _argv(draw):
 @given(_argv())
 @settings(max_examples=400, deadline=None)
 def test_direct_dispatch_matches_top_level_parser(argv):
-    parser, subcommands = cli._build_parser()
-    direct = _parse_outcome(lambda a: cli._parse_args(a, parser, subcommands), argv)
-    assert direct == _parse_outcome(parser.parse_args, argv)
+    # The table reader, with argparse for what it declines, against argparse alone.
+    parser = cli._build_parser()
+    reference = _parse_outcome(lambda a: parser.parse_args(cli._bind_negative_values(a)), argv)
+    assert _parse_outcome(cli._parse_args, argv) == reference
+    if cli._read_args(argv) is not None:
+        assert reference[0] == "args"
 
 
 def test_subcommand_option_strings_match_the_parsers():
-    _, subcommands = cli._build_parser()
-    assert {name: sorted(options) for name, (_, options) in subcommands.items()} == {
-        name: sorted(options) for name, options in _SUBCOMMAND_OPTIONS.items()
-    }
+    table = {name: sorted(row[0] for row in options) for name, (*_, options) in cli._COMMANDS.items()}
+    assert table == {name: sorted(options) for name, options in _SUBCOMMAND_OPTIONS.items()}
+    assert {
+        name: sorted(o for a in sub._actions for o in a.option_strings if o not in ("-h", "--help"))
+        for name, sub in _subparsers().items()
+    } == table
 
 
 SRC_DIR = Path(__file__).parent.parent / "src"
@@ -918,7 +994,7 @@ def test_internal_errors_exit_4_and_batch_goes_on(error, tmp_path, monkeypatch, 
     def broken(args):
         raise error("a bug")
 
-    monkeypatch.setitem(cli._DISPATCH, "classify", broken)
+    monkeypatch.setitem(cli._COMMANDS, "classify", (broken, *cli._COMMANDS["classify"][1:]))
     assert run(["classify", "--family", "II", "--params", "0"]) == 4
     err = capsys.readouterr().err
     assert err.startswith(f"error: internal error: {error.__name__}: ")
