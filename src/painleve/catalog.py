@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .citations import PVI_LDEG_AMBIGUITY, RICCATI_SIGN_NOTE, Ambiguity
-from .exactnum import InputError, ParamValue, Rational, scale
+from .exactnum import InputError, ParamValue, Rational, Scaled, scale
 
 
 class Family(Enum):
@@ -290,12 +290,27 @@ def family_space(family: Family) -> FamilySpec:
     return _SPECS[family]
 
 
-def _as_param(x) -> ParamValue:
+def as_param(x) -> ParamValue:
     if isinstance(x, ParamValue):
         return x
     if isinstance(x, (int, Fraction)):
         return ParamValue(x)
     raise InvalidEquationError(f"parameter {x!r} is not an exact value")
+
+
+def check_params(family: Family, params: Sequence[ParamValue], form: Scaled | None = None, start: int = 0) -> None:
+    """Raise InvalidEquationError unless ``params`` have ``family``'s arity and,
+    where it asks, sum to zero, read from the integer form ``form`` (by
+    default ``scale(params)``) whose values from ``start`` on are ``params``."""
+    space, n = family_space(family), len(params)
+    if n != space.arity:
+        raise InvalidEquationError(f"family {family.value} takes {space.arity} parameter(s), got {n}")
+    if space.sum_zero:
+        form = form or scale(params)
+        const, coeffs = sum(form.consts[start:start + n]), [sum(c) for c in zip(*form.rows[start:start + n])]
+        if const or any(coeffs):
+            total = ParamValue(const, dict(zip(form.atoms, coeffs))) / form.den
+            raise InvalidEquationError(f"family {family.value} parameters must sum to zero exactly (got {total})")
 
 
 class EquationId(namedtuple("EquationId", "family params")):
@@ -308,20 +323,10 @@ class EquationId(namedtuple("EquationId", "family params")):
     __slots__ = ()
 
     def __new__(cls, family: Family, params: Sequence[ParamValue | Rational] = ()) -> "EquationId":
-        return super().__new__(cls, family, tuple(_as_param(p) for p in params))
+        return super().__new__(cls, family, tuple(map(as_param, params)))
 
     def __init__(self, family: Family, params: Sequence[ParamValue | Rational] = ()):
-        space = family_space(family)
-        if len(self.params) != space.arity:
-            raise InvalidEquationError(
-                f"family {family.value} takes {space.arity} parameter(s), got {len(self.params)}"
-            )
-        if space.sum_zero:
-            form = scale(self.params)
-            const, coeffs = sum(form.consts), [sum(column) for column in zip(*form.rows)]
-            if const or any(coeffs):
-                total = ParamValue(const, dict(zip(form.atoms, coeffs))) / form.den
-                raise InvalidEquationError(f"family {family.value} parameters must sum to zero exactly (got {total})")
+        check_params(family, self.params)
 
     def __str__(self) -> str:
         inner = ", ".join(str(p) for p in self.params)

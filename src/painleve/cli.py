@@ -82,7 +82,7 @@ OPEN_TAG = "open-question"
 
 
 def _tri(value: TriBool) -> str:
-    return value.value
+    return value._value_  # the member's value, read without the ``value`` property
 
 
 def _citation_json(c: Citation | None):
@@ -163,7 +163,7 @@ def _classification_payload(report: ClassificationReport) -> tuple[dict, int]:
         )
     query = {
         "subcommand": "classify",
-        "family": eq.family.value,
+        "family": eq.family._value_,
         "params": [format_param(p) for p in eq.params],
     }
     payload = _response(query, verdicts, list(report.citations), report.notes)
@@ -211,11 +211,11 @@ def _cmd_orbit(args) -> tuple[dict, int]:
     status_cite = verdict.criterion_citation if verdict.hypothesis_status is not HypothesisStatus.OPEN else None
     verdicts = [
         _verdict("related", _tri(verdict.related), verdict.criterion_citation),
-        _verdict("hypothesis-status", verdict.hypothesis_status.value, status_cite),
+        _verdict("hypothesis-status", verdict.hypothesis_status._value_, status_cite),
     ]
     query = {
         "subcommand": "orbit",
-        "family": family.value,
+        "family": family._value_,
         "v": [format_param(p) for p in v],
         "w": [format_param(p) for p in w],
     }
@@ -236,16 +236,16 @@ def _cmd_orthogonal(args) -> tuple[dict, int]:
     eq1 = _equation(args.family1, args.params1)
     eq2 = _equation(args.family2, args.params2)
     verdict = cross_family_verdict(eq1, eq2)
-    verdicts = [_verdict("orthogonality", verdict.verdict.value, verdict.citation)]
+    verdicts = [_verdict("orthogonality", verdict.verdict._value_, verdict.citation)]
     notes = list(verdict.notes)
     citations = [c for c in (verdict.citation, verdict.question) if c is not None]
     if verdict.question is not None:
         notes.append(f'open question ({verdict.question.where}): "{verdict.question.quote}"')
     query = {
         "subcommand": "orthogonal",
-        "family1": eq1.family.value,
+        "family1": eq1.family._value_,
         "params1": [format_param(p) for p in eq1.params],
-        "family2": eq2.family.value,
+        "family2": eq2.family._value_,
         "params2": [format_param(p) for p in eq2.params],
     }
     payload = _response(query, verdicts, citations, notes)
@@ -342,7 +342,7 @@ def _cmd_integrate(args) -> tuple[dict, int]:
     payload = {
         "query": {
             "subcommand": "integrate",
-            "family": eq.family.value,
+            "family": eq.family._value_,
             "params": [format_param(p) for p in eq.params],
             "t0": args.t0,
             "t1": args.t1,
@@ -446,6 +446,13 @@ def _build_parser():
     first help request or argv that ``_read_args`` declines."""
     import argparse
 
+    class Store(argparse.Action):  # "--opt=--" is the text "--", as on 3.13; earlier versions pass []
+        def __call__(self, parser, namespace, values, option_string=None):
+            if values == []:
+                values = parser._get_value(self, "--")
+                parser._check_value(self, values)
+            setattr(namespace, self.dest, values)
+
     parser = argparse.ArgumentParser(
         prog="painleve",
         description="Exact classification, transformation-orbit, and verification "
@@ -456,7 +463,8 @@ def _build_parser():
     for name, (_, help, description, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help, description=description)
         for option, dest, required, default, type, choices, text in options:
-            p.add_argument(option, dest=dest, required=required, default=default, type=type, choices=choices, help=text)
+            p.add_argument(option, action=Store, dest=dest, required=required, default=default, type=type,
+                           choices=choices, help=text)
     return parser
 
 
@@ -512,8 +520,6 @@ def _read_args(argv: Sequence[str]) -> SimpleNamespace | None:
             value = next(tokens, "-")  # a missing value declines like a '-' one
             if value[:1] == "-" and not (option in _SIGNED_VALUE_OPTIONS and _is_negative_value(value)):
                 return None
-        elif value == "--":  # argparse before 3.13 reads "--opt=--" as an empty list
-            return None
         _, dest, _, _, type, choices, _ = row
         if type is not None:
             try:
@@ -562,15 +568,14 @@ def _split(line: str) -> list[str]:
 def run(argv: Sequence[str]) -> int:
     """Entry point; returns the exit code and prints JSON to stdout."""
     argv = list(argv)
-    if argv and argv[0].startswith("--batch="):
-        path, rest = argv[0][len("--batch="):], argv[1:]
-    elif argv[:1] == ["--batch"] and argv[1:2] and argv[1][:1] != "-":
-        path, rest = argv[1], argv[2:]
-    else:  # a query, or a --batch without its FILE, which argparse reports
-        payload, code = _run_single(argv)
+    option, eq, path = argv[0].partition("=") if argv else ("", "", "")
+    # --batch, or --b to --batc as argparse abbreviates it, then "=FILE" or FILE
+    if not (len(option) > 2 and "--batch".startswith(option) and (eq or argv[1:2] and argv[1][:1] != "-")):
+        payload, code = _run_single(argv)  # a query, or a --batch without its FILE, which argparse reports
         if payload is not None:
             print(json.dumps(payload, indent=2, sort_keys=True))
         return code
+    path, rest = (path, argv[1:]) if eq else (argv[1], argv[2:])
     if rest:
         print("error: --batch takes no further arguments", file=sys.stderr)
         return 2
@@ -586,8 +591,9 @@ def run(argv: Sequence[str]) -> int:
             continue
         try:
             tokens = _split(line)
-            # Help would go to stdout, which carries only JSON records here.
-            if any(tok[:2] == "-h" or (len(tok) > 2 and "--help".startswith(tok)) for tok in tokens):
+            # Help would go to stdout, which carries only JSON records here;
+            # a help token contains "-h", which the joined tokens show at once.
+            if "-h" in " ".join(tokens) and any(t[:2] == "-h" or len(t) > 2 and "--help".startswith(t) for t in tokens):
                 raise InputError("-h/--help is not accepted in a --batch line")
             payload, code = _run_single(tokens)
         except SystemExit as exc:  # argparse rejected the line

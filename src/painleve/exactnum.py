@@ -43,10 +43,10 @@ class Atom(namedtuple("Atom", "kind index")):
 
     @property
     def name(self) -> str:
-        return f"{self.kind.value}{self.index}"
+        return f"{self.kind._value_}{self.index}"
 
     def sort_key(self) -> tuple[str, int]:
-        return (self.kind.value, self.index)
+        return (self.kind._value_, self.index)
 
     def __repr__(self) -> str:
         return f"Atom({self.name})"
@@ -309,6 +309,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 _FAST_TERM_TEXT = r"-?[0-9]+(?:/[0-9]*[1-9][0-9]*)?(?:\*(?:tau|alg)[0-9]+)?|(?:tau|alg)[0-9]+"
 _FAST_PARAM = re.compile(rf"(?:{_FAST_TERM_TEXT})(?:[+-](?:{_FAST_TERM_TEXT}))*")
 _FAST_TERM = re.compile(r"([+-]?)(?:(-?)([0-9]+)(?:/([0-9]+))?(?:\*((?:tau|alg)[0-9]+))?|((?:tau|alg)[0-9]+))")
+# A plain rational, the commonest value, read directly: numerator and denominator.
+_PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?")
 
 
 # Atom names already read, each with its atom and sort key; names past the
@@ -340,12 +342,17 @@ def parse_param(text: str) -> ParamValue:
     offending position on malformed input, a zero denominator or a digit
     run longer than ``MAX_DIGITS``, and at position 0 for a value whose
     reduced constant or atom coefficient has a numerator or denominator of
-    more than ``MAX_DIGITS`` digits.  Text in ``_FAST_PARAM``'s grammar is
-    read by one ``findall`` into integer sums, the rest by the tokenizer.
+    more than ``MAX_DIGITS`` digits.  Three readers share the work: a plain
+    rational (``_PLAIN_RATIONAL``) is read directly; other text in
+    ``_FAST_PARAM``'s grammar is read by the term reader, one ``findall``
+    into integer sums; the rest, and every error, by the tokenizer.
     """
     long_run = _LONG_DIGIT_RUN.search(text)
     if long_run:
         raise ParamSyntaxError(f"more than {MAX_DIGITS} digits", long_run.start())
+    plain = _PLAIN_RATIONAL.fullmatch(text)
+    if plain:  # one digit run each, so within the digit bound
+        return ParamValue._canonical(Fraction(int(plain[1]), int(plain[2] or 1)), ())
     if _FAST_PARAM.fullmatch(text):
         sums: dict = {}  # None (the constant) or an atom -> [numerator, denominator, sort key]
         summed = False  # parts read from single digit runs need no digit bound

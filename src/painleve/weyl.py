@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .catalog import EquationId, Family, family_space
+from .catalog import EquationId, Family, InvalidEquationError, as_param, check_params, family_space
 from .citations import cite
 from .exactnum import (
     AtomKind,
@@ -181,10 +181,6 @@ OrbitVerdict = namedtuple(
 WordResult = namedtuple("WordResult", "word reason", defaults=(None,))
 
 
-def _coerce_params(family: Family, values: Sequence[ParamValue | Rational]) -> tuple[ParamValue, ...]:
-    return EquationId(family, values).params
-
-
 def _is_generic(family: Family, params: Sequence[ParamValue]) -> bool:
     return transcendence_degree(params) == family_space(family).dimension
 
@@ -202,6 +198,20 @@ def _int_tokens(family: Family) -> tuple[int, dict[str, tuple[tuple[int, ...], .
 def _scaled(family: Family, v: Sequence[ParamValue], w: Sequence[ParamValue]) -> Scaled:
     """v then w in integer form, over a multiple of the family's token denominator."""
     return scale((*v, *w), _int_tokens(family)[0])
+
+
+def _checked_form(family: Family, v: Sequence, w: Sequence) -> tuple[tuple, tuple, Scaled]:
+    """v and w as ``EquationId(family, ...).params``, and their ``_scaled``
+    form, which the checks read; v's error is raised before w's."""
+    try:
+        v, w = tuple(map(as_param, v)), tuple(map(as_param, w))
+    except InvalidEquationError:
+        EquationId(family, v)  # v's own error comes first
+        raise
+    form = _scaled(family, v, w)
+    check_params(family, v, form)
+    check_params(family, w, form, len(v))
+    return v, w, form
 
 
 def _signed(row: tuple[int, ...], sign: int) -> tuple[int, ...]:
@@ -329,7 +339,7 @@ def orbit_decide(
     and ``form`` is their ``_scaled`` form when the caller has built it.
     """
     if not checked:
-        v, w = _coerce_params(family, v), _coerce_params(family, w)
+        v, w, form = _checked_form(family, v, w)
 
     if family is Family.PI:
         related, hypotheses = TriBool.YES, True
@@ -498,7 +508,7 @@ def generator_word(
     caller has already computed it, and ``checked`` and ``form`` are as there.
     """
     if not checked:
-        v, w = _coerce_params(family, v), _coerce_params(family, w)
+        v, w, form = _checked_form(family, v, w)
     form = form or _scaled(family, v, w)
     if verdict is None:
         verdict = orbit_decide(family, v, w, checked=True, form=form)
@@ -546,8 +556,7 @@ def orbit_with_word(
 ) -> OrbitVerdict:
     """orbit_decide plus word synthesis when the verdict is Yes; v and w
     are validated and scaled once, here."""
-    v, w = _coerce_params(family, v), _coerce_params(family, w)
-    form = _scaled(family, v, w)
+    v, w, form = _checked_form(family, v, w)
     verdict = orbit_decide(family, v, w, checked=True, form=form)
     if verdict.related is not TriBool.YES:
         return verdict

@@ -206,6 +206,30 @@ def test_fast_path_matches_descent_oracle_on_seeded_texts():
     assert 5_000 < taken < 18_000
 
 
+# Plain rationals and their near misses: leading zeros, "-0", digit runs at
+# and over the limit, zero denominators, Unicode digits and whitespace.
+_DIGIT_RUNS = st.one_of(
+    st.integers(min_value=0, max_value=10**12).map(str),
+    st.sampled_from(["0", "00", "007", "1" * MAX_DIGITS, "9" * (MAX_DIGITS + 1), "\u0663", "1\u0663", "\U0001d7d9"]),
+)
+_GAPS = st.sampled_from(["", "", "", "", " ", "\t"])
+_plain_rational_texts = st.builds(
+    lambda *parts: "".join(parts),
+    _GAPS, st.sampled_from(["", "-", "--", "+"]), _GAPS, _DIGIT_RUNS,
+    st.one_of(st.just(""), st.builds(lambda gap, den: gap + "/" + den, _GAPS, _DIGIT_RUNS)), _GAPS,
+)
+
+
+@given(_plain_rational_texts)
+@settings(max_examples=500, deadline=None)
+def test_plain_rational_branch_matches_oracles(text):
+    outcome = _parse_outcome(parse_param, text)
+    assert outcome == _parse_outcome(descent_parse_param, text)
+    if exactnum._PLAIN_RATIONAL.fullmatch(text) and not exactnum._LONG_DIGIT_RUN.search(text):
+        # The direct read gives the value the term reader's Fraction sums gave.
+        assert outcome == _parse_outcome(fraction_fast_parse_param, text)
+
+
 def test_atom_intern_table_stays_at_its_bound(monkeypatch):
     monkeypatch.setattr(exactnum, "_ATOMS", {})
     for i in range(10_000):

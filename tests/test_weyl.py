@@ -593,6 +593,47 @@ def test_library_callers_are_still_validated(call):
         call(Family.PIV, (0, 0, 0), (0, 0))
 
 
+def _defective(base, defects):
+    """``base`` with each named defect: a non-zero sum (with an atom), an
+    extra coordinate, an inexact last value."""
+    out = list(base)
+    if "sum" in defects:
+        out[0] = out[0] + T2 + Fraction(1, 3)
+    if "arity" in defects:
+        out.append(Fraction(0))
+    if "inexact" in defects:
+        out[-1] = 0.5
+    return out
+
+
+_DEFECT_SETS = [set(c) for r in range(4) for c in itertools.combinations(("arity", "sum", "inexact"), r)]
+
+
+@pytest.mark.parametrize("family,v0,w0", [
+    (Family.PIV, (Fraction(1, 3), Fraction(1, 6), Fraction(-1, 2)), (Fraction(4, 3), Fraction(-5, 6), Fraction(-1, 2))),
+    (Family.PIV, (A1, T1, -A1 - T1), (T1 + 1, A1 - 1, -A1 - T1)),
+    (Family.PV, (0, 0, 0, 0), (Fraction(1, 4), Fraction(1, 4), Fraction(1, 4), Fraction(-3, 4))),
+])
+@pytest.mark.parametrize("call", [orbit_decide, generator_word, orbit_with_word])
+def test_pair_errors_are_equation_errors_v_first(family, v0, w0, call):
+    # Every mix of defects in v and w raises what EquationId raises, for v first.
+    for v_defects, w_defects in itertools.product(_DEFECT_SETS, repeat=2):
+        v, w = _defective(v0, v_defects), _defective(w0, w_defects)
+        expected = None
+        for x in (v, w):
+            try:
+                EquationId(family, x)
+            except InvalidEquationError as err:
+                expected = type(err), str(err)
+                break
+        if expected is None:
+            call(family, v, w)
+            continue
+        with pytest.raises(InvalidEquationError) as exc:
+            call(family, v, w)
+        assert (type(exc.value), str(exc.value)) == expected, (v_defects, w_defects)
+
+
 def coset_moduli(monkeypatch, family, v, w):
     """The modulus of every ``coset`` test one ``orbit_decide`` makes."""
     moduli = []
