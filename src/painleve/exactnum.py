@@ -134,7 +134,7 @@ class ParamValue:
                 if c != 0:
                     items.append((atom, c if type(c) is Fraction else Fraction(c)))
             if len(items) > 1:
-                items.sort(key=lambda it: _intern(it[0].name)[1])
+                items.sort(key=lambda it: it[0].sort_key())
         object.__setattr__(self, "terms", tuple(items))
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
@@ -150,21 +150,7 @@ class ParamValue:
         object.__setattr__(value, "terms", terms)
         return value
 
-    @staticmethod
-    def of_atom(atom: Atom, coeff: Rational = 1) -> "ParamValue":
-        return ParamValue(0, {atom: coeff})
-
     # -- inspection --------------------------------------------------------
-
-    def coeff(self, atom: Atom) -> Fraction:
-        for a, c in self.terms:
-            if a == atom:
-                return c
-        return Fraction(0)
-
-    @property
-    def is_rational(self) -> bool:
-        return not self.terms
 
     @property
     def has_transcendental(self) -> bool:
@@ -275,8 +261,6 @@ def format_param(value: ParamValue) -> str:
     return out
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<atom>(?:tau|alg)\d+)|(?P<num>\d+)|(?P<op>[+\-*/]))")
-
 # Most digits accepted in a digit run (a numerator, denominator or atom
 # index) and in a parsed value's reduced numerators and denominators, so that
 # every printed value, a sum of four parameters included, stays under
@@ -285,32 +269,11 @@ MAX_DIGITS = 1000
 _LONG_DIGIT_RUN = re.compile(r"\d{%d}" % (MAX_DIGITS + 1))
 _TOO_MANY_DIGITS = 10**MAX_DIGITS  # the least integer with more than MAX_DIGITS digits
 
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParamSyntaxError(f"unexpected character {stripped[0]!r}", len(text) - len(stripped))
-        if m.lastgroup is not None:
-            tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
-        pos = m.end()
-    return tokens
-
-
-# ``parse_param``'s grammar without whitespace, Unicode digits or a zero
-# denominator.  A text it matches in full is read term by term by
-# ``_FAST_TERM`` (operator, sign, numerator, denominator, atom, bare atom);
-# any other text goes to the tokenizer, which reports the errors.
-_FAST_TERM_TEXT = r"-?[0-9]+(?:/[0-9]*[1-9][0-9]*)?(?:\*(?:tau|alg)[0-9]+)?|(?:tau|alg)[0-9]+"
-_FAST_PARAM = re.compile(rf"(?:{_FAST_TERM_TEXT})(?:[+-](?:{_FAST_TERM_TEXT}))*")
-_FAST_TERM = re.compile(r"([+-]?)(?:(-?)([0-9]+)(?:/([0-9]+))?(?:\*((?:tau|alg)[0-9]+))?|((?:tau|alg)[0-9]+))")
 # A plain rational, the commonest value, read directly: numerator and denominator.
 _PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?")
+# One token after optional whitespace: an operator, a digit run, an atom, or
+# any other character, which is an error.
+_TOKEN = re.compile(r"\s*(?:([-+*/])|(\d+)|((?:tau|alg)\d+)|(\S))")
 
 
 # Atom names already read, each with its atom and sort key; names past the
@@ -342,10 +305,11 @@ def parse_param(text: str) -> ParamValue:
     offending position on malformed input, a zero denominator or a digit
     run longer than ``MAX_DIGITS``, and at position 0 for a value whose
     reduced constant or atom coefficient has a numerator or denominator of
-    more than ``MAX_DIGITS`` digits.  Three readers share the work: a plain
-    rational (``_PLAIN_RATIONAL``) is read directly; other text in
-    ``_FAST_PARAM``'s grammar is read by the term reader, one ``findall``
-    into integer sums; the rest, and every error, by the tokenizer.
+    more than ``MAX_DIGITS`` digits.  A plain rational (``_PLAIN_RATIONAL``)
+    is read directly.  Any other text is split into tokens by one
+    ``findall``, and one walk over them checks the grammar and sums each
+    term into an integer numerator and denominator per atom and for the
+    constant.
     """
     long_run = _LONG_DIGIT_RUN.search(text)
     if long_run:
@@ -353,73 +317,74 @@ def parse_param(text: str) -> ParamValue:
     plain = _PLAIN_RATIONAL.fullmatch(text)
     if plain:  # one digit run each, so within the digit bound
         return ParamValue._canonical(Fraction(int(plain[1]), int(plain[2] or 1)), ())
-    if _FAST_PARAM.fullmatch(text):
-        sums: dict = {}  # None (the constant) or an atom -> [numerator, denominator, sort key]
-        summed = False  # parts read from single digit runs need no digit bound
-        for op, minus, num, den, name, bare in _FAST_TERM.findall(text):
-            n = int(num) if num else 1
-            if (op == "-") != (minus == "-"):
-                n = -n
-            d = int(den) if den else 1
-            atom, key = _intern(name or bare) if name or bare else (None, None)
-            acc = sums.get(atom)
-            if acc is None:
-                sums[atom] = [n, d, key]
-            else:
-                m = math.lcm(acc[1], d)
-                acc[0], acc[1] = acc[0] * (m // acc[1]) + n * (m // d), m
-                summed = True
-        num, den, _ = sums.pop(None, (0, 1, None))
-        terms = sorted((key, atom, n, d) for atom, (n, d, key) in sums.items() if n) if sums else ()
-        value = ParamValue._canonical(Fraction(num, den), tuple((atom, Fraction(n, d)) for _, atom, n, d in terms))
-        return _bounded(value) if summed else value
-    const: Rational = 0
-    coeffs: dict[Atom, Rational] = {}
-    tokens = _tokenize(text)
+    tokens = _TOKEN.findall(text)
     if not tokens:
         raise ParamSyntaxError("empty parameter expression", 0)
-    tokens.append((None, "", len(text)))  # end sentinel: an error at the end reports position len(text)
+    last = len(tokens)
+    tokens.append(("", "", "", ""))  # past the last token
+    sums: dict = {}  # None (the constant) or an atom -> [numerator, denominator, sort key]
+    summed = False  # parts read from single digit runs need no digit bound
     sign, i = 1, 0
-    while True:  # one term per round, then the '+'/'-' before the next
-        kind, val, pos = tokens[i]
-        i += 1
-        if kind == "atom":
-            atom = _intern(val)[0]
-            coeffs[atom] = coeffs.get(atom, 0) + sign
+    while True:  # one term per round, then the '+' or '-' before the next
+        op, num, name, _ = tokens[i]
+        n = d = 1
+        if name:
+            i += 1
         else:
-            if kind == "op" and val == "-":
-                sign = -sign
-                kind, val, pos = tokens[i]
+            if op == "-":
+                sign, i = -sign, i + 1
+                num = tokens[i][1]
+            if not num:
+                raise _syntax_error(text, "expected a number", i)
+            n = int(num)
+            i += 1
+            op = tokens[i][0]
+            if op == "/":
                 i += 1
-            if kind != "num":
-                raise ParamSyntaxError("expected a number", pos)
-            q: Rational = sign * int(val)
-            kind, val, pos = tokens[i]
-            if kind == "op" and val == "/":
-                kind, val, pos = tokens[i + 1]
-                i += 2
-                if kind != "num":
-                    raise ParamSyntaxError("expected a denominator", pos)
-                if int(val) == 0:
-                    raise ParamSyntaxError("zero denominator", pos)
-                q = Fraction(q, int(val))
-                kind, val, pos = tokens[i]
-            if kind == "op" and val == "*":
-                kind, val, pos = tokens[i + 1]
-                i += 2
-                if kind != "atom":
-                    raise ParamSyntaxError("expected an atom after '*'", pos)
-                atom = _intern(val)[0]
-                coeffs[atom] = coeffs.get(atom, 0) + q
-            else:
-                const += q
-        kind, val, pos = tokens[i]
-        if kind is None:
-            return _bounded(ParamValue(const, coeffs))
-        if kind != "op" or val not in "+-":
-            raise ParamSyntaxError("expected '+' or '-'", pos)
-        sign = 1 if val == "+" else -1
-        i += 1
+                num = tokens[i][1]
+                if not num:
+                    raise _syntax_error(text, "expected a denominator", i)
+                d = int(num)
+                if not d:  # also a zero in other scripts, such as U+0660
+                    raise _syntax_error(text, "zero denominator", i)
+                i += 1
+                op = tokens[i][0]
+            name = None
+            if op == "*":
+                i += 1
+                name = tokens[i][2]
+                if not name:
+                    raise _syntax_error(text, "expected an atom after '*'", i)
+                i += 1
+        atom, key = _intern(name) if name else (None, None)
+        acc = sums.get(atom)
+        if acc is None:
+            sums[atom] = [sign * n, d, key]
+        else:
+            m = math.lcm(acc[1], d)
+            acc[0], acc[1] = acc[0] * (m // acc[1]) + sign * n * (m // d), m
+            summed = True
+        if i == last:
+            break
+        op = tokens[i][0]
+        if op != "+" and op != "-":
+            raise _syntax_error(text, "expected '+' or '-'", i)
+        sign, i = 1 if op == "+" else -1, i + 1
+    num, den, _ = sums.pop(None, (0, 1, None))
+    terms = sorted((key, atom, n, d) for atom, (n, d, key) in sums.items() if n) if sums else ()
+    value = ParamValue._canonical(Fraction(num, den), tuple((atom, Fraction(n, d)) for _, atom, n, d in terms))
+    return _bounded(value) if summed else value
+
+
+def _syntax_error(text: str, message: str, at: int) -> ParamSyntaxError:
+    """``message`` at the start of ``text``'s token number ``at`` (at the end
+    past the last token), unless ``text`` has a character outside the
+    grammar: then the first such character is the error."""
+    matches = list(_TOKEN.finditer(text))
+    for m in matches:
+        if m[4]:
+            return ParamSyntaxError(f"unexpected character {m[4]!r}", m.start(4))
+    return ParamSyntaxError(message, matches[at].start(matches[at].lastindex) if at < len(matches) else len(text))
 
 
 def _bounded(value: ParamValue) -> ParamValue:

@@ -59,10 +59,15 @@
   and residual loops that call a right-hand side.
 - ``fraction_rational_rank`` is ``exactnum.rational_rank`` from before
   integer rows: Gauss-Jordan elimination over ``Fraction``.
-- ``descent_parse_param`` is ``exactnum.parse_param`` as a recursive
-  descent: one closure per grammar rule, and every term a ``ParamValue``
-  added to the running result.  ``fraction_fast_parse_param`` is the
-  whitespace-free fast path from before integer sums and interned atoms.
+- The two parse oracles read text apart from ``exactnum.parse_param``'s one
+  reader (one ``findall`` of tokens, one walk into integer sums).
+  ``descent_parse_param`` is a recursive descent over its own tokenizer:
+  one closure per grammar rule, every term a ``ParamValue`` added to the
+  running result, and every error raised where the grammar first fails.
+  ``fraction_fast_parse_param`` reads whitespace-free text only, by two
+  regexes and ``Fraction`` sums: the reference for the integer sums.
+- ``of_atom``, ``coeff`` and ``is_rational`` build and inspect
+  ``ParamValue``s for tests; no module in ``src/`` needs them.
 - The orbit path from before the integer form, on ``Fraction`` and
   ``ParamValue`` arithmetic: ``fraction_piii_decide`` (the third family's
   criterion), ``fraction_in_lattice``, ``fraction_walls_through`` (the
@@ -81,6 +86,7 @@ import importlib
 import itertools
 import math
 import operator
+import re
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -91,8 +97,8 @@ from painleve import diffpoly
 from painleve.diffpoly import T_VAR, DiffExpr, Var, _coefficient, jet, sym
 from painleve.classify import ClassificationReport, Stratum, is_generic
 from painleve.exactnum import (
-    MAX_DIGITS, AtomKind, ParamSyntaxError, ParamValue, TriBool, _FAST_PARAM, _FAST_TERM, _LONG_DIGIT_RUN,
-    _intern, _tokenize, transcendence_degree, tri_and, tri_or,
+    MAX_DIGITS, AtomKind, ParamSyntaxError, ParamValue, TriBool, _LONG_DIGIT_RUN, _intern, transcendence_degree,
+    tri_and, tri_or,
 )
 from painleve.numint import BLOWUP_THRESHOLD, ResidualReport, Trajectory, TrajectoryStatus
 from painleve.odes import OdeSystem
@@ -106,6 +112,23 @@ from painleve.weyl import (
 
 # The package exports the function ``classify`` under the module's name.
 classify_module = importlib.import_module("painleve.classify")
+
+# -- ParamValue helpers ---------------------------------------------------------------
+
+
+def of_atom(atom, coeff=1) -> ParamValue:
+    """The value ``coeff * atom``."""
+    return ParamValue(0, {atom: coeff})
+
+
+def coeff(value: ParamValue, atom) -> Fraction:
+    """The coefficient of ``atom`` in ``value`` (0 when absent)."""
+    return dict(value.terms).get(atom, Fraction(0))
+
+
+def is_rational(value: ParamValue) -> bool:
+    return not value.terms
+
 
 # -- the integrality rule -------------------------------------------------------------
 
@@ -697,7 +720,7 @@ def fraction_piii_decide(v: Sequence[ParamValue], w: Sequence[ParamValue]) -> tu
     rational = []
     for eps, perm in itertools.product((1, -1), ((0, 1), (1, 0))):
         shifts = [w[j] - v[perm[j]] * eps for j in range(2)]
-        if all(s.is_rational for s in shifts):
+        if all(is_rational(s) for s in shifts):
             rational.append((perm, eps, tuple(s.const for s in shifts)))
     in_lattice = [c for c in rational if fraction_in_lattice(c[2])]
     if rational:
@@ -915,7 +938,7 @@ def fraction_walls_through(family: Family, w: Sequence[ParamValue]) -> list[tupl
     through = []
     for i, j, b in roots:
         level = w[i] + w[j] * b
-        if level.is_rational and level.const.denominator == 1:
+        if is_rational(level) and level.const.denominator == 1:
             through.append((i, j, b, int(level.const) * size))
     return through
 
@@ -1443,7 +1466,7 @@ def fraction_transcendence_degree(values: Sequence[ParamValue]) -> int:
     )
     if not atoms:
         return 0
-    return fraction_rational_rank([[v.coeff(a) for a in atoms] for v in values])
+    return fraction_rational_rank([[coeff(v, a) for a in atoms] for v in values])
 
 
 def fraction_sum_zero_error(family: Family, params: Sequence[ParamValue]) -> str | None:
@@ -1461,6 +1484,25 @@ def fraction_sum_zero_error(family: Family, params: Sequence[ParamValue]) -> str
 
 
 # -- parameter parsing ----------------------------------------------------------------
+
+
+_TOKEN_RE = re.compile(r"\s*(?:(?P<atom>(?:tau|alg)\d+)|(?P<num>\d+)|(?P<op>[+\-*/]))")
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) per token; raises on the first character outside the grammar."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            raise ParamSyntaxError(f"unexpected character {stripped[0]!r}", len(text) - len(stripped))
+        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
+        pos = m.end()
+    return tokens
 
 
 def descent_parse_param(text: str) -> ParamValue:
@@ -1504,7 +1546,7 @@ def descent_parse_param(text: str) -> ParamValue:
         kind, val, pos = peek()
         if kind == "atom":
             idx += 1
-            return ParamValue.of_atom(_intern(val)[0])
+            return of_atom(_intern(val)[0])
         q = parse_rational(allow_sign=True)
         kind, val, pos = peek()
         if kind == "op" and val == "*":
@@ -1513,7 +1555,7 @@ def descent_parse_param(text: str) -> ParamValue:
             if kind != "atom":
                 raise ParamSyntaxError("expected an atom after '*'", pos)
             idx += 1
-            return ParamValue.of_atom(_intern(val)[0], q)
+            return of_atom(_intern(val)[0], q)
         return ParamValue(q)
 
     result = parse_term()
@@ -1530,10 +1572,18 @@ def descent_parse_param(text: str) -> ParamValue:
     return result
 
 
+# ``exactnum.parse_param``'s grammar without whitespace, Unicode digits or a
+# zero denominator; ``_FAST_TERM`` reads a matching text term by term
+# (operator, sign, numerator, denominator, atom, bare atom).
+_FAST_TERM_TEXT = r"-?[0-9]+(?:/[0-9]*[1-9][0-9]*)?(?:\*(?:tau|alg)[0-9]+)?|(?:tau|alg)[0-9]+"
+_FAST_PARAM = re.compile(rf"(?:{_FAST_TERM_TEXT})(?:[+-](?:{_FAST_TERM_TEXT}))*")
+_FAST_TERM = re.compile(r"([+-]?)(?:(-?)([0-9]+)(?:/([0-9]+))?(?:\*((?:tau|alg)[0-9]+))?|((?:tau|alg)[0-9]+))")
+
+
 def fraction_fast_parse_param(text: str) -> ParamValue:
-    """``exactnum.parse_param``'s fast path as it read whitespace-free text
-    before integer sums: a ``Fraction`` per term, added up, and the value
-    built by ``ParamValue.__init__``."""
+    """Whitespace-free text read term by term by two regexes, as
+    ``exactnum.parse_param`` read it before integer sums: a ``Fraction`` per
+    term, added up, and the value built by ``ParamValue.__init__``."""
     if not _FAST_PARAM.fullmatch(text) or _LONG_DIGIT_RUN.search(text):
         raise ValueError(f"{text!r} is not fast-path text")
     const: Fraction | int = 0

@@ -39,10 +39,10 @@ from painleve.weyl import (
     word_map,
 )
 
-from oracles import integer_solve, witness_maps
+from oracles import integer_solve, of_atom, witness_maps
 
 PV = ParamValue
-T1, T2, T3, T4 = (PV.of_atom(tau(i)) for i in (1, 2, 3, 4))
+T1, T2, T3, T4 = (of_atom(tau(i)) for i in (1, 2, 3, 4))
 H = Fraction(1, 2)
 
 
@@ -118,7 +118,7 @@ def test_criterion_4_orbit_soundness_fuzz():
         for i in range(arity):
             x = PV(Fraction(rng.randint(-8, 8), rng.choice([1, 2, 3, 4])))
             if rng.random() < 0.5:
-                x = x + PV.of_atom(tau(i + 1), rng.choice([1, 2]))
+                x = x + of_atom(tau(i + 1), rng.choice([1, 2]))
             vals.append(x)
         if family in (Family.PIV, Family.PV):
             total = PV(0)
@@ -286,7 +286,7 @@ def test_criterion_10_exactnum_property_suite():
         v = rand_value()
         a = rng.choice(atoms)
         coeff = Fraction(rng.randint(1, 5))
-        noisy = v + PV.of_atom(a, coeff) - PV.of_atom(a, coeff)
+        noisy = v + of_atom(a, coeff) - of_atom(a, coeff)
         assert decide_coset(noisy, 0, 1) is decide_coset(v, 0, 1)
         checks += 1
     # transcendence degree: permutation-invariant, linear combinations add nothing

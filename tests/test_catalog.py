@@ -18,7 +18,7 @@ from painleve.diffpoly import DiffExpr, T_VAR, jet, sym
 from painleve.exactnum import ParamValue, alg, tau
 from painleve.odes import PI_FORM_NOTE, ode_system, riccati_rules
 
-from oracles import exact_value, fraction_sum_zero_error, loop_family_from_name, residual_exprs
+from oracles import exact_value, fraction_sum_zero_error, loop_family_from_name, of_atom, residual_exprs
 
 
 def test_family_names():
@@ -66,14 +66,14 @@ def test_equation_id_validation():
         EquationId(Family.PV, [1, 0, 0, 0])
     with pytest.raises(InvalidEquationError):
         EquationId(Family.PII, [1, 2])
-    t1 = ParamValue.of_atom(tau(1))
+    t1 = of_atom(tau(1))
     EquationId(Family.PIV, [t1, -t1, 0])  # symbolic cancellation is exact
 
 
 def test_sum_zero_check_matches_parameter_sum():
     # Accepted exactly when the ParamValue sum is zero; the message prints it.
     rng = random.Random(1903)
-    atoms = [ParamValue.of_atom(a) for a in (tau(1), tau(2), alg(1))]
+    atoms = [of_atom(a) for a in (tau(1), tau(2), alg(1))]
     outcomes = set()
     for _ in range(600):
         family = rng.choice([Family.PIV, Family.PV])
@@ -112,7 +112,7 @@ _VALUES = st.builds(
 def test_integer_sum_zero_test_matches_fraction_sums(family, data):
     params = data.draw(st.lists(_VALUES, min_size=family_space(family).arity, max_size=family_space(family).arity))
     if data.draw(st.booleans()):  # close the vector, then maybe break it
-        nudge = data.draw(st.sampled_from([0, 0, Fraction(1, 10**12), ParamValue.of_atom(tau(2))]))
+        nudge = data.draw(st.sampled_from([0, 0, Fraction(1, 10**12), of_atom(tau(2))]))
         params[-1] = -sum(params[:-1], ParamValue(0)) + nudge
     expected = fraction_sum_zero_error(family, params)
     try:

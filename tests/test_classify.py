@@ -13,13 +13,13 @@ from painleve.classify import algebraic_solution_count_P3, classify, stratum
 from painleve.exactnum import ParamValue, TriBool, alg, coset, decide_coset, rational_rank, scale, tau
 
 from oracles import (
-    chain_classify, chain_stratum, classify_module, coset_classify, coset_strata, pvi_image_scan_special,
+    chain_classify, chain_stratum, classify_module, coset_classify, coset_strata, of_atom, pvi_image_scan_special,
     pvi_root_scan,
 )
 
 PV = ParamValue
-T1, T2, T3, T4 = (PV.of_atom(tau(i)) for i in (1, 2, 3, 4))
-A1, A2 = PV.of_atom(alg(1)), PV.of_atom(alg(2))
+T1, T2, T3, T4 = (of_atom(tau(i)) for i in (1, 2, 3, 4))
+A1, A2 = of_atom(alg(1)), of_atom(alg(2))
 H = Fraction(1, 2)
 
 
@@ -345,7 +345,7 @@ def _random_params(family, rng, atoms=True):
     for i in range(arity):
         x = PV(Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 4])))
         if atoms and rng.random() < 0.5:
-            x = x + PV.of_atom(tau(i + 1), rng.choice([1, 2]))
+            x = x + of_atom(tau(i + 1), rng.choice([1, 2]))
         vals.append(x)
     if family in (Family.PIV, Family.PV):
         total = PV(0)
@@ -456,7 +456,7 @@ def tied_equations(draw):
     families subtract the mean, which keeps every difference."""
     family = draw(st.sampled_from(list(Family)))
     spec = family_space(family)
-    parts = [PV(0), PV(0), T1, T2, A1, A2, A1 + A2, T1 - A1, A1 - 2 * A2 + PV.of_atom(alg(3))]
+    parts = [PV(0), PV(0), T1, T2, A1, A2, A1 + A2, T1 - A1, A1 - 2 * A2 + of_atom(alg(3))]
 
     def value():
         const = Fraction(draw(st.integers(-6, 6)), draw(st.sampled_from([1, 1, 2, 3, 4])))

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import operator
@@ -9,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from painleve import exactnum
 from painleve.exactnum import (
-    _FAST_PARAM,
     MAX_DIGITS,
     MAX_INTERNED_ATOMS,
     Atom,
@@ -31,8 +31,8 @@ from painleve.exactnum import (
 )
 
 from oracles import (
-    descent_parse_param, fraction_decide_coset, fraction_fast_parse_param, fraction_rational_rank,
-    fraction_transcendence_degree, integer_solve,
+    _FAST_PARAM, coeff, descent_parse_param, fraction_decide_coset, fraction_fast_parse_param,
+    fraction_rational_rank, fraction_transcendence_degree, integer_solve, is_rational, of_atom,
 )
 
 # -- strategies --------------------------------------------------------------
@@ -66,13 +66,13 @@ big_values = st.builds(ParamValue, big_rationals, st.dictionaries(atoms, big_rat
 
 def test_parse_plain_rational():
     assert parse_param("1/2") == ParamValue(Fraction(1, 2))
-    assert parse_param("1/2").is_rational
+    assert is_rational(parse_param("1/2"))
 
 
 def test_parse_linear_term():
     v = parse_param("2*tau1 - 1/3")
     assert v.const == Fraction(-1, 3)
-    assert v.coeff(tau(1)) == 2
+    assert coeff(v, tau(1)) == 2
     assert [a for a, _ in v.terms] == [tau(1)]
 
 
@@ -151,36 +151,43 @@ def test_parse_matches_descent_oracle(text):
     assert _parse_outcome(parse_param, text) == _parse_outcome(descent_parse_param, text)
 
 
-# Near misses of the whitespace-free grammar that ``parse_param`` reads by
-# one regex: each must take the tokenizer and fail or parse as it does.
+# Near misses of the whitespace-free grammar, and spaced or Unicode-digit
+# texts: each must fail or parse as the recursive descent does.  A zero
+# denominator in another script is still a zero denominator.
 _FAST_PATH_NEAR_MISSES = [
     "-1*tau2-35/13", "1/0", "007", "tau1+-3", "1--3", "-tau1", "+1", "tau1*2", "1/2/3", "1/00", "1/010", "-0",
     "1 /2", " 1", "1\t", "tau1 +3", "tau1- 3", "1*tau1 ", "\u0663", "1/\u0663", "tau\u0663", "1" * (MAX_DIGITS + 1),
     "1/" + "2" * (MAX_DIGITS + 1), "tau" + "1" * (MAX_DIGITS + 1), "1" * MAX_DIGITS + "/" + "3" * MAX_DIGITS,
+    "1/\u0660", "tau1 - 2/\u0660\u0660", "1 /\u0663", " -1*tau2 - tau3 ",
 ]
 
 
 def _fast_path_text(rng):
-    """A random expression over the fast path's alphabet; one in three is
-    then broken by an inserted or deleted character."""
+    """A random expression over the grammar's alphabet, its tokens joined
+    with no whitespace or, one time in four, with spaces and tabs; one in
+    three is then broken by an inserted or deleted character."""
 
     def term():
         if rng.random() < 0.3:
-            return rng.choice(["tau", "alg"]) + rng.choice(["0", "1", "12", "007"])
-        text = rng.choice(["", "", "-"]) + rng.choice(["0", "1", "7", "12", "007", str(rng.randint(0, 10**9))])
+            return [rng.choice(["tau", "alg"]) + rng.choice(["0", "1", "12", "007"])]
+        tokens = rng.choice([[], [], ["-"]]) + [rng.choice(["0", "1", "7", "12", "007", str(rng.randint(0, 10**9))])]
         if rng.random() < 0.4:
-            text += "/" + rng.choice(["1", "3", "12", "0", "00", "010", str(rng.randint(1, 999)), str(rng.randint(1, 10**12))])
+            tokens += ["/", rng.choice(["1", "3", "12", "0", "00", "010", str(rng.randint(1, 999)), str(rng.randint(1, 10**12))])]
         if rng.random() < 0.4:
-            text += "*" + rng.choice(["tau", "alg"]) + str(rng.randint(0, 12))
-        return text
+            tokens += ["*", rng.choice(["tau", "alg"]) + str(rng.randint(0, 12))]
+        return tokens
 
-    text = term() + "".join(rng.choice("+-") + term() for _ in range(rng.randint(0, 3)))
+    tokens = term()
+    for _ in range(rng.randint(0, 3)):
+        tokens += [rng.choice("+-")] + term()
+    gaps = ["", " ", "\t", "  "] if rng.random() < 0.25 else [""]
+    text = "".join(rng.choice(gaps) + token for token in tokens) + rng.choice(gaps)
     if rng.random() < 0.02:
         text = text.replace("1", "1" * rng.choice([MAX_DIGITS, MAX_DIGITS + 1]), 1)
     if rng.random() < 1 / 3:
         at = rng.randint(0, len(text))
         if rng.random() < 0.5:
-            text = text[:at] + rng.choice([" ", "\t", "+", "-", "*", "/", "0", "\u0663", "x"]) + text[at:]
+            text = text[:at] + rng.choice([" ", "\t", "+", "-", "*", "/", "0", "\u0663", "\u0660", "x"]) + text[at:]
         else:
             text = text[:at] + text[at + 1:]
     return text
@@ -193,17 +200,22 @@ def test_fast_path_near_misses_match_descent_oracle(text):
 
 def test_fast_path_matches_descent_oracle_on_seeded_texts():
     rng = random.Random(1901)
-    taken = 0
+    counts = collections.Counter()
     for _ in range(20_000):
         text = _fast_path_text(rng)
         outcome = _parse_outcome(parse_param, text)
         assert outcome == _parse_outcome(descent_parse_param, text), text
-        if _FAST_PARAM.fullmatch(text) and outcome[0] == "value":
-            # The integer sums give the value the Fraction sums gave.
-            assert outcome == _parse_outcome(fraction_fast_parse_param, text), text
-            taken += 1
-    # Both the regex reading and the tokenizer are exercised.
-    assert 5_000 < taken < 18_000
+        joined = "".join(text.split())
+        if outcome[0] == "error":
+            counts["invalid"] += 1
+        elif _FAST_PARAM.fullmatch(joined):
+            # The integer sums give the value the Fraction sums gave, with or
+            # without whitespace between the tokens.
+            assert outcome == _parse_outcome(fraction_fast_parse_param, joined), text
+            counts["spaced" if joined != text else "unspaced"] += 1
+    # Valid spaced, valid unspaced and invalid texts are each exercised.
+    assert 5_000 < counts["unspaced"] < 18_000, counts
+    assert counts["spaced"] > 1_000 and counts["invalid"] > 1_000, counts
 
 
 # Plain rationals and their near misses: leading zeros, "-0", digit runs at
@@ -226,7 +238,7 @@ def test_plain_rational_branch_matches_oracles(text):
     outcome = _parse_outcome(parse_param, text)
     assert outcome == _parse_outcome(descent_parse_param, text)
     if exactnum._PLAIN_RATIONAL.fullmatch(text) and not exactnum._LONG_DIGIT_RUN.search(text):
-        # The direct read gives the value the term reader's Fraction sums gave.
+        # The direct read gives the value the Fraction sums give.
         assert outcome == _parse_outcome(fraction_fast_parse_param, text)
 
 
@@ -263,7 +275,7 @@ def test_scaling_distributes_over_coefficients(v, q):
     scaled = v * q
     assert scaled.const == v.const * q
     for a, _ in v.terms:
-        assert scaled.coeff(a) == v.coeff(a) * q
+        assert coeff(scaled, a) == coeff(v, a) * q
 
 
 def test_no_zero_coefficients_stored():
@@ -293,7 +305,7 @@ def test_coset_two_algebraic_unknown():
 
 
 def test_coset_cancelled_atoms_yes():
-    x = ParamValue.of_atom(alg(1), 2) - ParamValue.of_atom(alg(1), 2) + 4
+    x = of_atom(alg(1), 2) - of_atom(alg(1), 2) + 4
     assert decide_coset(x, 0, 2) is TriBool.YES
 
 
@@ -318,14 +330,14 @@ def test_coset_soundness_exhaustive_small_rationals():
 
 @given(param_values, atoms, rationals)
 def test_coset_stable_under_cancelling_atom_noise(v, a, q):
-    noisy = v + ParamValue.of_atom(a, q) - ParamValue.of_atom(a, q)
+    noisy = v + of_atom(a, q) - of_atom(a, q)
     assert decide_coset(noisy, 0, 1) is decide_coset(v, 0, 1)
 
 
 @given(param_values)
 def test_coset_yes_implies_atom_free(v):
     if decide_coset(v, 0, 1) is TriBool.YES:
-        assert v.is_rational
+        assert is_rational(v)
 
 
 # -- fast paths against the __init__-based arithmetic ------------------------
@@ -448,16 +460,16 @@ def test_tribool_is_not_truthy():
 # -- transcendence degree -------------------------------------------------------
 
 def test_td_single_atom_family():
-    t1 = ParamValue.of_atom(tau(1))
+    t1 = of_atom(tau(1))
     assert transcendence_degree([t1, t1 + 3, 2 * t1]) == 1
 
 
 def test_td_ignores_algebraic_atoms():
-    assert transcendence_degree([ParamValue(Fraction(1, 2)), ParamValue(3), ParamValue.of_atom(alg(1))]) == 0
+    assert transcendence_degree([ParamValue(Fraction(1, 2)), ParamValue(3), of_atom(alg(1))]) == 0
 
 
 def test_td_two_independent():
-    t1, t2 = ParamValue.of_atom(tau(1)), ParamValue.of_atom(tau(2))
+    t1, t2 = of_atom(tau(1)), of_atom(tau(2))
     assert transcendence_degree([t1, t2, t1 + t2]) == 2
 
 

@@ -8,10 +8,10 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import FractionPoly, csv_module_write_csv, indexed_residual_norm, tuple_integrate_rhs
+from oracles import FractionPoly, csv_module_write_csv, indexed_residual_norm, of_atom, tuple_integrate_rhs
 from painleve import numint
 from painleve.catalog import EquationId, Family, UnsupportedFamilyError
-from painleve.exactnum import ParamValue, tau
+from painleve.exactnum import tau
 from painleve.numint import (
     MAX_STEPS,
     MissingAtomError,
@@ -138,7 +138,7 @@ def test_pvi_unsupported():
 
 
 def test_atoms_need_assignment():
-    eq = EquationId(Family.PII, [ParamValue.of_atom(tau(1))])
+    eq = EquationId(Family.PII, [of_atom(tau(1))])
     with pytest.raises(MissingAtomError):
         integrate(eq, None, [0.1, 0.1], 1.0, 2.0, 1e-2)
     assign = NumericAssignment({tau(1): 0.25})
@@ -315,7 +315,7 @@ def test_non_finite_atom_values_rejected(bad):
 def test_parameter_overflow_rejected():
     # Finite atom values whose parameter, or a folded product of
     # parameters, leaves the floats.
-    t1 = ParamValue.of_atom(tau(1))
+    t1 = of_atom(tau(1))
     with pytest.raises(ValueError, match="overflows"):
         integrate(EquationId(Family.PII, [t1 * 2]), NumericAssignment({tau(1): 1e308}), [0.1, 0.1], 0.0, 1.0, 1e-2)
     # v1 * v4 overflows to inf; v1^2 alone raises OverflowError in the power.
@@ -463,7 +463,7 @@ def test_chart_kernel_matches_the_called_rhs(chart, values, initial, t0, span, s
 
 
 def test_generated_loops_match_oracle_with_atoms():
-    eq = EquationId(Family.PII, [ParamValue.of_atom(tau(1)) * Fraction(1, 3)])
+    eq = EquationId(Family.PII, [of_atom(tau(1)) * Fraction(1, 3)])
     _assert_same_run(eq, None, [0.1, -0.2], 1.0, 1.5, 3e-3, NumericAssignment({tau(1): 0.7}))
 
 

@@ -36,13 +36,13 @@ from painleve.weyl import (
 )
 
 from oracles import (
-    SCANS, chain_distinct_family_verdict, fraction_generator_word, fraction_piii_decide, fraction_walls_through,
-    lazy_lattice_scan, scan_orbit_decide, shortest_word, table_word, witness_maps,
+    SCANS, chain_distinct_family_verdict, coeff, fraction_generator_word, fraction_piii_decide,
+    fraction_walls_through, lazy_lattice_scan, of_atom, scan_orbit_decide, shortest_word, table_word, witness_maps,
 )
 
 PV = ParamValue
-T1, T2, T3, T4 = (PV.of_atom(tau(i)) for i in (1, 2, 3, 4))
-A1, A2 = PV.of_atom(alg(1)), PV.of_atom(alg(2))
+T1, T2, T3, T4 = (of_atom(tau(i)) for i in (1, 2, 3, 4))
+A1, A2 = of_atom(alg(1)), of_atom(alg(2))
 H = Fraction(1, 2)
 
 
@@ -51,7 +51,7 @@ def rand_params(family, rng, atom_chance=0.5):
     for i in range(family_space(family).arity):
         x = PV(Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 4])))
         if rng.random() < atom_chance:
-            x = x + PV.of_atom(tau(i + 1), rng.choice([1, 2]))
+            x = x + of_atom(tau(i + 1), rng.choice([1, 2]))
         vals.append(x)
     if family in (Family.PIV, Family.PV):
         total = PV(0)
@@ -398,7 +398,7 @@ def test_orbit_symmetry():
             w = apply_word(family, [rng.choice(names) for _ in range(rng.randint(0, 5))], v)
         elif kind == 1:
             w = apply_word(family, [rng.choice(names) for _ in range(rng.randint(0, 3))], v)
-            w = tuple(x + (A2 - A1) * x.coeff(alg(1)) for x in w)
+            w = tuple(x + (A2 - A1) * coeff(x, alg(1)) for x in w)
         else:
             w = rand_atom_params(family, rng)
         assert orbit_decide(family, v, w).related is orbit_decide(family, w, v).related, (family, v, w)
@@ -438,9 +438,9 @@ def rand_atom_params(family, rng):
         x = PV(Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 5, 6])))
         r = rng.random()
         if r < 0.25:
-            x = x + PV.of_atom(tau(rng.randint(1, 2)), rng.choice([1, -1, 2]))
+            x = x + of_atom(tau(rng.randint(1, 2)), rng.choice([1, -1, 2]))
         elif r < 0.5:
-            x = x + PV.of_atom(alg(rng.randint(1, 3)), rng.choice([1, -1]))
+            x = x + of_atom(alg(rng.randint(1, 3)), rng.choice([1, -1]))
         vals.append(x)
     if family in (Family.PIV, Family.PV):
         vals[-1] = -sum(vals[:-1], PV(0))
@@ -465,7 +465,7 @@ def scan_pairs(family, count):
             shift = [rng.randint(-2, 2) for _ in v]
             if family_space(family).sum_zero:
                 shift[-1] = -sum(shift[:-1])
-            renamed = [x + (A2 - A1) * x.coeff(alg(1)) + k for x, k in zip(v, shift)]
+            renamed = [x + (A2 - A1) * coeff(x, alg(1)) + k for x, k in zip(v, shift)]
             w = apply_word(family, [rng.choice(names) for _ in range(rng.randint(0, 3))], renamed)
         else:
             w = rand_atom_params(family, rng)
@@ -680,7 +680,7 @@ def test_orbit_decide_is_invariant_under_the_group(family):
         if kind == 1:  # a near miss: half a shift off the orbit
             u = (u[0] + H,) + (u[1:-1] + (u[-1] - H,) if sum_zero else u[1:])
         elif kind == 2:  # alg1 renamed alg2: Unknown where v carries alg1
-            u = tuple(x + (A2 - A1) * x.coeff(alg(1)) for x in u)
+            u = tuple(x + (A2 - A1) * coeff(x, alg(1)) for x in u)
         elif kind == 3:
             u = rand_atom_params(family, rng)
         related = orbit_decide(family, v, u).related
@@ -816,9 +816,9 @@ def fuzz_params(family, rng):
     kind = rng.choice(("rational", "tau", "alg", "tied"))
     for i in range(arity):
         if kind == "tau" and rng.random() < 0.6:
-            vals[i] = vals[i] + PV.of_atom(tau(rng.randint(1, 2)), rng.choice([1, -1]))
+            vals[i] = vals[i] + of_atom(tau(rng.randint(1, 2)), rng.choice([1, -1]))
         elif kind == "alg" and rng.random() < 0.6:
-            vals[i] = vals[i] + PV.of_atom(alg(rng.randint(1, 2)), rng.choice([1, -1]))
+            vals[i] = vals[i] + of_atom(alg(rng.randint(1, 2)), rng.choice([1, -1]))
         elif kind == "tied" and i and rng.random() < 0.7:
             vals[i] = vals[rng.randrange(i)] * rng.choice([1, -1]) + rng.choice([0, 1, -1, H])
     if family in (Family.PIV, Family.PV):
