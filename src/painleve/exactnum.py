@@ -325,7 +325,7 @@ def parse_param(text: str) -> ParamValue:
     sums: dict = {}  # None (the constant) or an atom -> [numerator, denominator, sort key]
     summed = False  # parts read from single digit runs need no digit bound
     sign, i = 1, 0
-    while True:  # one term per round, then the '+' or '-' before the next
+    while True:  # one term per round, then the '+'/'-' before the next
         op, num, name, _ = tokens[i]
         n = d = 1
         if name:

@@ -62,8 +62,9 @@
 - The two parse oracles read text apart from ``exactnum.parse_param``'s one
   reader (one ``findall`` of tokens, one walk into integer sums).
   ``descent_parse_param`` is a recursive descent over its own tokenizer:
-  one closure per grammar rule, every term a ``ParamValue`` added to the
-  running result, and every error raised where the grammar first fails.
+  one closure per grammar rule and every term a ``ParamValue`` added to the
+  running result; a character outside the grammar is reported before any
+  grammar error, which is raised where the grammar first fails.
   ``fraction_fast_parse_param`` reads whitespace-free text only, by two
   regexes and ``Fraction`` sums: the reference for the integer sums.
 - ``of_atom``, ``coeff`` and ``is_rational`` build and inspect
