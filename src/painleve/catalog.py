@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .citations import PVI_LDEG_AMBIGUITY, RICCATI_SIGN_NOTE, Ambiguity
-from .exactnum import InputError, ParamValue, Rational, Scaled, scale
+from .exactnum import InputError, IntValue, ParamValue, Rational, Scaled, scale
 
 
 class Family(Enum):
@@ -298,7 +298,9 @@ def as_param(x) -> ParamValue:
     raise InvalidEquationError(f"parameter {x!r} is not an exact value")
 
 
-def check_params(family: Family, params: Sequence[ParamValue], form: Scaled | None = None, start: int = 0) -> None:
+def check_params(
+    family: Family, params: Sequence[ParamValue | IntValue], form: Scaled | None = None, start: int = 0
+) -> None:
     """Raise InvalidEquationError unless ``params`` have ``family``'s arity and,
     where it asks, sum to zero, read from the integer form ``form`` (by
     default ``scale(params)``) whose values from ``start`` on are ``params``."""

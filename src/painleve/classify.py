@@ -25,7 +25,8 @@ from .exactnum import (
     decide_coset,  # uncalled; perfbench/tracer.py wraps it here (ROADMAP item 1b)
     rational_rank,
     scale,
-    transcendence_degree,
+    tau_rank,
+    transcendence_degree,  # uncalled; perfbench/tracer.py wraps it here (ROADMAP item 1b)
     tri_and,
     tri_or,
 )
@@ -199,9 +200,11 @@ def _pvi_m_degree(strat: Stratum, notes: list[str]) -> int:
     return 2
 
 
-def is_generic(eq: EquationId) -> bool:
-    """Whether the parameters' transcendence degree is their space's dimension."""
-    return transcendence_degree(eq.params) == family_space(eq.family).dimension
+def is_generic(family: Family, form: Scaled, start: int = 0, stop: int | None = None) -> bool:
+    """Whether the parameters of ``family`` that are the values ``start`` to
+    ``stop`` of ``form`` are generic: their transcendence degree is their
+    space's dimension."""
+    return tau_rank(form, start, stop) == family_space(family).dimension
 
 
 def algebraic_solution_count_P3(form: Scaled) -> int | None:
@@ -283,7 +286,7 @@ def classify(eq: EquationId) -> ClassificationReport:
         degree_citation = cite(row.degree_keys[0])
 
     strongly_minimal = TriBool.UNKNOWN if degree is None else TriBool.of(degree == 1)
-    generic = is_generic(eq)
+    generic = is_generic(eq.family, form)
     count, count_keys = _algebraic_solutions(eq, strat, form, generic)
     trivial, trivial_keys = _geometric_triviality(eq, generic, notes)
     citation_keys += count_keys + trivial_keys

@@ -9,6 +9,9 @@ Each verdict carries either a citation object (source label plus verbatim
 statement) or the literal tag "open-question".  Exact values are emitted as
 "p/q" strings; classify/orbit/orthogonal responses contain no floats.
 
+An ``orbit`` or ``orthogonal`` record is spliced: the compact JSON of its
+verdict class, made once per class, with the line's own fields put in.
+
 Exit codes: 0 success, 2 input error, 3 verdict dominated by Unknown/Open
 (distinguishable for scripting; ``verify`` exits 3 when any of its checks
 fails), 4 internal error (a bug, reported as "error: internal error: ..."
@@ -38,21 +41,22 @@ import sys
 from types import SimpleNamespace
 from typing import Sequence
 
-from .catalog import GROUP_RELATIONS, EquationId, Family
+from .catalog import GROUP_RELATIONS, EquationId, Family, check_params
 from .citations import RICCATI_SIGN_NOTE, Ambiguity, Citation, cite
 from .classify import ClassificationReport, classify
 from .exactnum import (
-    AtomKind, InputError, ParamSyntaxError, ParamValue, TriBool, format_fraction, format_param, parse_param,
+    AtomKind, InputError, IntValue, ParamSyntaxError, TriBool, format_fraction, format_param, param_text, parse_param,
+    read_param,
 )
 
 # What the handlers use from the modules a classify query never needs.  A
 # handler binds its modules and their names into this module's globals on
 # first use, keeping any name already set here (a wrapper, say).  No handler
-# calls named_generators or word_map; they stay because perfbench/tracer.py
-# wraps them on this module (ROADMAP item 1b).
+# calls named_generators, word_map or cross_family_verdict; they stay
+# because perfbench/tracer.py wraps them on this module (ROADMAP item 1b).
 _LAZY = {
     "weyl": ("HypothesisStatus", "named_generators", "orbit_with_word", "word_map"),
-    "ortho": ("Verdict", "cross_family_verdict"),
+    "ortho": ("Verdict", "cross_family_verdict", "pair_verdict"),
     "diffpoly": ("pv_random_point_check", "verify_group_relation", "verify_pv_change_of_variables",
                  "verify_riccati"),
     "numint": ("NumericAssignment",),
@@ -77,6 +81,8 @@ def __getattr__(name: str):
 
 
 OPEN_TAG = "open-question"
+# json.dumps(..., sort_keys=True), with its encoder built once.
+_dumps = json.JSONEncoder(sort_keys=True).encode
 
 # -- serialization helpers ---------------------------------------------------------
 
@@ -108,13 +114,14 @@ def _response(query: dict, verdicts: list, citations: list[Citation], notes: Seq
     }
 
 
-def _parse_params(text: str, start: int = 0) -> list[ParamValue]:
-    """Comma-separated values found at ``start`` in an option value; a
-    syntax error's position counts from the start of the value."""
+def _parse_params(text: str, read, start: int = 0) -> list:
+    """Comma-separated values found at ``start`` in an option value, each
+    read by ``read`` (``parse_param`` or ``read_param``); a syntax error's
+    position counts from the start of the value."""
     values = []
     for chunk in text.split(",") if text.strip() else ():
         try:
-            values.append(parse_param(chunk))
+            values.append(read(chunk))
         except ParamSyntaxError as err:
             raise ParamSyntaxError(err.message, start + err.position) from None
         start += len(chunk) + 1
@@ -122,7 +129,7 @@ def _parse_params(text: str, start: int = 0) -> list[ParamValue]:
 
 
 def _equation(family: str, params: str) -> EquationId:
-    return EquationId(Family.from_name(family), _parse_params(params))
+    return EquationId(Family.from_name(family), _parse_params(params, parse_param))
 
 
 # -- classify ---------------------------------------------------------------------
@@ -178,6 +185,35 @@ def _cmd_classify(args) -> tuple[dict, int]:
     return _classification_payload(report)
 
 
+# -- records ---------------------------------------------------------------------------
+
+# The compact JSON text of each verdict class's record, split where a line's
+# own fields go.  A class is drawn from catalog data (family, verdict, status,
+# clause), never from input text, so the memo holds one entry per class met.
+_FRAGMENTS: dict[tuple, list[str]] = {}
+_HOLE = "\0"  # a field's value while its class's text is made
+
+
+def _record(key: tuple, payload, *fields: str) -> str:
+    """The compact record ``_dumps(payload(*values))`` of a line of class
+    ``key``, where ``fields`` are the JSON texts of the line's own values,
+    in the order of their keys: they are spliced between the class's
+    fragments, which are made once, from ``payload(_HOLE, ...)``."""
+    pieces = _FRAGMENTS.get(key)
+    if pieces is None:
+        text = _dumps(payload(*[_HOLE] * len(fields)))
+        pieces = _FRAGMENTS[key] = text.split(json.dumps(_HOLE))
+    out = pieces[0]
+    for field, piece in zip(fields, pieces[1:]):
+        out += field + piece
+    return out
+
+
+def _texts(values: list[IntValue]) -> str:
+    """The JSON list of the values' canonical texts, which need no escaping."""
+    return "[" + ", ".join([f'"{param_text(v)}"' for v in values]) + "]"
+
+
 # -- orbit -----------------------------------------------------------------------------
 
 
@@ -202,55 +238,65 @@ def _witness_json(verdict: OrbitVerdict):
     return out
 
 
-def _cmd_orbit(args) -> tuple[dict, int]:
-    _load("weyl")
-    family = Family.from_name(args.family)
-    v = _parse_params(args.v)
-    w = _parse_params(args.w)
-    verdict = orbit_with_word(family, v, w)
+def _orbit_payload(verdict: OrbitVerdict, query, witness, word) -> dict:
     status_cite = verdict.criterion_citation if verdict.hypothesis_status is not HypothesisStatus.OPEN else None
     verdicts = [
         _verdict("related", _tri(verdict.related), verdict.criterion_citation),
         _verdict("hypothesis-status", verdict.hypothesis_status._value_, status_cite),
     ]
-    query = {
-        "subcommand": "orbit",
-        "family": family._value_,
-        "v": [format_param(p) for p in v],
-        "w": [format_param(p) for p in w],
-    }
     payload = _response(query, verdicts, [verdict.criterion_citation], verdict.notes)
     payload["criterion"] = verdict.criterion
-    payload["witness"] = _witness_json(verdict)
-    payload["word"] = list(verdict.word) if verdict.word is not None else None
+    payload["witness"] = witness
+    payload["word"] = word
     if verdict.word_reason:
         payload["word_reason"] = verdict.word_reason
-    return payload, (3 if verdict.related is TriBool.UNKNOWN else 0)
+    return payload
+
+
+def _cmd_orbit(args) -> tuple[str, int]:
+    _load("weyl")
+    family = Family.from_name(args.family)
+    v = _parse_params(args.v, read_param)
+    w = _parse_params(args.w, read_param)
+    verdict = orbit_with_word(family, v, w)
+    key = ("orbit", family, verdict.related, verdict.hypothesis_status, verdict.word_reason)
+    query = f'{{"family": "{family._value_}", "subcommand": "orbit", "v": {_texts(v)}, "w": {_texts(w)}}}'
+    witness = _dumps(_witness_json(verdict))
+    record = _record(key, functools.partial(_orbit_payload, verdict), query, witness, json.dumps(verdict.word))
+    return record, (3 if verdict.related is TriBool.UNKNOWN else 0)
 
 
 # -- orthogonal --------------------------------------------------------------------------
 
 
-def _cmd_orthogonal(args) -> tuple[dict, int]:
-    _load("ortho")
-    eq1 = _equation(args.family1, args.params1)
-    eq2 = _equation(args.family2, args.params2)
-    verdict = cross_family_verdict(eq1, eq2)
+def _orthogonal_payload(verdict: OrthoVerdict, query) -> dict:
     verdicts = [_verdict("orthogonality", verdict.verdict._value_, verdict.citation)]
     notes = list(verdict.notes)
     citations = [c for c in (verdict.citation, verdict.question) if c is not None]
     if verdict.question is not None:
         notes.append(f'open question ({verdict.question.where}): "{verdict.question.quote}"')
-    query = {
-        "subcommand": "orthogonal",
-        "family1": eq1.family._value_,
-        "params1": [format_param(p) for p in eq1.params],
-        "family2": eq2.family._value_,
-        "params2": [format_param(p) for p in eq2.params],
-    }
     payload = _response(query, verdicts, citations, notes)
     payload["applicability"] = verdict.applicability
-    return payload, (3 if verdict.verdict is Verdict.OPEN else 0)
+    return payload
+
+
+def _cmd_orthogonal(args) -> tuple[str, int]:
+    _load("ortho")
+    family1 = Family.from_name(args.family1)
+    params1 = _parse_params(args.params1, read_param)
+    try:
+        family2 = Family.from_name(args.family2)
+        params2 = _parse_params(args.params2, read_param)
+    except InputError:
+        check_params(family1, params1)  # params1's own error comes first
+        raise
+    verdict = pair_verdict(family1, params1, family2, params2)
+    query = (
+        f'{{"family1": "{family1._value_}", "family2": "{family2._value_}", "params1": {_texts(params1)}, '
+        f'"params2": {_texts(params2)}, "subcommand": "orthogonal"}}'
+    )
+    record = _record(("orthogonal", verdict), functools.partial(_orthogonal_payload, verdict), query)
+    return record, (3 if verdict.verdict is Verdict.OPEN else 0)
 
 
 # -- verify -----------------------------------------------------------------------------
@@ -306,7 +352,7 @@ def _parse_assignment(text: str) -> NumericAssignment:
             name = name.strip()
             if not _ or not name:
                 raise InputError(f"bad atom assignment {chunk!r}; expected name=value")
-            (atom_value,) = _parse_params(name, at)
+            (atom_value,) = _parse_params(name, parse_param, at)
             if atom_value.const != 0 or [c for _, c in atom_value.terms] != [1]:
                 raise InputError(f"{name!r} is not a bare atom")
             atom = atom_value.terms[0][0]
@@ -372,7 +418,7 @@ _ATOM_KINDS = {AtomKind.TRANSCENDENTAL: "transcendental", AtomKind.ALGEBRAIC_IRR
 
 def _cmd_atoms(args) -> tuple[dict, int]:
     atoms = {}
-    for p in _parse_params(args.params):
+    for p in _parse_params(args.params, parse_param):
         for atom, _ in p.terms:
             atoms[atom.name] = {"name": atom.name, "kind": _ATOM_KINDS[atom.kind]}
     payload = {
@@ -538,7 +584,9 @@ def _parse_args(argv: Sequence[str]):
     return _read_args(argv) or _build_parser().parse_args(_bind_negative_values(argv))
 
 
-def _run_single(argv: Sequence[str]) -> tuple[dict | None, int]:
+def _run_single(argv: Sequence[str]) -> tuple[dict | str | None, int]:
+    """A handler's payload, a dict or its record as compact JSON text, and
+    the exit code; None in place of the payload when the query failed."""
     args = _parse_args(argv)
     if args.subcommand is None:
         _build_parser().print_usage(sys.stderr)
@@ -573,6 +621,7 @@ def run(argv: Sequence[str]) -> int:
     if not (len(option) > 2 and "--batch".startswith(option) and (eq or argv[1:2] and argv[1][:1] != "-")):
         payload, code = _run_single(argv)  # a query, or a --batch without its FILE, which argparse reports
         if payload is not None:
+            payload = json.loads(payload) if type(payload) is str else payload
             print(json.dumps(payload, indent=2, sort_keys=True))
         return code
     path, rest = (path, argv[1:]) if eq else (argv[1], argv[2:])
@@ -602,7 +651,7 @@ def run(argv: Sequence[str]) -> int:
             print(f"error: {err}", file=sys.stderr)
             payload, code = None, 2
         if payload is not None:
-            print(json.dumps(payload, sort_keys=True))
+            print(payload if type(payload) is str else _dumps(payload))
         worst = 2 if 2 in (worst, code) and 4 not in (worst, code) else max(worst, code)
     return worst
 

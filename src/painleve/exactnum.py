@@ -118,10 +118,11 @@ class ParamValue:
     equality and values hash.  ``__init__`` brings any input into this form;
     the internal constructor :meth:`_canonical` relies on its caller passing
     parts already in it, and the arithmetic below uses it wherever no atom
-    can cancel.
+    can cancel.  The slot ``ints`` keeps the value's ``IntValue`` once
+    ``parse_param`` or ``_int_value`` has it.
     """
 
-    __slots__ = ("const", "terms")
+    __slots__ = ("const", "terms", "ints")
 
     const: Fraction
     terms: tuple[tuple[Atom, Fraction], ...]
@@ -239,18 +240,38 @@ def format_fraction(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def format_param(value: ParamValue) -> str:
-    """Deterministic printer; output re-parses to an equal value.
+# A value read into integers: the reduced constant ``num/den`` and the atom
+# terms ``(atom, numerator, denominator)``, each reduced and nonzero, in
+# atom order.  ``read_param`` returns it; ``scale`` and ``param_text`` read it.
+IntValue = namedtuple("IntValue", "num den terms")
 
-    Atom terms come first (sorted by atom name), then the constant.
-    """
+
+def _int_value(value: ParamValue) -> IntValue:
+    try:
+        return value.ints
+    except AttributeError:
+        const = value.const
+        ints = IntValue(const.numerator, const.denominator, [(a, c.numerator, c.denominator) for a, c in value.terms])
+        object.__setattr__(value, "ints", ints)
+        return ints
+
+
+def format_param(value: ParamValue) -> str:
+    """Deterministic printer; output re-parses to an equal value."""
+    return param_text(_int_value(value))
+
+
+def param_text(value: IntValue) -> str:
+    """The canonical text of a value read into integers: atom terms first
+    (sorted by atom name), then the constant."""
+    num, den, terms = value
+    if not terms:
+        return str(num) if den == 1 else f"{num}/{den}"
     pieces: list[tuple[bool, str]] = []  # (negative, magnitude text)
-    for atom, c in value.terms:
-        num, den = c.numerator, c.denominator
-        mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
-        pieces.append((num < 0, atom.name if mag == "1" else f"{mag}*{atom.name}"))
-    num, den = value.const.numerator, value.const.denominator
-    if num or not pieces:
+    for atom, n, d in terms:
+        mag = str(abs(n)) if d == 1 else f"{abs(n)}/{d}"
+        pieces.append((n < 0, atom.name if mag == "1" else f"{mag}*{atom.name}"))
+    if num:
         pieces.append((num < 0, str(abs(num)) if den == 1 else f"{abs(num)}/{den}"))
     negative, out = pieces[0]
     if negative:
@@ -293,8 +314,8 @@ def _intern(name: str) -> tuple[Atom, tuple[str, int]]:
     return entry
 
 
-def parse_param(text: str) -> ParamValue:
-    """Parse the parameter grammar::
+def read_param(text: str) -> IntValue:
+    """Read the parameter grammar into integers::
 
         expr   := term (("+"|"-") term)*
         term   := rational ("*" atom)? | atom
@@ -309,14 +330,16 @@ def parse_param(text: str) -> ParamValue:
     is read directly.  Any other text is split into tokens by one
     ``findall``, and one walk over them checks the grammar and sums each
     term into an integer numerator and denominator per atom and for the
-    constant.
+    constant; the constant and each atom's coefficient are then reduced.
     """
     long_run = _LONG_DIGIT_RUN.search(text)
     if long_run:
         raise ParamSyntaxError(f"more than {MAX_DIGITS} digits", long_run.start())
     plain = _PLAIN_RATIONAL.fullmatch(text)
     if plain:  # one digit run each, so within the digit bound
-        return ParamValue._canonical(Fraction(int(plain[1]), int(plain[2] or 1)), ())
+        num, den = int(plain[1]), int(plain[2] or 1)
+        g = math.gcd(num, den)
+        return IntValue(num // g, den // g, ())
     tokens = _TOKEN.findall(text)
     if not tokens:
         raise ParamSyntaxError("empty parameter expression", 0)
@@ -371,9 +394,21 @@ def parse_param(text: str) -> ParamValue:
             raise _syntax_error(text, "expected '+' or '-'", i)
         sign, i = 1 if op == "+" else -1, i + 1
     num, den, _ = sums.pop(None, (0, 1, None))
-    terms = sorted((key, atom, n, d) for atom, (n, d, key) in sums.items() if n) if sums else ()
-    value = ParamValue._canonical(Fraction(num, den), tuple((atom, Fraction(n, d)) for _, atom, n, d in terms))
+    g = math.gcd(num, den)
+    terms = []
+    for _, atom, n, d in sorted((key, atom, n, d) for atom, (n, d, key) in sums.items() if n) if sums else ():
+        gt = math.gcd(n, d)
+        terms.append((atom, n // gt, d // gt))
+    value = IntValue(num // g, den // g, terms)
     return _bounded(value) if summed else value
+
+
+def parse_param(text: str) -> ParamValue:
+    """``read_param``'s value as a ``ParamValue``."""
+    ints = num, den, terms = read_param(text)
+    value = ParamValue._canonical(Fraction(num, den), tuple([(a, Fraction(n, d)) for a, n, d in terms]) if terms else ())
+    object.__setattr__(value, "ints", ints)
+    return value
 
 
 def _syntax_error(text: str, message: str, at: int) -> ParamSyntaxError:
@@ -387,10 +422,10 @@ def _syntax_error(text: str, message: str, at: int) -> ParamSyntaxError:
     return ParamSyntaxError(message, matches[at].start(matches[at].lastindex) if at < len(matches) else len(text))
 
 
-def _bounded(value: ParamValue) -> ParamValue:
+def _bounded(value: IntValue) -> IntValue:
     """``value``, unless a reduced numerator or denominator in it has more than ``MAX_DIGITS`` digits."""
-    for q in (value.const, *[c for _, c in value.terms]):
-        if abs(q.numerator) >= _TOO_MANY_DIGITS or q.denominator >= _TOO_MANY_DIGITS:
+    for n, d in ((value.num, value.den), *[(n, d) for _, n, d in value.terms]):
+        if abs(n) >= _TOO_MANY_DIGITS or d >= _TOO_MANY_DIGITS:
             raise ParamSyntaxError(f"more than {MAX_DIGITS} digits", 0)
     return value
 
@@ -411,18 +446,16 @@ def decide_coset(x: ParamValue, offset: Rational, modulus: Rational) -> TriBool:
 Scaled = namedtuple("Scaled", "den consts rows atoms")
 
 
-def scale(values: Sequence[ParamValue], den: int = 1) -> Scaled:
-    """The integer form of ``values`` over the least common denominator
-    that is a multiple of ``den``.  The orbit path, the sum-zero test and
-    the transcendence degree read values in this form."""
-    ratios = [v.const.as_integer_ratio() for v in values]
-    atoms, dens = set(), [d for _, d in ratios]
-    for v in values:
-        for a, c in v.terms:
-            atoms.add(a)
-            dens.append(c.denominator)
-    den = math.lcm(den, *dens)
-    consts = tuple([n * (den // d) for n, d in ratios])
+def scale(values: Sequence[ParamValue | IntValue], den: int = 1) -> Scaled:
+    """The integer form of ``values`` (``ParamValue``s, or ``IntValue``s as
+    ``read_param`` reads them) over the least common denominator that is a
+    multiple of ``den``.  The orbit and orthogonality paths, the classify
+    strata, the sum-zero test and the transcendence degree read values in
+    this form."""
+    values = [v if type(v) is IntValue else _int_value(v) for v in values]
+    den = math.lcm(den, *[v.den for v in values], *[d for v in values for _, _, d in v.terms])
+    consts = tuple([num * (den // d) for num, d, _ in values])
+    atoms = {a for v in values for a, _, _ in v.terms}
     if not atoms:
         return Scaled(den, consts, ((),) * len(values), ())
     atoms = sorted(atoms, key=Atom.sort_key)
@@ -430,8 +463,7 @@ def scale(values: Sequence[ParamValue], den: int = 1) -> Scaled:
     rows = []
     for v in values:
         row = [0] * len(atoms)
-        for a, c in v.terms:
-            n, d = c.as_integer_ratio()
+        for a, n, d in v.terms:
             row[column[a]] = n * (den // d)
         rows.append(tuple(row))
     return Scaled(den, consts, tuple(rows), tuple(atoms))
@@ -483,15 +515,23 @@ def rational_rank(rows: Sequence[Sequence[Rational]]) -> int:
 
 
 def transcendence_degree(values: Sequence[ParamValue]) -> int:
-    """Transcendence degree over Q contributed by a tuple of values.
-
-    Equals the Q-rank of the matrix of transcendental-atom coefficient
-    vectors, taken on their integer form; algebraic-irrational atoms and
-    constants contribute nothing.
-    """
+    """Transcendence degree over Q contributed by a tuple of values: the
+    ``tau_rank`` of their integer form; algebraic-irrational atoms and
+    constants contribute nothing."""
     atoms = {a for v in values for a, _ in v.terms if a.kind is AtomKind.TRANSCENDENTAL}
     if len(atoms) < 2:  # a canonical coefficient is nonzero
         return len(atoms)
-    form = scale(values)
-    columns = [k for k, a in enumerate(form.atoms) if a.kind is AtomKind.TRANSCENDENTAL]
-    return rational_rank([[row[k] for k in columns] for row in form.rows])
+    return tau_rank(scale(values))
+
+
+def tau_rank(form: Scaled, start: int = 0, stop: int | None = None) -> int:
+    """Q-rank of the transcendental-atom coefficient rows of the values
+    ``start`` to ``stop`` of ``form``: the transcendence degree over Q that
+    those values contribute."""
+    columns = [
+        column for a, column in zip(form.atoms, zip(*form.rows[start:stop]))
+        if a.kind is AtomKind.TRANSCENDENTAL and any(column)
+    ]
+    if len(columns) < 2:
+        return len(columns)
+    return rational_rank(list(zip(*columns)))

@@ -1,9 +1,13 @@
 """Orthogonality verdicts within and across the families.
 
-Within a family, nonorthogonality comes from the Bäcklund transformations,
-which ``weyl`` decides.  Across families every proved statement is a
-genericity clause that consults no group, so a distinct-family query never
-loads ``weyl``.
+Every verdict reads one integer form of the pair (``exactnum.scale``):
+params1 then params2, over a denominator that clears every offset the
+pair's tests use.  Within a family, nonorthogonality comes from the
+Bäcklund transformations, which ``weyl`` decides on that form.  Across
+families every proved statement is a genericity clause (the rank of the
+transcendental columns of each tuple's rows) that consults no group, plus
+the second family's half-integer row for ``orthofam3``; so a
+distinct-family pair never loads ``weyl``.
 """
 
 from __future__ import annotations
@@ -11,11 +15,12 @@ from __future__ import annotations
 from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
+from typing import Sequence
 
-from .catalog import EquationId, Family, family_space
+from .catalog import EquationId, Family, check_params, family_space
 from .citations import cite
 from .classify import is_generic
-from .exactnum import TriBool, decide_coset
+from .exactnum import IntValue, ParamValue, Scaled, TriBool, coset, scale
 
 
 class Verdict(Enum):
@@ -29,22 +34,36 @@ OrthoVerdict = namedtuple("OrthoVerdict", "verdict citation applicability questi
 
 
 def cross_family_verdict(eq1: EquationId, eq2: EquationId) -> OrthoVerdict:
+    """``pair_verdict`` on two equations' parameters."""
+    return pair_verdict(eq1.family, eq1.params, eq2.family, eq2.params)
+
+
+def pair_verdict(
+    family1: Family, params1: Sequence[ParamValue | IntValue], family2: Family, params2: Sequence[ParamValue | IntValue]
+) -> OrthoVerdict:
     """Match a pair of equations against the hypothesis clauses of the proved
-    orthogonality statements; fall through to Open when none applies."""
-    if eq1.family is eq2.family:
-        return _same_family_verdict(eq1, eq2)
-    return _distinct_family_verdict(eq1, eq2)
+    orthogonality statements; fall through to Open when none applies.  The
+    two tuples are scaled into one form and checked against their families
+    on it, params1's error first."""
+    if family1 is family2:
+        return _same_family_verdict(family1, params1, params2)
+    # orthofam3's half-integer row needs an even denominator.
+    form = scale((*params1, *params2), 2 if Family.PII in (family1, family2) else 1)
+    check_params(family1, params1, form)
+    check_params(family2, params2, form, len(params1))
+    return _distinct_family_verdict(family1, family2, form)
 
 
-def _same_family_verdict(eq1: EquationId, eq2: EquationId) -> OrthoVerdict:
+def _same_family_verdict(family: Family, v: Sequence, w: Sequence) -> OrthoVerdict:
     from . import weyl
 
-    family = eq1.family
-    verdict = weyl.orbit_decide(family, eq1.params, eq2.params, checked=True)
+    form = weyl.checked_form(family, v, w)
+    verdict = weyl.orbit_decide(family, v, w, checked=True, form=form)
     if verdict.related is TriBool.YES:
         return OrthoVerdict(Verdict.NONORTHOGONAL, cite(family_space(family).backlund_key),
                             "parameters related by the family's transformation group")
-    if family is Family.PII and eq1.params[0].has_transcendental is not eq2.params[0].has_transcendental:
+    # For the second family's one parameter, generic means transcendental.
+    if family is Family.PII and is_generic(family, form, 0, 1) is not is_generic(family, form, 1):
         return OrthoVerdict(Verdict.ORTHOGONAL, cite("kernel1"),
                             "one parameter algebraic over Q, the other transcendental")
     if verdict.related is TriBool.NO and verdict.hypothesis_status is weyl.HypothesisStatus.PROVED:
@@ -86,13 +105,21 @@ _HALF_INTEGER_SUFFIX = {
         "clauses of the statement yield orthogonality",
     TriBool.NO: "",
 }
+_HALF = Fraction(1, 2)
 
 
-def _distinct_family_verdict(eq1: EquationId, eq2: EquationId) -> OrthoVerdict:
-    key, generic, applicability, question = _CLAUSES.get(frozenset((eq1.family, eq2.family)), _NAGGY)
-    by_family = {eq1.family: eq1, eq2.family: eq2}
-    if not all(is_generic(by_family[fam]) for fam in generic or by_family):
+def _distinct_family_verdict(family1: Family, family2: Family, form: Scaled) -> OrthoVerdict:
+    """The clause of two distinct families on ``form``, whose values are
+    family1's parameters then family2's, over an even denominator when one
+    family is the second."""
+    key, generic, applicability, question = _CLAUSES.get(frozenset((family1, family2)), _NAGGY)
+    n1 = family_space(family1).arity
+    start = {family1: 0, family2: n1}
+    stop = {family1: n1, family2: None}
+    if not all(is_generic(fam, form, start[fam], stop[fam]) for fam in generic or start):
         return OrthoVerdict(Verdict.OPEN, None, "no proved clause covers this distinct-family pair", cite(question))
     if key == "orthofam3":
-        applicability += _HALF_INTEGER_SUFFIX[decide_coset(by_family[Family.PII].params[0], Fraction(1, 2), 1)]
+        at = start[Family.PII]
+        half = coset(form, [int(i == at) for i in range(len(form.consts))], _HALF, 1)
+        applicability += _HALF_INTEGER_SUFFIX[half]
     return OrthoVerdict(Verdict.ORTHOGONAL, cite(key), applicability)

@@ -28,10 +28,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .catalog import EquationId, Family, InvalidEquationError, as_param, check_params, family_space
+from .catalog import Family, InvalidEquationError, as_param, check_params, family_space
 from .citations import cite
+from .classify import is_generic
 from .exactnum import (
     AtomKind,
+    IntValue,
     ParamValue,
     Rational,
     Scaled,
@@ -39,7 +41,7 @@ from .exactnum import (
     coset,
     decide_coset,  # uncalled; perfbench/tracer.py wraps it here (ROADMAP item 1b)
     scale,
-    transcendence_degree,
+    transcendence_degree,  # uncalled; perfbench/tracer.py wraps it here (ROADMAP item 1b)
     tri_and,
     tri_or,
 )
@@ -181,10 +183,6 @@ OrbitVerdict = namedtuple(
 WordResult = namedtuple("WordResult", "word reason", defaults=(None,))
 
 
-def _is_generic(family: Family, params: Sequence[ParamValue]) -> bool:
-    return transcendence_degree(params) == family_space(family).dimension
-
-
 @lru_cache(maxsize=None)
 def _int_tokens(family: Family) -> tuple[int, dict[str, tuple[tuple[int, ...], ...]]]:
     """The family's token denominator (the lcm of its translations'
@@ -195,23 +193,29 @@ def _int_tokens(family: Family) -> tuple[int, dict[str, tuple[tuple[int, ...], .
     return den, {name: (m.perm, m.signs, tuple(int(x * den) for x in m.translation)) for name, m in tokens.items()}
 
 
-def _scaled(family: Family, v: Sequence[ParamValue], w: Sequence[ParamValue]) -> Scaled:
+# A parameter as the value-taking entry points accept it: a ParamValue or a
+# Rational, or a value read into integers (``exactnum.read_param``).
+Value = ParamValue | Rational | IntValue
+
+
+def _scaled(family: Family, v: Sequence[Value], w: Sequence[Value]) -> Scaled:
     """v then w in integer form, over a multiple of the family's token denominator."""
     return scale((*v, *w), _int_tokens(family)[0])
 
 
-def _checked_form(family: Family, v: Sequence, w: Sequence) -> tuple[tuple, tuple, Scaled]:
-    """v and w as ``EquationId(family, ...).params``, and their ``_scaled``
-    form, which the checks read; v's error is raised before w's."""
+def checked_form(family: Family, v: Sequence[Value], w: Sequence[Value]) -> Scaled:
+    """The ``_scaled`` form of v and w, once each is checked as
+    ``EquationId(family, ...)`` would check it; v's error is raised before w's."""
+    v = [x if type(x) is IntValue else as_param(x) for x in v]
     try:
-        v, w = tuple(map(as_param, v)), tuple(map(as_param, w))
+        w = [x if type(x) is IntValue else as_param(x) for x in w]
     except InvalidEquationError:
-        EquationId(family, v)  # v's own error comes first
+        check_params(family, v)  # v's own error comes first
         raise
     form = _scaled(family, v, w)
     check_params(family, v, form)
     check_params(family, w, form, len(v))
-    return v, w, form
+    return form
 
 
 def _signed(row: tuple[int, ...], sign: int) -> tuple[int, ...]:
@@ -327,30 +331,35 @@ def _piii_decide(form: Scaled) -> tuple[TriBool, OrbitWitness | None]:
 
 
 def orbit_decide(
-    family: Family, v: Sequence[ParamValue | Rational], w: Sequence[ParamValue | Rational], *,
-    checked: bool = False, form: Scaled | None = None,
+    family: Family, v: Sequence[Value], w: Sequence[Value], *, checked: bool = False, form: Scaled | None = None,
 ) -> OrbitVerdict:
-    """Evaluate the family's closed-form transformation-orbit criterion.
+    """``decide_form`` on the ``checked_form`` of v and w.  ``checked`` says
+    v and w are already ``EquationId(family, ...).params``, and ``form`` is
+    their ``_scaled`` form when the caller has built it."""
+    if not checked:
+        form = checked_form(family, v, w)
+    return decide_form(family, form or _scaled(family, v, w))
+
+
+def decide_form(family: Family, form: Scaled) -> OrbitVerdict:
+    """Evaluate the family's closed-form transformation-orbit criterion on
+    v and w, the halves of ``form`` (``_scaled(family, v, w)``).
 
     Yes always certifies nonorthogonality (the transformations realize it);
     the converse direction holds exactly when the hypothesis status is
     ``proved``, i.e. the supporting statement's genericity clauses hold.
-    ``checked`` says v and w are already ``EquationId(family, ...).params``,
-    and ``form`` is their ``_scaled`` form when the caller has built it.
     """
-    if not checked:
-        v, w, form = _checked_form(family, v, w)
-
+    n = len(form.consts) // 2
     if family is Family.PI:
         related, hypotheses = TriBool.YES, True
         witness = OrbitWitness(perm=(), signs=(), shift=(), note="parameter-free family")
     elif family is Family.PIII:
-        related, witness = _piii_decide(form or _scaled(family, v, w))
-        hypotheses = _is_generic(family, v) and _is_generic(family, w)
+        related, witness = _piii_decide(form)
+        hypotheses = is_generic(family, form, 0, n) and is_generic(family, form, n)
     else:
-        related, witness = _lattice_scan(family, form or _scaled(family, v, w))
+        related, witness = _lattice_scan(family, form)
         # The sixth family's converse is open: its hypotheses never hold.
-        hypotheses = family is not Family.PVI and (_is_generic(family, v) or _is_generic(family, w))
+        hypotheses = family is not Family.PVI and (is_generic(family, form, 0, n) or is_generic(family, form, n))
     criterion = family_space(family).criterion
     return OrbitVerdict(
         family=family,
@@ -488,11 +497,21 @@ def _word_maps(family: Family, word: Sequence[str], form: Scaled) -> bool:
 
 
 def generator_word(
-    family: Family, v: Sequence[ParamValue | Rational], w: Sequence[ParamValue | Rational],
-    verdict: OrbitVerdict | None = None, *, checked: bool = False, form: Scaled | None = None,
+    family: Family, v: Sequence[Value], w: Sequence[Value], verdict: OrbitVerdict | None = None, *,
+    checked: bool = False, form: Scaled | None = None,
 ) -> WordResult:
+    """``word_form`` on the ``checked_form`` of v and w; ``verdict`` is
+    ``orbit_decide(family, v, w)`` when the caller has already computed it,
+    and ``checked`` and ``form`` are as there."""
+    if not checked:
+        form = checked_form(family, v, w)
+    form = form or _scaled(family, v, w)
+    return word_form(family, form, verdict or decide_form(family, form))
+
+
+def word_form(family: Family, form: Scaled, verdict: OrbitVerdict) -> WordResult:
     """A word in the family's generators mapping v to w exactly, read from
-    the orbit witness.
+    the witness of ``verdict``, which is ``decide_form(family, form)``.
 
     The second family's word is its normal form, a reflection or not and
     then a run of one shift.  For the third to sixth families the witness
@@ -504,14 +523,8 @@ def generator_word(
     proves that no group element maps v to w.  A word longer than
     MAX_WORD_TOKENS is reported as WordTooLong.  Every word returned passes
     one exact check (``_word_maps``); a word that fails it raises
-    WordCheckError.  ``verdict`` is ``orbit_decide(family, v, w)`` when the
-    caller has already computed it, and ``checked`` and ``form`` are as there.
+    WordCheckError.
     """
-    if not checked:
-        v, w, form = _checked_form(family, v, w)
-    form = form or _scaled(family, v, w)
-    if verdict is None:
-        verdict = orbit_decide(family, v, w, checked=True, form=form)
     if verdict.related is not TriBool.YES:
         raise ValueError("generator_word requires an orbit_decide verdict of Yes")
     if family is Family.PI:
@@ -528,7 +541,7 @@ def generator_word(
             return WordResult(word=None, reason="WordTooLong")
         word = ("reflect",) * reflect + (("shift_up",) * n if n >= 0 else ("shift_down",) * -n)
     else:
-        n, den, consts = len(v), form.den, form.consts
+        n, den, consts = len(form.consts) // 2, form.den, form.consts
         shift = [consts[n + j] - s * consts[p] for j, (p, s) in enumerate(zip(witness.perm, witness.signs))]
         target, tail = consts[n:], ()
         if family is Family.PV:
@@ -549,16 +562,12 @@ def generator_word(
     return WordResult(word=word)
 
 
-def orbit_with_word(
-    family: Family,
-    v: Sequence[ParamValue | Rational],
-    w: Sequence[ParamValue | Rational],
-) -> OrbitVerdict:
+def orbit_with_word(family: Family, v: Sequence[Value], w: Sequence[Value]) -> OrbitVerdict:
     """orbit_decide plus word synthesis when the verdict is Yes; v and w
     are validated and scaled once, here."""
-    v, w, form = _checked_form(family, v, w)
+    form = checked_form(family, v, w)
     verdict = orbit_decide(family, v, w, checked=True, form=form)
     if verdict.related is not TriBool.YES:
         return verdict
-    result = generator_word(family, v, w, verdict=verdict, checked=True, form=form)
+    result = generator_word(family, v, w, verdict, checked=True, form=form)
     return verdict._replace(word=result.word, word_reason=result.reason)

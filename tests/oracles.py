@@ -78,6 +78,12 @@
   with ``apply_word``.  ``fraction_transcendence_degree`` ranks ``Fraction``
   rows, and ``fraction_sum_zero_error`` is ``EquationId``'s sum-zero test on
   ``Fraction`` sums.
+- ``dict_run`` answers an ``orbit`` or ``orthogonal`` query as ``cli`` did
+  before its records were spliced from per-class fragments and its values
+  read straight into one integer form: every value a ``ParamValue`` from
+  ``parse_param``, checked through ``EquationId`` (``orbit_with_word`` and
+  ``cross_family_verdict`` take the values), and one payload dict dumped by
+  ``json.dumps(payload, sort_keys=True)``.
 """
 
 from __future__ import annotations
@@ -85,6 +91,7 @@ from __future__ import annotations
 import csv
 import importlib
 import itertools
+import json
 import math
 import operator
 import re
@@ -94,20 +101,20 @@ from typing import Sequence
 from unittest import mock
 
 from painleve.catalog import EquationId, Family, UnknownFamilyError, family_space
-from painleve import diffpoly
+from painleve import cli, diffpoly
 from painleve.diffpoly import T_VAR, DiffExpr, Var, _coefficient, jet, sym
-from painleve.classify import ClassificationReport, Stratum, is_generic
+from painleve.classify import ClassificationReport, Stratum
 from painleve.exactnum import (
-    MAX_DIGITS, AtomKind, ParamSyntaxError, ParamValue, TriBool, _LONG_DIGIT_RUN, _intern, transcendence_degree,
-    tri_and, tri_or,
+    MAX_DIGITS, AtomKind, InputError, ParamSyntaxError, ParamValue, TriBool, _LONG_DIGIT_RUN, _intern, format_param,
+    parse_param, transcendence_degree, tri_and, tri_or,
 )
 from painleve.numint import BLOWUP_THRESHOLD, ResidualReport, Trajectory, TrajectoryStatus
 from painleve.odes import OdeSystem
 from painleve.citations import cite
-from painleve.ortho import OrthoVerdict, Verdict
+from painleve.ortho import OrthoVerdict, Verdict, cross_family_verdict
 from painleve import weyl
 from painleve.weyl import (
-    MAX_WORD_TOKENS, AffineMap, HypothesisStatus, OrbitWitness, WordResult, _is_generic, apply_word, named_generators,
+    MAX_WORD_TOKENS, AffineMap, HypothesisStatus, OrbitWitness, WordResult, apply_word, named_generators,
     orbit_decide, resolve_token, word_map,
 )
 
@@ -520,7 +527,7 @@ def _coset_algebraic_solutions(eq: EquationId, strat: Stratum, form, generic: bo
         count = coset_piii_count(v[0], v[1])
         if count is None:
             return None, []
-        return count, ["murata3", "piii_no_alg_generic"] if count == 0 and is_generic(eq) else ["murata3"]
+        return count, ["murata3", "piii_no_alg_generic"] if count == 0 and _is_generic(eq.family, v) else ["murata3"]
     return _walk_algebraic_solutions(eq, strat, form, generic)
 
 
@@ -739,6 +746,11 @@ def fraction_piii_decide(v: Sequence[ParamValue], w: Sequence[ParamValue]) -> tu
 # -- orthogonality ----------------------------------------------------------------------
 
 
+def _is_generic(family: Family, params: Sequence[ParamValue]) -> bool:
+    """Genericity as the transcendence degree of the values themselves, apart from any integer form."""
+    return transcendence_degree(params) == family_space(family).dimension
+
+
 def _open_distinct(question_key: str = "q_np2") -> OrthoVerdict:
     return OrthoVerdict(
         verdict=Verdict.OPEN,
@@ -813,6 +825,73 @@ def chain_distinct_family_verdict(eq1: EquationId, eq2: EquationId) -> OrthoVerd
             applicability="distinct families, both parameter tuples generic",
         )
     return _open_distinct()
+
+
+# -- orbit and orthogonal records ----------------------------------------------------
+
+
+def _dict_orbit(args) -> tuple[dict, int]:
+    family = Family.from_name(args.family)
+    v = cli._parse_params(args.v, parse_param)
+    w = cli._parse_params(args.w, parse_param)
+    verdict = weyl.orbit_with_word(family, v, w)
+    status_cite = verdict.criterion_citation if verdict.hypothesis_status is not HypothesisStatus.OPEN else None
+    verdicts = [
+        cli._verdict("related", verdict.related.value, verdict.criterion_citation),
+        cli._verdict("hypothesis-status", verdict.hypothesis_status.value, status_cite),
+    ]
+    query = {
+        "subcommand": "orbit",
+        "family": family.value,
+        "v": [format_param(p) for p in v],
+        "w": [format_param(p) for p in w],
+    }
+    payload = cli._response(query, verdicts, [verdict.criterion_citation], verdict.notes)
+    payload["criterion"] = verdict.criterion
+    payload["witness"] = cli._witness_json(verdict)
+    payload["word"] = list(verdict.word) if verdict.word is not None else None
+    if verdict.word_reason:
+        payload["word_reason"] = verdict.word_reason
+    return payload, (3 if verdict.related is TriBool.UNKNOWN else 0)
+
+
+def _dict_orthogonal(args) -> tuple[dict, int]:
+    eq1 = EquationId(Family.from_name(args.family1), cli._parse_params(args.params1, parse_param))
+    eq2 = EquationId(Family.from_name(args.family2), cli._parse_params(args.params2, parse_param))
+    verdict = cross_family_verdict(eq1, eq2)
+    verdicts = [cli._verdict("orthogonality", verdict.verdict.value, verdict.citation)]
+    notes = list(verdict.notes)
+    citations = [c for c in (verdict.citation, verdict.question) if c is not None]
+    if verdict.question is not None:
+        notes.append(f'open question ({verdict.question.where}): "{verdict.question.quote}"')
+    query = {
+        "subcommand": "orthogonal",
+        "family1": eq1.family.value,
+        "params1": [format_param(p) for p in eq1.params],
+        "family2": eq2.family.value,
+        "params2": [format_param(p) for p in eq2.params],
+    }
+    payload = cli._response(query, verdicts, citations, notes)
+    payload["applicability"] = verdict.applicability
+    return payload, (3 if verdict.verdict is Verdict.OPEN else 0)
+
+
+_DICT_HANDLERS = {"orbit": _dict_orbit, "orthogonal": _dict_orthogonal}
+
+
+def dict_run(argv: Sequence[str], indent: int | None = None) -> tuple[str, str, int]:
+    """``cli.run(argv)``'s stdout, stderr and exit code for one ``orbit`` or
+    ``orthogonal`` query, by the handlers from before records were spliced:
+    each value read by ``parse_param`` into a ``ParamValue``, ``EquationId``
+    checks (through ``orbit_with_word`` and ``cross_family_verdict``), and
+    one payload dict given to ``json.dumps(payload, sort_keys=True)``, with
+    ``indent`` as a single query prints it (None: as a ``--batch`` line)."""
+    args = cli._parse_args(argv)
+    try:
+        payload, code = _DICT_HANDLERS[args.subcommand](args)
+    except InputError as err:
+        return "", f"error: {err}\n", 2
+    return json.dumps(payload, indent=indent, sort_keys=True) + "\n", "", code
 
 
 # -- generator words ------------------------------------------------------------------

@@ -2,8 +2,10 @@ import argparse
 import contextlib
 import importlib.util
 import io
+import itertools
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -15,9 +17,13 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from painleve import catalog, cli, numint
+from fractions import Fraction
+
+from oracles import dict_run, of_atom
+from painleve import catalog, cli, numint, ortho, weyl
+from painleve.catalog import Family, family_space
 from painleve.cli import run
-from painleve.exactnum import ParamValue, format_param, parse_param
+from painleve.exactnum import ParamValue, TriBool, alg, format_param, parse_param, tau
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -1292,3 +1298,153 @@ def test_wrapper_set_before_first_orbit_query_is_called():
         "print('calls', len(calls), cli.orbit_with_word is wrapper)\n"
     )
     assert out.splitlines()[-1] == "calls 1 True"
+
+
+# -- orbit and orthogonal records against the payload-dict oracle ------------------------
+
+
+_FAMILIES = ("II", "III", "IV", "V", "VI")
+_ATOMS = (tau(1), tau(2), tau(3), alg(1), alg(2))
+# Text that fails to read, by fault.  The last digits fault is five
+# 1,000-digit denominators whose sum's reduced denominator is past the bound.
+_UNREADABLE = {
+    "syntax": ["x", "1/2/3", "tau", "", "1e5", "2x", "tau1 +", "* tau1"],
+    "zero denominator": ["1/0", "tau1 + 2/0", "-3/00*alg1", "1/٠"],
+    "digits": ["1" * 1001, "tau1 + 2/" + "3" * 1001, " + ".join(f"1/{10**999 + k}" for k in (1, 3, 7, 9, 13))],
+}
+
+
+def _random_value(rng, family: str) -> ParamValue:
+    """A rational, an atom term plus a rational, or (II and VI) a half-integer."""
+    if family in ("II", "VI") and rng.random() < 0.25:
+        value = ParamValue(Fraction(2 * rng.randint(-4, 4) + 1, 2))
+    else:
+        value = ParamValue(Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4, 6))))
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        value += rng.randint(-2, 2) * of_atom(rng.choice(_ATOMS))
+    return value
+
+
+def _random_tuple(rng, family: str) -> list[ParamValue]:
+    """Random values, or a quarter of the time generic ones: a fresh tau atom plus each value."""
+    values = [_random_value(rng, family) for _ in range(_ARITY[family])]
+    if rng.random() < 0.25:
+        first = rng.randint(1, 5)
+        values = [v + of_atom(tau(first + i)) for i, v in enumerate(values)]
+    if family in ("IV", "V"):  # close the exact sum to zero
+        values[-1] = -sum(values[:-1], ParamValue(0))
+    return values
+
+
+def _text(rng, value: ParamValue) -> str:
+    """The value's canonical text, that text without spaces, or with spaces between all tokens."""
+    text = format_param(value)
+    spacing = rng.choice(("canonical", "unspaced", "spaced"))
+    if spacing == "unspaced":
+        return text.replace(" ", "")
+    if spacing == "spaced":
+        return " " + " ".join(text.replace("*", " * ").replace("/", " / ").split()) + " "
+    return text
+
+
+def _option_text(rng, family: str, values: list[ParamValue], fault: str | None) -> str:
+    texts = [_text(rng, v) for v in values]
+    if fault == "arity":
+        texts = texts[:-1] if texts and rng.random() < 0.5 else [*texts, "1/3"]
+    elif fault == "sum":
+        texts = [*texts[:-1], "5/7"]
+    elif fault in _UNREADABLE:
+        texts = texts or ["0"]
+        texts[rng.randrange(len(texts))] = rng.choice(_UNREADABLE[fault])
+    return ",".join(texts)
+
+
+def _fault(rng, family: str) -> str | None:
+    faults = ["arity", *_UNREADABLE, *(["sum"] if family in ("IV", "V") else [])]
+    return rng.choice(faults) if rng.random() < 0.2 else None
+
+
+def _random_pair_line(rng) -> list[str]:
+    """An orbit or orthogonal query on the second to sixth families, as argv:
+    w is an image of v under a random word half the time; a fault may sit
+    in either tuple, or in both."""
+    family = rng.choice(_FAMILIES)
+    v = _random_tuple(rng, family)
+    if rng.random() < 0.5:
+        generators = family_space(Family.from_name(family)).orbit_generators
+        w = list(weyl.apply_word(Family.from_name(family), rng.choices(generators, k=rng.randint(0, 6)), v))
+    else:
+        w = _random_tuple(rng, family)
+    if rng.random() < 0.5:
+        return ["orbit", "--family", family, f"--v={_option_text(rng, family, v, _fault(rng, family))}",
+                f"--w={_option_text(rng, family, w, _fault(rng, family))}"]
+    family2 = family if rng.random() < 0.5 else rng.choice(_FAMILIES)
+    if family2 != family:
+        w = _random_tuple(rng, family2)
+    return ["orthogonal", "--family1", family, f"--params1={_option_text(rng, family, v, _fault(rng, family))}",
+            "--family2", family2, f"--params2={_option_text(rng, family2, w, _fault(rng, family2))}"]
+
+
+def _run_batch(lines: list[list[str]]) -> tuple[str, str, int]:
+    with tempfile.TemporaryDirectory() as tmp:
+        batch = Path(tmp) / "queries.txt"
+        batch.write_text("".join(" ".join(map(shlex.quote, argv)) + "\n" for argv in lines), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(["--batch", str(batch)])
+    return out.getvalue(), err.getvalue(), code
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_orbit_and_orthogonal_records_match_the_dict_oracle(rng):
+    lines = [_random_pair_line(rng) for _ in range(3)]
+    expected = [dict_run(argv) for argv in lines]
+    codes = [code for *_, code in expected]
+    worst = 2 if 2 in codes else max(codes)
+    assert _run_batch(lines) == ("".join(o for o, _, _ in expected), "".join(e for _, e, _ in expected), worst)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(lines[0])
+    assert (out.getvalue(), err.getvalue(), code) == dict_run(lines[0], indent=2)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["orbit", "--family", "IV", "--v", "1,2", "--w", "1,2,x"], "unexpected character 'x' (at position 4)"),
+    (["orthogonal", "--family1", "IV", "--params1", "1,2", "--family2", "IV", "--params2", "x"],
+     "family IV takes 3 parameter(s), got 2"),
+    (["orthogonal", "--family1", "IV", "--params1", "1,2,-4", "--family2", "VII", "--params2", "x"],
+     "family IV parameters must sum to zero exactly (got -1)"),
+    (["orbit", "--family", "IV", "--v=1,2,-3", "--w=1,2x,-3"], "unexpected character 'x' (at position 3)"),
+])
+def test_pair_error_precedence(argv, message, capsys):
+    # orbit reads v and w before checking either; orthogonal checks params1
+    # before it reads family2 or params2.
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert dict_run(argv) == ("", f"error: {message}\n", 2)
+
+
+def _verdict_classes() -> int:
+    """How many record classes the catalog allows: an orbit class is a
+    family, a related verdict, a hypothesis status and a word reason (none,
+    NoWordFound or WordTooLong); a same-family orthogonality class is one
+    of four verdicts per family (the group relates the pair, the criterion's
+    converse, open with or without the Unknown note) or the second family's
+    kernel1; a distinct pair is open or its clause, in three kinds for
+    orthofam3's half-integer suffix."""
+    orbit = len(Family) * len(TriBool) * len(weyl.HypothesisStatus) * 3
+    same = 4 * len(Family) + 1
+    distinct = 0
+    for pair in itertools.combinations(Family, 2):
+        key = ortho._CLAUSES.get(frozenset(pair), ortho._NAGGY)[0]
+        distinct += 1 + (len(ortho._HALF_INTEGER_SUFFIX) if key == "orthofam3" else 1)
+    return orbit + same + distinct
+
+
+def test_record_fragments_stay_within_the_verdict_classes():
+    rng = random.Random(20261021)
+    out, _, _ = _run_batch([_random_pair_line(rng) for _ in range(2000)])
+    assert len(out.splitlines()) > 1000
+    assert all(isinstance(key[0], str) and key[0] in ("orbit", "orthogonal") for key in cli._FRAGMENTS)
+    assert len(cli._FRAGMENTS) <= _verdict_classes()

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import itertools
+import json
 import operator
 import random
 import time
@@ -20,7 +23,9 @@ from painleve.exactnum import (
     tau,
     transcendence_degree,
 )
-from painleve.ortho import Verdict, cross_family_verdict
+from painleve.citations import cite
+from painleve.cli import run
+from painleve.ortho import _HALF_INTEGER_SUFFIX, Verdict, cross_family_verdict
 from painleve.weyl import (
     MAX_WORD_TOKENS,
     AffineMap,
@@ -1014,6 +1019,20 @@ def test_cross_family_orthofam3_clauses():
     half = cross_family_verdict(EquationId(Family.PII, [H]), EquationId(Family.PIII, [T1, T2]))
     assert half.verdict is Verdict.ORTHOGONAL
     assert "R(alpha)" in half.applicability
+    # The pair's integer form has an even denominator even where no value
+    # has one, so alpha in 1/2 + Z is tested as such, not as alpha in Z.
+    clause = "third-family parameters independent transcendental"
+    for alpha, suffix in [
+        ("3", ""), ("1/2", _HALF_INTEGER_SUFFIX[TriBool.YES]), ("alg1 + 1/2", ""),
+        ("alg1 + alg2 + 1/2", _HALF_INTEGER_SUFFIX[TriBool.UNKNOWN]),
+    ]:
+        p2, p3 = EquationId(Family.PII, [parse_param(alpha)]), EquationId(Family.PIII, [T1, T2])
+        for eq1, eq2 in ((p2, p3), (p3, p2)):
+            assert cross_family_verdict(eq1, eq2) == (Verdict.ORTHOGONAL, cite("orthofam3"), clause + suffix, None, ())
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert run(["orthogonal", "--family1", "II", "--params1", alpha, "--family2", "III", "--params2", "tau1,tau2"]) == 0
+        assert json.loads(out.getvalue())["applicability"] == clause + suffix
 
 
 def test_cross_family_same_family_nonorthogonal():
