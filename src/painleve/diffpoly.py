@@ -25,6 +25,7 @@ dependent view go through the canonical ``Var`` order, never the index order.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -345,16 +346,6 @@ class Poly:
     __repr__ = __str__
 
 
-def _cleared_sum(coeffs: Sequence[tuple[int, tuple[int, ...]]], scaled: Sequence[Sequence[int]]) -> int:
-    """sum(c * prod(scaled[i][e_i])) over the integer terms (c, e)."""
-    total = 0
-    for term, exps in coeffs:
-        for row, e in zip(scaled, exps):
-            term *= row[e]
-        total += term
-    return total
-
-
 def _powers(p: Poly, k: int) -> list[Poly]:
     """[p^0, p^1, ..., p^k]."""
     out = [Poly.const(1)]
@@ -579,19 +570,24 @@ def reduce(e: DiffExpr, rels: RelationSet) -> DiffExpr:
 # -- verifications driven by the cataloged systems -----------------------------
 
 
+@functools.cache
+def _riccati_tables(sign: int) -> tuple[RelationSet, DiffExpr]:
+    """The relations of y' = sign*(y^2 + t/2) and the target y'' - 2y^3 - ty,
+    built once per process and sign."""
+    from . import odes
+
+    y = DiffExpr.var(jet("y", 0))
+    return RelationSet(odes.riccati_rules(sign)), DiffExpr.var(jet("y", 2)) - 2 * y.power(3) - DiffExpr.t() * y
+
+
 def verify_riccati(sign: int) -> Fraction:
     """Reduce y'' - 2y^3 - ty modulo y' = sign*(y^2 + t/2) and return the
     unique constant alpha for which the full residual vanishes identically.
     """
-    from . import odes
-
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    rels = RelationSet(odes.riccati_rules(sign))
-    y = DiffExpr.var(jet("y", 0))
-    target = DiffExpr.var(jet("y", 2)) - 2 * y.power(3) - DiffExpr.t() * y
-    residual = reduce(target, rels)
-    return residual.constant_value()
+    rels, target = _riccati_tables(sign)
+    return reduce(target, rels).constant_value()
 
 
 ChangeOfVariablesReport = namedtuple("ChangeOfVariablesReport", "identity_q identity_p residuals excluded_loci notes")
@@ -609,7 +605,9 @@ def pv_change_of_variables_exprs() -> tuple[DiffExpr, DiffExpr]:
     return q_expr, p_expr
 
 
+@functools.cache
 def _pv_residuals() -> tuple[DiffExpr, DiffExpr]:
+    """The chart change's two residuals, derived once per process."""
     from .catalog import Family
     from .odes import ode_system
 
@@ -634,8 +632,8 @@ def verify_pv_change_of_variables() -> ChangeOfVariablesReport:
     Both residuals are cross-multiplied to polynomial form; the zero test
     substitutes v4 = -(v1 + v2 + v3), since the parameter space is that
     hyperplane.  The loci t = 0 and Q = 1 are excluded (cleared denominators).
-    The report carries the residuals, so that ``pv_random_point_check`` can
-    evaluate them without deriving them again.
+    The residuals are derived once per process (``_pv_residuals``); the
+    zero test runs on every call, and the report carries them.
     """
     residuals = _pv_residuals()
     v4 = -(DiffExpr.var(sym("v1")) + DiffExpr.var(sym("v2")) + DiffExpr.var(sym("v3")))
@@ -656,6 +654,27 @@ class RedrawBudgetError(ArithmeticError):
     """A random-point check redrew more points than its budget allows."""
 
 
+def _point_plans(residuals: tuple[DiffExpr, DiffExpr]) -> tuple[list, list[int]]:
+    """For the residuals' denominators, then numerators, a function of one
+    point's flat power table (each variable's row of cleared powers, in draw
+    order) that gives its cleared integer sum; and each variable's top degree."""
+    names = (sym("v1"), sym("v2"), sym("v3"), T_VAR, jet("Q", 0), jet("P", 0), sym("v4"))  # v4 last
+    res_q, res_p = residuals
+    plans = [poly._integer_terms(names)[0] for poly in (res_q.den, res_p.den, res_q.num, res_p.num)]
+    tops = [max((e[i] for plan in plans for _, e in plan), default=0) for i in range(len(names))]
+    starts = [sum(tops[:i]) + i for i in range(len(names))]
+    # Generated from integer coefficients and indices only; one tuple of
+    # terms, not a chain of additions, however many terms there are.
+    sums = [", ".join(str(c) + "".join(f"*f[{s + e}]" for s, e in zip(starts, exps)) for c, exps in p) for p in plans]
+    return [eval(f"lambda f: sum(({body},))" if body else "lambda f: 0") for body in sums], tops
+
+
+@functools.cache
+def _pv_plans() -> tuple[list, list[int]]:
+    """``_point_plans`` of ``_pv_residuals()``, built once per process."""
+    return _point_plans(_pv_residuals())
+
+
 def pv_random_point_check(
     points: int = 25,
     seed: int = 0,
@@ -664,8 +683,8 @@ def pv_random_point_check(
     """Secondary oracle for the chart change: evaluate both residuals at
     random rational points on the parameter hyperplane (redrawing any point
     on an excluded locus).  Returns (points evaluated, all residuals zero).
-    ``residuals`` defaults to deriving them afresh, as
-    ``verify_pv_change_of_variables`` does.
+    ``residuals`` defaults to the chart change's (``_pv_residuals``), whose
+    plans are built once per process; every call draws and evaluates points.
 
     A point is a numerator and a denominator per variable; each point's power
     tables serve all four polynomials, and "denominator != 0" and "numerator
@@ -675,12 +694,10 @@ def pv_random_point_check(
     import random
 
     rng = random.Random(seed)
-    res_q, res_p = residuals if residuals is not None else _pv_residuals()
-    v1, v2, v3, v4, q, p = sym("v1"), sym("v2"), sym("v3"), sym("v4"), jet("Q", 0), jet("P", 0)
-    names = (v1, v2, v3, T_VAR, q, p, v4)  # the draw order, v4 last
     # Denominators first: a point where one vanishes is redrawn.
-    plans = [poly._integer_terms(names)[0] for poly in (res_q.den, res_p.den, res_q.num, res_p.num)]
-    tops = [max((e[i] for plan in plans for _, e in plan), default=0) for i in range(len(names))]
+    (den_q, den_p, num_q, num_p), tops = (
+        _pv_plans() if residuals is None or residuals is _pv_residuals() else _point_plans(residuals)
+    )
 
     checked = 0
     redraws = 0
@@ -691,8 +708,8 @@ def pv_random_point_check(
         drawn = [(rng.randint(-12, 12), rng.randint(1, 5)) for _ in range(6)]
         (n1, d1), (n2, d2), (n3, d3) = drawn[:3]
         drawn.append((-(n1 * d2 * d3 + n2 * d1 * d3 + n3 * d1 * d2), d1 * d2 * d3))
-        scaled = [[n**e * d ** (top - e) for e in range(top + 1)] for (n, d), top in zip(drawn, tops)]
-        if _cleared_sum(plans[0], scaled) == 0 or _cleared_sum(plans[1], scaled) == 0:
+        scaled = [n**e * d ** (top - e) for (n, d), top in zip(drawn, tops) for e in range(top + 1)]
+        if den_q(scaled) == 0 or den_p(scaled) == 0:
             redraws += 1
             if redraws > 100 * points:
                 raise RedrawBudgetError(
@@ -701,15 +718,20 @@ def pv_random_point_check(
                 )
             continue
         checked += 1
-        if _cleared_sum(plans[2], scaled) or _cleared_sum(plans[3], scaled):
+        if num_q(scaled) or num_p(scaled):
             all_zero = False
     return checked, all_zero
 
 
 def verify_group_relation(family, word: Sequence[str], expected) -> bool:
     """Exact equality between the composed generator word and the map of
-    ``expected``, a ``catalog.Generator``."""
+    ``expected``, a ``catalog.Generator``: the word is composed on the
+    family's integer token maps (``weyl._int_word``), translations over its
+    token denominator."""
     from . import weyl
 
-    expected_map = weyl.AffineMap.from_permutation(family, expected.perm, expected.signs, expected.translation)
-    return weyl.word_map(family, tuple(word)) == expected_map
+    den, perm, signs, translation = weyl._int_word(family, word)
+    n = len(expected.perm)
+    return (list(perm), list(signs), list(translation)) == (
+        list(expected.perm), list(expected.signs or (1,) * n), [x * den for x in expected.translation or (0,) * n]
+    )

@@ -534,4 +534,12 @@ def tau_rank(form: Scaled, start: int = 0, stop: int | None = None) -> int:
     ]
     if len(columns) < 2:
         return len(columns)
-    return rational_rank(list(zip(*columns)))
+    rows = list(zip(*columns))
+    # A row with a column that is nonzero there and zero in every earlier row
+    # is independent of those rows: when every row, or as many rows as there
+    # are columns, is such a row, their count is the rank.
+    seen = fresh = 0
+    for row in rows:
+        mask = sum(1 << i for i, x in enumerate(row) if x)
+        fresh, seen = fresh + (mask & ~seen != 0), seen | mask
+    return fresh if fresh in (len(rows), len(columns)) else rational_rank(rows)

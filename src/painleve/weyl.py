@@ -481,16 +481,25 @@ def _alcove_word(
             return tuple(token for block in reversed(taken) for token in block)
 
 
-def _word_maps(family: Family, word: Sequence[str], form: Scaled) -> bool:
-    """Whether ``word`` maps v to w, for ``form = _scaled(family, v, w)``: the
-    word is composed once, on integer translations over the family's token
-    denominator, and its one image of v compared with w."""
-    token_den, tokens = _int_tokens(family)
-    n, c, rows, k = len(form.consts) // 2, form.consts, form.rows, form.den // token_den
+def _int_word(family: Family, word: Sequence[str]) -> tuple[int, Sequence[int], Sequence[int], Sequence[int]]:
+    """The family's token denominator, and the perm, signs and translation
+    times it of ``word`` (applied left to right), composed on the integer
+    token maps."""
+    den, tokens = _int_tokens(family)
+    n = family_space(family).arity
     perm, sg, t = range(n), (1,) * n, (0,) * n
     for p, s, u in map(tokens.__getitem__, word):
         perm, sg = [perm[i] for i in p], [a * sg[i] for a, i in zip(s, p)]
         t = [a * t[i] + b for a, i, b in zip(s, p, u)]
+    return den, perm, sg, t
+
+
+def _word_maps(family: Family, word: Sequence[str], form: Scaled) -> bool:
+    """Whether ``word`` maps v to w, for ``form = _scaled(family, v, w)``: the
+    word is composed once (``_int_word``), and its one image of v compared
+    with w."""
+    token_den, perm, sg, t = _int_word(family, word)
+    n, c, rows, k = len(form.consts) // 2, form.consts, form.rows, form.den // token_den
     return all(
         c[n + j] == sg[j] * c[perm[j]] + t[j] * k and rows[n + j] == _signed(rows[perm[j]], sg[j]) for j in range(n)
     )

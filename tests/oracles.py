@@ -48,6 +48,10 @@
 - ``evaluating_pv_random_point_check`` is ``diffpoly.pv_random_point_check``
   from before cleared integer sums: a ``Fraction`` per draw and per value,
   and no bound on the redraws.
+- ``affine_verify_group_relation`` is ``diffpoly.verify_group_relation``
+  from before integer token maps: the word composed by ``word_map`` into an
+  ``AffineMap`` with ``Fraction`` translations, compared with the
+  expectation's ``AffineMap``.
 - ``residual_exprs`` writes each equation of an ODE system as its left
   side minus its right side.
 - ``csv_module_write_csv`` is ``numint.write_csv`` as it was before it
@@ -1427,6 +1431,13 @@ def evaluating_pv_random_point_check(points=25, seed=0, residuals=None) -> tuple
         if any(x != 0 for x in values):
             all_zero = False
     return checked, all_zero
+
+
+def affine_verify_group_relation(family: Family, word: Sequence[str], expected) -> bool:
+    """Whether ``word`` composes to the map of ``expected``, a
+    ``catalog.Generator``, compared as ``AffineMap``s."""
+    expected_map = AffineMap.from_permutation(family, expected.perm, expected.signs, expected.translation)
+    return word_map(family, tuple(word)) == expected_map
 
 
 # -- ODE systems --------------------------------------------------------------------------

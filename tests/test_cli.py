@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from fractions import Fraction
 
 from oracles import dict_run, of_atom
-from painleve import catalog, cli, numint, ortho, weyl
+from painleve import catalog, cli, diffpoly, numint, ortho, weyl
 from painleve.catalog import Family, family_space
 from painleve.cli import run
 from painleve.exactnum import ParamValue, TriBool, alg, format_param, parse_param, tau
@@ -295,6 +295,61 @@ def test_verify_group_relations_failed_relation_exits_3(monkeypatch, capsys):
     payload, code = run_json(GOLDEN_QUERIES["verify_group_relations"], capsys)
     assert code == 3
     assert [v["value"] for v in payload["verdicts"]] == [True, True, False]
+
+
+def _overwrite(expr, new):
+    """Give a cached ``DiffExpr`` the value of ``new``, in place."""
+    expr.num, expr.den = new.num, new.den
+
+
+@pytest.fixture
+def verify_tables():
+    """Clears diffpoly's per-process verify tables after a test overwrites them."""
+    yield
+    for table in (diffpoly._pv_residuals, diffpoly._pv_plans, diffpoly._riccati_tables):
+        table.cache_clear()
+
+
+def test_pv_change_checks_the_cached_residuals_on_every_query(verify_tables, tmp_path, capsys):
+    # A clean query first, so that every table (and any memo of a row or a
+    # record) is built from the true residuals; then the cached q residual
+    # becomes residual + 1, and the random-point plans are rebuilt from it.
+    assert run_json(GOLDEN_QUERIES["verify_pv_change"], capsys)[1] == 0
+    res_q = diffpoly._pv_residuals()[0]
+    _overwrite(res_q, res_q + 1)
+    diffpoly._pv_plans.cache_clear()
+    payload, code = run_json(GOLDEN_QUERIES["verify_pv_change"], capsys)
+    assert code == 3
+    values = {v["kind"]: v["value"] for v in payload["verdicts"]}
+    assert values == {
+        "chart-identity-q": False, "chart-identity-p": True, "random-point-check": {"points": 25, "all_zero": False},
+    }
+    batch = tmp_path / "verify.txt"
+    batch.write_text("verify --target pv-change\n" * 2)
+    assert run(["--batch", str(batch)]) == 3
+    records = capsys.readouterr().out.splitlines()
+    assert len(records) == 2 and json.loads(records[1]) == payload
+
+
+def test_riccati_reduces_the_cached_target_on_every_query(verify_tables, capsys):
+    assert run_json(GOLDEN_QUERIES["verify_riccati"], capsys)[1] == 0
+    _, target = diffpoly._riccati_tables(1)
+    _overwrite(target, target + 1)
+    payload, code = run_json(GOLDEN_QUERIES["verify_riccati"], capsys)
+    assert code == 0  # the alphas are reported, not compared (RICCATI_SIGN_NOTE)
+    values = {v["kind"]: v["value"] for v in payload["verdicts"]}
+    assert values == {"riccati-matched-alpha-plus": "3/2", "riccati-matched-alpha-minus": "-1/2"}
+
+
+def test_repeated_verify_lines_give_their_golden_records(tmp_path, capsys):
+    batch = tmp_path / "verify.txt"
+    batch.write_text("".join(f"verify --target {name}\n" * 3 for name in cli.VERIFY_TARGETS))
+    assert run(["--batch", str(batch)]) == 0
+    records = capsys.readouterr().out.splitlines()
+    assert len(records) == 3 * len(cli.VERIFY_TARGETS)
+    for k, name in enumerate(cli.VERIFY_TARGETS):
+        golden = json.loads((GOLDEN_DIR / f"verify_{name.replace('-', '_')}.json").read_text())
+        assert records[3 * k:3 * k + 3] == [json.dumps(golden, sort_keys=True)] * 3
 
 
 def _subparsers():

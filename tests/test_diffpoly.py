@@ -28,7 +28,10 @@ from painleve.diffpoly import (
     verify_riccati,
 )
 
-from oracles import FractionPoly, TuplePoly, evaluating_pv_random_point_check, exact_value, residual_exprs
+from oracles import (
+    FractionPoly, TuplePoly, affine_verify_group_relation, evaluating_pv_random_point_check, exact_value,
+    residual_exprs,
+)
 
 Y0, Y1, Y2 = jet("y", 0), jet("y", 1), jet("y", 2)
 T = DiffExpr.t()
@@ -572,10 +575,29 @@ def test_verify_group_relation_fixtures():
         assert verify_group_relation(relation.family, relation.word, relation.expected), relation.name
 
 
+def _perturbed(expected):
+    """``expected`` with its translation moved by 1, its perm transposed, or
+    one sign flipped, each at every coordinate."""
+    n = len(expected.perm)
+    translation, signs = expected.translation or (0,) * n, expected.signs or (1,) * n
+    for j in range(n):
+        yield expected._replace(translation=tuple(t + (i == j) for i, t in enumerate(translation)))
+        yield expected._replace(signs=tuple(-s if i == j else s for i, s in enumerate(signs)))
+        perm = list(expected.perm)
+        perm[j], perm[j - 1] = perm[j - 1], perm[j]
+        yield expected._replace(perm=tuple(perm))
+
+
 @pytest.mark.parametrize("relation", catalog.GROUP_RELATIONS, ids=lambda r: r.name)
 def test_verify_group_relation_detects_a_wrong_map_or_word(relation):
-    translation = relation.expected.translation or (0,) * len(relation.expected.perm)
-    for j in range(len(translation)):
-        moved = tuple(t + (i == j) for i, t in enumerate(translation))
-        assert not verify_group_relation(relation.family, relation.word, relation.expected._replace(translation=moved))
-    assert not verify_group_relation(relation.family, relation.word[:-1], relation.expected)
+    # The integer composition agrees with the AffineMap oracle on the row,
+    # and both reject every perturbed expectation and a shortened word.
+    family, word, expected = relation.family, relation.word, relation.expected
+    assert verify_group_relation(family, word, expected) is affine_verify_group_relation(family, word, expected) is True
+    wrong = list(_perturbed(expected))
+    assert len(wrong) == 3 * len(expected.perm)
+    for moved in wrong:
+        assert verify_group_relation(family, word, moved) is affine_verify_group_relation(family, word, moved) is False
+    for cut in (word[:-1], word[1:]):
+        assert verify_group_relation(family, cut, expected) is affine_verify_group_relation(family, cut, expected)
+    assert not verify_group_relation(family, word[:-1], expected)

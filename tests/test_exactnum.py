@@ -16,6 +16,7 @@ from painleve.exactnum import (
     AtomKind,
     ParamSyntaxError,
     ParamValue,
+    Scaled,
     TriBool,
     alg,
     coset,
@@ -25,6 +26,7 @@ from painleve.exactnum import (
     rational_rank,
     scale,
     tau,
+    tau_rank,
     transcendence_degree,
     tri_and,
     tri_or,
@@ -591,6 +593,47 @@ def test_rational_rank_matches_fraction_oracle():
         assert rank == fraction_rational_rank(rows), rows
         ranks.add(rank)
     assert ranks == {0, 1, 2, 3, 4}
+
+
+@st.composite
+def scaled_forms(draw):
+    """A form of up to 6 values over up to 6 distinct atoms, tau and alg
+    mixed, with integer rows: mostly zeros and units (so that triangular
+    patterns, where ``tau_rank`` skips elimination, are common), some large
+    entries, and some rows copied or combined from earlier ones."""
+    atoms = draw(st.lists(st.one_of(st.integers(0, 5).map(tau), st.integers(0, 5).map(alg)),
+                          max_size=6, unique=True))
+    entry = st.one_of(st.just(0), st.just(0), st.sampled_from([1, -1, 2]), st.integers(-10**30, 10**30))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        row = draw(st.lists(entry, min_size=len(atoms), max_size=len(atoms)))
+        if rows and draw(st.booleans()):
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            k = draw(st.integers(-3, 3))
+            row = [x + k * y for x, y in zip(a, b)]
+        rows.append(tuple(row))
+    return Scaled(1, (0,) * len(rows), tuple(rows), tuple(atoms))
+
+
+@given(scaled_forms(), st.integers(0, 6), st.one_of(st.none(), st.integers(0, 6)))
+@settings(max_examples=500, deadline=None)
+def test_tau_rank_matches_fraction_oracle(form, start, stop):
+    columns = [i for i, a in enumerate(form.atoms) if a.kind is AtomKind.TRANSCENDENTAL]
+    rows = [[row[i] for i in columns] for row in form.rows[start:stop]]
+    assert tau_rank(form, start, stop) == fraction_rational_rank(rows)
+
+
+def test_tau_rank_takes_both_paths():
+    # As many fresh rows as rows, or as columns: their count is the rank, with
+    # no elimination.
+    t = (tau(1), tau(2), tau(3))
+    assert tau_rank(Scaled(1, (0,) * 3, ((1, 0, 0), (5, 2, 0), (7, 0, -1)), t)) == 3
+    assert tau_rank(Scaled(1, (0,) * 4, ((1, 0), (0, 1), (1, 1), (3, 0)), t[:2])) == 2
+    # Fresh rows fewer than both the rows and the columns: elimination decides.
+    assert tau_rank(Scaled(1, (0,) * 3, ((1, 1, 0), (2, 2, 0), (0, 0, 1)), t)) == 2
+    assert tau_rank(Scaled(1, (0,) * 3, ((1, 1, 0), (1, -1, 0), (0, 0, 1)), t)) == 3
+    # alg columns are ignored.
+    assert tau_rank(Scaled(1, (0,) * 2, ((1, 1), (1, 2)), (tau(1), alg(1)))) == 1
 
 
 @given(st.lists(big_values, max_size=5), st.integers(min_value=1, max_value=12), big_rationals)
