@@ -45,8 +45,7 @@ from .catalog import GROUP_RELATIONS, EquationId, Family, check_params
 from .citations import RICCATI_SIGN_NOTE, Ambiguity, Citation, cite
 from .classify import ClassificationReport, classify
 from .exactnum import (
-    AtomKind, InputError, IntValue, ParamSyntaxError, TriBool, format_fraction, format_param, param_text, parse_param,
-    read_param,
+    AtomKind, InputError, ParamSyntaxError, ParamValue, TriBool, format_fraction, format_param, parse_param,
 )
 
 # What the handlers use from the modules a classify query never needs.  A
@@ -114,14 +113,14 @@ def _response(query: dict, verdicts: list, citations: list[Citation], notes: Seq
     }
 
 
-def _parse_params(text: str, read, start: int = 0) -> list:
-    """Comma-separated values found at ``start`` in an option value, each
-    read by ``read`` (``parse_param`` or ``read_param``); a syntax error's
-    position counts from the start of the value."""
+def _parse_params(text: str, start: int = 0) -> list[ParamValue]:
+    """The comma-separated values of an option value found at ``start``,
+    each read by ``parse_param``, the one reader of every subcommand; a
+    syntax error's position counts from the start of the value."""
     values = []
     for chunk in text.split(",") if text.strip() else ():
         try:
-            values.append(read(chunk))
+            values.append(parse_param(chunk))
         except ParamSyntaxError as err:
             raise ParamSyntaxError(err.message, start + err.position) from None
         start += len(chunk) + 1
@@ -129,7 +128,7 @@ def _parse_params(text: str, read, start: int = 0) -> list:
 
 
 def _equation(family: str, params: str) -> EquationId:
-    return EquationId(Family.from_name(family), _parse_params(params, parse_param))
+    return EquationId(Family.from_name(family), _parse_params(params))
 
 
 # -- classify ---------------------------------------------------------------------
@@ -209,9 +208,9 @@ def _record(key: tuple, payload, *fields: str) -> str:
     return out
 
 
-def _texts(values: list[IntValue]) -> str:
+def _texts(values: list[ParamValue]) -> str:
     """The JSON list of the values' canonical texts, which need no escaping."""
-    return "[" + ", ".join([f'"{param_text(v)}"' for v in values]) + "]"
+    return "[" + ", ".join([f'"{format_param(v)}"' for v in values]) + "]"
 
 
 # -- orbit -----------------------------------------------------------------------------
@@ -256,8 +255,8 @@ def _orbit_payload(verdict: OrbitVerdict, query, witness, word) -> dict:
 def _cmd_orbit(args) -> tuple[str, int]:
     _load("weyl")
     family = Family.from_name(args.family)
-    v = _parse_params(args.v, read_param)
-    w = _parse_params(args.w, read_param)
+    v = _parse_params(args.v)
+    w = _parse_params(args.w)
     verdict = orbit_with_word(family, v, w)
     key = ("orbit", family, verdict.related, verdict.hypothesis_status, verdict.word_reason)
     query = f'{{"family": "{family._value_}", "subcommand": "orbit", "v": {_texts(v)}, "w": {_texts(w)}}}'
@@ -283,10 +282,10 @@ def _orthogonal_payload(verdict: OrthoVerdict, query) -> dict:
 def _cmd_orthogonal(args) -> tuple[str, int]:
     _load("ortho")
     family1 = Family.from_name(args.family1)
-    params1 = _parse_params(args.params1, read_param)
+    params1 = _parse_params(args.params1)
     try:
         family2 = Family.from_name(args.family2)
-        params2 = _parse_params(args.params2, read_param)
+        params2 = _parse_params(args.params2)
     except InputError:
         check_params(family1, params1)  # params1's own error comes first
         raise
@@ -310,7 +309,7 @@ def _riccati_rows():
 
 def _pv_change_rows():
     report = verify_pv_change_of_variables()
-    points, all_zero = pv_random_point_check(residuals=report.residuals)
+    points, all_zero = pv_random_point_check()
     rows = [
         ("chart-identity-q", report.identity_q, "pv_backlund", report.identity_q),
         ("chart-identity-p", report.identity_p, "pv_backlund", report.identity_p),
@@ -352,10 +351,10 @@ def _parse_assignment(text: str) -> NumericAssignment:
             name = name.strip()
             if not _ or not name:
                 raise InputError(f"bad atom assignment {chunk!r}; expected name=value")
-            (atom_value,) = _parse_params(name, parse_param, at)
-            if atom_value.const != 0 or [c for _, c in atom_value.terms] != [1]:
+            (atom_value,) = _parse_params(name, at)
+            if atom_value.num or [(n, d) for _, n, d in atom_value.parts] != [(1, 1)]:
                 raise InputError(f"{name!r} is not a bare atom")
-            atom = atom_value.terms[0][0]
+            atom = atom_value.parts[0][0]
             if atom in values:
                 raise InputError(f"atom {atom.name} is assigned twice")
             values[atom] = _float(raw)
@@ -418,8 +417,8 @@ _ATOM_KINDS = {AtomKind.TRANSCENDENTAL: "transcendental", AtomKind.ALGEBRAIC_IRR
 
 def _cmd_atoms(args) -> tuple[dict, int]:
     atoms = {}
-    for p in _parse_params(args.params, parse_param):
-        for atom, _ in p.terms:
+    for p in _parse_params(args.params):
+        for atom, _, _ in p.parts:
             atoms[atom.name] = {"name": atom.name, "kind": _ATOM_KINDS[atom.kind]}
     payload = {
         "query": {"subcommand": "atoms", "params": args.params},

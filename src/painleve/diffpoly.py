@@ -590,7 +590,7 @@ def verify_riccati(sign: int) -> Fraction:
     return reduce(target, rels).constant_value()
 
 
-ChangeOfVariablesReport = namedtuple("ChangeOfVariablesReport", "identity_q identity_p residuals excluded_loci notes")
+ChangeOfVariablesReport = namedtuple("ChangeOfVariablesReport", "identity_q identity_p excluded_loci notes")
 
 
 def pv_change_of_variables_exprs() -> tuple[DiffExpr, DiffExpr]:
@@ -632,8 +632,10 @@ def verify_pv_change_of_variables() -> ChangeOfVariablesReport:
     Both residuals are cross-multiplied to polynomial form; the zero test
     substitutes v4 = -(v1 + v2 + v3), since the parameter space is that
     hyperplane.  The loci t = 0 and Q = 1 are excluded (cleared denominators).
-    The residuals are derived once per process (``_pv_residuals``); the
-    zero test runs on every call, and the report carries them.
+    The residuals are derived once per process (``_pv_residuals``) and
+    the zero test runs on every call; the report holds only its verdicts
+    and notes, so no caller can reach, and change, the cached residuals
+    through it.
     """
     residuals = _pv_residuals()
     v4 = -(DiffExpr.var(sym("v1")) + DiffExpr.var(sym("v2")) + DiffExpr.var(sym("v3")))
@@ -641,7 +643,6 @@ def verify_pv_change_of_variables() -> ChangeOfVariablesReport:
     return ChangeOfVariablesReport(
         identity_q=on_plane[0].is_zero,
         identity_p=on_plane[1].is_zero,
-        residuals=residuals,
         excluded_loci=("t = 0", "Q = 1"),
         notes=(
             "zero test performed on the hyperplane v1 + v2 + v3 + v4 = 0"
@@ -695,9 +696,7 @@ def pv_random_point_check(
 
     rng = random.Random(seed)
     # Denominators first: a point where one vanishes is redrawn.
-    (den_q, den_p, num_q, num_p), tops = (
-        _pv_plans() if residuals is None or residuals is _pv_residuals() else _point_plans(residuals)
-    )
+    (den_q, den_p, num_q, num_p), tops = _pv_plans() if residuals is None else _point_plans(residuals)
 
     checked = 0
     redraws = 0

@@ -110,99 +110,98 @@ class ParamSyntaxError(InputError):
 
 
 class ParamValue:
-    """Immutable canonical Q-affine combination of atoms.
+    """Immutable canonical Q-affine combination of atoms, held in integers.
 
-    Canonical form: ``const`` is a ``Fraction``, and ``terms`` holds
-    ``(atom, coefficient)`` pairs sorted by :meth:`Atom.sort_key`, each
-    coefficient a nonzero ``Fraction``.  Structural equality is then semantic
-    equality and values hash.  ``__init__`` brings any input into this form;
-    the internal constructor :meth:`_canonical` relies on its caller passing
-    parts already in it, and the arithmetic below uses it wherever no atom
-    can cancel.  The slot ``ints`` keeps the value's ``IntValue`` once
-    ``parse_param`` or ``_int_value`` has it.
+    Canonical form: the constant is ``num/den``, and ``parts`` holds one
+    ``(atom, n, d)`` triple per atom, its coefficient ``n/d``, sorted by
+    :meth:`Atom.sort_key`; every ratio is reduced over a positive
+    denominator and every ``n`` is nonzero.  Structural equality is then
+    semantic equality and values hash.  ``__init__`` brings any rational
+    input into this form, ``parse_param`` builds it directly
+    (:meth:`_canonical`), and the arithmetic works on it in integers.
+    ``const`` and ``terms`` are read-only ``Fraction`` views of the form.
     """
 
-    __slots__ = ("const", "terms", "ints")
+    __slots__ = ("num", "den", "parts")
 
-    const: Fraction
-    terms: tuple[tuple[Atom, Fraction], ...]
+    num: int
+    den: int
+    parts: tuple[tuple[Atom, int, int], ...]
 
     def __init__(self, const: Rational = 0, coeffs: Mapping[Atom, Rational] | None = None):
-        object.__setattr__(self, "const", const if type(const) is Fraction else Fraction(const))
-        items = []
-        if coeffs:
-            for atom, c in coeffs.items():
-                if c != 0:
-                    items.append((atom, c if type(c) is Fraction else Fraction(c)))
-            if len(items) > 1:
-                items.sort(key=lambda it: it[0].sort_key())
-        object.__setattr__(self, "terms", tuple(items))
+        num, den = _ratio(const)
+        _set(self, "num", num)
+        _set(self, "den", den)
+        _set(self, "parts", _parts({atom: _ratio(c) for atom, c in coeffs.items()}) if coeffs else ())
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("ParamValue is immutable")
 
-    # -- constructors ------------------------------------------------------
-
     @classmethod
-    def _canonical(cls, const: Fraction, terms: tuple[tuple[Atom, Fraction], ...]) -> "ParamValue":
-        """Build a value from parts already in canonical form, unchecked."""
+    def _canonical(cls, num: int, den: int, parts: tuple[tuple[Atom, int, int], ...]) -> "ParamValue":
+        """Build a value from integers already in canonical form, unchecked."""
         value = object.__new__(cls)
-        object.__setattr__(value, "const", const)
-        object.__setattr__(value, "terms", terms)
+        _set(value, "num", num)
+        _set(value, "den", den)
+        _set(value, "parts", parts)
         return value
 
     # -- inspection --------------------------------------------------------
 
     @property
+    def const(self) -> Fraction:
+        return Fraction(self.num, self.den)
+
+    @property
+    def terms(self) -> tuple[tuple[Atom, Fraction], ...]:
+        """``(atom, coefficient)`` pairs in atom order."""
+        return tuple([(a, Fraction(n, d)) for a, n, d in self.parts])
+
+    @property
     def has_transcendental(self) -> bool:
-        return any(a.kind is AtomKind.TRANSCENDENTAL for a, _ in self.terms)
+        return any(a.kind is AtomKind.TRANSCENDENTAL for a, _, _ in self.parts)
 
     # -- arithmetic (closed and exact) --------------------------------------
 
-    def _combine(self, other: "ParamValue", sign: int) -> "ParamValue":
-        const = self.const + other.const if sign > 0 else self.const - other.const
-        if not other.terms:
-            return ParamValue._canonical(const, self.terms)
-        if not self.terms:
-            terms = other.terms if sign > 0 else tuple((a, -c) for a, c in other.terms)
-            return ParamValue._canonical(const, terms)
-        # Atoms on both sides may cancel; __init__ drops the zero coefficients.
-        coeffs: dict[Atom, Fraction] = dict(self.terms)
-        for a, c in other.terms:
-            coeffs[a] = coeffs.get(a, 0) + c if sign > 0 else coeffs.get(a, 0) - c
-        return ParamValue(const, coeffs)
+    def _combine(self, other, sign: int):
+        """self + sign * other, for a value or a rational ``other``."""
+        if isinstance(other, ParamValue):
+            m, e, other_parts = other.num, other.den, other.parts
+        elif isinstance(other, (int, Fraction)):
+            m, e, other_parts = other.numerator, other.denominator, ()
+        else:
+            return NotImplemented
+        num, den = _reduced(self.num * e + sign * m * self.den, self.den * e)
+        if not other_parts:
+            return ParamValue._canonical(num, den, self.parts)
+        # Atoms on both sides may cancel; _parts drops the zero coefficients.
+        coeffs = {a: (n, d) for a, n, d in self.parts}
+        for a, n, d in other_parts:
+            m, e = coeffs.get(a, (0, 1))
+            coeffs[a] = (m * d + sign * n * e, e * d)
+        return ParamValue._canonical(num, den, _parts(coeffs))
 
     def __add__(self, other):
-        if isinstance(other, ParamValue):
-            return self._combine(other, 1)
-        if isinstance(other, (int, Fraction)):
-            return ParamValue._canonical(self.const + other, self.terms)
-        return NotImplemented
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, ParamValue):
-            return self._combine(other, -1)
-        if isinstance(other, (int, Fraction)):
-            return ParamValue._canonical(self.const - other, self.terms)
-        return NotImplemented
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self) -> "ParamValue":
-        return ParamValue._canonical(-self.const, tuple((a, -c) for a, c in self.terms))
+        return self * -1
 
     def __mul__(self, scalar):
         if isinstance(scalar, (int, Fraction)):
-            if scalar == 0:
-                return ZERO
-            if scalar == 1:
-                return self
-            return ParamValue._canonical(
-                self.const * scalar, tuple((a, c * scalar) for a, c in self.terms)
-            )
+            p, q = scalar.numerator, scalar.denominator
+            if not p:
+                return ParamValue._canonical(0, 1, ())
+            parts = tuple([(a, *_reduced(n * p, d * q)) for a, n, d in self.parts])
+            return ParamValue._canonical(*_reduced(self.num * p, self.den * q), parts)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -211,20 +210,20 @@ class ParamValue:
         if isinstance(scalar, (int, Fraction)):
             if scalar == 0:
                 raise ZeroDivisionError("division of ParamValue by zero")
-            return self * (Fraction(1) / Fraction(scalar))
+            return self * (1 / Fraction(scalar))
         return NotImplemented
 
     # -- identity ------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = ParamValue(other)
+            return not self.parts and self.num == other.numerator and self.den == other.denominator
         if not isinstance(other, ParamValue):
             return NotImplemented
-        return self.const == other.const and self.terms == other.terms
+        return self.num == other.num and self.den == other.den and self.parts == other.parts
 
     def __hash__(self) -> int:
-        return hash((self.const, self.terms))
+        return hash((self.num, self.den, self.parts))
 
     def __str__(self) -> str:
         return format_param(self)
@@ -233,42 +232,43 @@ class ParamValue:
         return f"ParamValue({format_param(self)!r})"
 
 
-ZERO = ParamValue(0)
+_set = object.__setattr__  # ParamValue's own __setattr__ refuses
+
+
+def _ratio(q: Rational) -> tuple[int, int]:
+    """The reduced numerator and positive denominator of a rational."""
+    if type(q) is not int and type(q) is not Fraction:
+        q = Fraction(q)
+    return q.numerator, q.denominator
+
+
+def _reduced(n: int, d: int) -> tuple[int, int]:
+    """n/d in lowest terms, for a positive d."""
+    g = math.gcd(n, d)
+    return n // g, d // g
+
+
+def _parts(coeffs: Mapping[Atom, tuple[int, int]]) -> tuple[tuple[Atom, int, int], ...]:
+    """The canonical parts of coefficients given as (numerator, positive
+    denominator) per atom: reduced, the zeros dropped, in atom order."""
+    parts = [(a, *_reduced(n, d)) for a, (n, d) in coeffs.items() if n]
+    if len(parts) > 1:
+        parts.sort(key=lambda part: part[0].sort_key())
+    return tuple(parts)
 
 
 def format_fraction(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-# A value read into integers: the reduced constant ``num/den`` and the atom
-# terms ``(atom, numerator, denominator)``, each reduced and nonzero, in
-# atom order.  ``read_param`` returns it; ``scale`` and ``param_text`` read it.
-IntValue = namedtuple("IntValue", "num den terms")
-
-
-def _int_value(value: ParamValue) -> IntValue:
-    try:
-        return value.ints
-    except AttributeError:
-        const = value.const
-        ints = IntValue(const.numerator, const.denominator, [(a, c.numerator, c.denominator) for a, c in value.terms])
-        object.__setattr__(value, "ints", ints)
-        return ints
-
-
 def format_param(value: ParamValue) -> str:
-    """Deterministic printer; output re-parses to an equal value."""
-    return param_text(_int_value(value))
-
-
-def param_text(value: IntValue) -> str:
-    """The canonical text of a value read into integers: atom terms first
-    (sorted by atom name), then the constant."""
-    num, den, terms = value
-    if not terms:
+    """Deterministic printer: atom terms first (sorted by atom name), then
+    the constant; the text re-parses to an equal value."""
+    num, den, parts = value.num, value.den, value.parts
+    if not parts:
         return str(num) if den == 1 else f"{num}/{den}"
     pieces: list[tuple[bool, str]] = []  # (negative, magnitude text)
-    for atom, n, d in terms:
+    for atom, n, d in parts:
         mag = str(abs(n)) if d == 1 else f"{abs(n)}/{d}"
         pieces.append((n < 0, atom.name if mag == "1" else f"{mag}*{atom.name}"))
     if num:
@@ -314,8 +314,8 @@ def _intern(name: str) -> tuple[Atom, tuple[str, int]]:
     return entry
 
 
-def read_param(text: str) -> IntValue:
-    """Read the parameter grammar into integers::
+def parse_param(text: str) -> ParamValue:
+    """Read the parameter grammar into a ``ParamValue``::
 
         expr   := term (("+"|"-") term)*
         term   := rational ("*" atom)? | atom
@@ -330,16 +330,15 @@ def read_param(text: str) -> IntValue:
     is read directly.  Any other text is split into tokens by one
     ``findall``, and one walk over them checks the grammar and sums each
     term into an integer numerator and denominator per atom and for the
-    constant; the constant and each atom's coefficient are then reduced.
+    constant; the constant and each atom's coefficient are then reduced,
+    which is the value's canonical form.
     """
     long_run = _LONG_DIGIT_RUN.search(text)
     if long_run:
         raise ParamSyntaxError(f"more than {MAX_DIGITS} digits", long_run.start())
     plain = _PLAIN_RATIONAL.fullmatch(text)
     if plain:  # one digit run each, so within the digit bound
-        num, den = int(plain[1]), int(plain[2] or 1)
-        g = math.gcd(num, den)
-        return IntValue(num // g, den // g, ())
+        return ParamValue._canonical(*_reduced(int(plain[1]), int(plain[2] or 1)), ())
     tokens = _TOKEN.findall(text)
     if not tokens:
         raise ParamSyntaxError("empty parameter expression", 0)
@@ -394,21 +393,9 @@ def read_param(text: str) -> IntValue:
             raise _syntax_error(text, "expected '+' or '-'", i)
         sign, i = 1 if op == "+" else -1, i + 1
     num, den, _ = sums.pop(None, (0, 1, None))
-    g = math.gcd(num, den)
-    terms = []
-    for _, atom, n, d in sorted((key, atom, n, d) for atom, (n, d, key) in sums.items() if n) if sums else ():
-        gt = math.gcd(n, d)
-        terms.append((atom, n // gt, d // gt))
-    value = IntValue(num // g, den // g, terms)
+    ordered = sorted((key, atom, n, d) for atom, (n, d, key) in sums.items() if n) if sums else ()
+    value = ParamValue._canonical(*_reduced(num, den), tuple([(atom, *_reduced(n, d)) for _, atom, n, d in ordered]))
     return _bounded(value) if summed else value
-
-
-def parse_param(text: str) -> ParamValue:
-    """``read_param``'s value as a ``ParamValue``."""
-    ints = num, den, terms = read_param(text)
-    value = ParamValue._canonical(Fraction(num, den), tuple([(a, Fraction(n, d)) for a, n, d in terms]) if terms else ())
-    object.__setattr__(value, "ints", ints)
-    return value
 
 
 def _syntax_error(text: str, message: str, at: int) -> ParamSyntaxError:
@@ -422,9 +409,9 @@ def _syntax_error(text: str, message: str, at: int) -> ParamSyntaxError:
     return ParamSyntaxError(message, matches[at].start(matches[at].lastindex) if at < len(matches) else len(text))
 
 
-def _bounded(value: IntValue) -> IntValue:
+def _bounded(value: ParamValue) -> ParamValue:
     """``value``, unless a reduced numerator or denominator in it has more than ``MAX_DIGITS`` digits."""
-    for n, d in ((value.num, value.den), *[(n, d) for _, n, d in value.terms]):
+    for n, d in ((value.num, value.den), *[(n, d) for _, n, d in value.parts]):
         if abs(n) >= _TOO_MANY_DIGITS or d >= _TOO_MANY_DIGITS:
             raise ParamSyntaxError(f"more than {MAX_DIGITS} digits", 0)
     return value
@@ -446,16 +433,14 @@ def decide_coset(x: ParamValue, offset: Rational, modulus: Rational) -> TriBool:
 Scaled = namedtuple("Scaled", "den consts rows atoms")
 
 
-def scale(values: Sequence[ParamValue | IntValue], den: int = 1) -> Scaled:
-    """The integer form of ``values`` (``ParamValue``s, or ``IntValue``s as
-    ``read_param`` reads them) over the least common denominator that is a
-    multiple of ``den``.  The orbit and orthogonality paths, the classify
-    strata, the sum-zero test and the transcendence degree read values in
-    this form."""
-    values = [v if type(v) is IntValue else _int_value(v) for v in values]
-    den = math.lcm(den, *[v.den for v in values], *[d for v in values for _, _, d in v.terms])
-    consts = tuple([num * (den // d) for num, d, _ in values])
-    atoms = {a for v in values for a, _, _ in v.terms}
+def scale(values: Sequence[ParamValue], den: int = 1) -> Scaled:
+    """The integer form of ``values``: each value's stored integers brought
+    over the least common denominator that is a multiple of ``den``.  The
+    orbit and orthogonality paths, the classify strata, the sum-zero test
+    and the transcendence degree read values in this form."""
+    den = math.lcm(den, *[v.den for v in values], *[d for v in values for _, _, d in v.parts])
+    consts = tuple([v.num * (den // v.den) for v in values])
+    atoms = {a for v in values for a, _, _ in v.parts}
     if not atoms:
         return Scaled(den, consts, ((),) * len(values), ())
     atoms = sorted(atoms, key=Atom.sort_key)
@@ -463,7 +448,7 @@ def scale(values: Sequence[ParamValue | IntValue], den: int = 1) -> Scaled:
     rows = []
     for v in values:
         row = [0] * len(atoms)
-        for a, n, d in v.terms:
+        for a, n, d in v.parts:
             row[column[a]] = n * (den // d)
         rows.append(tuple(row))
     return Scaled(den, consts, tuple(rows), tuple(atoms))
@@ -518,7 +503,7 @@ def transcendence_degree(values: Sequence[ParamValue]) -> int:
     """Transcendence degree over Q contributed by a tuple of values: the
     ``tau_rank`` of their integer form; algebraic-irrational atoms and
     constants contribute nothing."""
-    atoms = {a for v in values for a, _ in v.terms if a.kind is AtomKind.TRANSCENDENTAL}
+    atoms = {a for v in values for a, _, _ in v.parts if a.kind is AtomKind.TRANSCENDENTAL}
     if len(atoms) < 2:  # a canonical coefficient is nonzero
         return len(atoms)
     return tau_rank(scale(values))

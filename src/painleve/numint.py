@@ -57,11 +57,11 @@ class NumericAssignment(namedtuple("NumericAssignment", "atom_values")):
 
     def value_of(self, p: ParamValue) -> float:
         try:
-            total = float(p.const)
-            for atom, coeff in p.terms:
+            total = p.num / p.den
+            for atom, n, d in p.parts:
                 if atom not in self.atom_values:
                     raise MissingAtomError(f"atom {atom.name} has no numeric assignment")
-                total += float(coeff) * self.atom_values[atom]
+                total += n / d * self.atom_values[atom]
         except OverflowError:
             raise NumericInputError(f"parameter {p} is too large for a float") from None
         return total

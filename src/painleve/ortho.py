@@ -20,7 +20,7 @@ from typing import Sequence
 from .catalog import EquationId, Family, check_params, family_space
 from .citations import cite
 from .classify import is_generic
-from .exactnum import IntValue, ParamValue, Scaled, TriBool, coset, scale
+from .exactnum import ParamValue, Scaled, TriBool, coset, scale
 
 
 class Verdict(Enum):
@@ -39,7 +39,7 @@ def cross_family_verdict(eq1: EquationId, eq2: EquationId) -> OrthoVerdict:
 
 
 def pair_verdict(
-    family1: Family, params1: Sequence[ParamValue | IntValue], family2: Family, params2: Sequence[ParamValue | IntValue]
+    family1: Family, params1: Sequence[ParamValue], family2: Family, params2: Sequence[ParamValue]
 ) -> OrthoVerdict:
     """Match a pair of equations against the hypothesis clauses of the proved
     orthogonality statements; fall through to Open when none applies.  The

@@ -33,7 +33,6 @@ from .citations import cite
 from .classify import is_generic
 from .exactnum import (
     AtomKind,
-    IntValue,
     ParamValue,
     Rational,
     Scaled,
@@ -193,22 +192,17 @@ def _int_tokens(family: Family) -> tuple[int, dict[str, tuple[tuple[int, ...], .
     return den, {name: (m.perm, m.signs, tuple(int(x * den) for x in m.translation)) for name, m in tokens.items()}
 
 
-# A parameter as the value-taking entry points accept it: a ParamValue or a
-# Rational, or a value read into integers (``exactnum.read_param``).
-Value = ParamValue | Rational | IntValue
-
-
-def _scaled(family: Family, v: Sequence[Value], w: Sequence[Value]) -> Scaled:
+def _scaled(family: Family, v: Sequence[ParamValue], w: Sequence[ParamValue]) -> Scaled:
     """v then w in integer form, over a multiple of the family's token denominator."""
     return scale((*v, *w), _int_tokens(family)[0])
 
 
-def checked_form(family: Family, v: Sequence[Value], w: Sequence[Value]) -> Scaled:
+def checked_form(family: Family, v: Sequence[ParamValue | Rational], w: Sequence[ParamValue | Rational]) -> Scaled:
     """The ``_scaled`` form of v and w, once each is checked as
     ``EquationId(family, ...)`` would check it; v's error is raised before w's."""
-    v = [x if type(x) is IntValue else as_param(x) for x in v]
+    v = [as_param(x) for x in v]
     try:
-        w = [x if type(x) is IntValue else as_param(x) for x in w]
+        w = [as_param(x) for x in w]
     except InvalidEquationError:
         check_params(family, v)  # v's own error comes first
         raise
@@ -331,7 +325,8 @@ def _piii_decide(form: Scaled) -> tuple[TriBool, OrbitWitness | None]:
 
 
 def orbit_decide(
-    family: Family, v: Sequence[Value], w: Sequence[Value], *, checked: bool = False, form: Scaled | None = None,
+    family: Family, v: Sequence[ParamValue | Rational], w: Sequence[ParamValue | Rational], *, checked: bool = False,
+    form: Scaled | None = None,
 ) -> OrbitVerdict:
     """``decide_form`` on the ``checked_form`` of v and w.  ``checked`` says
     v and w are already ``EquationId(family, ...).params``, and ``form`` is
@@ -506,8 +501,8 @@ def _word_maps(family: Family, word: Sequence[str], form: Scaled) -> bool:
 
 
 def generator_word(
-    family: Family, v: Sequence[Value], w: Sequence[Value], verdict: OrbitVerdict | None = None, *,
-    checked: bool = False, form: Scaled | None = None,
+    family: Family, v: Sequence[ParamValue | Rational], w: Sequence[ParamValue | Rational],
+    verdict: OrbitVerdict | None = None, *, checked: bool = False, form: Scaled | None = None,
 ) -> WordResult:
     """``word_form`` on the ``checked_form`` of v and w; ``verdict`` is
     ``orbit_decide(family, v, w)`` when the caller has already computed it,
@@ -571,7 +566,9 @@ def word_form(family: Family, form: Scaled, verdict: OrbitVerdict) -> WordResult
     return WordResult(word=word)
 
 
-def orbit_with_word(family: Family, v: Sequence[Value], w: Sequence[Value]) -> OrbitVerdict:
+def orbit_with_word(
+    family: Family, v: Sequence[ParamValue | Rational], w: Sequence[ParamValue | Rational]
+) -> OrbitVerdict:
     """orbit_decide plus word synthesis when the verdict is Yes; v and w
     are validated and scaled once, here."""
     form = checked_form(family, v, w)

@@ -110,7 +110,7 @@ from painleve.diffpoly import T_VAR, DiffExpr, Var, _coefficient, jet, sym
 from painleve.classify import ClassificationReport, Stratum
 from painleve.exactnum import (
     MAX_DIGITS, AtomKind, InputError, ParamSyntaxError, ParamValue, TriBool, _LONG_DIGIT_RUN, _intern, format_param,
-    parse_param, transcendence_degree, tri_and, tri_or,
+    transcendence_degree, tri_and, tri_or,
 )
 from painleve.numint import BLOWUP_THRESHOLD, ResidualReport, Trajectory, TrajectoryStatus
 from painleve.odes import OdeSystem
@@ -836,8 +836,8 @@ def chain_distinct_family_verdict(eq1: EquationId, eq2: EquationId) -> OrthoVerd
 
 def _dict_orbit(args) -> tuple[dict, int]:
     family = Family.from_name(args.family)
-    v = cli._parse_params(args.v, parse_param)
-    w = cli._parse_params(args.w, parse_param)
+    v = cli._parse_params(args.v)
+    w = cli._parse_params(args.w)
     verdict = weyl.orbit_with_word(family, v, w)
     status_cite = verdict.criterion_citation if verdict.hypothesis_status is not HypothesisStatus.OPEN else None
     verdicts = [
@@ -860,8 +860,8 @@ def _dict_orbit(args) -> tuple[dict, int]:
 
 
 def _dict_orthogonal(args) -> tuple[dict, int]:
-    eq1 = EquationId(Family.from_name(args.family1), cli._parse_params(args.params1, parse_param))
-    eq2 = EquationId(Family.from_name(args.family2), cli._parse_params(args.params2, parse_param))
+    eq1 = EquationId(Family.from_name(args.family1), cli._parse_params(args.params1))
+    eq2 = EquationId(Family.from_name(args.family2), cli._parse_params(args.params2))
     verdict = cross_family_verdict(eq1, eq2)
     verdicts = [cli._verdict("orthogonality", verdict.verdict.value, verdict.citation)]
     notes = list(verdict.notes)

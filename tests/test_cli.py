@@ -271,7 +271,7 @@ def test_verify_pv_change_json(capsys):
 
 
 def test_verify_pv_change_failed_random_point_check_exits_3(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "pv_random_point_check", lambda residuals: (25, False))
+    monkeypatch.setattr(cli, "pv_random_point_check", lambda: (25, False))
     payload, code = run_json(GOLDEN_QUERIES["verify_pv_change"], capsys)
     assert code == 3
     values = {v["kind"]: v["value"] for v in payload["verdicts"]}

@@ -80,6 +80,9 @@ def test_parse_linear_term():
 
 def test_parse_canonicalizes_repeated_atoms():
     assert parse_param("tau1 + tau1") == ParamValue(0, {tau(1): 2})
+    # Coefficients read from one term and summed over several are reduced.
+    value = parse_param("1/4*alg1 + 2/4*tau1 + 1/4*alg1 - 3/6")
+    assert_same_canonical(value, ParamValue(Fraction(-1, 2), {tau(1): Fraction(1, 2), alg(1): Fraction(1, 2)}))
 
 
 def test_parse_cancellation_drops_atom():
@@ -132,7 +135,8 @@ def _parse_outcome(parse, text):
         value = parse(text)
     except ParamSyntaxError as err:
         return "error", str(err), err.position
-    return "value", value, [type(value.const)] + [type(c) for _, c in value.terms]
+    assert_canonical_form(value)
+    return "value", value, (value.num, value.den, value.parts)
 
 
 # Pieces of parameter text, mostly from the grammar, with Unicode digits,
@@ -265,6 +269,29 @@ def test_roundtrip_is_idempotent_on_text(v):
     assert format_param(parse_param(text)) == text
 
 
+@given(st.one_of(param_values, big_values))
+def test_printed_text_reads_back_to_the_stored_form(v):
+    text = format_param(v)
+    back = parse_param(text)
+    assert_canonical_form(back)
+    assert (back.num, back.den, back.parts) == (v.num, v.den, v.parts)
+    assert hash(back) == hash(v)
+    assert scale([back]) == scale([descent_parse_param(text)])
+
+
+# Constructor inputs: ints and Fractions, zero coefficients included.
+mixed_rationals = st.one_of(rationals, st.integers(min_value=-60, max_value=60), st.just(0))
+
+
+@given(mixed_rationals, st.dictionaries(atoms, mixed_rationals, max_size=5))
+def test_constructor_stores_the_canonical_form(const, coeffs):
+    v = ParamValue(const, coeffs)
+    assert_canonical_form(v)
+    assert v.const == const
+    assert dict(v.terms) == {a: c for a, c in coeffs.items() if c}
+    assert_same_canonical(v, ParamValue(Fraction(const), {a: Fraction(c) for a, c in reversed(coeffs.items())}))
+
+
 # -- arithmetic and canonical form -------------------------------------------
 
 @given(param_values, param_values)
@@ -374,13 +401,27 @@ def reference_decide_coset(x, offset, modulus):
     return TriBool.NO if len(y.terms) == 1 else TriBool.UNKNOWN
 
 
+def assert_canonical_form(value):
+    """The stored integers are the canonical form: every ratio reduced over
+    a positive denominator, no zero coefficient, atoms in sort order; the
+    ``Fraction`` views read the same value."""
+    assert type(value.num) is int and type(value.den) is int
+    assert value.den > 0 and math.gcd(value.num, value.den) == 1
+    assert type(value.parts) is tuple
+    for atom, n, d in value.parts:
+        assert type(n) is int and type(d) is int
+        assert n != 0 and d > 0 and math.gcd(n, d) == 1
+    keys = [a.sort_key() for a, _, _ in value.parts]
+    assert keys == sorted(set(keys))
+    assert value.const == Fraction(value.num, value.den)
+    assert value.terms == tuple((a, Fraction(n, d)) for a, n, d in value.parts)
+
+
 def assert_same_canonical(value, expected):
     assert value == expected
     assert hash(value) == hash(expected)
-    assert type(value.const) is Fraction
-    assert all(type(c) is Fraction and c != 0 for _, c in value.terms)
-    keys = [a.sort_key() for a, _ in value.terms]
-    assert keys == sorted(keys)
+    assert_canonical_form(value)
+    assert (value.num, value.den, value.parts) == (expected.num, expected.den, expected.parts)
 
 
 operands = st.one_of(rationals.map(ParamValue), param_values)
